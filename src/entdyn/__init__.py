@@ -42,6 +42,7 @@ from .channels import (
     kraus_operators,
     noise_probability,
     pauli_channel_from_radii,
+    pauli_transfer_matrix,
     process_matrix,
     radii_from_chi,
     two_field_channel,

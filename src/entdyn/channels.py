@@ -1,6 +1,10 @@
 """Nondissipative single-qubit channels and their geometry.
 
-A channel is represented in one of three interchangeable ways:
+Every channel operation reads one representation: the real 4x4
+Pauli-transfer matrix (PTM) R_ij = Tr(sigma_i Phi(sigma_j)) / 2 built by
+:func:`pauli_transfer_matrix`, whose lower-right 3x3 block is the affine map
+the channel induces on the Bloch sphere. Only that function tells apart the
+forms a channel is described and serialized in:
 
 * a 4x4 process matrix ``chi`` over the Pauli operator basis
   (sigma_0..sigma_3), validated by :func:`process_matrix`;
@@ -23,27 +27,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import (
-    PAULIS,
-    SIGMA_0,
-    _frozen,
-    bloch_vector,
-    density_from_bloch,
-    matrix_from_json,
-    matrix_to_json,
-)
+from .states import PAULIS, SIGMA_0, _frozen, matrix_from_json, matrix_to_json
 
 CP_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
 PAULI_FAMILIES = ("two-field", "isotropic", "dephasing")
 
-# sigma_i sigma_j is proportional to sigma_{_PAULI_PRODUCT[i][j]}.
-_PAULI_PRODUCT = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
+# Row i is sigma_i flattened, so Tr(sigma_i rho) = (conj(row) . vec(rho)).
+_PAULI_ROWS = _frozen(np.array(PAULIS).reshape(4, 4))
+
+# Row 4i + j is sigma_i (x) sigma_j flattened: the two-qubit Pauli basis.
+_TWO_QUBIT_PAULIS = _frozen(np.einsum("iac,jbd->ijabcd", PAULIS, PAULIS).reshape(16, 16))
+
+# vec(R) = _CHI_TO_PTM @ vec(chi) for rho -> sum_ab chi_ab sigma_a rho sigma_b;
+# the entries (1/2) Tr(sigma_i sigma_a sigma_j sigma_b) are 0, +-1 or +-i, and
+# the matrix is twice a unitary, so its inverse is exactly its adjoint / 4.
+_CHI_TO_PTM = _frozen(
+    0.5 * np.einsum("iab,xbc,jcd,yda->ijxy", PAULIS, PAULIS, PAULIS, PAULIS).reshape(16, 16)
+)
+_PTM_TO_CHI = _frozen(_CHI_TO_PTM.conj().T / 4.0)
+
+# The PTM diagonal is _WALSH @ diag(chi) for every channel; _WALSH @ _WALSH = 4 I.
+_WALSH = _frozen(
+    np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
 )
 
 
@@ -63,6 +70,7 @@ class PauliChannel:
         chi = np.asarray(self.chi_diag, dtype=float).reshape(-1)
         if chi.size != 4:
             raise ValueError(f"chi_diag must have 4 entries, got {chi.size}")
+        _require_finite("chi_diag", chi)
         if chi.min() < -CP_TOL:
             raise ValueError(
                 f"chi_diag must be non-negative, got chi_{int(chi.argmin())} = {chi.min()!r}"
@@ -88,11 +96,12 @@ class UnitalChannel:
         for name, m in (("pre_rotation", v), ("post_rotation", u)):
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-            if np.max(np.abs(m @ m.conj().T - SIGMA_0)) > UNITARY_TOL:
+            if not np.max(np.abs(m @ m.conj().T - SIGMA_0)) <= UNITARY_TOL:
                 raise ValueError(f"{name} is not unitary")
         r = np.asarray(self.radii, dtype=float).reshape(-1)
         if r.size != 3:
             raise ValueError(f"radii must have 3 entries, got {r.size}")
+        _require_finite("radii", r)
         # slack matches decompose_unital's gate so round-tripped boundary maps
         # construct cleanly
         violations = cp_violations(r, tol=1e-10)
@@ -108,6 +117,7 @@ def process_matrix(chi) -> np.ndarray:
     m = np.asarray(chi, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"process matrix must be 4x4, got shape {m.shape}")
+    _require_finite("process matrix", m)
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValueError("process matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
@@ -116,6 +126,11 @@ def process_matrix(chi) -> np.ndarray:
     if min_eig < -1e-10:
         raise ValueError(f"process matrix is not PSD: min eigenvalue {min_eig!r}")
     return _frozen(m.copy())
+
+
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
 
 
 def two_field_channel(p: float) -> PauliChannel:
@@ -159,16 +174,16 @@ def hwp_angle_to_p(theta: float) -> float:
     return float(np.sin(2.0 * theta) ** 2)
 
 
-def noise_probability(channel: PauliChannel) -> float:
+def noise_probability(channel) -> float:
     """Probability that the input state is changed at all: 1 - chi_0."""
     return float(1.0 - _chi_diag(channel)[0])
 
 
 def radii_from_chi(channel) -> np.ndarray:
-    """Signed primary radii R_i = chi_0 + chi_i - chi_j - chi_k of the mapped ellipsoid."""
-    chi = _chi_diag(channel)
-    s = chi.sum()
-    return _frozen(np.array([2.0 * (chi[0] + chi[i]) - s for i in (1, 2, 3)]))
+    """Signed primary radii R_i = chi_0 + chi_i - chi_j - chi_k of the mapped
+    ellipsoid, read off the PTM diagonal (only the diagonal weights of
+    ``chi`` reach it)."""
+    return np.diag(pauli_transfer_matrix(channel))[1:]
 
 
 def chi_from_radii(radii) -> np.ndarray:
@@ -181,13 +196,8 @@ def chi_from_radii(radii) -> np.ndarray:
     r = np.asarray(radii, dtype=float).reshape(-1)
     if r.size != 3:
         raise ValueError(f"radii must have 3 entries, got {r.size}")
-    r1, r2, r3 = r
-    return _frozen(
-        0.25
-        * np.array(
-            [1.0 + r1 + r2 + r3, 1.0 + r1 - r2 - r3, 1.0 - r1 + r2 - r3, 1.0 - r1 - r2 + r3]
-        )
-    )
+    _require_finite("radii", r)
+    return _frozen(0.25 * (_WALSH @ np.concatenate(([1.0], r))))
 
 
 def pauli_channel_from_radii(radii) -> PauliChannel:
@@ -207,14 +217,17 @@ def pauli_channel_from_radii(radii) -> PauliChannel:
 
 
 def cp_violations(radii, tol: float = CP_TOL) -> list[str]:
-    """Human-readable list of violated tetrahedron inequalities (empty if CP)."""
+    """Human-readable list of violated tetrahedron inequalities (empty if CP).
+
+    A non-finite radius violates every inequality it enters.
+    """
     r = np.asarray(radii, dtype=float).reshape(-1)
     out = []
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         for sign, label in ((1.0, "+"), (-1.0, "-")):
             lhs = abs(r[i] + sign * r[j])
             rhs = abs(1.0 + sign * r[k])
-            if lhs > rhs + tol:
+            if not lhs <= rhs + tol:
                 out.append(
                     f"|R{i + 1} {label} R{j + 1}| = {lhs:.6g} > |1 {label} R{k + 1}| = {rhs:.6g}"
                 )
@@ -226,63 +239,73 @@ def is_completely_positive(radii, tol: float = CP_TOL) -> bool:
     return not cp_violations(radii, tol=tol)
 
 
-def kraus_operators(channel) -> list[np.ndarray]:
-    """Kraus decomposition of a channel in any supported representation."""
+def pauli_transfer_matrix(channel) -> np.ndarray:
+    """Real 4x4 Pauli-transfer matrix R_ij = Tr(sigma_i Phi(sigma_j)) / 2.
+
+    The one function that reads how a channel is described: a Pauli channel
+    gives diag(1, R1, R2, R3), a unital channel 1 (+) O_u diag(R) O_v with
+    the SO(3) images of its rotations, and a process matrix ``chi`` (or the
+    four diagonal weights of one) the fixed basis change
+    R_ij = (1/2) sum_ab chi_ab Tr(sigma_i sigma_a sigma_j sigma_b).
+    """
     if isinstance(channel, PauliChannel):
-        return [np.sqrt(w) * PAULIS[i] for i, w in enumerate(channel.chi_diag) if w > 0.0]
+        return _frozen(np.diag(_WALSH @ channel.chi_diag))
     if isinstance(channel, UnitalChannel):
-        chi = np.clip(chi_from_radii(channel.radii), 0.0, None)
-        u, v = channel.post_rotation, channel.pre_rotation
-        return [np.sqrt(w) * (u @ PAULIS[i] @ v) for i, w in enumerate(chi) if w > 0.0]
+        r = np.eye(4)
+        r[1:, 1:] = (
+            rotation_from_su2(channel.post_rotation) * channel.radii
+            @ rotation_from_su2(channel.pre_rotation)
+        )
+        return _frozen(r)
     chi = np.asarray(channel, dtype=complex)
+    if chi.shape == (4,):
+        chi = np.diag(chi)
     if chi.shape != (4, 4):
         raise ValueError(f"unsupported channel representation: {type(channel).__name__}")
+    return _frozen((_CHI_TO_PTM @ chi.reshape(16)).real.reshape(4, 4))
+
+
+def _chi_diag(channel) -> np.ndarray:
+    """Diagonal Pauli weights chi_ii of a channel, from the PTM diagonal."""
+    return _frozen(0.25 * (_WALSH @ np.diag(pauli_transfer_matrix(channel))))
+
+
+def kraus_operators(channel) -> list[np.ndarray]:
+    """Kraus operators sqrt(w) sum_m v_m sigma_m, one per eigenpair (w, v) of
+    the process matrix recovered from the PTM, keeping w > 1e-14."""
+    chi = (_PTM_TO_CHI @ pauli_transfer_matrix(channel).reshape(16)).reshape(4, 4)
     w, vecs = np.linalg.eigh(chi)
-    ops = []
-    for a in range(4):
-        if w[a] > 1e-14:
-            k = sum(vecs[m, a] * PAULIS[m] for m in range(4))
-            ops.append(np.sqrt(w[a]) * k)
-    return ops
+    return [
+        np.sqrt(w[a]) * (vecs[:, a] @ _PAULI_ROWS).reshape(2, 2) for a in range(4) if w[a] > 1e-14
+    ]
 
 
 def apply(channel, rho) -> np.ndarray:
-    """Act with a single-qubit channel on a single-qubit density matrix."""
+    """Act with a single-qubit channel on a single-qubit density matrix: the
+    PTM maps its Pauli components r_i = Tr(sigma_i rho)."""
     m = np.asarray(rho, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 state, got shape {m.shape}")
-    if isinstance(channel, PauliChannel):
-        chi = channel.chi_diag
-        out = sum(chi[i] * (PAULIS[i] @ m @ PAULIS[i]) for i in range(4) if chi[i] != 0.0)
-        return _frozen(np.asarray(out))
-    if isinstance(channel, UnitalChannel):
-        u, v = channel.post_rotation, channel.pre_rotation
-        inner = apply(PauliChannel(np.clip(chi_from_radii(channel.radii), 0.0, None)), v @ m @ v.conj().T)
-        return _frozen(u @ inner @ u.conj().T)
-    chi = np.asarray(channel, dtype=complex)
-    if chi.shape != (4, 4):
-        raise ValueError(f"unsupported channel representation: {type(channel).__name__}")
-    out = np.zeros((2, 2), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            if chi[a, b] != 0.0:
-                out += chi[a, b] * (PAULIS[a] @ m @ PAULIS[b])
-    return _frozen(out)
+    r = pauli_transfer_matrix(channel) @ (_PAULI_ROWS.conj() @ m.reshape(4))
+    return _frozen((0.5 * r @ _PAULI_ROWS).reshape(2, 2))
 
 
 def apply_one_sided(channel, rho, target: int = 1) -> np.ndarray:
-    """Act with a single-qubit channel on one qubit of a two-qubit state."""
+    """Act with a single-qubit channel on one qubit of a two-qubit state.
+
+    The correlation matrix T_ij = Tr(rho sigma_i (x) sigma_j) evolves as
+    R T when the channel acts on qubit 0 and as T R^T on qubit 1; the output
+    is rebuilt as (1/4) sum_ij T_ij sigma_i (x) sigma_j.
+    """
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {m.shape}")
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
-    eye = np.eye(2, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in kraus_operators(channel):
-        lifted = np.kron(k, eye) if target == 0 else np.kron(eye, k)
-        out += lifted @ m @ lifted.conj().T
-    return _frozen(out)
+    r = pauli_transfer_matrix(channel)
+    t = (_TWO_QUBIT_PAULIS.conj() @ m.reshape(16)).reshape(4, 4)
+    t = r @ t if target == 0 else t @ r.T
+    return _frozen((0.25 * t.reshape(16) @ _TWO_QUBIT_PAULIS).reshape(4, 4))
 
 
 def apply_two_sided(channel, rho) -> np.ndarray:
@@ -293,45 +316,32 @@ def apply_two_sided(channel, rho) -> np.ndarray:
 def compose(first, second):
     """Channel equivalent to applying ``first`` and then ``second``.
 
-    Two Pauli channels compose to a Pauli channel (flip weights convolve over
-    the Pauli group, so the radii multiply component-wise). Anything else is
-    composed through the Bloch affine maps and re-decomposed.
+    The PTMs multiply, and for unital channels R_second R_first is
+    1 (+) M_second M_first, the product of their Bloch maps (a non-unital
+    input is rejected by :func:`bloch_affine_map`). Two Pauli channels
+    compose to a Pauli channel (the radii multiply component-wise); anything
+    else is re-decomposed by :func:`decompose_unital`.
     """
-    if isinstance(first, PauliChannel) and isinstance(second, PauliChannel):
-        a, b = first.chi_diag, second.chi_diag
-        out = np.zeros(4)
-        for i in range(4):
-            for j in range(4):
-                out[_PAULI_PRODUCT[i][j]] += b[i] * a[j]
-        return PauliChannel(out)
     m = bloch_affine_map(second) @ bloch_affine_map(first)
+    if isinstance(first, PauliChannel) and isinstance(second, PauliChannel):
+        return pauli_channel_from_radii(np.diag(m))
     return decompose_unital(m)
 
 
 def bloch_affine_map(channel) -> np.ndarray:
-    """3x3 matrix M with bloch(channel(rho)) = M bloch(rho).
+    """3x3 matrix M with bloch(channel(rho)) = M bloch(rho): the PTM's
+    lower-right block.
 
-    Only defined for unital channels (zero translation part); a channel that
-    moves the maximally mixed state is rejected.
+    Only defined for unital channels: a PTM whose first column carries a
+    translation (the channel moves the maximally mixed state) is rejected.
     """
-    if isinstance(channel, PauliChannel):
-        return _frozen(np.diag(radii_from_chi(channel)))
-    if isinstance(channel, UnitalChannel):
-        return _frozen(
-            rotation_from_su2(channel.post_rotation)
-            @ np.diag(channel.radii)
-            @ rotation_from_su2(channel.pre_rotation)
-        )
-    translation = bloch_vector(apply(channel, 0.5 * SIGMA_0))
-    if np.linalg.norm(translation) > 1e-10:
+    r = pauli_transfer_matrix(channel)
+    translation = r[1:, 0]
+    if not translation @ translation <= 1e-20:
         raise ValueError(
             f"channel is not unital: image of I/2 has Bloch vector {translation.tolist()}"
         )
-    cols = [
-        bloch_vector(apply(channel, density_from_bloch(axis)))
-        for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ]
-    return _frozen(np.column_stack(cols))
+    return r[1:, 1:]
 
 
 def decompose_unital(m) -> UnitalChannel:
@@ -364,13 +374,11 @@ def decompose_unital(m) -> UnitalChannel:
 
 
 def rotation_from_su2(u) -> np.ndarray:
-    """SO(3) Bloch rotation of the conjugation rho -> u rho u^dag."""
+    """SO(3) Bloch rotation O_ij = Tr(sigma_i u sigma_j u^dag) / 2 of the
+    conjugation rho -> u rho u^dag."""
     m = np.asarray(u, dtype=complex)
-    o = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            o[i, j] = 0.5 * np.trace(PAULIS[i + 1] @ m @ PAULIS[j + 1] @ m.conj().T).real
-    return _frozen(o)
+    sigma = PAULIS[1:]
+    return _frozen(0.5 * np.einsum("iab,bc,jcd,da->ij", sigma, m, sigma, m.conj().T).real)
 
 
 def su2_from_rotation(o) -> np.ndarray:
@@ -443,17 +451,13 @@ def channel_from_json(obj: dict):
     raise ValueError(f"unknown channel family {family!r}")
 
 
-def _chi_diag(channel) -> np.ndarray:
-    if isinstance(channel, PauliChannel):
-        return channel.chi_diag
-    chi = np.asarray(channel, dtype=float).reshape(-1)
-    if chi.size != 4:
-        raise ValueError(f"expected a Pauli channel or 4 diagonal weights, got {channel!r}")
-    return chi
-
-
 def channel_radii(channel) -> np.ndarray:
-    """Signed ellipsoid radii of a Pauli or rotated unital channel."""
-    if isinstance(channel, UnitalChannel):
-        return channel.radii
-    return radii_from_chi(channel)
+    """Signed primary radii of the ellipsoid a unital channel maps the Bloch
+    sphere onto, in :func:`decompose_unital`'s canonical form: the singular
+    values |R1| >= |R2| >= |R3| of the Bloch map, with the sign of its
+    determinant on R3. The closed-form laws depend only on |R_i|.
+    """
+    m = bloch_affine_map(channel)
+    r = np.linalg.svd(m, compute_uv=False)
+    r[2] *= np.sign(np.linalg.det(m))
+    return _frozen(r)

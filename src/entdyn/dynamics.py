@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    PauliChannel,
+    _chi_diag,
     apply_one_sided,
     channel_for,
     channel_radii,
@@ -85,14 +85,9 @@ def lambda_two_sided(channel) -> np.ndarray:
     """Closed-form spin-flip spectrum for two-sided Pauli noise on a Bell pair.
 
     Returned in the labeled order (l0, l1, l2, l3); l0 is always maximal.
+    ``channel`` is a Pauli channel or its four diagonal weights.
     """
-    if isinstance(channel, PauliChannel):
-        chi = channel.chi_diag
-    else:
-        chi = np.asarray(channel, dtype=float).reshape(-1)
-        if chi.size != 4:
-            raise ValueError(f"expected a Pauli channel or 4 weights, got {channel!r}")
-    c0, c1, c2, c3 = chi
+    c0, c1, c2, c3 = _chi_diag(channel)
     return _frozen(
         np.array(
             [

@@ -138,11 +138,15 @@ def validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError(f"pipeline.trials: must be >= 2, got {pl.trials!r}")
     if pl.likelihood not in ("gaussian", "poisson"):
         raise ConfigError(f"pipeline.likelihood: expected 'gaussian' or 'poisson', got {pl.likelihood!r}")
-    if config.p_scale is not None and config.p_scale <= 0:
-        raise ConfigError(f"p_scale: must be positive, got {config.p_scale!r}")
+    if config.p_scale is not None and not 0 < config.p_scale < math.inf:
+        raise ConfigError(f"p_scale: must be positive and finite, got {config.p_scale!r}")
     for label, spec in _named_initials(config):
         if not isinstance(spec, InitialStateSpec):
             raise ConfigError(f"{label}: expected an InitialStateSpec, got {type(spec).__name__}")
+        for name in ("delta", "phi"):
+            value = getattr(spec, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{label}.{name}: must be finite, got {value!r}")
         if spec.kind == "mixed_pes" and not 0.0 <= spec.dephasing <= 1.0:
             raise ConfigError(f"{label}.dephasing: value {spec.dephasing!r} outside [0, 1]")
 

@@ -68,10 +68,10 @@ class CountRecord:
     exposure: float
 
     def __post_init__(self):
-        if self.count < 0:
+        if not self.count >= 0:
             raise ValueError(f"count must be non-negative, got {self.count!r}")
-        if self.exposure <= 0:
-            raise ValueError(f"exposure must be positive, got {self.exposure!r}")
+        if not 0 < self.exposure < math.inf:
+            raise ValueError(f"exposure must be positive and finite, got {self.exposure!r}")
 
 
 @dataclass(frozen=True)
@@ -482,8 +482,10 @@ def read_counts_csv(path) -> list[CountRecord]:
                         exposure=float(row["exposure"]),
                     )
                 )
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed count record on data row {i + 1}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: malformed count record on data row {i + 1} ({exc})"
+                ) from exc
     if not records:
         raise ValueError(f"no count records in {path}")
     return records

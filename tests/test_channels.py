@@ -392,6 +392,20 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError, match="completely positive"):
             UnitalChannel(np.eye(2), np.eye(2), (1, 1, -1))
 
+    def test_non_finite_parameters_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="chi_diag must be finite"):
+            PauliChannel([nan, 0, 0, 0])
+        with pytest.raises(ValueError, match="radii must be finite"):
+            UnitalChannel(np.eye(2), np.eye(2), (nan, 0, 0))
+        with pytest.raises(ValueError, match="radii must be finite"):
+            pauli_channel_from_radii((nan, 0, 0))
+        with pytest.raises(ValueError, match="unitary"):
+            UnitalChannel(np.full((2, 2), nan), np.eye(2), (1, 1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            process_matrix(np.diag([nan, 0, 0, 0]))
+        assert not is_completely_positive((nan, 0, 0))
+
     def test_process_matrix_invariants(self):
         with pytest.raises(ValueError, match="PSD"):
             process_matrix(np.diag([1.5, -0.5, 0, 0]).astype(complex))

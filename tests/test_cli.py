@@ -167,6 +167,36 @@ def test_ellipsoid_from_channel_file(tmp_path, capsys):
     assert np.allclose(np.linalg.norm(points, axis=1), 0.6, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "channel, field",
+    [({"family": "unital", "radii": [float("nan"), 0.1, 0.1],
+       "u": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]},
+       "v": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}}, "radii"),
+     ({"family": "pauli", "chi": [float("nan"), 0.5, 0.25, 0.25]}, "chi_diag")],
+)
+def test_ellipsoid_rejects_non_finite_channel(tmp_path, capsys, channel, field):
+    channel_path = tmp_path / "channel.json"
+    channel_path.write_text(json.dumps(channel))  # NaN is written as the bare token NaN
+    assert main(["ellipsoid", "--channel", str(channel_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err and "finite" in captured.err
+
+
+def test_non_finite_sweep_settings_exit_code(capsys):
+    assert main(["sweep", "--family", "isotropic", "--p-grid", "0.1,0.2", "--p-scale", "nan"]) == 1
+    assert "p_scale" in capsys.readouterr().err
+    assert main(["sweep", "--initial", "pes:nan", "--p-grid", "0.1,0.2"]) == 1
+    assert "initial.delta" in capsys.readouterr().err
+
+
+def test_counts_in_with_non_finite_exposure(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("proj_a,proj_b,count,exposure\nH,H,500,nan\n")
+    assert main(["tomo-sim", "--counts-in", str(counts), "--trials", "2"]) == 1
+    assert "data row 1" in capsys.readouterr().err
+
+
 def test_ellipsoid_requires_p_or_channel():
     assert main(["ellipsoid", "--family", "isotropic"]) == 1
 

@@ -278,6 +278,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dephasing"):
             run_sweep(analytic_config(initial=spec))
 
+    @pytest.mark.parametrize("p_scale", [math.nan, math.inf, 0.0])
+    def test_bad_p_scale(self, p_scale):
+        with pytest.raises(ConfigError, match="^p_scale"):
+            run_sweep(analytic_config(p_scale=p_scale))
+
+    def test_non_finite_initial_angles(self):
+        with pytest.raises(ConfigError, match=r"^initial\.delta"):
+            sweep_config_from_dict({"initial": "pes:nan"})
+        with pytest.raises(ConfigError, match=r"^initial\.phi"):
+            sweep_config_from_dict({"initial": "pes:0.1:inf"})
+        with pytest.raises(ConfigError, match=r"^initials\[1\]\.delta"):
+            sweep_config_from_dict({"initials": ["pes:0.1", "mixed:nan:0.2"]})
+
 
 class TestConfigParsing:
     def test_full_dict(self):

@@ -1,0 +1,124 @@
+"""Property tests for the Pauli-transfer-matrix channel representation.
+
+Every channel operation reads the PTM, so these check it against the
+literal Kraus-sum oracle on random process matrices (non-unital and
+non-trace-preserving ones included) and on random unital channels.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from entdyn.channels import (
+    PauliChannel,
+    UnitalChannel,
+    apply,
+    apply_one_sided,
+    bloch_affine_map,
+    compose,
+    decompose_unital,
+    kraus_operators,
+    pauli_transfer_matrix,
+    rotation_from_su2,
+)
+from entdyn.states import PAULIS
+from test_channels import kraus_sum_oracle
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def psd_unit_trace(draw, dim):
+    """G G^dag / Tr for a complex G with entries in the unit square."""
+    g = draw(arrays(np.float64, (2, dim, dim), elements=unit))
+    m = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
+    if np.trace(m).real < 1e-3:
+        m = m + np.eye(dim)
+    return m / np.trace(m).real
+
+
+@st.composite
+def unitaries(draw):
+    """u = q0 I - i (q1 X + q2 Y + q3 Z) for a unit quaternion q."""
+    q = draw(arrays(np.float64, 4, elements=unit))
+    if np.linalg.norm(q) < 1e-3:
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+    q = q / np.linalg.norm(q)
+    return q[0] * PAULIS[0] - 1j * (q[1] * PAULIS[1] + q[2] * PAULIS[2] + q[3] * PAULIS[3])
+
+
+@st.composite
+def chi_weights(draw):
+    w = draw(arrays(np.float64, 4, elements=st.floats(0.0, 1.0, allow_nan=False)))
+    return w / w.sum() if w.sum() > 1e-3 else np.array([1.0, 0.0, 0.0, 0.0])
+
+
+# R_i = chi_0 + chi_i - chi_j - chi_k: non-negative weights give CP radii.
+cp_radii = chi_weights().map(
+    lambda w: np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float) @ w
+)
+
+
+@st.composite
+def unital_channels(draw):
+    if draw(st.booleans()):
+        return PauliChannel(draw(chi_weights()))
+    return UnitalChannel(draw(unitaries()), draw(unitaries()), draw(cp_radii))
+
+
+@st.composite
+def trace_preserving_chi(draw):
+    """Process matrix of Kraus operators cut from a random 8x2 isometry."""
+    a = draw(arrays(np.float64, (2, 8, 2), elements=unit))
+    z = a[0] + 1j * a[1]
+    if np.linalg.matrix_rank(z, tol=1e-3) < 2:
+        z = np.vstack([np.eye(2), np.zeros((6, 2))])
+    v, _ = np.linalg.qr(z)
+    chi = np.zeros((4, 4), dtype=complex)
+    for k in v.reshape(4, 2, 2):
+        coeffs = np.array([np.trace(p @ k) / 2.0 for p in PAULIS])
+        chi += np.outer(coeffs, coeffs.conj())
+    return chi
+
+
+def _ptm_of_kraus(ops):
+    return np.array(
+        [
+            [0.5 * sum(np.trace(pi @ k @ pj @ k.conj().T) for k in ops).real for pj in PAULIS]
+            for pi in PAULIS
+        ]
+    )
+
+
+@PROPERTY
+@given(psd_unit_trace(4), psd_unit_trace(2), psd_unit_trace(4))
+def test_apply_matches_kraus_sum_oracle(chi, rho1, rho2):
+    assert np.max(np.abs(apply(chi, rho1) - kraus_sum_oracle(chi, rho1))) < 1e-13
+    for target in (0, 1):
+        direct = apply_one_sided(chi, rho2, target=target)
+        assert np.max(np.abs(direct - kraus_sum_oracle(chi, rho2, lift=target))) < 1e-13
+
+
+@PROPERTY
+@given(unital_channels(), unital_channels())
+def test_compose_multiplies_transfer_matrices(a, b):
+    expected = pauli_transfer_matrix(b) @ pauli_transfer_matrix(a)
+    assert np.max(np.abs(pauli_transfer_matrix(compose(a, b)) - expected)) < 1e-12
+
+
+@PROPERTY
+@given(st.one_of(trace_preserving_chi(), unital_channels()))
+def test_kraus_operators_complete_and_faithful(channel):
+    ops = kraus_operators(channel)
+    assert np.max(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(2))) < 1e-13
+    assert np.max(np.abs(_ptm_of_kraus(ops) - pauli_transfer_matrix(channel))) < 1e-13
+
+
+@PROPERTY
+@given(unitaries(), cp_radii, unitaries())
+def test_decompose_unital_round_trips(u, radii, v):
+    m = rotation_from_su2(u) @ np.diag(radii) @ rotation_from_su2(v)
+    assert np.max(np.abs(bloch_affine_map(decompose_unital(m)) - m)) < 1e-12

@@ -319,3 +319,21 @@ class TestCountsCsv:
         path.write_text("proj_a,proj_b,count,exposure\n")
         with pytest.raises(ValueError):
             read_counts_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("H,V,12.5,1000.0", "invalid literal"), ("H,V,12,nan", "exposure"),
+         ("H,V,12,inf", "exposure"), ("H,Q,12,1000.0", "projector")],
+    )
+    def test_bad_row_names_file_and_row(self, tmp_path, row, problem):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"proj_a,proj_b,count,exposure\nH,H,500,1000.0\n{row}\n")
+        with pytest.raises(ValueError, match=rf"counts\.csv: .*data row 2 .*{problem}"):
+            read_counts_csv(path)
+
+    def test_record_rejects_non_finite_values(self):
+        for exposure in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="exposure"):
+                CountRecord(MeasurementSetting("H", "H"), 5, exposure)
+        with pytest.raises(ValueError, match="count"):
+            CountRecord(MeasurementSetting("H", "H"), math.nan, 1000.0)
