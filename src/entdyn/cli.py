@@ -243,7 +243,9 @@ def _cmd_tomo_sim(args) -> int:
         "purity": purity(fit.rho_hat),
         "log_likelihood": fit.log_likelihood,
         "iterations": fit.iterations,
+        "rounds": fit.rounds,
         "converged": fit.converged,
+        "bootstrap_unconverged": estimate.unconverged,
         "rho": matrix_to_json(fit.rho_hat),
     }
     _write_or_print(json.dumps(summary, indent=2) + "\n", _resolve_out(args.out))

@@ -6,22 +6,22 @@ H/V/D/A/R/L), the recorded coincidence count is Poisson distributed around
 exposure * Born probability. Reconstruction parameterizes the state as
 T^dag T / Tr(T^dag T) with a lower-triangular complex T, so the estimate is
 physical by construction, and minimizes a Poisson likelihood (Gaussian
-approximation by default, exact form behind a switch) with a derivative-free
-simplex search restarted on stall. Error bars come from parametric
-bootstrap: counts are resampled Poisson around the observed values, the
-reconstruction is re-run, and the standard deviation of the derived quantity
-is reported.
+approximation by default, exact form behind a switch) with L-BFGS on the
+analytic gradient, restarted until a round no longer improves it. Error bars
+come from parametric bootstrap: counts are resampled Poisson around the
+observed values, the reconstruction is re-run, and the standard deviation of
+the derived quantity is reported.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import apply
 from .dynamics import concurrence
@@ -36,11 +36,22 @@ LIKELIHOODS = ("gaussian", "poisson")
 
 _PROJECTORS = {label: dm(ket) for label, ket in BASIS_KETS.items()}
 
+_SETTING_OPERATORS = {
+    (a, b): _frozen(np.kron(_PROJECTORS[a], _PROJECTORS[b]))
+    for a in PROJECTOR_LABELS
+    for b in PROJECTOR_LABELS
+}
+
 # Parameter layout of the lower-triangular T: 4 real diagonal entries followed
-# by the real and imaginary parts of the strictly-lower entries.
-_LOWER = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
-_LOWER_ROWS = tuple(i for i, _ in _LOWER)
-_LOWER_COLS = tuple(j for _, j in _LOWER)
+# by the real and imaginary parts of the strictly-lower entries, so that
+# vec(T) = _T_BASIS @ t and t = Re(_T_BASIS^dag vec(T)).
+_DIAG_FLAT = (0, 5, 10, 15)
+_LOWER_FLAT = (4, 8, 9, 12, 13, 14)
+_T_BASIS = np.zeros((16, 16), dtype=complex)
+_T_BASIS[_DIAG_FLAT + _LOWER_FLAT, range(10)] = 1.0
+_T_BASIS[_LOWER_FLAT, range(10, 16)] = 1j
+_T_BASIS.setflags(write=False)
+_T_BASIS_H = _frozen(_T_BASIS.conj().T)
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,7 @@ class MeasurementSetting:
                 raise ValueError(f"unknown projector label {label!r}")
 
     def operator(self) -> np.ndarray:
-        return np.kron(_PROJECTORS[self.proj_a], _PROJECTORS[self.proj_b])
+        return _SETTING_OPERATORS[(self.proj_a, self.proj_b)]
 
 
 @dataclass(frozen=True)
@@ -76,21 +87,30 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """A likelihood fit: ``iterations`` counts likelihood-and-gradient
+    evaluations, ``rounds`` the L-BFGS rounds of the restart loop."""
+
     rho_hat: np.ndarray
     log_likelihood: float
     iterations: int
     converged: bool
+    rounds: int
 
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """Bootstrap mean and spread of a derived quantity over MLE re-runs."""
+    """Bootstrap mean and spread of a derived quantity over MLE re-runs.
+
+    ``dropped`` trials are left out of the spread; ``unconverged`` trials are
+    kept in it and only counted.
+    """
 
     quantity: str
     mean: float
     std_dev: float
     trials: int
     dropped: int = 0
+    unconverged: int = 0
 
 
 def projector(label: str) -> np.ndarray:
@@ -156,17 +176,28 @@ def simulate_counts(rho, settings, n_per_setting: int, seed) -> list[CountRecord
     return records
 
 
+@functools.lru_cache(maxsize=64)
+def _design(settings: tuple) -> np.ndarray:
+    """Setting matrix of a sequence of (proj_a, proj_b) label pairs; raises if
+    the settings are not informationally complete. Cached, because every
+    bootstrap refit reuses the settings of its base fit."""
+    pmat = np.stack([_SETTING_OPERATORS[key].T.reshape(16) for key in settings])
+    rank = np.linalg.matrix_rank(pmat)
+    if rank < 16:
+        raise ValueError(
+            f"settings are not informationally complete (operator rank {rank} < 16)"
+        )
+    return _frozen(pmat)
+
+
 def _setting_matrix(records) -> np.ndarray:
     """Rows map vec(rho) to Born probabilities: row_s = vec(Pi_s^T)."""
-    return np.stack([r.setting.operator().T.reshape(16) for r in records])
+    return _design(tuple((r.setting.proj_a, r.setting.proj_b) for r in records))
 
 
 def _rho_from_params(t: np.ndarray) -> np.ndarray:
-    T = np.zeros((4, 4), dtype=complex)
-    T[(0, 1, 2, 3), (0, 1, 2, 3)] = t[:4]
-    T[_LOWER_ROWS, _LOWER_COLS] = t[4:10] + 1j * t[10:16]
-    rho = T.conj().T @ T
-    return rho / np.trace(rho).real
+    T = (_T_BASIS @ t).reshape(4, 4)
+    return (T.conj().T @ T) / (t @ t)
 
 
 def _params_from_rho(rho: np.ndarray) -> np.ndarray:
@@ -183,12 +214,7 @@ def _params_from_rho(rho: np.ndarray) -> np.ndarray:
     flipped = m[::-1, ::-1]
     L = np.linalg.cholesky(flipped)
     T = L.conj().T[::-1, ::-1]
-    t = np.empty(16)
-    t[:4] = T[(0, 1, 2, 3), (0, 1, 2, 3)].real
-    lower = T[_LOWER_ROWS, _LOWER_COLS]
-    t[4:10] = lower.real
-    t[10:16] = lower.imag
-    return t
+    return (_T_BASIS_H @ T.reshape(16)).real
 
 
 def linear_inversion_state(records) -> np.ndarray:
@@ -198,11 +224,6 @@ def linear_inversion_state(records) -> np.ndarray:
     informationally complete.
     """
     a = _setting_matrix(records)
-    if np.linalg.matrix_rank(a) < 16:
-        raise ValueError(
-            f"settings are not informationally complete (operator rank "
-            f"{np.linalg.matrix_rank(a)} < 16)"
-        )
     freqs = np.array([r.count / r.exposure for r in records])
     x, *_ = np.linalg.lstsq(a, freqs, rcond=None)
     rho = x.reshape(4, 4)
@@ -215,19 +236,118 @@ def linear_inversion_state(records) -> np.ndarray:
 
 
 def _objective(likelihood: str, pmat, counts, exposures):
+    """Negative log-likelihood of the T-parameters and its gradient.
+
+    With A = T^dag T, p_s = Tr(Pi_s A) / Tr A and g_s = e_s f'(mu_s), the
+    differential is df = Tr(H dA) with
+    H = (sum_s g_s Pi_s - (sum_s g_s p_s) I) / Tr A, so df/dT = M = 2 T H:
+    Re M on the diagonal, (Re M, Im M) on the strictly-lower entries.
+    Probabilities clipped at 1e-12 contribute no gradient.
+    """
     if likelihood not in LIKELIHOODS:
         raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
     gaussian = likelihood == "gaussian"
 
-    def fun(t: np.ndarray) -> float:
-        rho = _rho_from_params(t)
-        p = np.clip((pmat @ rho.reshape(16)).real, 1e-12, None)
+    def fun(t: np.ndarray) -> tuple[float, np.ndarray]:
+        T = (_T_BASIS @ t).reshape(4, 4)
+        trace = t @ t  # Tr T^dag T
+        p_raw = (pmat @ (T.conj().T @ T).reshape(16)).real / trace
+        p = np.maximum(p_raw, 1e-12)
         mu = exposures * p
         if gaussian:
-            return float(np.sum((mu - counts) ** 2 / (2.0 * mu)))
-        return float(np.sum(mu - counts * np.log(mu)))
+            f = ((mu - counts) ** 2 / (2.0 * mu)).sum()
+            df_dmu = 0.5 * (1.0 - (counts / mu) ** 2)
+        else:
+            f = (mu - counts * np.log(mu)).sum()
+            df_dmu = 1.0 - counts / mu
+        g = np.where(p_raw > 1e-12, exposures * df_dmu, 0.0)
+        h = (g @ pmat).reshape(4, 4).T
+        h.flat[::5] -= g @ p
+        m = (2.0 / trace) * (T @ h)
+        return float(f), (_T_BASIS_H @ m.reshape(16)).real
 
     return fun
+
+
+#: Curvature pairs kept by the L-BFGS two-loop recursion.
+_MEMORY = 8
+#: Trial steps per line search; each shrinks the step at least twofold.
+_BACKTRACKS = 30
+
+
+def minimize(fun, t: np.ndarray, max_evals: int):
+    """One L-BFGS round from ``t`` on ``fun(t) -> (f, gradient)``.
+
+    Directions come from the two-loop recursion over the last ``_MEMORY``
+    steps; each step is an Armijo backtracking line search that interpolates
+    a cubic through the values and slopes at both ends. The round stops when
+    a step lowers f by no more than a relative 1e-12, when the line search
+    finds no decrease, or when ``max_evals`` evaluations are spent.
+    Returns ``(t, f, evaluations)`` with f never above ``fun(t)``.
+    """
+    f, g = fun(t)
+    evals = 1
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
+    while evals < max_evals:
+        d = _lbfgs_direction(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            break
+        if not pairs:
+            # no curvature known yet: a first step of at most unit length
+            d = d / max(1.0, float(np.linalg.norm(d)))
+            slope = float(g @ d)
+        step = 1.0
+        for _ in range(_BACKTRACKS):
+            t_new = t + step * d
+            f_new, g_new = fun(t_new)
+            evals += 1
+            if f_new <= f + 1e-4 * step * slope or evals >= max_evals:
+                break
+            step = _cubic_step(step, f, slope, f_new, float(g_new @ d))
+        if not f_new < f:
+            break
+        s, y = t_new - t, g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12 * float(y @ y):
+            pairs.append((s, y, 1.0 / sy))
+            if len(pairs) > _MEMORY:
+                del pairs[0]
+        reduction = f - f_new
+        t, f, g = t_new, f_new, g_new
+        if reduction <= 1e-12 * max(1.0, abs(f)):
+            break
+    return t, f, evals
+
+
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the stored pairs (two-loop
+    recursion), or -g without pairs."""
+    q = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        alphas.append(alpha)
+        q -= alpha * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
+
+
+def _cubic_step(step, f0, slope0, f1, slope1) -> float:
+    """Minimizer of the cubic through (0, f0, slope0) and (step, f1, slope1),
+    kept inside [0.1, 0.5] * step."""
+    d1 = slope0 + slope1 - 3.0 * (f1 - f0) / step
+    radicand = d1 * d1 - slope0 * slope1
+    if radicand >= 0.0:
+        d2 = math.sqrt(radicand)
+        new = step * (1.0 - (slope1 + d2 - d1) / (slope1 - slope0 + 2.0 * d2))
+        if math.isfinite(new):
+            return min(max(new, 0.1 * step), 0.5 * step)
+    return 0.5 * step
 
 
 def reconstruct_state_mle(
@@ -239,54 +359,45 @@ def reconstruct_state_mle(
     """Maximum-likelihood two-qubit state from coincidence counts.
 
     The state is parameterized as T^dag T / Tr(T^dag T) (physical by
-    construction) and the likelihood is minimized by Nelder-Mead restarted
-    from its own optimum until an extra restart improves the objective by
-    less than a relative 1e-10, or the evaluation budget runs out (the result
-    is then returned with ``converged=False``). ``initial`` warm-starts the
-    search from a given density matrix instead of the linear-inversion seed.
+    construction) and the likelihood is minimized by L-BFGS rounds on its
+    analytic gradient (:func:`minimize`), each restarted from the last
+    optimum, until a round improves the objective by less than a relative
+    1e-10. ``max_evals`` caps the likelihood-and-gradient evaluations
+    (``iterations``); a fit that reaches the cap is returned with
+    ``converged=False``. ``initial`` warm-starts the search from a given
+    density matrix instead of the linear-inversion seed. The seed is mixed
+    with 1% of I/4 first: from a rank-deficient seed the T-diagonal is near
+    zero, where the gradient vanishes and the search stalls.
     """
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be >= 1, got {max_evals!r}")
     records = list(records)
     pmat = _setting_matrix(records)
-    if np.linalg.matrix_rank(pmat) < 16:
-        raise ValueError("settings are not informationally complete")
     counts = np.array([float(r.count) for r in records])
     exposures = np.array([r.exposure for r in records])
     fun = _objective(likelihood, pmat, counts, exposures)
 
     seed_rho = linear_inversion_state(records) if initial is None else np.asarray(initial)
-    t = _params_from_rho(seed_rho)
-    best_f = fun(t)
-    evals = 1
+    t = _params_from_rho(0.99 * seed_rho + 0.01 * np.eye(4) / 4.0)
+    best_f = math.inf
+    evals = 0
+    rounds = 0
     converged = False
-    # In-round simplex tolerances are loose relative to the objective scale;
-    # the restart loop owns the 1e-10 relative-improvement convergence test.
-    fatol = max(1e-11, 1e-9 * (1.0 + abs(best_f)))
     while evals < max_evals:
-        res = minimize(
-            fun,
-            t,
-            method="Nelder-Mead",
-            options={
-                "maxfev": min(4000, max_evals - evals),
-                "xatol": 1e-4,
-                "fatol": fatol,
-                "adaptive": True,
-            },
-        )
-        evals += res.nfev
-        improvement = best_f - res.fun
-        if res.fun < best_f:
-            best_f = float(res.fun)
-            t = res.x
-        if improvement < 1e-10 * max(1.0, abs(best_f)):
-            converged = True
+        t, f, used = minimize(fun, t, max_evals - evals)
+        evals += used
+        rounds += 1
+        improvement = best_f - f
+        best_f = f
+        if improvement < 1e-10 * max(1.0, abs(f)):
+            converged = evals < max_evals
             break
-    rho_hat = _rho_from_params(t)
     return ReconstructionResult(
-        rho_hat=_frozen(rho_hat),
+        rho_hat=_frozen(_rho_from_params(t)),
         log_likelihood=-best_f,
         iterations=evals,
         converged=converged,
+        rounds=rounds,
     )
 
 
@@ -311,8 +422,10 @@ def monte_carlo_errors(
     and evaluates the estimator: either a registered name ("concurrence",
     "purity") or any callable of the reconstructed density matrix. Trials
     where the estimator raises or returns a non-finite value are dropped and
-    counted. Each trial owns a private random stream derived from
-    (seed, trial index), so the outcome does not depend on execution order.
+    counted. Refits that end with ``converged=False`` stay in the spread and
+    are counted as ``unconverged``. Each trial owns a private random stream
+    derived from (seed, trial index), so the outcome does not depend on
+    execution order.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials!r}")
@@ -332,12 +445,14 @@ def monte_carlo_errors(
 
     values = []
     dropped = 0
+    unconverged = 0
     for trial in range(trials):
         rng = np.random.default_rng(seed_parts + [trial])
         resampled = [
             replace(r, count=_sample_poisson(rng, float(r.count))) for r in records
         ]
         fit = reconstruct_state_mle(resampled, likelihood=likelihood, initial=base.rho_hat)
+        unconverged += not fit.converged
         try:
             value = float(fun(fit.rho_hat))
         except (ValueError, ArithmeticError):
@@ -356,6 +471,7 @@ def monte_carlo_errors(
         std_dev=float(arr.std(ddof=1)),
         trials=len(values),
         dropped=dropped,
+        unconverged=unconverged,
     )
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +240,17 @@ def test_tomo_sim_summary_and_counts_round_trip(tmp_path):
     assert summary2["concurrence"] == pytest.approx(summary["concurrence"], abs=1e-9)
 
 
+def test_tomo_sim_summary_reports_the_fit(tmp_path):
+    out = tmp_path / "summary.json"
+    code = main(["tomo-sim", "--p", "0.3", "--counts", "1000", "--trials", "2",
+                 "--seed", "3", "--out", str(out)])
+    assert code == 0
+    summary = json.loads(out.read_text())
+    assert summary["converged"] is True
+    assert 2 <= summary["rounds"] <= summary["iterations"]
+    assert summary["bootstrap_unconverged"] == 0
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("ENTDYN_OUTDIR", str(tmp_path))
     code = main(["sweep", "--p-grid", "0,0.5", "--pipeline", "analytic",
@@ -251,3 +266,11 @@ def test_selftest_exit_code():
 def test_help_exit_code():
     assert main(["--help"]) == 0
     assert main([]) == 1  # missing sub-command counts as bad usage
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(entdyn.harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, entdyn.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -1,20 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from entdyn.channels import PauliChannel, isotropic_channel, two_field_channel
+from entdyn.channels import PauliChannel, apply_one_sided, isotropic_channel, two_field_channel
 from entdyn.dynamics import concurrence
 from entdyn.sampling import random_density_matrix
 from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, trace_distance
+import entdyn.tomography
 from entdyn.tomography import (
     CountRecord,
     MeasurementSetting,
+    _objective,
+    _params_from_rho,
     _sample_poisson,
+    _setting_matrix,
     born_probability,
     ellipsoid_mesh,
     linear_inversion_state,
     minimal_settings,
+    minimize,
     monte_carlo_errors,
     process_tomography_single_qubit,
     projector,
@@ -46,6 +52,10 @@ class TestSettings:
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.allclose(op, expected)
+
+    def test_operators_are_arm_ordered_products(self):
+        for s in standard_settings():
+            assert np.array_equal(s.operator(), np.kron(projector(s.proj_a), projector(s.proj_b)))
 
     def test_single_qubit_projectors_unbiased(self):
         eye = np.eye(2) / 2
@@ -153,7 +163,7 @@ class TestReconstruction:
 
     def test_non_convergence_flagged(self):
         records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=3)
-        result = reconstruct_state_mle(records, max_evals=50)
+        result = reconstruct_state_mle(records, max_evals=10)
         assert not result.converged
         assert result.iterations <= 60
 
@@ -171,6 +181,20 @@ class TestReconstruction:
         gauss = reconstruct_state_mle(records, likelihood="gaussian")
         poiss = reconstruct_state_mle(records, likelihood="poisson")
         assert trace_distance(gauss.rho_hat, poiss.rho_hat) < 0.01
+
+    def test_budget_is_a_hard_cap(self):
+        records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=3)
+        full = reconstruct_state_mle(records)
+        assert full.converged
+        for max_evals in range(1, full.iterations + 1):
+            result = reconstruct_state_mle(records, max_evals=max_evals)
+            assert result.iterations == max_evals
+            assert not result.converged
+
+    def test_budget_must_allow_one_evaluation(self):
+        records = exact_records(bell_state("phi+"), 1000)
+        with pytest.raises(ValueError, match="max_evals"):
+            reconstruct_state_mle(records, max_evals=0)
 
     def test_linear_inversion_recovers_exact(self):
         rng = np.random.default_rng(71)
@@ -280,6 +304,89 @@ class TestMonteCarlo:
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
             monte_carlo_errors([], trials=1, estimator="purity", seed=1)
+
+
+def _fit_objective(records, likelihood):
+    counts = np.array([float(r.count) for r in records])
+    exposures = np.array([r.exposure for r in records])
+    return _objective(likelihood, _setting_matrix(records), counts, exposures)
+
+
+class TestGradientFit:
+    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson"])
+    @pytest.mark.parametrize("point", ["interior", "near_rank_1"])
+    def test_gradient_matches_central_differences(self, likelihood, point):
+        rng = np.random.default_rng(90)
+        records = simulate_counts(random_density_matrix(rng, 4), standard_settings(), 1000, seed=91)
+        fun = _fit_objective(records, likelihood)
+        if point == "interior":
+            t = _params_from_rho(random_density_matrix(rng, 4))
+        else:
+            psi = dm(np.array([0.6, 0.0, 0.0, 0.8], dtype=complex))
+            t = _params_from_rho(0.999 * psi + 0.00025 * np.eye(4))
+        _, grad = fun(t)
+        h = 1e-6
+        numeric = np.array(
+            [(fun(t + h * e)[0] - fun(t - h * e)[0]) / (2 * h) for e in np.eye(16)]
+        )
+        assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+    def test_rank_deficient_seed_reaches_the_maximum(self):
+        # pure singlet: the undiluted linear-inversion seed is rank deficient,
+        # its T-diagonal near zero; the search must still reach the maximum
+        records = simulate_counts(bell_state("psi-"), standard_settings(), 10_000, seed=6)
+        fun = _fit_objective(records, "gaussian")
+        raw = linear_inversion_state(records)
+        assert np.linalg.eigvalsh(raw)[0] < 1e-12
+        t, f, _ = minimize(fun, _params_from_rho(raw), 10_000)
+        while True:
+            t, f_next, _ = minimize(fun, t, 10_000)
+            if f - f_next < 1e-10 * max(1.0, abs(f_next)):
+                break
+            f = f_next
+        diluted = reconstruct_state_mle(records)
+        assert diluted.converged
+        assert -f_next == pytest.approx(diluted.log_likelihood, abs=1e-6 * (1 + abs(f_next)))
+
+    def test_seed_is_diluted_before_the_fit(self):
+        # a rank-2 state whose undiluted linear-inversion seed stalls the
+        # search 0.5% short of the maximum
+        rho = apply_one_sided(two_field_channel(0.7), bell_state("psi-"), target=1)
+        records = simulate_counts(rho, standard_settings(), 10_000, seed=0)
+        assert np.linalg.eigvalsh(linear_inversion_state(records))[0] < 1e-12
+        fit = reconstruct_state_mle(records)
+        interior = reconstruct_state_mle(records, initial=np.eye(4) / 4)
+        assert fit.converged and interior.converged
+        scale = 1 + abs(interior.log_likelihood)
+        assert fit.log_likelihood == pytest.approx(interior.log_likelihood, abs=1e-6 * scale)
+
+    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson"])
+    def test_fit_is_stationary(self, likelihood):
+        rho = 0.8 * bell_state("phi-") + 0.05 * np.eye(4)
+        records = simulate_counts(rho, standard_settings(), 10_000, seed=12)
+        result = reconstruct_state_mle(records, likelihood=likelihood)
+        assert result.converged and result.rounds >= 2
+        fun = _fit_objective(records, likelihood)
+        t = _params_from_rho(result.rho_hat)
+        f_hat = fun(t)[0]
+        assert -f_hat == pytest.approx(result.log_likelihood, abs=1e-9 * (1 + abs(f_hat)))
+        _, f_more, _ = minimize(fun, t, 10_000)
+        assert f_hat - f_more < 1e-9 * (1 + abs(f_hat))
+
+    def test_unconverged_refits_counted_and_kept(self, monkeypatch):
+        records = exact_records(bell_state("phi+"), 500)
+        fit = entdyn.tomography.reconstruct_state_mle
+        calls = {"n": 0}
+
+        def first_refit_unconverged(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            calls["n"] += 1
+            return replace(result, converged=False) if calls["n"] == 2 else result
+
+        monkeypatch.setattr(entdyn.tomography, "reconstruct_state_mle", first_refit_unconverged)
+        est = monte_carlo_errors(records, trials=3, estimator="purity", seed=6)
+        assert est.unconverged == 1
+        assert est.trials == 3 and est.dropped == 0
 
 
 class TestEllipsoidMesh:
