@@ -18,6 +18,12 @@ Radii and diagonal weights are linked by an affine bijection
 (:func:`radii_from_chi` / :func:`chi_from_radii`); complete positivity is the
 tetrahedron condition |R_i +- R_j| <= |1 +- R_k|.
 
+The named families' weights (:func:`family_weights`) and their PTMs and
+radii (:func:`pauli_ptm`, :func:`pauli_radii`) also come as stacks over an
+array of noise probabilities, and :func:`apply_ptm` evolves two-qubit states
+through a whole (..., 4, 4) stack of PTMs, so a sweep needs no channel object
+per point.
+
 All channel objects are immutable value objects and all functions are pure.
 """
 
@@ -133,35 +139,47 @@ def _require_finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
 
 
+def family_weights(family: str, p) -> np.ndarray:
+    """Diagonal Pauli weights (chi_0, chi_1, chi_2, chi_3) of a named family.
+
+    ``p`` is a noise probability or an array of them; the weights stack on a
+    new last axis. The range of ``p`` is checked by the callers that take it
+    from outside (:func:`channel_for`, sweep configurations).
+    """
+    p = np.asarray(p, dtype=float)
+    zero = np.zeros_like(p)
+    if family == "two-field":
+        weights = (1.0 - p, p / 2.0, p / 2.0, zero)
+    elif family == "isotropic":
+        weights = (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
+    elif family == "dephasing":
+        weights = (1.0 - p, zero, zero, p)
+    else:
+        raise ValueError(f"unknown channel family {family!r}; expected one of {PAULI_FAMILIES}")
+    return np.stack(weights, axis=-1)
+
+
 def two_field_channel(p: float) -> PauliChannel:
     """Equal-probability sigma_1/sigma_2 flips with total flip probability p."""
-    _check_probability(p)
-    return PauliChannel(np.array([1.0 - p, p / 2.0, p / 2.0, 0.0]), family="two-field", p=float(p))
+    return channel_for("two-field", p)
 
 
 def isotropic_channel(p: float) -> PauliChannel:
     """Depolarization: each Pauli flip with probability p/3 (mapped sphere)."""
-    _check_probability(p)
-    return PauliChannel(
-        np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0]), family="isotropic", p=float(p)
-    )
+    return channel_for("isotropic", p)
 
 
 def dephasing_channel(p: float) -> PauliChannel:
     """sigma_3 flip with probability p; shrinks the equatorial plane only."""
-    _check_probability(p)
-    return PauliChannel(np.array([1.0 - p, 0.0, 0.0, p]), family="dephasing", p=float(p))
+    return channel_for("dephasing", p)
 
 
 def channel_for(family: str, p: float) -> PauliChannel:
-    """Named-family constructor used by sweeps and the CLI."""
-    if family == "two-field":
-        return two_field_channel(p)
-    if family == "isotropic":
-        return isotropic_channel(p)
-    if family == "dephasing":
-        return dephasing_channel(p)
-    raise ValueError(f"unknown channel family {family!r}; expected one of {PAULI_FAMILIES}")
+    """Channel of a named family at noise probability p (weights from
+    :func:`family_weights`), validated and tagged for serialization."""
+    weights = family_weights(family, p)
+    _check_probability(p)
+    return PauliChannel(weights, family=family, p=float(p))
 
 
 def _check_probability(p: float) -> None:
@@ -249,7 +267,7 @@ def pauli_transfer_matrix(channel) -> np.ndarray:
     R_ij = (1/2) sum_ab chi_ab Tr(sigma_i sigma_a sigma_j sigma_b).
     """
     if isinstance(channel, PauliChannel):
-        return _frozen(np.diag(_WALSH @ channel.chi_diag))
+        return _frozen(pauli_ptm(channel.chi_diag))
     if isinstance(channel, UnitalChannel):
         r = np.eye(4)
         r[1:, 1:] = (
@@ -263,6 +281,20 @@ def pauli_transfer_matrix(channel) -> np.ndarray:
     if chi.shape != (4, 4):
         raise ValueError(f"unsupported channel representation: {type(channel).__name__}")
     return _frozen((_CHI_TO_PTM @ chi.reshape(16)).real.reshape(4, 4))
+
+
+def pauli_ptm(chi_diag) -> np.ndarray:
+    """PTMs diag(1, R1, R2, R3) of Pauli weights: (..., 4) -> (..., 4, 4)."""
+    d = np.asarray(chi_diag, dtype=float) @ _WALSH
+    r = np.zeros(d.shape + (4,))
+    r[..., range(4), range(4)] = d
+    return r
+
+
+def pauli_radii(chi_diag) -> np.ndarray:
+    """Signed radii R_i = chi_0 + chi_i - chi_j - chi_k of Pauli weights, in
+    axis order: (..., 4) -> (..., 3)."""
+    return (np.asarray(chi_diag, dtype=float) @ _WALSH)[..., 1:]
 
 
 def _chi_diag(channel) -> np.ndarray:
@@ -290,27 +322,44 @@ def apply(channel, rho) -> np.ndarray:
     return _frozen((0.5 * r @ _PAULI_ROWS).reshape(2, 2))
 
 
-def apply_one_sided(channel, rho, target: int = 1) -> np.ndarray:
-    """Act with a single-qubit channel on one qubit of a two-qubit state.
+def apply_ptm(r, rho, targets) -> np.ndarray:
+    """Act with Pauli-transfer matrices on the qubits ``targets`` (a subset
+    of (0, 1)) of two-qubit operators.
 
-    The correlation matrix T_ij = Tr(rho sigma_i (x) sigma_j) evolves as
-    R T when the channel acts on qubit 0 and as T R^T on qubit 1; the output
-    is rebuilt as (1/4) sum_ij T_ij sigma_i (x) sigma_j.
+    The correlation matrix T_ij = Tr(rho sigma_i (x) sigma_j) evolves as R T
+    on qubit 0, as T R^T on qubit 1 and as R T R^T on both; the output is
+    rebuilt as (1/4) sum_ij T_ij sigma_i (x) sigma_j. ``r`` is a PTM or a
+    (..., 4, 4) stack of them and ``rho`` a 4x4 operator or a stack that
+    broadcasts against it; the result is the broadcast stack of outputs.
     """
+    m = np.asarray(rho, dtype=complex)
+    t = (m.reshape(m.shape[:-2] + (16,)) @ _TWO_QUBIT_PAULIS.conj().T).reshape(m.shape)
+    if 0 in targets:
+        t = r @ t
+    if 1 in targets:
+        t = t @ np.swapaxes(r, -1, -2)
+    return (0.25 * t.reshape(t.shape[:-2] + (16,)) @ _TWO_QUBIT_PAULIS).reshape(t.shape)
+
+
+def _two_qubit_state(rho) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {m.shape}")
+    return m
+
+
+def apply_one_sided(channel, rho, target: int = 1) -> np.ndarray:
+    """Act with a single-qubit channel on one qubit of a two-qubit state:
+    T -> R T on qubit 0, T R^T on qubit 1 (see :func:`apply_ptm`)."""
+    m = _two_qubit_state(rho)
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
-    r = pauli_transfer_matrix(channel)
-    t = (_TWO_QUBIT_PAULIS.conj() @ m.reshape(16)).reshape(4, 4)
-    t = r @ t if target == 0 else t @ r.T
-    return _frozen((0.25 * t.reshape(16) @ _TWO_QUBIT_PAULIS).reshape(4, 4))
+    return _frozen(apply_ptm(pauli_transfer_matrix(channel), m, (target,)))
 
 
 def apply_two_sided(channel, rho) -> np.ndarray:
-    """Act with the same channel independently on both qubits."""
-    return apply_one_sided(channel, apply_one_sided(channel, rho, target=0), target=1)
+    """Act with the same channel independently on both qubits: T -> R T R^T."""
+    return _frozen(apply_ptm(pauli_transfer_matrix(channel), _two_qubit_state(rho), (0, 1)))
 
 
 def compose(first, second):

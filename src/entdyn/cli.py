@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 bad configuration or input, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,10 +28,10 @@ from .harness import (
     ConfigError,
     NumericalError,
     Pipeline,
+    _evolved_states,
     analytic_prediction,
     emit,
     initial_spec_from,
-    make_initial,
     render,
     run_breaking_points,
     run_channel_characterization,
@@ -207,11 +208,7 @@ def _cmd_tomo_sim(args) -> int:
             "p_grid": [args.p or 0.0],
         }
     )
-    channel = channel_for(config.family, args.p or 0.0)
-    rho = make_initial(spec, noisy_qubit=config.noisy_qubit)
-    from .harness import _evolved  # single source of truth for mode handling
-
-    rho = _evolved(channel, rho, mode, config.noisy_qubit)
+    rho = _evolved_states(config, spec, config.p_grid[0])
     if args.counts_in:
         records = read_counts_csv(args.counts_in)
     else:
@@ -348,10 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: parsing never changes it, and building
+    it costs about as much as a small sweep."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -24,10 +24,11 @@ import numpy as np
 from .channels import (
     _chi_diag,
     apply_one_sided,
-    channel_for,
     channel_radii,
     compose,
     dephasing_channel,
+    family_weights,
+    pauli_radii,
 )
 from .states import SIGMA_2, _frozen, bell_state, dm, psd_sqrt, purity
 
@@ -50,35 +51,49 @@ class ConcurrenceResult:
     lambdas: np.ndarray
 
 
-def concurrence(rho) -> ConcurrenceResult:
-    """Wootters concurrence of a two-qubit density matrix.
+def wootters(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Wootters q = r0 - r1 - r2 - r3 and the descending spin-flip roots
+    (r0, r1, r2, r3) of a two-qubit state, or of each state in a
+    (..., 4, 4) stack (q then has the leading shape, the roots one more
+    axis of length 4).
 
-    The square roots of the spin-flip spectrum are taken directly as the
-    singular values of sqrt(spin-flipped rho) @ sqrt(rho): squaring them
-    recovers the eigenvalues of rho (sy x sy) rho* (sy x sy), and reading the
-    roots off an SVD keeps eigenvalues that are analytically zero at machine
-    precision instead of sqrt(eps).
+    The roots are taken directly as the singular values of
+    sqrt(spin-flipped rho) @ sqrt(rho): squaring them recovers the
+    eigenvalues of rho (sy x sy) rho* (sy x sy), and reading the roots off an
+    SVD keeps eigenvalues that are analytically zero at machine precision
+    instead of sqrt(eps). A stack takes one ``eigh`` and one ``svd`` call.
     """
+    sq = psd_sqrt(rho)
+    sq_flipped = _SPIN_FLIP @ sq.conj() @ _SPIN_FLIP
+    roots = np.linalg.svd(sq_flipped @ sq, compute_uv=False)
+    return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], roots
+
+
+def concurrence(rho) -> ConcurrenceResult:
+    """Wootters concurrence of a two-qubit density matrix (see :func:`wootters`)."""
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {m.shape}")
-    sq = psd_sqrt(m)
-    sq_flipped = _SPIN_FLIP @ sq.conj() @ _SPIN_FLIP
-    roots = np.linalg.svd(sq_flipped @ sq, compute_uv=False)
-    q = float(roots[0] - roots[1] - roots[2] - roots[3])
+    q, roots = wootters(m)
+    q = float(q)
     return ConcurrenceResult(q=q, c=max(0.0, q), lambdas=_frozen(roots**2))
 
 
-def predict_one_sided(radii) -> float:
-    """Concurrence after one-sided unital noise on a maximally entangled pair."""
+def predict_one_sided(radii):
+    """Concurrence after one-sided unital noise on a maximally entangled pair.
+
+    ``radii`` is one set of three radii or a (..., 3) stack of them; the
+    result is a number or an array of the leading shape.
+    """
     r = np.abs(np.asarray(radii, dtype=float))
-    return max((r[0] + r[1] + r[2] - 1.0) / 2.0, 0.0)
+    return np.maximum((r[..., 0] + r[..., 1] + r[..., 2] - 1.0) / 2.0, 0.0)
 
 
-def predict_two_sided(radii) -> float:
-    """Concurrence after the same Pauli noise on both qubits of a Bell pair."""
+def predict_two_sided(radii):
+    """Concurrence after the same Pauli noise on both qubits of a Bell pair
+    (``radii`` as in :func:`predict_one_sided`)."""
     r = np.asarray(radii, dtype=float)
-    return max((r[0] ** 2 + r[1] ** 2 + r[2] ** 2 - 1.0) / 2.0, 0.0)
+    return np.maximum((r[..., 0] ** 2 + r[..., 1] ** 2 + r[..., 2] ** 2 - 1.0) / 2.0, 0.0)
 
 
 def lambda_two_sided(channel) -> np.ndarray:
@@ -113,7 +128,7 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
     law = predict_one_sided if mode == "one_sided" else predict_two_sided
 
     def c_of(p: float) -> float:
-        return law(channel_radii(channel_for(family, p)))
+        return law(pauli_radii(family_weights(family, p)))
 
     if c_of(0.0) <= 0.0:
         return 0.0
@@ -129,6 +144,18 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def pure_state_concurrence(state, name: str = "state") -> float:
+    """Concurrence of a pure two-qubit state: the factor by which the PES laws
+    scale the Bell-pair law. A mixed ``state`` raises ``ValueError``."""
+    m = np.asarray(state, dtype=complex)
+    if purity(m) < 1.0 - _PURITY_TOL:
+        raise ValueError(
+            f"{name} is mixed (purity {purity(m)!r}); the PES laws take a pure state, and a "
+            "mixed one as a pure state plus its preparation channel (mixed_evolution_prediction)"
+        )
+    return concurrence(m).c
+
+
 def factorization_prediction(initial, channel) -> float:
     """Concurrence of a pure two-qubit state after one-sided noise.
 
@@ -137,14 +164,9 @@ def factorization_prediction(initial, channel) -> float:
     pure initial states; mixed inputs are rejected (use
     :func:`mixed_evolution_prediction`).
     """
-    m = np.asarray(initial, dtype=complex)
-    if purity(m) < 1.0 - _PURITY_TOL:
-        raise ValueError(
-            f"initial state is mixed (purity {purity(m)!r}); "
-            "use mixed_evolution_prediction with its preparation channel"
-        )
-    bell_term = predict_one_sided(channel_radii(channel))
-    return bell_term * concurrence(m).c
+    return predict_one_sided(channel_radii(channel)) * pure_state_concurrence(
+        initial, "initial state"
+    )
 
 
 def mixed_evolution_prediction(sigma, prep, channel) -> float:
@@ -155,11 +177,9 @@ def mixed_evolution_prediction(sigma, prep, channel) -> float:
     both compose into a single channel whose Bell-pair concurrence scales the
     concurrence of ``sigma``.
     """
-    m = np.asarray(sigma, dtype=complex)
-    if purity(m) < 1.0 - _PURITY_TOL:
-        raise ValueError(f"sigma must be pure, got purity {purity(m)!r}")
-    combined = compose(prep, channel)
-    return predict_one_sided(channel_radii(combined)) * concurrence(m).c
+    return predict_one_sided(channel_radii(compose(prep, channel))) * pure_state_concurrence(
+        sigma, "sigma"
+    )
 
 
 @dataclass(frozen=True)

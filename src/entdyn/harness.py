@@ -1,14 +1,15 @@
 """Sweep orchestration: concurrence-vs-noise curves, breaking points, channel
 characterization tables, and deterministic CSV/JSON emission.
 
-A sweep walks a grid of noise probabilities, applies the channel family to
-the initial state one- or two-sided, and computes the output concurrence
-through one of three pipelines:
+A sweep applies the channel family to the initial state one- or two-sided
+over its whole grid of noise probabilities at once, through one of three
+pipelines:
 
-* ``analytic``          evaluate the closed-form law directly,
-* ``exact_simulation``  evolve the density matrix and take the concurrence,
-* ``shot_noise``        simulate Poissonian coincidence counts, reconstruct
-                        by maximum likelihood, and attach a bootstrap error.
+* ``analytic``          the closed-form law on the (N, 3) stack of radii,
+* ``exact_simulation``  one PTM evolution of the (N, 4, 4) stack of states,
+                        then one batched Wootters concurrence (no law),
+* ``shot_noise``        per point: Poissonian coincidence counts, a maximum-
+                        likelihood reconstruction and a bootstrap error.
 
 Every row also carries the analytic prediction so pipelines can be compared
 against theory point by point.
@@ -27,10 +28,12 @@ import numpy as np
 from .channels import (
     PAULI_FAMILIES,
     apply_one_sided,
+    apply_ptm,
     apply_two_sided,
     channel_for,
-    channel_radii,
-    dephasing_channel,
+    family_weights,
+    pauli_ptm,
+    pauli_radii,
 )
 from .dynamics import (
     MODES,
@@ -39,12 +42,11 @@ from .dynamics import (
     concurrence,
     factorization_prediction,
     make_initial,
-    mixed_evolution_prediction,
     predict_one_sided,
     predict_two_sided,
-    pure_pes_ket,
+    pure_state_concurrence,
+    wootters,
 )
-from .states import dm
 from .tomography import (
     monte_carlo_errors,
     process_tomography_single_qubit,
@@ -157,74 +159,73 @@ def _named_initials(config: SweepConfig):
     return [("initial", config.initial)]
 
 
-def _evolved(channel, rho0, mode: str, noisy_qubit: int) -> np.ndarray:
-    if mode == "one_sided":
-        return apply_one_sided(channel, rho0, target=noisy_qubit)
-    return apply_two_sided(channel, rho0)
+def _evolved_states(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
+    """The initial state of ``spec`` after the family's channel at each noise
+    probability in ``p``: one PTM evolution of the whole (..., 4, 4) stack."""
+    rho0 = make_initial(spec, noisy_qubit=config.noisy_qubit)
+    targets = (config.noisy_qubit,) if config.mode == "one_sided" else (0, 1)
+    return apply_ptm(pauli_ptm(family_weights(config.family, p)), rho0, targets)
 
 
-def _law_prediction(spec: InitialStateSpec, channel, mode: str, noisy_qubit: int) -> float:
-    """Analytic concurrence prediction; falls back to exact density-matrix
-    evolution when no closed form covers the configuration (non-maximally
-    entangled initial state under two-sided noise)."""
-    radii = channel_radii(channel)
-    if mode == "one_sided":
-        if spec.kind == "bell":
-            return predict_one_sided(radii)
-        if spec.kind == "pure_pes":
-            return factorization_prediction(make_initial(spec), channel)
-        sigma = dm(pure_pes_ket(spec.delta, 0.0))
-        return mixed_evolution_prediction(sigma, dephasing_channel(spec.dephasing), channel)
+def _exact(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
+    """Wootters concurrence of the evolved states: a simulation, never a law."""
+    return np.maximum(wootters(_evolved_states(config, spec, p))[0], 0.0)
+
+
+def _law(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
+    """Closed-form concurrence at each noise probability in ``p``; falls back
+    to exact evolution when no closed form covers the configuration
+    (non-maximally entangled initial state under two-sided noise)."""
+    if config.mode == "two_sided" and spec.kind != "bell":
+        return _exact(config, spec, p)
+    radii = pauli_radii(family_weights(config.family, p))
     if spec.kind == "bell":
-        return predict_two_sided(radii)
-    rho = make_initial(spec, noisy_qubit=noisy_qubit)
-    return concurrence(_evolved(channel, rho, mode, noisy_qubit)).c
+        return (predict_one_sided if config.mode == "one_sided" else predict_two_sided)(radii)
+    if spec.kind == "mixed_pes":  # the pure state after its dephasing prep: Pauli radii multiply
+        radii = radii * pauli_radii(family_weights("dephasing", spec.dephasing))
+        spec = replace(spec, kind="pure_pes", phi=0.0)
+    return predict_one_sided(radii) * pure_state_concurrence(make_initial(spec))
 
 
-def analytic_prediction(config: SweepConfig, p: float, spec: InitialStateSpec | None = None) -> float:
-    """Prediction attached to a sweep row.
+def analytic_prediction(config: SweepConfig, p, spec: InitialStateSpec | None = None):
+    """Prediction attached to the sweep row at ``p`` (to each row for an array ``p``).
 
     ``p_scale`` stretches the prediction's noise axis (theory evaluated at
     p / p_scale) for comparison against figures whose measured breaking point
     sits beyond the ideal one; it never touches simulated values.
     """
     spec = config.initial if spec is None else spec
-    p_eff = p if config.p_scale is None else min(1.0, p / config.p_scale)
-    channel = channel_for(config.family, p_eff)
-    return _law_prediction(spec, channel, config.mode, config.noisy_qubit)
+    p = np.asarray(p, dtype=float)
+    return _law(config, spec, p if config.p_scale is None else np.minimum(1.0, p / config.p_scale))
 
 
 def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
-    rows = []
+    p = np.asarray(config.p_grid, dtype=float)
     pl = config.pipeline
-    rho0 = make_initial(spec, noisy_qubit=config.noisy_qubit)
-    for i, p in enumerate(config.p_grid):
-        channel = channel_for(config.family, p)
-        predicted = analytic_prediction(config, p, spec)
-        if pl.kind == "analytic":
-            c = _law_prediction(spec, channel, config.mode, config.noisy_qubit)
-            error = None
-        elif pl.kind == "exact_simulation":
-            c = concurrence(_evolved(channel, rho0, config.mode, config.noisy_qubit)).c
-            error = None
-        else:
-            rho = _evolved(channel, rho0, config.mode, config.noisy_qubit)
-            records = simulate_counts(
-                rho, standard_settings(), pl.n_per_setting, seed=(pl.seed, i, 0)
-            )
+    errors = [None] * p.size
+    if pl.kind == "analytic":
+        values = _law(config, spec, p)
+    elif pl.kind == "exact_simulation":
+        values = _exact(config, spec, p)
+    else:
+        values = []
+        for i, rho in enumerate(_evolved_states(config, spec, p)):
+            records = simulate_counts(rho, standard_settings(), pl.n_per_setting, seed=(pl.seed, i, 0))
             base = reconstruct_state_mle(records, likelihood=pl.likelihood)
-            estimate = monte_carlo_errors(
+            values.append(concurrence(base.rho_hat).c)
+            errors[i] = monte_carlo_errors(
                 records,
                 trials=pl.trials,
                 estimator="concurrence",
                 seed=(pl.seed, i, 1),
                 likelihood=pl.likelihood,
                 base=base,
-            )
-            c = concurrence(base.rho_hat).c
-            error = estimate.std_dev
-        rows.append(SweepRow(p=float(p), concurrence=float(c), error=error, predicted=float(predicted)))
-    return rows
+            ).std_dev
+    reuse = pl.kind == "analytic" and config.p_scale is None
+    predicted = values if reuse else analytic_prediction(config, p, spec)
+    return [
+        SweepRow(float(x), float(c), e, float(y)) for x, c, e, y in zip(p, values, errors, predicted)
+    ]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -518,13 +519,11 @@ def run_selftest(fast: bool = True, seed: int = 20260808) -> list[tuple[str, boo
         results.append((name, bool(passed), detail))
 
     bell = bell_state("phi_plus")
-    grid = [0.05 * i for i in range(21)]
-
-    worst = 0.0
-    for family in ("two-field", "isotropic"):
-        for p in grid:
-            rho = apply_one_sided(channel_for(family, p), bell, target=1)
-            worst = max(worst, abs(concurrence(rho).c - max(1.0 - 2.0 * p, 0.0)))
+    p = 0.05 * np.arange(21)
+    worst = max(
+        np.max(np.abs(_exact(c, c.initial, p) - np.maximum(1.0 - 2.0 * p, 0.0)))
+        for c in (SweepConfig(family="two-field"), SweepConfig(family="isotropic"))
+    )
     check("one-sided law on Bell pair", worst < 1e-9, f"max deviation {worst:.2e}")
 
     n = 100 if fast else 1000

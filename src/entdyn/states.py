@@ -164,19 +164,19 @@ def hermitian_eigenvalues(matrix, herm_tol: float = 1e-10) -> np.ndarray:
 
 
 def psd_sqrt(matrix) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
+    """Hermitian square root of a PSD matrix, or of each matrix in a
+    (..., n, n) stack.
 
-    Eigenvalues below the eigensolver's noise floor (relative 1e-14) are
-    zeroed before the square root: sqrt would amplify that noise to 1e-7,
-    which is what limits concurrence and fidelity accuracy on rank-deficient
-    states.
+    Eigenvalues below the eigensolver's noise floor (1e-14 relative to the
+    largest eigenvalue of the same matrix) are zeroed before the square
+    root: sqrt would amplify that noise to 1e-7, which is what limits
+    concurrence and fidelity accuracy on rank-deficient states.
     """
     m = np.asarray(matrix, dtype=complex)
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    if w[-1] > 0.0:
-        w[w < 1e-14 * w[-1]] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
+    w[w < 1e-14 * w[..., -1:]] = 0.0
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def purity(rho) -> float:

@@ -6,6 +6,7 @@ from entdyn.channels import (
     UnitalChannel,
     apply,
     apply_one_sided,
+    apply_ptm,
     apply_two_sided,
     bloch_affine_map,
     channel_for,
@@ -15,12 +16,16 @@ from entdyn.channels import (
     compose,
     decompose_unital,
     dephasing_channel,
+    family_weights,
     hwp_angle_to_p,
     is_completely_positive,
     isotropic_channel,
     kraus_operators,
     noise_probability,
     pauli_channel_from_radii,
+    pauli_ptm,
+    pauli_radii,
+    pauli_transfer_matrix,
     process_matrix,
     radii_from_chi,
     rotation_from_su2,
@@ -154,6 +159,22 @@ class TestOneTwoSided:
             seq = apply_one_sided(ch, apply_one_sided(ch, rho, target=0), target=1)
             assert np.allclose(apply_two_sided(ch, rho), seq, atol=1e-12)
 
+    def test_ptm_stack_matches_single_channels(self):
+        rng = np.random.default_rng(29)
+        channels = [random_unital_channel(rng) for _ in range(5)]
+        stack = np.stack([pauli_transfer_matrix(ch) for ch in channels])
+        states = np.stack([random_density_matrix(rng, 4) for _ in channels])
+        for targets in ((0,), (1,), (0, 1)):
+            by_channel = apply_ptm(stack, states[0], targets)
+            by_pair = apply_ptm(stack, states, targets)
+            for i, ch in enumerate(channels):
+                for rho, out in ((states[0], by_channel[i]), (states[i], by_pair[i])):
+                    if targets == (0, 1):
+                        single = apply_two_sided(ch, rho)
+                    else:
+                        single = apply_one_sided(ch, rho, target=targets[0])
+                    assert np.max(np.abs(out - single)) < 1e-14
+
     def test_two_field_breaking_point(self):
         out = apply_two_sided(two_field_channel(1.0 / 3.0), bell_state("phi+"))
         assert concurrence(out).c == pytest.approx(0.0, abs=1e-12)
@@ -251,6 +272,18 @@ class TestFamilies:
     def test_channel_for_unknown_family(self):
         with pytest.raises(ValueError):
             channel_for("amplitude-damping", 0.1)
+
+    def test_family_arrays_match_named_channels(self):
+        p = np.array([0.0, 0.2, 0.55, 1.0])
+        for family in ("two-field", "isotropic", "dephasing"):
+            weights = family_weights(family, p)
+            assert weights.shape == (4, 4)
+            for row, w, r in zip(p, pauli_ptm(weights), pauli_radii(weights)):
+                channel = channel_for(family, row)
+                assert np.array_equal(w, pauli_transfer_matrix(channel))
+                assert np.array_equal(r, radii_from_chi(channel))
+        with pytest.raises(ValueError, match="unknown channel family"):
+            family_weights("amplitude-damping", p)
 
 
 class TestCompose:

@@ -95,6 +95,22 @@ def test_numerical_error_exit_code(monkeypatch):
     assert main(["breaking-points"]) == 2
 
 
+def test_reused_parser_keeps_calls_apart(capsys):
+    def pes_labels(*initials):
+        argv = ["pes-sweep", "--p-grid", "0,0.5", "--format", "json"]
+        for initial in initials:
+            argv += ["--initial", initial]
+        assert main(argv) == 0
+        return sorted(json.loads(capsys.readouterr().out))
+
+    assert pes_labels("pes:0.1", "mixed:0.2:0.1") == [
+        "mixed_pes_delta0.2_p0.1", "pure_pes_delta0.1_phi0"
+    ]
+    assert pes_labels("pes:0.3") == ["pure_pes_delta0.3_phi0"]
+    assert main(["pes-sweep", "--initial", "pes:0.1", "--no-such-flag"]) == 1
+    assert pes_labels("pes:0.2") == ["pure_pes_delta0.2_phi0"]
+
+
 def test_breaking_points_stdout(capsys):
     assert main(["breaking-points", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)

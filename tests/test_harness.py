@@ -4,7 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from entdyn.dynamics import InitialStateSpec
+from entdyn.channels import (
+    apply_one_sided,
+    apply_two_sided,
+    channel_for,
+    dephasing_channel,
+    radii_from_chi,
+)
+from entdyn.dynamics import (
+    InitialStateSpec,
+    concurrence,
+    factorization_prediction,
+    make_initial,
+    mixed_evolution_prediction,
+    predict_one_sided,
+    predict_two_sided,
+    pure_pes_ket,
+)
 from entdyn.harness import (
     BreakingPoint,
     ConfigError,
@@ -21,6 +37,7 @@ from entdyn.harness import (
     run_sweep,
     sweep_config_from_dict,
 )
+from entdyn.states import dm
 
 BELL = InitialStateSpec(kind="bell", bell="phi_plus")
 
@@ -151,6 +168,84 @@ class TestPesSweep:
 
     def test_p_scale_off_by_default(self):
         assert SweepConfig().p_scale is None
+
+
+def reference_rows(config, spec):
+    """Per-point sweep rows built from single channels and single states, as
+    the table was computed before sweeps were batched over the grid."""
+    rho0 = make_initial(spec, noisy_qubit=config.noisy_qubit)
+
+    def simulated(channel):
+        if config.mode == "one_sided":
+            rho = apply_one_sided(channel, rho0, target=config.noisy_qubit)
+        else:
+            rho = apply_two_sided(channel, rho0)
+        return concurrence(rho).c
+
+    def law(channel):
+        if config.mode == "two_sided":
+            if spec.kind == "bell":
+                return predict_two_sided(radii_from_chi(channel))
+            return simulated(channel)
+        if spec.kind == "bell":
+            return predict_one_sided(radii_from_chi(channel))
+        if spec.kind == "pure_pes":
+            return factorization_prediction(rho0, channel)
+        sigma = dm(pure_pes_ket(spec.delta))
+        return mixed_evolution_prediction(sigma, dephasing_channel(spec.dephasing), channel)
+
+    rows = []
+    for p in config.p_grid:
+        p_eff = p if config.p_scale is None else min(1.0, p / config.p_scale)
+        channel = channel_for(config.family, p)
+        value = law(channel) if config.pipeline.kind == "analytic" else simulated(channel)
+        rows.append((p, value, law(channel_for(config.family, p_eff))))
+    return rows
+
+
+ORACLE_GRID = (0.0, 0.07, 0.25, 0.31, 0.37, 0.5, 0.62, 0.75, 0.93, 1.0)
+ORACLE_SPECS = (
+    InitialStateSpec(kind="bell", bell="psi_minus"),
+    InitialStateSpec(kind="pure_pes", delta=0.17, phi=0.4),
+    InitialStateSpec(kind="mixed_pes", delta=0.21, dephasing=0.15),
+)
+
+
+class TestBatchedSweepOracle:
+    """Batched sweep tables against the per-point reference, within 1e-12."""
+
+    @pytest.mark.parametrize("p_scale", [None, 1.3])
+    @pytest.mark.parametrize("pipeline", ["analytic", "exact_simulation"])
+    @pytest.mark.parametrize("noisy_qubit", [0, 1])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("mode", ["one_sided", "two_sided"])
+    @pytest.mark.parametrize("family", ["two-field", "isotropic", "dephasing"])
+    def test_run_sweep_matches_per_point_reference(
+        self, family, mode, spec, noisy_qubit, pipeline, p_scale
+    ):
+        config = analytic_config(family=family, mode=mode, initial=spec, p_grid=ORACLE_GRID,
+                                 noisy_qubit=noisy_qubit, pipeline=Pipeline(kind=pipeline),
+                                 p_scale=p_scale)
+        rows = run_sweep(config)
+        expected = reference_rows(config, spec)
+        assert [r.p for r in rows] == [p for p, _, _ in expected]
+        assert all(r.error is None for r in rows)
+        assert np.max(np.abs([r.concurrence - c for r, (_, c, _) in zip(rows, expected)])) < 1e-12
+        assert np.max(np.abs([r.predicted - c for r, (_, _, c) in zip(rows, expected)])) < 1e-12
+
+    @pytest.mark.parametrize("pipeline", ["analytic", "exact_simulation"])
+    @pytest.mark.parametrize("mode", ["one_sided", "two_sided"])
+    def test_run_pes_sweep_matches_per_point_reference(self, mode, pipeline):
+        config = analytic_config(family="two-field", mode=mode, initials=ORACLE_SPECS[1:],
+                                 p_grid=ORACLE_GRID, pipeline=Pipeline(kind=pipeline))
+        tables = run_pes_sweep(config)
+        assert sorted(tables) == sorted(s.label() for s in ORACLE_SPECS[1:])
+        for spec in ORACLE_SPECS[1:]:
+            expected = reference_rows(config, spec)
+            for row, (p, c, predicted) in zip(tables[spec.label()], expected, strict=True):
+                assert row.p == p
+                assert abs(row.concurrence - c) < 1e-12
+                assert abs(row.predicted - predicted) < 1e-12
 
 
 class TestBreakingPointsTable:

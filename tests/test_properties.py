@@ -1,8 +1,11 @@
-"""Property tests for the Pauli-transfer-matrix channel representation.
+"""Property tests for the Pauli-transfer-matrix channel representation and
+the batched Wootters concurrence.
 
 Every channel operation reads the PTM, so these check it against the
 literal Kraus-sum oracle on random process matrices (non-unital and
-non-trace-preserving ones included) and on random unital channels.
+non-trace-preserving ones included) and on random unital channels. Sweeps
+take the concurrence of a whole stack of states at once, so the batched
+core is checked against the single-state wrapper, state by state.
 """
 
 import numpy as np
@@ -22,7 +25,8 @@ from entdyn.channels import (
     pauli_transfer_matrix,
     rotation_from_su2,
 )
-from entdyn.states import PAULIS
+from entdyn.dynamics import concurrence, wootters
+from entdyn.states import PAULIS, psd_sqrt
 from test_channels import kraus_sum_oracle
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -122,3 +126,37 @@ def test_kraus_operators_complete_and_faithful(channel):
 def test_decompose_unital_round_trips(u, radii, v):
     m = rotation_from_su2(u) @ np.diag(radii) @ rotation_from_su2(v)
     assert np.max(np.abs(bloch_affine_map(decompose_unital(m)) - m)) < 1e-12
+
+
+@st.composite
+def low_rank_states(draw):
+    """Z Z^dag / Tr for a complex 4 x r matrix Z of a drawn rank r in 1..4."""
+    rank = draw(st.integers(1, 4))
+    g = draw(arrays(np.float64, (2, 4, rank), elements=unit))
+    z = g[0] + 1j * g[1]
+    if np.linalg.matrix_rank(z, tol=1e-3) < rank:
+        z = np.eye(4)[:, :rank]
+    m = z @ z.conj().T
+    return m / np.trace(m).real
+
+
+@PROPERTY
+@given(st.lists(low_rank_states(), min_size=1, max_size=6))
+def test_batched_wootters_matches_concurrence(states):
+    q, roots = wootters(np.stack(states))
+    assert q.shape == (len(states),) and roots.shape == (len(states), 4)
+    for i, rho in enumerate(states):
+        single = concurrence(rho)
+        assert abs(q[i] - single.q) < 1e-13
+        assert np.max(np.abs(roots[i] ** 2 - single.lambdas)) < 1e-13
+
+
+@PROPERTY
+@given(st.lists(st.tuples(low_rank_states(), st.integers(-24, 0)), min_size=2, max_size=6))
+def test_batched_psd_sqrt_cuts_off_per_matrix(items):
+    """The relative 1e-14 cut-off reads each matrix's own largest eigenvalue,
+    so a stack mixing scales 24 decades apart keeps every small matrix."""
+    stack = np.stack([10.0**k * rho for rho, k in items])
+    for m, root in zip(stack, psd_sqrt(stack)):
+        single = psd_sqrt(m)
+        assert np.max(np.abs(root - single)) <= 1e-12 * np.max(np.abs(single))
