@@ -33,6 +33,8 @@ from .harness import (
     emit,
     initial_spec_from,
     render,
+    render_mesh,
+    render_tables,
     run_breaking_points,
     run_channel_characterization,
     run_pes_sweep,
@@ -141,10 +143,7 @@ def _cmd_pes_sweep(args) -> int:
     tables = run_pes_sweep(config)
     out = _resolve_out(args.out)
     if args.format == "json":
-        payload = {
-            label: json.loads(render(rows, "json")) for label, rows in sorted(tables.items())
-        }
-        _write_or_print(json.dumps(payload, indent=2) + "\n", out)
+        _write_or_print(render_tables(tables), out)
         return 0
     if out is None:
         chunks = [f"# initial: {label}\n{render(rows, 'csv')}" for label, rows in sorted(tables.items())]
@@ -164,6 +163,8 @@ def _cmd_breaking_points(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
+    if args.counts is not None and args.counts < 1:
+        raise ConfigError(f"counts: must be >= 1, got {args.counts!r}")
     p_grid = _parse_grid_flag(args.p_grid) if args.p_grid else list(np.linspace(0.0, 1.0, 11))
     rows = run_channel_characterization(
         args.family, p_grid, n_per_probe=args.counts, seed=args.seed or 0
@@ -181,12 +182,7 @@ def _cmd_ellipsoid(args) -> int:
             raise ConfigError("p: required unless --channel is given")
         channel = channel_for(args.family, args.p)
     mesh = ellipsoid_mesh(channel, n_theta=args.n_theta, n_phi=args.n_phi)
-    if args.format == "json":
-        text = json.dumps([[float(x) for x in point] for point in mesh], indent=2) + "\n"
-    else:
-        lines = ["x,y,z"] + [",".join(repr(float(x)) for x in point) for point in mesh]
-        text = "\n".join(lines) + "\n"
-    _write_or_print(text, _resolve_out(args.out))
+    _write_or_print(render_mesh(mesh, args.format), _resolve_out(args.out))
     return 0
 
 

@@ -30,7 +30,6 @@ from .channels import (
     apply_one_sided,
     apply_ptm,
     apply_two_sided,
-    channel_for,
     family_weights,
     pauli_ptm,
     pauli_radii,
@@ -47,12 +46,14 @@ from .dynamics import (
     pure_state_concurrence,
     wootters,
 )
+from .states import BASIS_KETS, dm
 from .tomography import (
+    DEFAULT_PROBE_LABELS,
     monte_carlo_errors,
-    process_tomography_single_qubit,
+    probe_outputs,
+    process_matrices,
     reconstruct_state_mle,
     simulate_counts,
-    simulate_probe_outputs,
     standard_settings,
 )
 
@@ -263,31 +264,35 @@ def run_channel_characterization(
 ) -> list[CharacterizationRow]:
     """Reconstructed process-matrix diagonal against theory over a noise grid.
 
-    Probe outputs are exact unless ``n_per_probe`` switches on shot noise.
-    For these channels the process matrix is diagonal in the Pauli basis, so
-    the diagonal entries are its eigenvalue curves.
+    The grid is one stack, as in sweeps: the family's weights at every p give
+    the (N, 4, 4) Pauli-transfer matrices, which map the four probe inputs
+    (:func:`~entdyn.tomography.probe_outputs`), and one batched linear
+    inversion reconstructs all N process matrices
+    (:func:`~entdyn.tomography.process_matrices`), warning once per
+    projected estimate. Probe outputs are exact unless ``n_per_probe``
+    switches on shot noise; grid point i then draws its counts from stream
+    ``(seed, i)``. For these channels the process matrix is diagonal in the
+    Pauli basis, so the diagonal entries are its eigenvalue curves.
     """
     if family not in PAULI_FAMILIES:
         raise ConfigError(f"family: unknown family {family!r}; expected one of {PAULI_FAMILIES}")
-    rows = []
+    p_grid = list(p_grid)
+    if not p_grid:
+        raise ConfigError("p_grid: must not be empty")
     for i, p in enumerate(p_grid):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p_grid[{i}]: value {p!r} outside [0, 1]")
-        channel = channel_for(family, p)
-        probes = simulate_probe_outputs(
-            channel,
-            n_per_projector=n_per_probe,
-            seed=None if n_per_probe is None else (seed, i),
-        )
-        chi = process_tomography_single_qubit(probes)
-        rows.append(
-            CharacterizationRow(
-                p=float(p),
-                chi=tuple(float(x) for x in np.diag(chi).real),
-                theory=tuple(float(x) for x in channel.chi_diag),
-            )
-        )
-    return rows
+    p = np.asarray(p_grid, dtype=float)
+    weights = np.clip(family_weights(family, p), 0.0, None)  # as PauliChannel stores them
+    seeds = None if n_per_probe is None else [(seed, i) for i in range(p.size)]
+    outputs = probe_outputs(pauli_ptm(weights), n_per_projector=n_per_probe, seeds=seeds)
+    rho_in = [dm(BASIS_KETS[label]) for label in DEFAULT_PROBE_LABELS]
+    chi = process_matrices(rho_in, outputs)
+    diagonals = np.diagonal(chi, axis1=1, axis2=2).real
+    return [
+        CharacterizationRow(p=x, chi=tuple(d), theory=tuple(t))
+        for x, d, t in zip(p.tolist(), diagonals.tolist(), weights.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -322,30 +327,74 @@ def _cell_csv(value) -> str:
     return str(value)
 
 
-def _cell_json(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _cell_json(value) -> str:
+    """A cell as json.dumps writes it, with None and non-finite floats as null."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    return "null" if value is None else json.dumps(value)
+
+
+def _json_rows(rows, indent: str = "") -> str:
+    """The JSON array of row objects that ``json.dumps(..., indent=2)`` writes
+    when the array sits ``indent`` deep, from one fixed per-row template."""
+    headers = _headers(rows[0])
+    fields = ",\n".join(f"{indent}    {json.dumps(h)}: %s" for h in headers)
+    template = f"{indent}  {{\n{fields}\n{indent}  }}"
+    body = ",\n".join(template % tuple(map(_cell_json, _row_cells(row))) for row in rows)
+    return f"[\n{body}\n{indent}]"
 
 
 def render(rows, format: str = "csv") -> str:
-    """Deterministic text rendering of a row table (same input, same bytes)."""
+    """Deterministic text rendering of a row table (same input, same bytes).
+
+    JSON is a list of objects keyed by the CSV header, laid out as
+    ``json.dumps(..., indent=2)`` lays it out (floats by ``repr``; ``None``
+    and non-finite floats as ``null``) but written from a fixed template.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("rows must be non-empty")
-    headers = _headers(rows[0])
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
+        writer.writerow(_headers(rows[0]))
         for row in rows:
             writer.writerow([_cell_csv(v) for v in _row_cells(row)])
         return buf.getvalue()
     if format == "json":
-        payload = [
-            {k: _cell_json(v) for k, v in zip(headers, _row_cells(row))} for row in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_rows(rows) + "\n"
+    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+
+
+def render_tables(tables: dict) -> str:
+    """JSON object of row tables keyed by label, in sorted label order, laid
+    out as ``json.dumps(..., indent=2)`` lays it out (see :func:`render`)."""
+    items = ",\n".join(
+        f"  {json.dumps(label)}: {_json_rows(rows, '  ')}"
+        for label, rows in sorted(tables.items())
+    )
+    return f"{{\n{items}\n}}\n"
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def render_mesh(points, format: str = "csv") -> str:
+    """Text of an (n, 3) array of points: CSV rows ``x,y,z`` under that
+    header, or the JSON array of ``[x, y, z]`` triples exactly as
+    ``json.dumps(..., indent=2)`` writes it (non-finite values as its
+    ``NaN``/``Infinity``/``-Infinity`` tokens). Both are filled in from one
+    template of ``repr`` fields, without the pure-Python JSON encoder.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    values = points.ravel().tolist()
+    if format == "csv":
+        return "x,y,z\n" + "%r,%r,%r\n" * len(points) % tuple(values)
+    if format == "json":
+        if not np.isfinite(points).all():
+            values = [_JSON_NON_FINITE.get(repr(x), x) for x in values]
+        template = ",\n".join(["  [\n    %s,\n    %s,\n    %s\n  ]"] * len(points))
+        return f"[\n{template % tuple(values)}\n]\n"
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 

@@ -11,6 +11,12 @@ analytic gradient, restarted until a round no longer improves it. Error bars
 come from parametric bootstrap: counts are resampled Poisson around the
 observed values, the reconstruction is re-run, and the standard deviation of
 the derived quantity is reported.
+
+Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
+the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
+samples the outputs, one random stream per channel), and
+:func:`process_matrices` reconstructs all N process matrices by one linear
+inversion; the single-channel functions are thin calls into these two.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import apply
+from .channels import pauli_transfer_matrix
 from .dynamics import concurrence
-from .states import BASIS_KETS, PAULIS, _frozen, density_from_bloch, dm, purity
+from .states import BASIS_KETS, PAULIS, _frozen, dm, purity
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -35,6 +41,12 @@ DEFAULT_PROBE_LABELS = ("H", "V", "D", "R")
 LIKELIHOODS = ("gaussian", "poisson")
 
 _PROJECTORS = {label: dm(ket) for label, ket in BASIS_KETS.items()}
+
+_PAULI_STACK = _frozen(np.array(PAULIS))
+_PROJECTOR_STACK = _frozen(np.array([_PROJECTORS[label] for label in PROJECTOR_LABELS]))
+# Bloch x, y, z are the count contrasts of the projector pairs D/A, R/L, H/V.
+_PLUS = [PROJECTOR_LABELS.index(label) for label in "DRH"]
+_MINUS = [PROJECTOR_LABELS.index(label) for label in "ALV"]
 
 _SETTING_OPERATORS = {
     (a, b): _frozen(np.kron(_PROJECTORS[a], _PROJECTORS[b]))
@@ -475,47 +487,93 @@ def monte_carlo_errors(
     )
 
 
+def process_matrices(rho_in, rho_out, *, stacklevel: int = 2) -> np.ndarray:
+    """Process matrices (Pauli basis) of a stack of channels from probe data.
+
+    ``rho_in`` holds the k probe input states (k, 2, 2) and ``rho_out`` each
+    channel's k output states (N, k, 2, 2). Linear inversion: each probe
+    contributes the four complex entries of its output, vec(sum_mn chi_mn
+    sigma_m rho sigma_n), to an overdetermined system in the 16 chi
+    coefficients. The design matrix depends on the inputs only, so it is
+    built once; its rank and pseudo-inverse come from one SVD and all N
+    solutions from one product, followed by one batched ``eigh``. An
+    estimate with an eigenvalue below -1e-6 is projected to the nearest PSD
+    unit-trace matrix (eigenvalue clipping), with one warning per projected
+    channel (``stacklevel`` as in :func:`warnings.warn`).
+    """
+    rho_in = np.asarray(rho_in, dtype=complex)
+    rho_out = np.asarray(rho_out, dtype=complex)
+    a = np.einsum("mab,kbc,ncd->kadmn", _PAULI_STACK, rho_in, _PAULI_STACK).reshape(-1, 16)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps))  # as matrix_rank
+    if rank < 16:
+        raise ValueError(
+            f"probe set is rank deficient (rank {rank} < 16); "
+            "inputs must span the single-qubit operator space"
+        )
+    pinv = (vh.conj().T / s) @ u.conj().T
+    chi = (rho_out.reshape(rho_out.shape[0], -1) @ pinv.T).reshape(-1, 4, 4)
+    chi = 0.5 * (chi + np.swapaxes(chi, -1, -2).conj())
+    w, v = np.linalg.eigh(chi)
+    for i in np.flatnonzero(w[:, 0] < -1e-6):
+        warnings.warn(
+            f"reconstructed process matrix has eigenvalue {w[i, 0]:.3g}; "
+            "projecting to the nearest physical process matrix",
+            stacklevel=stacklevel,
+        )
+        wi = np.clip(w[i], 0.0, None)
+        chi[i] = (v[i] * (wi / wi.sum())) @ v[i].conj().T
+    return chi
+
+
 def process_tomography_single_qubit(probe_results) -> np.ndarray:
     """Process matrix (Pauli basis) from (input ket, output state) probe pairs.
 
-    Linear inversion: each probe contributes the four complex entries of its
-    output to an overdetermined system in the 16 chi coefficients. If the
-    solution has an eigenvalue below -1e-6 it is projected to the nearest
-    PSD unit-trace matrix (eigenvalue clipping) with a warning.
+    One channel through :func:`process_matrices`: linear inversion over the
+    probes, projected to the nearest physical process matrix with a warning
+    if the solution has an eigenvalue below -1e-6.
     """
     pairs = list(probe_results)
     if not pairs:
         raise ValueError("no probe results given")
-    blocks = []
-    targets = []
+    rho_in, rho_out = [], []
     for probe_in, probe_out in pairs:
         vin = np.asarray(probe_in, dtype=complex)
-        rho_in = np.outer(vin, vin.conj()) if vin.ndim == 1 else vin
-        block = np.empty((4, 16), dtype=complex)
-        for m in range(4):
-            for n in range(4):
-                block[:, 4 * m + n] = (PAULIS[m] @ rho_in @ PAULIS[n]).reshape(4)
-        blocks.append(block)
-        targets.append(np.asarray(probe_out, dtype=complex).reshape(4))
-    a = np.vstack(blocks)
-    if np.linalg.matrix_rank(a) < 16:
-        raise ValueError(
-            f"probe set is rank deficient (rank {np.linalg.matrix_rank(a)} < 16); "
-            "inputs must span the single-qubit operator space"
-        )
-    chi_vec, *_ = np.linalg.lstsq(a, np.concatenate(targets), rcond=None)
-    chi = chi_vec.reshape(4, 4)
-    chi = 0.5 * (chi + chi.conj().T)
-    w, v = np.linalg.eigh(chi)
-    if w[0] < -1e-6:
-        warnings.warn(
-            f"reconstructed process matrix has eigenvalue {w[0]:.3g}; "
-            "projecting to the nearest physical process matrix",
-            stacklevel=2,
-        )
-        w = np.clip(w, 0.0, None)
-        chi = (v * (w / w.sum())) @ v.conj().T
-    return _frozen(chi)
+        rho_in.append(np.outer(vin, vin.conj()) if vin.ndim == 1 else vin)
+        rho_out.append(np.asarray(probe_out, dtype=complex).reshape(2, 2))
+    return _frozen(process_matrices(rho_in, [rho_out], stacklevel=3)[0])
+
+
+def probe_outputs(ptm, probe_labels=DEFAULT_PROBE_LABELS, n_per_projector=None, seeds=None):
+    """Output states (N, k, 2, 2) of the k probe inputs under each of a
+    (N, 4, 4) stack of single-qubit Pauli-transfer matrices.
+
+    With ``n_per_projector`` unset the outputs are exact: each PTM maps the
+    Pauli components of the probe inputs. Otherwise ``seeds`` holds one seed
+    per channel, and channel i draws from its own stream
+    ``np.random.default_rng(seeds[i])`` one Poissonian count on each of the
+    six polarization projectors (H, V, D, A, R, L) of each probe in label
+    order; the Bloch components are the normalized count differences, and a
+    vector longer than 1 is scaled back into the ball.
+    """
+    if n_per_projector is not None and n_per_projector < 1:
+        raise ValueError(f"n_per_projector must be >= 1, got {n_per_projector!r}")
+    rho_in = np.array([dm(BASIS_KETS[label]) for label in probe_labels])
+    components = np.einsum("iab,kba->ki", _PAULI_STACK, rho_in)  # Tr(sigma_i rho)
+    mapped = np.einsum("nij,kj->nki", np.asarray(ptm), components)
+    rho_out = np.einsum("nki,iab->nkab", 0.5 * mapped, _PAULI_STACK)
+    if n_per_projector is None:
+        return rho_out
+    means = n_per_projector * np.einsum("nkab,lba->nkl", rho_out, _PROJECTOR_STACK).real
+    counts = np.array([
+        [[_sample_poisson(rng, mean) for mean in probe] for probe in point]
+        for rng, point in zip(map(np.random.default_rng, seeds), means.tolist())
+    ])
+    plus, minus = counts[..., _PLUS], counts[..., _MINUS]
+    total = plus + minus
+    vec = np.divide(plus - minus, total, out=np.zeros(total.shape), where=total > 0)
+    vec /= np.maximum(np.linalg.norm(vec, axis=-1, keepdims=True), 1.0)
+    return 0.5 * (_PAULI_STACK[0] + np.einsum("nki,iab->nkab", vec, _PAULI_STACK[1:]))
 
 
 def simulate_probe_outputs(
@@ -526,34 +584,14 @@ def simulate_probe_outputs(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(input ket, output state) pairs for process tomography of a channel.
 
-    With ``n_per_projector`` unset the outputs are exact. Otherwise each
-    output is estimated from Poissonian counts on the six polarization
-    projectors: the Bloch components come from normalized count differences
-    and the vector is clipped into the Bloch ball.
+    One channel through :func:`probe_outputs`: exact outputs with
+    ``n_per_projector`` unset, else estimates from Poissonian counts on the
+    six polarization projectors drawn from ``np.random.default_rng(seed)``.
     """
-    pairs = []
-    rng = np.random.default_rng(seed) if n_per_projector is not None else None
-    for label in probe_labels:
-        ket_in = BASIS_KETS[label]
-        rho_out = apply(channel, dm(ket_in))
-        if n_per_projector is not None:
-            counts = {
-                lab: _sample_poisson(
-                    rng, n_per_projector * float(np.trace(rho_out @ _PROJECTORS[lab]).real)
-                )
-                for lab in PROJECTOR_LABELS
-            }
-            vec = []
-            for plus, minus in (("D", "A"), ("R", "L"), ("H", "V")):
-                total = counts[plus] + counts[minus]
-                vec.append((counts[plus] - counts[minus]) / total if total else 0.0)
-            vec = np.asarray(vec)
-            norm = np.linalg.norm(vec)
-            if norm > 1.0:
-                vec = vec / norm
-            rho_out = density_from_bloch(vec)
-        pairs.append((ket_in, rho_out))
-    return pairs
+    outputs = probe_outputs(
+        pauli_transfer_matrix(channel)[None], probe_labels, n_per_projector, [seed]
+    )[0]
+    return [(BASIS_KETS[label], _frozen(rho)) for label, rho in zip(probe_labels, outputs)]
 
 
 def ellipsoid_mesh(channel, n_theta: int = 25, n_phi: int = 50) -> np.ndarray:
