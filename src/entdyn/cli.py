@@ -27,7 +27,6 @@ from .harness import (
     ENV_OUTDIR,
     ConfigError,
     NumericalError,
-    Pipeline,
     _evolved_states,
     analytic_prediction,
     emit,
@@ -189,21 +188,18 @@ def _cmd_ellipsoid(args) -> int:
 def _cmd_tomo_sim(args) -> int:
     spec = initial_spec_from(args.initial or "bell:phi+")
     mode = (args.mode or "one_sided").replace("-", "_")
-    pipeline = Pipeline(
-        kind="shot_noise",
-        n_per_setting=args.counts or 10_000,
-        trials=args.trials or 50,
-        seed=args.seed or 0,
-        likelihood=args.likelihood or "gaussian",
-    )
+    flags = (("n_per_setting", args.counts), ("trials", args.trials), ("seed", args.seed),
+             ("likelihood", args.likelihood))
     config = sweep_config_from_dict(
         {
             "family": args.family or "isotropic",
             "mode": mode,
             "initial": spec,
             "p_grid": [args.p or 0.0],
+            "pipeline": {"kind": "shot_noise", **{k: v for k, v in flags if v is not None}},
         }
     )
+    pipeline = config.pipeline
     rho = _evolved_states(config, spec, config.p_grid[0])
     if args.counts_in:
         records = read_counts_csv(args.counts_in)
@@ -239,6 +235,7 @@ def _cmd_tomo_sim(args) -> int:
         "rounds": fit.rounds,
         "converged": fit.converged,
         "bootstrap_unconverged": estimate.unconverged,
+        "bootstrap_dropped": estimate.dropped,
         "rho": matrix_to_json(fit.rho_hat),
     }
     _write_or_print(json.dumps(summary, indent=2) + "\n", _resolve_out(args.out))

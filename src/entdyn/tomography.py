@@ -7,7 +7,13 @@ exposure * Born probability. Reconstruction parameterizes the state as
 T^dag T / Tr(T^dag T) with a lower-triangular complex T, so the estimate is
 physical by construction, and minimizes a Poisson likelihood (Gaussian
 approximation by default, exact form behind a switch) with L-BFGS on the
-analytic gradient, restarted until a round no longer improves it. Error bars
+analytic gradient, restarted until a round no longer improves it. In the 16
+real T-parameters t every Born probability is a ratio of real quadratic
+forms, t.Q_s t / t.t, and the forms of a settings sequence are built once
+and cached, so one likelihood-and-gradient evaluation is one product with
+the stacked forms plus a few 36-vectors of arithmetic. L-BFGS keeps its last
+8 curvature pairs in the compact representation (Byrd, Nocedal & Schnabel
+1994), so a search direction is a handful of small products. Error bars
 come from parametric bootstrap: counts are resampled Poisson around the
 observed values, the reconstruction is re-run, and the standard deviation of
 the derived quantity is reported.
@@ -26,6 +32,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,24 +181,39 @@ def simulate_counts(rho, settings, n_per_setting: int, seed) -> list[CountRecord
     """Draw one Poissonian coincidence count per setting.
 
     ``seed`` may be an int or a sequence of ints; the draw is deterministic
-    for a fixed seed and setting order.
+    for a fixed seed and setting order. All Born probabilities come from one
+    product with the stacked setting operators.
     """
     if n_per_setting < 1:
         raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting!r}")
+    settings = list(settings)
+    operators = np.array([s.operator() for s in settings])
+    means = n_per_setting * np.maximum(np.einsum("sab,ba->s", operators, rho).real, 0.0)
     rng = np.random.default_rng(seed)
-    records = []
-    for setting in settings:
-        mean = n_per_setting * max(born_probability(rho, setting), 0.0)
-        records.append(
-            CountRecord(setting=setting, count=_sample_poisson(rng, mean), exposure=float(n_per_setting))
-        )
-    return records
+    return [
+        CountRecord(setting=s, count=_sample_poisson(rng, mean), exposure=float(n_per_setting))
+        for s, mean in zip(settings, means.tolist())
+    ]
+
+
+class _Design(NamedTuple):
+    """A settings sequence as the fit reads it.
+
+    ``pmat`` (S, 16) maps vec(rho) to Born probabilities, row_s =
+    vec(Pi_s^T). ``forms`` (S * 16, 16) stacks the real symmetric quadratic
+    forms Q_s[i, j] = Re Tr(Pi_s E_i^dag E_j) of the T-parameters, with E_i
+    column i of ``_T_BASIS`` as a 4x4 matrix, so that Tr(Pi_s T^dag T) =
+    t.Q_s t.
+    """
+
+    pmat: np.ndarray
+    forms: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
-def _design(settings: tuple) -> np.ndarray:
-    """Setting matrix of a sequence of (proj_a, proj_b) label pairs; raises if
-    the settings are not informationally complete. Cached, because every
+def _design(settings: tuple) -> _Design:
+    """Design of a sequence of (proj_a, proj_b) label pairs; raises if the
+    settings are not informationally complete. Cached, because every
     bootstrap refit reuses the settings of its base fit."""
     pmat = np.stack([_SETTING_OPERATORS[key].T.reshape(16) for key in settings])
     rank = np.linalg.matrix_rank(pmat)
@@ -199,11 +221,14 @@ def _design(settings: tuple) -> np.ndarray:
         raise ValueError(
             f"settings are not informationally complete (operator rank {rank} < 16)"
         )
-    return _frozen(pmat)
+    basis = _T_BASIS.T.reshape(16, 4, 4)
+    products = np.einsum("iba,jbc->ijac", basis.conj(), basis).reshape(256, 16)
+    forms = np.ascontiguousarray((pmat @ products.T).real.reshape(-1, 16))
+    return _Design(_frozen(pmat), _frozen(forms))
 
 
-def _setting_matrix(records) -> np.ndarray:
-    """Rows map vec(rho) to Born probabilities: row_s = vec(Pi_s^T)."""
+def _setting_matrix(records) -> _Design:
+    """The cached :class:`_Design` of the records' settings."""
     return _design(tuple((r.setting.proj_a, r.setting.proj_b) for r in records))
 
 
@@ -235,7 +260,7 @@ def linear_inversion_state(records) -> np.ndarray:
     Used to seed the likelihood search; raises if the settings are not
     informationally complete.
     """
-    a = _setting_matrix(records)
+    a = _setting_matrix(records).pmat
     freqs = np.array([r.count / r.exposure for r in records])
     x, *_ = np.linalg.lstsq(a, freqs, rcond=None)
     rho = x.reshape(4, 4)
@@ -247,65 +272,123 @@ def linear_inversion_state(records) -> np.ndarray:
     return (v * (w / w.sum())) @ v.conj().T
 
 
-def _objective(likelihood: str, pmat, counts, exposures):
+def _objective(likelihood: str, design: _Design, counts, exposures):
     """Negative log-likelihood of the T-parameters and its gradient.
 
-    With A = T^dag T, p_s = Tr(Pi_s A) / Tr A and g_s = e_s f'(mu_s), the
-    differential is df = Tr(H dA) with
-    H = (sum_s g_s Pi_s - (sum_s g_s p_s) I) / Tr A, so df/dT = M = 2 T H:
-    Re M on the diagonal, (Re M, Im M) on the strictly-lower entries.
-    Probabilities clipped at 1e-12 contribute no gradient.
+    Every Born probability is a ratio of real quadratic forms in the 16
+    parameters, p_s = t.Q_s t / t.t (``design.forms``). With g_s = e_s
+    f'(mu_s) the gradient is (2 / t.t)(sum_s g_s Q_s t - (g.p) t), so one
+    product with the stacked forms gives every Q_s t and two small products
+    give p and the gradient. Probabilities clipped at 1e-12 contribute no
+    gradient.
     """
     if likelihood not in LIKELIHOODS:
         raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
     gaussian = likelihood == "gaussian"
+    forms = design.forms
+    half_exposures = 0.5 * exposures
 
     def fun(t: np.ndarray) -> tuple[float, np.ndarray]:
-        T = (_T_BASIS @ t).reshape(4, 4)
-        trace = t @ t  # Tr T^dag T
-        p_raw = (pmat @ (T.conj().T @ T).reshape(16)).real / trace
+        qt = (forms @ t).reshape(-1, 16)  # rows Q_s t
+        trace = float(t @ t)  # Tr T^dag T
+        p_raw = (qt @ t) / trace
         p = np.maximum(p_raw, 1e-12)
         mu = exposures * p
         if gaussian:
-            f = ((mu - counts) ** 2 / (2.0 * mu)).sum()
-            df_dmu = 0.5 * (1.0 - (counts / mu) ** 2)
+            # q = 1 - c / mu: f = sum (mu - c) q / 2, e f'(mu) = e q (2 - q) / 2
+            diff = mu - counts
+            q = diff / mu
+            f = 0.5 * float(diff @ q)
+            g = half_exposures * q * (2.0 - q)
         else:
-            f = (mu - counts * np.log(mu)).sum()
-            df_dmu = 1.0 - counts / mu
-        g = np.where(p_raw > 1e-12, exposures * df_dmu, 0.0)
-        h = (g @ pmat).reshape(4, 4).T
-        h.flat[::5] -= g @ p
-        m = (2.0 / trace) * (T @ h)
-        return float(f), (_T_BASIS_H @ m.reshape(16)).real
+            # f = sum mu - c ln mu; e f'(mu) = e - c / p
+            f = float(mu.sum() - counts @ np.log(mu))
+            g = exposures - counts / p
+        g *= p_raw > 1e-12
+        return f, (2.0 / trace) * (g @ qt - float(g @ p_raw) * t)
 
     return fun
 
 
-#: Curvature pairs kept by the L-BFGS two-loop recursion.
+#: Curvature pairs kept by the L-BFGS memory.
 _MEMORY = 8
 #: Trial steps per line search; each shrinks the step at least twofold.
 _BACKTRACKS = 30
 
 
+class _CurvatureMemory:
+    """The last ``_MEMORY`` L-BFGS pairs (s, y) in the compact representation
+    of Byrd, Nocedal & Schnabel (Math. Prog. 63, 129, 1994).
+
+    With S and Y the stacks of the pairs, R the upper triangle of S Y^T in
+    the order the pairs arrived, D its diagonal and gamma = s.y / y.y of the
+    newest pair, the L-BFGS inverse Hessian applied to g is
+
+        H g = gamma g + S^T R^-T ((D + gamma Y Y^T) z - gamma Y g) - gamma Y^T z,
+        z = R^-1 S g,
+
+    the same vector as the two-loop recursion. Pair k goes to row k mod
+    ``_MEMORY`` of S and Y (rows not yet written are zero and drop out).
+    R^-1, D and Y Y^T are kept in the same slot order and updated when a
+    pair is accepted: dropping the oldest pair zeroes its row and column of
+    R^-1 (the inverse of a trailing block of a triangular matrix is that
+    block of the inverse), and the new pair's column of R^-1 follows from
+    the others (column-wise triangular inversion).
+    """
+
+    def __init__(self, n: int):
+        self.pairs = np.zeros((2 * _MEMORY, n))  # S over Y
+        self.d = np.zeros(_MEMORY)
+        self.r_inv = np.zeros((_MEMORY, _MEMORY))
+        self.yy = np.zeros((_MEMORY, _MEMORY))
+        self.gamma = 1.0
+        self.pushed = 0
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        k = self.pushed % _MEMORY
+        self.pushed += 1
+        r_inv = self.r_inv
+        r_inv[k] = r_inv[:, k] = 0.0
+        self.pairs[k] = s
+        self.pairs[_MEMORY + k] = y
+        self.d[k] = sy
+        dots = self.pairs @ y  # s_j.y, then y_j.y
+        r_inv[:, k] = (r_inv @ dots[:_MEMORY]) * (-1.0 / sy)
+        r_inv[k, k] = 1.0 / sy
+        self.yy[k] = self.yy[:, k] = dots[_MEMORY:]
+        self.gamma = sy / float(dots[_MEMORY + k])
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g, or -g while no pair is stored."""
+        if not self.pushed:
+            return -g
+        gamma, r_inv = self.gamma, self.r_inv
+        sg_yg = self.pairs @ g
+        z = r_inv @ sg_yg[:_MEMORY]
+        w = self.d * z + gamma * (self.yy @ z - sg_yg[_MEMORY:])
+        return np.concatenate((-(w @ r_inv), gamma * z)) @ self.pairs - gamma * g
+
+
 def minimize(fun, t: np.ndarray, max_evals: int):
     """One L-BFGS round from ``t`` on ``fun(t) -> (f, gradient)``.
 
-    Directions come from the two-loop recursion over the last ``_MEMORY``
-    steps; each step is an Armijo backtracking line search that interpolates
-    a cubic through the values and slopes at both ends. The round stops when
-    a step lowers f by no more than a relative 1e-12, when the line search
-    finds no decrease, or when ``max_evals`` evaluations are spent.
-    Returns ``(t, f, evaluations)`` with f never above ``fun(t)``.
+    Directions come from the compact representation of the last ``_MEMORY``
+    steps (:class:`_CurvatureMemory`); each step is an Armijo backtracking
+    line search that interpolates a cubic through the values and slopes at
+    both ends. The round stops when a step lowers f by no more than a
+    relative 1e-12, when the line search finds no decrease, or when
+    ``max_evals`` evaluations are spent. Returns ``(t, f, evaluations)``
+    with f never above ``fun(t)``.
     """
     f, g = fun(t)
     evals = 1
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, 1 / s.y)
+    memory = _CurvatureMemory(t.size)
     while evals < max_evals:
-        d = _lbfgs_direction(g, pairs)
+        d = memory.direction(g)
         slope = float(g @ d)
         if not slope < 0.0:
             break
-        if not pairs:
+        if not memory.pushed:
             # no curvature known yet: a first step of at most unit length
             d = d / max(1.0, float(np.linalg.norm(d)))
             slope = float(g @ d)
@@ -322,31 +405,12 @@ def minimize(fun, t: np.ndarray, max_evals: int):
         s, y = t_new - t, g_new - g
         sy = float(s @ y)
         if sy > 1e-12 * float(y @ y):
-            pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > _MEMORY:
-                del pairs[0]
+            memory.push(s, y, sy)
         reduction = f - f_new
         t, f, g = t_new, f_new, g_new
         if reduction <= 1e-12 * max(1.0, abs(f)):
             break
     return t, f, evals
-
-
-def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
-    """-H g for the L-BFGS inverse Hessian H of the stored pairs (two-loop
-    recursion), or -g without pairs."""
-    q = -g
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q)
-        alphas.append(alpha)
-        q -= alpha * y
-    if pairs:
-        _, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(y @ y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
-    return q
 
 
 def _cubic_step(step, f0, slope0, f1, slope1) -> float:
@@ -384,10 +448,10 @@ def reconstruct_state_mle(
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals!r}")
     records = list(records)
-    pmat = _setting_matrix(records)
+    design = _setting_matrix(records)
     counts = np.array([float(r.count) for r in records])
     exposures = np.array([r.exposure for r in records])
-    fun = _objective(likelihood, pmat, counts, exposures)
+    fun = _objective(likelihood, design, counts, exposures)
 
     seed_rho = linear_inversion_state(records) if initial is None else np.asarray(initial)
     t = _params_from_rho(0.99 * seed_rho + 0.01 * np.eye(4) / 4.0)
@@ -624,22 +688,42 @@ def write_counts_csv(records, path) -> None:
 
 
 def read_counts_csv(path) -> list[CountRecord]:
+    """Count records of a data file written by :func:`write_counts_csv`.
+
+    Raises ``ValueError`` naming the file for a malformed row (and its data
+    row), a setting repeated on two data rows, or settings that are not
+    informationally complete (listing the settings of the 36-setting scan
+    the file lacks).
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         records = []
-        for i, row in enumerate(reader):
+        rows = {}  # (proj_a, proj_b) -> data row
+        for i, row in enumerate(reader, start=1):
             try:
-                records.append(
-                    CountRecord(
-                        setting=MeasurementSetting(row["proj_a"], row["proj_b"]),
-                        count=int(row["count"]),
-                        exposure=float(row["exposure"]),
-                    )
+                record = CountRecord(
+                    setting=MeasurementSetting(row["proj_a"], row["proj_b"]),
+                    count=int(row["count"]),
+                    exposure=float(row["exposure"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
-                    f"{path}: malformed count record on data row {i + 1} ({exc})"
+                    f"{path}: malformed count record on data row {i} ({exc})"
                 ) from exc
+            key = (record.setting.proj_a, record.setting.proj_b)
+            if key in rows:
+                raise ValueError(
+                    f"{path}: setting {''.join(key)} repeated on data rows {rows[key]} and {i}"
+                )
+            rows[key] = i
+            records.append(record)
     if not records:
         raise ValueError(f"no count records in {path}")
+    try:
+        _setting_matrix(records)
+    except ValueError as exc:
+        missing = [a + b for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS if (a, b) not in rows]
+        raise ValueError(
+            f"{path}: {exc}; of the 36-setting scan it lacks {', '.join(missing)}"
+        ) from exc
     return records

@@ -10,6 +10,8 @@ import pytest
 import entdyn.harness
 from entdyn.cli import main
 from entdyn.harness import NumericalError
+from entdyn.states import bell_state
+from entdyn.tomography import simulate_counts, standard_settings, write_counts_csv
 
 
 def test_sweep_to_csv(tmp_path, capsys):
@@ -265,6 +267,36 @@ def test_tomo_sim_summary_reports_the_fit(tmp_path):
     assert summary["converged"] is True
     assert 2 <= summary["rounds"] <= summary["iterations"]
     assert summary["bootstrap_unconverged"] == 0
+    assert summary["bootstrap_dropped"] == 0
+    assert summary["trials"] == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--trials", "0"], "pipeline.trials: must be >= 2, got 0"),
+     (["--trials", "1"], "pipeline.trials: must be >= 2, got 1"),
+     (["--counts", "0"], "pipeline.n_per_setting: must be >= 1, got 0")],
+)
+def test_tomo_sim_rejects_zero_trials_and_counts(tmp_path, capsys, flags, message):
+    out = tmp_path / "summary.json"
+    assert main(["tomo-sim", "--p", "0.3", *flags, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tomo_sim_counts_in_rejects_repeated_and_missing_settings(tmp_path, capsys):
+    records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=2)
+    repeated = tmp_path / "repeated.csv"
+    write_counts_csv(records + records[:3], repeated)
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(repeated)]) == 1
+    assert f"{repeated}: setting HH repeated on data rows 1 and 37" in capsys.readouterr().err
+
+    partial = tmp_path / "partial.csv"
+    write_counts_csv(records[:20], partial)
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(partial)]) == 1
+    err = capsys.readouterr().err
+    assert f"{partial}: settings are not informationally complete (operator rank" in err
+    assert "lacks AD, AA, AR, AL, RH, RV, RD, RA, RR, RL, LH, LV, LD, LA, LR, LL" in err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

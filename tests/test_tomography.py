@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entdyn.channels import PauliChannel, apply_one_sided, isotropic_channel, two_field_channel
 from entdyn.dynamics import concurrence
@@ -10,8 +13,11 @@ from entdyn.sampling import random_density_matrix
 from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, trace_distance
 import entdyn.tomography
 from entdyn.tomography import (
+    LIKELIHOODS,
+    _T_BASIS,
     CountRecord,
     MeasurementSetting,
+    _CurvatureMemory,
     _objective,
     _params_from_rho,
     _sample_poisson,
@@ -125,6 +131,19 @@ class TestSimulateCounts:
     def test_invalid_exposure(self):
         with pytest.raises(ValueError):
             simulate_counts(bell_state("phi+"), standard_settings(), 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, (9, 2, 1)])
+    @pytest.mark.parametrize("n", [3, 100, 10_000])
+    def test_draws_the_counts_of_the_per_setting_loop(self, seed, n):
+        states = [bell_state("psi-"), random_density_matrix(np.random.default_rng(n), 4)]
+        for rho in states:
+            for chosen in (standard_settings(), [MeasurementSetting("D", "L")]):
+                rng = np.random.default_rng(seed)
+                loop = [
+                    CountRecord(s, _sample_poisson(rng, n * max(born_probability(rho, s), 0.0)), float(n))
+                    for s in chosen
+                ]
+                assert simulate_counts(rho, iter(chosen), n, seed=seed) == loop
 
 
 class TestReconstruction:
@@ -389,6 +408,133 @@ class TestGradientFit:
         assert est.trials == 3 and est.dropped == 0
 
 
+# Oracles: the complex-T objective and the two-loop recursion that the real
+# quadratic-form kernel and the compact L-BFGS memory replaced.
+
+
+def complex_t_objective(likelihood, pmat, counts, exposures):
+    """f and gradient through T, A = T^dag T and the 4x4 H of df = Tr(H dA):
+    df/dT = 2 T H, read back on the T-parameters through _T_BASIS."""
+    gaussian = likelihood == "gaussian"
+
+    def fun(t):
+        T = (_T_BASIS @ t).reshape(4, 4)
+        trace = t @ t
+        p_raw = (pmat @ (T.conj().T @ T).reshape(16)).real / trace
+        p = np.maximum(p_raw, 1e-12)
+        mu = exposures * p
+        if gaussian:
+            f = ((mu - counts) ** 2 / (2.0 * mu)).sum()
+            df_dmu = 0.5 * (1.0 - (counts / mu) ** 2)
+        else:
+            f = (mu - counts * np.log(mu)).sum()
+            df_dmu = 1.0 - counts / mu
+        g = np.where(p_raw > 1e-12, exposures * df_dmu, 0.0)
+        h = (g @ pmat).reshape(4, 4).T
+        h.flat[::5] -= g @ p
+        m = (2.0 / trace) * (T @ h)
+        return float(f), (_T_BASIS.conj().T @ m.reshape(16)).real
+
+    return fun
+
+
+def two_loop_direction(g, pairs):
+    """-H g of the L-BFGS inverse Hessian of ``pairs`` (s, y, 1 / s.y), oldest
+    first, with H0 = (s.y / y.y) I of the newest pair."""
+    q = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        alphas.append(alpha)
+        q -= alpha * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
+
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+# T-parameters of T's first column (diagonal 0, lower (1, 0), (2, 0), (3, 0),
+# real and imaginary): T^dag T is then |HH><HH|, and every setting with a V
+# arm has Born probability zero.
+_FIRST_COLUMN = [0, 4, 5, 7, 10, 11, 13]
+# T-parameters of T's last row, which alone make T^dag T a pure state.
+_LAST_ROW = [3, 7, 8, 9, 13, 14, 15]
+
+
+@st.composite
+def fit_points(draw):
+    """(likelihood, counts, t): counts of the 36 settings at 1000 pairs each,
+    and T-parameters that are interior, near rank 1, or on |HH><HH|, where
+    probabilities are clipped. Not all counts are zero: with none, f is
+    constant (the 36 projectors sum to 9 I) and the gradient vanishes."""
+    likelihood = draw(st.sampled_from(LIKELIHOODS))
+    counts = draw(arrays(np.float64, 36, elements=st.integers(0, 1000).map(float)))
+    assume(counts.any())
+    t = draw(arrays(np.float64, 16, elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    kind = draw(st.sampled_from(["interior", "near_rank_1", "zero_probabilities"]))
+    if kind == "near_rank_1":
+        t[[i for i in range(16) if i not in _LAST_ROW]] *= 1e-4
+        t[3] = 1.0
+    elif kind == "zero_probabilities":
+        t[[i for i in range(16) if i not in _FIRST_COLUMN]] = 0.0
+        t[0] = 1.0
+    elif np.linalg.norm(t) < 1e-3:
+        t[:4] = 1.0
+    return likelihood, counts, t
+
+
+class TestKernelOracles:
+    @PROPERTY
+    @given(fit_points())
+    def test_quadratic_form_kernel_matches_complex_t(self, point):
+        likelihood, counts, t = point
+        records = [CountRecord(s, int(c), 1000.0) for s, c in zip(standard_settings(), counts)]
+        design = _setting_matrix(records)
+        exposures = np.full(36, 1000.0)
+        f, grad = _objective(likelihood, design, counts, exposures)(t)
+        f_ref, grad_ref = complex_t_objective(likelihood, design.pmat, counts, exposures)(t)
+        # Both routes compute each p_s to about 1e-15 absolute. Where p_s is
+        # tiny and its count is not, that error is carried through
+        # g_s = e f'(mu) into f and through e^2 f''(mu) into the gradient,
+        # which also sums 37 vectors of length up to 2 |g_s| / |t| each.
+        T = (_T_BASIS @ t).reshape(4, 4)
+        p_raw = (design.pmat @ (T.conj().T @ T).reshape(16)).real / (t @ t)
+        mu = exposures * np.maximum(p_raw, 1e-12)
+        if likelihood == "gaussian":
+            df, d2f = 0.5 * (1.0 - (counts / mu) ** 2), counts**2 / mu**3
+        else:
+            df, d2f = 1.0 - counts / mu, counts / mu**2
+        kept = p_raw > 1e-12
+        g = np.abs(np.where(kept, exposures * df, 0.0)).sum()
+        h = np.where(kept, exposures**2 * d2f, 0.0).sum()
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref) + 1e-15 * g
+        error = np.linalg.norm(grad - grad_ref)
+        assert error <= 1e-10 * np.linalg.norm(grad_ref) + 1e-15 * (4.0 * g + 2.0 * h) / np.linalg.norm(t)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("pushes", [*range(9), 11])
+    def test_compact_direction_matches_two_loop(self, pushes, seed):
+        rng = np.random.default_rng([pushes, seed])
+        a = rng.normal(size=(16, 16))
+        hessian = a @ a.T + 0.1 * np.eye(16)
+        memory = _CurvatureMemory(16)
+        pairs = []
+        for _ in range(pushes):
+            s = rng.normal(size=16) * 10.0 ** rng.uniform(-6, 0)
+            y = hessian @ s + 0.01 * np.linalg.norm(s) * rng.normal(size=16)
+            sy = float(s @ y)
+            assert sy > 0.0
+            memory.push(s, y, sy)
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-8:]
+        g = rng.normal(size=16)
+        d, ref = memory.direction(g), two_loop_direction(g.copy(), pairs)
+        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 class TestEllipsoidMesh:
     def test_identity_unit_sphere(self):
         mesh = ellipsoid_mesh(PauliChannel([1, 0, 0, 0]), n_theta=7, n_phi=12)
@@ -437,6 +583,29 @@ class TestCountsCsv:
         path.write_text(f"proj_a,proj_b,count,exposure\nH,H,500,1000.0\n{row}\n")
         with pytest.raises(ValueError, match=rf"counts\.csv: .*data row 2 .*{problem}"):
             read_counts_csv(path)
+
+    def test_repeated_setting_names_file_and_both_rows(self, tmp_path):
+        records = simulate_counts(bell_state("phi+"), standard_settings(), 2000, seed=14)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(records + records[4:7], path)
+        with pytest.raises(ValueError, match=r"counts\.csv: setting HR repeated on data rows 5 and 37"):
+            read_counts_csv(path)
+
+    def test_incomplete_settings_name_file_and_missing_settings(self, tmp_path):
+        records = simulate_counts(bell_state("phi+"), standard_settings(), 2000, seed=14)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(records[:20], path)
+        with pytest.raises(ValueError) as info:
+            read_counts_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: settings are not informationally complete")
+        assert message.endswith("lacks " + ", ".join(s.proj_a + s.proj_b for s in standard_settings()[20:]))
+
+    def test_minimal_settings_accepted(self, tmp_path):
+        records = simulate_counts(bell_state("phi+"), minimal_settings(), 2000, seed=14)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(records, path)
+        assert read_counts_csv(path) == records
 
     def test_record_rejects_non_finite_values(self):
         for exposure in (math.nan, math.inf, -1.0):
