@@ -54,6 +54,16 @@ _CHI_TO_PTM = _frozen(
 )
 _PTM_TO_CHI = _frozen(_CHI_TO_PTM.conj().T / 4.0)
 
+# Entry (3i + j, a, b, c, d) is sigma_i[a, b] sigma_j[c, d] / 2, so that
+# O_ij = sum_abcd entry * u[b, c] * conj(u[a, d]) = Tr(sigma_i u sigma_j u^dag) / 2.
+# einsum adds each entry's four nonzero terms in (a, b, c, d) order, which
+# gives the same bits as the four-operand einsum of that trace; a BLAS
+# product with the flattened (9, 16) matrix adds them in another order and
+# moves ~95% of the entries (and with them ellipsoid mesh bytes) by an ulp.
+_SU2_TO_SO3 = _frozen(
+    0.5 * np.einsum("iab,jcd->ijabcd", PAULIS[1:], PAULIS[1:]).reshape(9, 2, 2, 2, 2)
+)
+
 # The PTM diagonal is _WALSH @ diag(chi) for every channel; _WALSH @ _WALSH = 4 I.
 _WALSH = _frozen(
     np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
@@ -90,11 +100,16 @@ class PauliChannel:
 class UnitalChannel:
     """General unital channel: rotate by ``pre_rotation``, shrink the Bloch
     ball along the axes by the signed ``radii``, rotate by ``post_rotation``.
+
+    Construction validates the parameters (unitary rotations, finite and
+    completely positive radii) and then builds the channel's read-only PTM
+    1 (+) O_u diag(R) O_v once; :func:`pauli_transfer_matrix` returns it.
     """
 
     pre_rotation: np.ndarray
     post_rotation: np.ndarray
     radii: np.ndarray
+    _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.pre_rotation, dtype=complex)
@@ -110,12 +125,16 @@ class UnitalChannel:
         _require_finite("radii", r)
         # slack matches decompose_unital's gate so round-tripped boundary maps
         # construct cleanly
-        violations = cp_violations(r, tol=1e-10)
-        if violations:
-            raise ValueError("radii are not completely positive: " + "; ".join(violations))
+        if not is_completely_positive(r, tol=1e-10):
+            raise ValueError(
+                "radii are not completely positive: " + "; ".join(cp_violations(r, tol=1e-10))
+            )
         object.__setattr__(self, "pre_rotation", _frozen(v.copy()))
         object.__setattr__(self, "post_rotation", _frozen(u.copy()))
         object.__setattr__(self, "radii", _frozen(r.copy()))
+        ptm = np.eye(4)
+        ptm[1:, 1:] = rotation_from_su2(u) * r @ rotation_from_su2(v)
+        object.__setattr__(self, "_ptm", _frozen(ptm))
 
 
 def process_matrix(chi) -> np.ndarray:
@@ -234,6 +253,10 @@ def pauli_channel_from_radii(radii) -> PauliChannel:
     return PauliChannel(chi / chi.sum())
 
 
+# (i, j, k) of the tetrahedron inequalities |R_i +- R_j| <= |1 +- R_k|.
+_CP_TRIPLES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
 def cp_violations(radii, tol: float = CP_TOL) -> list[str]:
     """Human-readable list of violated tetrahedron inequalities (empty if CP).
 
@@ -241,7 +264,7 @@ def cp_violations(radii, tol: float = CP_TOL) -> list[str]:
     """
     r = np.asarray(radii, dtype=float).reshape(-1)
     out = []
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+    for i, j, k in _CP_TRIPLES:
         for sign, label in ((1.0, "+"), (-1.0, "-")):
             lhs = abs(r[i] + sign * r[j])
             rhs = abs(1.0 + sign * r[k])
@@ -253,8 +276,16 @@ def cp_violations(radii, tol: float = CP_TOL) -> list[str]:
 
 
 def is_completely_positive(radii, tol: float = CP_TOL) -> bool:
-    """True iff the signed radii satisfy all tetrahedron inequalities."""
-    return not cp_violations(radii, tol=tol)
+    """True iff the three signed radii satisfy all tetrahedron inequalities
+    |R_i +- R_j| <= |1 +- R_k| + tol, in the arithmetic of
+    :func:`cp_violations`, which only runs to word a failure. A non-finite
+    radius fails."""
+    r = np.asarray(radii, dtype=float).reshape(3).tolist()
+    return all(
+        abs(r[i] + sign * r[j]) <= abs(1.0 + sign * r[k]) + tol
+        for i, j, k in _CP_TRIPLES
+        for sign in (1.0, -1.0)
+    )
 
 
 def pauli_transfer_matrix(channel) -> np.ndarray:
@@ -269,12 +300,7 @@ def pauli_transfer_matrix(channel) -> np.ndarray:
     if isinstance(channel, PauliChannel):
         return _frozen(pauli_ptm(channel.chi_diag))
     if isinstance(channel, UnitalChannel):
-        r = np.eye(4)
-        r[1:, 1:] = (
-            rotation_from_su2(channel.post_rotation) * channel.radii
-            @ rotation_from_su2(channel.pre_rotation)
-        )
-        return _frozen(r)
+        return channel._ptm
     chi = np.asarray(channel, dtype=complex)
     if chi.shape == (4,):
         chi = np.diag(chi)
@@ -414,9 +440,10 @@ def decompose_unital(m) -> UnitalChannel:
         xt = xt.copy()
         xt[2, :] *= -1.0
         r[2] *= -1.0
-    violations = cp_violations(r, tol=1e-10)
-    if violations:
-        raise ValueError("Bloch map is not completely positive: " + "; ".join(violations))
+    if not is_completely_positive(r, tol=1e-10):
+        raise ValueError(
+            "Bloch map is not completely positive: " + "; ".join(cp_violations(r, tol=1e-10))
+        )
     return UnitalChannel(
         pre_rotation=su2_from_rotation(xt), post_rotation=su2_from_rotation(w), radii=r
     )
@@ -424,10 +451,10 @@ def decompose_unital(m) -> UnitalChannel:
 
 def rotation_from_su2(u) -> np.ndarray:
     """SO(3) Bloch rotation O_ij = Tr(sigma_i u sigma_j u^dag) / 2 of the
-    conjugation rho -> u rho u^dag."""
+    conjugation rho -> u rho u^dag: the constant (9, 16) matrix
+    _SU2_TO_SO3 contracted with u (x) conj(u)."""
     m = np.asarray(u, dtype=complex)
-    sigma = PAULIS[1:]
-    return _frozen(0.5 * np.einsum("iab,bc,jcd,da->ij", sigma, m, sigma, m.conj().T).real)
+    return _frozen(np.einsum("kabcd,bc,ad->k", _SU2_TO_SO3, m, m.conj()).real.reshape(3, 3))
 
 
 def su2_from_rotation(o) -> np.ndarray:

@@ -22,6 +22,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -139,6 +141,8 @@ def validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError(f"pipeline.n_per_setting: must be >= 1, got {pl.n_per_setting!r}")
     if pl.trials < 2:
         raise ConfigError(f"pipeline.trials: must be >= 2, got {pl.trials!r}")
+    if pl.seed < 0:
+        raise ConfigError(f"pipeline.seed: must be >= 0, got {pl.seed!r}")
     if pl.likelihood not in ("gaussian", "poisson"):
         raise ConfigError(f"pipeline.likelihood: expected 'gaussian' or 'poisson', got {pl.likelihood!r}")
     if config.p_scale is not None and not 0 < config.p_scale < math.inf:
@@ -224,9 +228,8 @@ def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
             ).std_dev
     reuse = pl.kind == "analytic" and config.p_scale is None
     predicted = values if reuse else analytic_prediction(config, p, spec)
-    return [
-        SweepRow(float(x), float(c), e, float(y)) for x, c, e, y in zip(p, values, errors, predicted)
-    ]
+    cells = zip(p.tolist(), np.asarray(values, dtype=float).tolist(), errors, predicted.tolist())
+    return [SweepRow(*row) for row in cells]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -276,6 +279,8 @@ def run_channel_characterization(
     """
     if family not in PAULI_FAMILIES:
         raise ConfigError(f"family: unknown family {family!r}; expected one of {PAULI_FAMILIES}")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed!r}")
     p_grid = list(p_grid)
     if not p_grid:
         raise ConfigError("p_grid: must not be empty")
@@ -299,32 +304,44 @@ def run_channel_characterization(
 # Emission
 
 
-def _row_cells(row) -> list:
-    if isinstance(row, SweepRow):
-        return [row.p, row.concurrence, row.error, row.predicted]
-    if isinstance(row, BreakingPoint):
-        return [row.family, row.mode, row.p_star]
-    if isinstance(row, CharacterizationRow):
-        return [row.p, *row.chi, *row.theory]
-    raise ValueError(f"cannot emit rows of type {type(row).__name__}")
+#: Column headers and the cells of one row, by row type.
+_LAYOUTS = {
+    SweepRow: (
+        ("p", "concurrence", "error", "predicted"),
+        attrgetter("p", "concurrence", "error", "predicted"),
+    ),
+    BreakingPoint: (("family", "mode", "p_star"), attrgetter("family", "mode", "p_star")),
+    CharacterizationRow: (
+        ("p", "chi_0", "chi_1", "chi_2", "chi_3", "theory_0", "theory_1", "theory_2", "theory_3"),
+        lambda row: (row.p, *row.chi, *row.theory),
+    ),
+}
 
 
-def _headers(row) -> list[str]:
-    if isinstance(row, SweepRow):
-        return ["p", "concurrence", "error", "predicted"]
-    if isinstance(row, BreakingPoint):
-        return ["family", "mode", "p_star"]
-    if isinstance(row, CharacterizationRow):
-        return ["p", "chi_0", "chi_1", "chi_2", "chi_3", "theory_0", "theory_1", "theory_2", "theory_3"]
-    raise ValueError(f"cannot emit rows of type {type(row).__name__}")
+def _columns(rows) -> tuple[tuple, list]:
+    """Headers and cell columns of a non-empty table of one row type."""
+    kinds = set(map(type, rows))
+    if len(kinds) != 1 or type(rows[0]) not in _LAYOUTS:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise ValueError(f"cannot emit rows of type {names}")
+    headers, cells = _LAYOUTS[type(rows[0])]
+    return headers, list(zip(*map(cells, rows)))
 
 
 def _cell_csv(value) -> str:
+    """A cell as csv.writer writes it in a row: empty for None, a float by
+    ``float.__repr__`` (so ``np.float64(0.5)`` is ``0.5`` and -inf is
+    ``-inf``), anything else as its ``str``, quoted by csv's rules."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
-    return str(value)
+        return float.__repr__(value)
+    text = str(value)
+    if not text:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,))
+    return buf.getvalue()[:-1]
 
 
 def _cell_json(value) -> str:
@@ -334,33 +351,62 @@ def _cell_json(value) -> str:
     return "null" if value is None else json.dumps(value)
 
 
+def _fields(columns, null: str, cell) -> tuple[list[str], list]:
+    """Template field of each column and the columns of values that fill them.
+
+    A column of finite Python floats fills a ``%r`` field as it is (a
+    column whose sum overflows takes the cell path, to the same text), an
+    all-None column is the literal ``null`` and fills nothing, and any other
+    column is written cell by cell with ``cell`` into a ``%s`` field.
+    """
+    fields, values = [], []
+    for column in columns:
+        if set(map(type, column)) == {float} and math.isfinite(sum(column)):
+            fields.append("%r")
+            values.append(column)
+        elif column.count(None) == len(column):
+            fields.append(null)
+        else:
+            fields.append("%s")
+            values.append(list(map(cell, column)))
+    return fields, values
+
+
+def _fill(row_template: str, separator: str, values: list, n_rows: int) -> str:
+    """``n_rows`` copies of ``row_template`` joined by ``separator``, filled
+    row by row from the value columns."""
+    return separator.join([row_template] * n_rows) % tuple(chain.from_iterable(zip(*values)))
+
+
 def _json_rows(rows, indent: str = "") -> str:
     """The JSON array of row objects that ``json.dumps(..., indent=2)`` writes
     when the array sits ``indent`` deep, from one fixed per-row template."""
-    headers = _headers(rows[0])
-    fields = ",\n".join(f"{indent}    {json.dumps(h)}: %s" for h in headers)
-    template = f"{indent}  {{\n{fields}\n{indent}  }}"
-    body = ",\n".join(template % tuple(map(_cell_json, _row_cells(row))) for row in rows)
-    return f"[\n{body}\n{indent}]"
+    headers, columns = _columns(rows)
+    fields, values = _fields(columns, "null", _cell_json)
+    body = ",\n".join(f"{indent}    {json.dumps(h)}: {f}" for h, f in zip(headers, fields))
+    template = f"{indent}  {{\n{body}\n{indent}  }}"
+    objects = _fill(template, ",\n", values, len(rows))
+    return f"[\n{objects}\n{indent}]"
 
 
 def render(rows, format: str = "csv") -> str:
     """Deterministic text rendering of a row table (same input, same bytes).
 
-    JSON is a list of objects keyed by the CSV header, laid out as
+    Both formats fill one per-row ``%`` template over the table's columns
+    (see :func:`_fields`). CSV is what ``csv.writer`` writes under the
+    header with every float cell as ``float.__repr__`` writes it (``inf``,
+    ``-inf`` and ``nan`` included) and ``None`` as an empty cell. JSON is a
+    list of objects keyed by the CSV header, laid out as
     ``json.dumps(..., indent=2)`` lays it out (floats by ``repr``; ``None``
-    and non-finite floats as ``null``) but written from a fixed template.
+    and non-finite floats as ``null``).
     """
     rows = list(rows)
     if not rows:
         raise ValueError("rows must be non-empty")
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_headers(rows[0]))
-        for row in rows:
-            writer.writerow([_cell_csv(v) for v in _row_cells(row)])
-        return buf.getvalue()
+        headers, columns = _columns(rows)
+        fields, values = _fields(columns, "", _cell_csv)
+        return ",".join(headers) + "\n" + _fill(",".join(fields) + "\n", "", values, len(rows))
     if format == "json":
         return _json_rows(rows) + "\n"
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")

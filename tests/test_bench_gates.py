@@ -1,13 +1,20 @@
-"""Seeded ``channel_tomo`` and ``tomo_bootstrap`` schedules of the benchmark
-through ``cli.main``, judged by the benchmark's own gates
-(perfbench/checks.py): a writer, batching or likelihood-fit regression fails
-here before it shows up as failed benchmark ops."""
+"""Seeded schedules of all three benchmark workloads, judged by the
+benchmark's own gates (perfbench/checks.py): CLI ops run through
+``cli.main``, and ``law_sweep``'s random-unital ops make the library calls
+the benchmark's runner makes. A writer, channel, breaking-point, batching or
+likelihood-fit regression fails here before it shows up as failed benchmark
+ops."""
 
 import importlib.util
 import warnings
 from pathlib import Path
 
+import numpy as np
+
+from entdyn.channels import apply_two_sided
 from entdyn.cli import main
+from entdyn.dynamics import concurrence, predict_two_sided
+from entdyn.sampling import random_unital_channel
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,6 +28,19 @@ def _load(name):
 
 checks = _load("checks")
 workloads = _load("workloads")
+
+
+def _unital(check):
+    """Random unital channels on the singlet and on |phi+>, as the
+    benchmark's runner drives them (``Runner._unital`` in perfbench/run.py)."""
+    rng = np.random.default_rng(check["seed"])
+    out = []
+    for _ in range(check["channels"]):
+        channel = random_unital_channel(rng)
+        c_singlet = concurrence(apply_two_sided(channel, checks.SINGLET)).c
+        c_phi = concurrence(apply_two_sided(channel, checks.PHI_PLUS)).c
+        out.append((np.array(channel.radii), c_singlet, c_phi, predict_two_sided(channel.radii)))
+    return out
 
 
 def _run_schedule(workload, tmp_path, monkeypatch):
@@ -37,15 +57,26 @@ def _run_schedule(workload, tmp_path, monkeypatch):
     for index, op in enumerate(ops):
         for rel, text in op.get("files", {}).items():
             (tmp_path / rel).write_text(text)
+        result = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(op["argv"])
-        assert code == 0, op["argv"]
+            if "argv" in op:
+                assert main(op["argv"]) == 0, op["argv"]
+            else:
+                result = _unital(op["check"])
         expected, other = checks.unexpected_warnings(op["check"], caught)
-        assert other == [], op["argv"]
+        assert other == [], op
         projected += expected
-        assert checks.check_op(op["check"], str(tmp_path), summaries, index) == [], op["argv"]
+        problems = checks.check_op(op["check"], str(tmp_path), summaries, index, result)
+        assert problems == [], op
     return ops, projected
+
+
+def test_law_sweep_schedule_passes_the_gates(tmp_path, monkeypatch):
+    ops, projected = _run_schedule("law_sweep", tmp_path, monkeypatch)
+    verbs = {op["check"]["verb"] for op in ops}
+    assert verbs == {"sweep", "pes-sweep", "breaking-points", "unital"}
+    assert projected == 0
 
 
 def test_channel_tomo_schedule_passes_the_gates(tmp_path, monkeypatch):

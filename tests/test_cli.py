@@ -284,6 +284,22 @@ def test_tomo_sim_rejects_zero_trials_and_counts(tmp_path, capsys, flags, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["tomo-sim", "--p", "0.3", "--trials", "2"], "pipeline.seed: must be >= 0, got -1"),
+     (["sweep", "--pipeline", "shot-noise", "--p-grid", "0.2", "--trials", "2"],
+      "pipeline.seed: must be >= 0, got -1"),
+     (["characterize", "--family", "isotropic", "--p-grid", "0.2", "--counts", "100"],
+      "seed: must be >= 0, got -1")],
+)
+def test_negative_seed_rejected_naming_the_field(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" == err
+    assert not out.exists()
+
+
 def test_tomo_sim_counts_in_rejects_repeated_and_missing_settings(tmp_path, capsys):
     records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=2)
     repeated = tmp_path / "repeated.csv"

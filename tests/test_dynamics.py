@@ -7,7 +7,9 @@ from entdyn.channels import (
     apply_one_sided,
     apply_two_sided,
     dephasing_channel,
+    family_weights,
     isotropic_channel,
+    pauli_radii,
     radii_from_chi,
     two_field_channel,
 )
@@ -177,7 +179,35 @@ class TestPredictors:
             assert np.max(np.abs(second_diff)) < 1e-12
 
 
+def scalar_bisection(family, mode, tol):
+    """One halving per step, the law evaluated on one point at a time."""
+    law = predict_one_sided if mode == "one_sided" else predict_two_sided
+
+    def c_of(p):
+        return law(pauli_radii(family_weights(family, p)))
+
+    if c_of(0.0) <= 0.0:
+        return 0.0
+    if c_of(1.0) > 0.0:
+        return math.inf
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if c_of(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestBreakingPoints:
+    @pytest.mark.parametrize("family", ["two-field", "isotropic", "dephasing"])
+    @pytest.mark.parametrize("mode", ["one_sided", "two_sided"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.3, 1e-14])
+    def test_bit_identical_to_scalar_bisection(self, family, mode, tol):
+        got, want = breaking_point(family, mode, tol), scalar_bisection(family, mode, tol)
+        assert float.hex(got) == float.hex(want)
+
     def test_reference_values(self):
         assert breaking_point("two-field", "one_sided") == pytest.approx(0.5, abs=1e-8)
         assert breaking_point("isotropic", "one_sided") == pytest.approx(0.5, abs=1e-8)

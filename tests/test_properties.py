@@ -1,26 +1,31 @@
-"""Property tests for the Pauli-transfer-matrix channel representation and
-the batched Wootters concurrence.
+"""Property tests for the Pauli-transfer-matrix channel representation, the
+complete-positivity test and the batched Wootters concurrence.
 
 Every channel operation reads the PTM, so these check it against the
 literal Kraus-sum oracle on random process matrices (non-unital and
-non-trace-preserving ones included) and on random unital channels. Sweeps
-take the concurrence of a whole stack of states at once, so the batched
-core is checked against the single-state wrapper, state by state.
+non-trace-preserving ones included) and on random unital channels, whose
+PTM is built once at construction. Sweeps take the concurrence of a whole
+stack of states at once, so the batched core is checked against the
+single-state wrapper, state by state.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entdyn.channels import (
+    CP_TOL,
     PauliChannel,
     UnitalChannel,
     apply,
     apply_one_sided,
     bloch_affine_map,
+    chi_from_radii,
     compose,
     decompose_unital,
+    is_completely_positive,
     kraus_operators,
     pauli_transfer_matrix,
     rotation_from_su2,
@@ -126,6 +131,71 @@ def test_kraus_operators_complete_and_faithful(channel):
 def test_decompose_unital_round_trips(u, radii, v):
     m = rotation_from_su2(u) @ np.diag(radii) @ rotation_from_su2(v)
     assert np.max(np.abs(bloch_affine_map(decompose_unital(m)) - m)) < 1e-12
+
+
+@PROPERTY
+@given(unitaries(), cp_radii, unitaries())
+def test_unital_ptm_built_once_from_the_trace_formula(u, radii, v):
+    """The cached PTM is 1 (+) O_u diag(R) O_v with O_ij = Tr(s_i u s_j u^dag) / 2
+    summed by the four-operand einsum, and no caller can write to it."""
+    channel = UnitalChannel(pre_rotation=v, post_rotation=u, radii=radii)
+    sigma = PAULIS[1:]
+
+    def rotation(m):
+        return 0.5 * np.einsum("iab,bc,jcd,da->ij", sigma, m, sigma, m.conj().T).real
+
+    expected = np.eye(4)
+    expected[1:, 1:] = rotation(u) @ np.diag(channel.radii) @ rotation(v)
+    ptm = pauli_transfer_matrix(channel)
+    assert np.max(np.abs(ptm - expected)) <= 1e-15
+    assert pauli_transfer_matrix(channel) is ptm
+    assert not ptm.flags.writeable
+    with pytest.raises(ValueError):
+        ptm[1, 1] = 0.0
+
+
+_WALSH_RADII = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+@st.composite
+def near_faces(draw):
+    """Radii of Pauli weights with one weight at or just below zero: points on
+    the tetrahedron's faces (edges and vertices when more weights vanish)
+    and points pushed off a face by about the CP slack."""
+    w = draw(arrays(np.float64, 4, elements=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+    k = draw(st.integers(0, 3))
+    w[k] = 0.0
+    w = w / w.sum() if w.sum() > 0 else np.eye(4)[(k + 1) % 4]
+    w[k] = -draw(st.sampled_from([0.0, 1e-14, 1e-13, 2e-13, 3e-13, 1e-12, 1e-11]))
+    return _WALSH_RADII @ w
+
+
+@st.composite
+def non_finite_radii(draw):
+    r = draw(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
+    r[draw(st.integers(0, 2))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return r
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)), near_faces(), non_finite_radii()
+    ),
+    st.sampled_from([CP_TOL, 1e-10]),
+)
+def test_cp_test_is_the_chi_oracle(radii, tol):
+    """On the cube |R_i| <= 1, |R_i +- R_j| <= |1 +- R_k| + tol reads
+    4 chi >= -tol for the two weights it involves, so the test agrees with
+    min chi >= -tol / 4 away from roundoff of that threshold; a non-finite
+    radius is never completely positive."""
+    if not np.isfinite(radii).all():
+        assert not is_completely_positive(radii, tol=tol)
+        return
+    assume(np.all(np.abs(radii) <= 1.0))
+    chi = chi_from_radii(radii).min()
+    assume(abs(chi + tol / 4) > 1e-15)
+    assert is_completely_positive(radii, tol=tol) == (chi >= -tol / 4)
 
 
 @st.composite

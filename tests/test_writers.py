@@ -1,11 +1,16 @@
 """The template writers must emit the bytes the standard-library encoders did:
-mesh CSV as a ``repr`` join, mesh and table JSON as ``json.dumps(indent=2)``."""
+mesh CSV as a ``repr`` join, table CSV as ``csv.writer`` with float cells by
+``float.__repr__``, mesh and table JSON as ``json.dumps(indent=2)``."""
 
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entdyn.channels import channel_for, channel_to_json
 from entdyn.cli import main
@@ -16,8 +21,6 @@ from entdyn.harness import (
     Pipeline,
     SweepConfig,
     SweepRow,
-    _headers,
-    _row_cells,
     render,
     render_mesh,
     render_tables,
@@ -39,16 +42,43 @@ def mesh_json_reference(mesh) -> str:
     return json.dumps([[float(x) for x in point] for point in mesh], indent=2) + "\n"
 
 
+def layout(row) -> tuple[list, list]:
+    """Header and cells of a row, as docs/file_formats.md lists the columns."""
+    if isinstance(row, SweepRow):
+        return ["p", "concurrence", "error", "predicted"], [
+            row.p, row.concurrence, row.error, row.predicted]
+    if isinstance(row, BreakingPoint):
+        return ["family", "mode", "p_star"], [row.family, row.mode, row.p_star]
+    headers = ["p"] + [f"chi_{i}" for i in range(4)] + [f"theory_{i}" for i in range(4)]
+    return headers, [row.p, *row.chi, *row.theory]
+
+
 def _cell(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
+def table_json_payload(rows) -> list:
+    return [{k: _cell(v) for k, v in zip(*layout(row))} for row in rows]
+
+
 def table_json_reference(rows) -> str:
-    headers = _headers(rows[0])
-    payload = [{k: _cell(v) for k, v in zip(headers, _row_cells(row))} for row in rows]
+    return json.dumps(table_json_payload(rows), indent=2) + "\n"
+
+
+def tables_json_reference(tables) -> str:
+    payload = {label: table_json_payload(rows) for label, rows in sorted(tables.items())}
     return json.dumps(payload, indent=2) + "\n"
+
+
+def table_csv_reference(rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(layout(rows[0])[0])
+    for row in rows:
+        writer.writerow([float.__repr__(v) if isinstance(v, float) else v for v in layout(row)[1]])
+    return buf.getvalue()
 
 
 def named_meshes():
@@ -153,11 +183,7 @@ class TestTables:
         config = SweepConfig(family="two-field", mode="two_sided", initials=initials,
                              p_grid=tuple(np.linspace(0.0, 1.0, 17)))
         tables = run_pes_sweep(config)
-        reference = json.dumps(
-            {label: json.loads(table_json_reference(rows))
-             for label, rows in sorted(tables.items())},
-            indent=2,
-        ) + "\n"
+        reference = tables_json_reference(tables)
         assert render_tables(tables) == reference
         assert main(["pes-sweep", "--family", "two-field", "--mode", "two_sided",
                      "--initial", "pes:0.2", "--initial", "mixed:0.15:0.1",
@@ -167,8 +193,80 @@ class TestTables:
     def test_labelled_tables_escape_labels_and_null_cells(self):
         rows = [SweepRow(p=0.5, concurrence=math.nan, error=None, predicted=0.0)]
         tables = {"b": rows, 'a"é': rows}
-        reference = json.dumps(
-            {k: json.loads(table_json_reference(v)) for k, v in sorted(tables.items())},
-            indent=2,
-        ) + "\n"
-        assert render_tables(tables) == reference
+        assert render_tables(tables) == tables_json_reference(tables)
+
+    def test_csv_float_cells_by_float_repr(self):
+        rows = [
+            SweepRow(p=np.float64(0.5), concurrence=-math.inf, error=np.float64(0.25),
+                     predicted=math.inf),
+            SweepRow(p=0.75, concurrence=math.nan, error=None, predicted=np.float64(-0.0)),
+        ]
+        text = render(rows, "csv")
+        assert text == "p,concurrence,error,predicted\n0.5,-inf,0.25,inf\n0.75,nan,,-0.0\n"
+        assert text == table_csv_reference(rows)
+        assert render(rows, "json") == table_json_reference(rows)
+
+    def test_mixed_or_unknown_row_types_rejected(self):
+        rows = [SweepRow(p=0.0, concurrence=1.0, error=None, predicted=1.0),
+                BreakingPoint(family="isotropic", mode="one_sided", p_star=0.5)]
+        for fmt in ("csv", "json"):
+            with pytest.raises(ValueError, match="cannot emit rows of type"):
+                render(rows, fmt)
+            with pytest.raises(ValueError, match="cannot emit rows of type"):
+                render([object()], fmt)
+
+
+# Cells a table may hold: finite and non-finite floats, -0.0, subnormals,
+# numpy float64 scalars, None and (for the string columns) text with the
+# characters CSV quotes.
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 1e16, 1e-5]),
+)
+_CELL_FLOATS = st.one_of(_FLOATS, _FLOATS.map(np.float64))
+_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r%\\é\u2603')) | st.characters(),
+                max_size=8)
+
+
+@st.composite
+def _column(draw, n_rows, cells):
+    """One column: finite Python floats only, all None, None mixed with other
+    cells, or any cells."""
+    kind = draw(st.sampled_from(["finite", "none", "mixed", "any"]))
+    if kind == "finite":
+        return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=n_rows, max_size=n_rows))
+    if kind == "none":
+        return [None] * n_rows
+    if kind == "mixed":
+        cells = st.one_of(st.none(), cells)
+    return draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([SweepRow, BreakingPoint, CharacterizationRow]))
+    if kind is SweepRow:
+        p, c, e, y = (draw(_column(n, _CELL_FLOATS)) for _ in range(4))
+        return [SweepRow(*cells) for cells in zip(p, c, e, y)]
+    if kind is BreakingPoint:
+        family, mode = (draw(_column(n, _TEXT)) for _ in range(2))
+        p_star = draw(_column(n, _CELL_FLOATS))
+        return [BreakingPoint(*cells) for cells in zip(family, mode, p_star)]
+    columns = [draw(_column(n, _CELL_FLOATS)) for _ in range(9)]
+    return [CharacterizationRow(p=cells[0], chi=cells[1:5], theory=cells[5:])
+            for cells in zip(*columns)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tables())
+def test_render_matches_csv_writer_and_json_dumps(rows):
+    assert render(rows, "csv") == table_csv_reference(rows)
+    assert render(rows, "json") == table_json_reference(rows)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.dictionaries(_TEXT, tables(), min_size=1, max_size=3))
+def test_render_tables_matches_json_dumps(tables_by_label):
+    assert render_tables(tables_by_label) == tables_json_reference(tables_by_label)
