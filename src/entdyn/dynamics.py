@@ -128,12 +128,15 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
     dyadic points inside the bracket, and the bracket becomes the pair of
     neighbouring points those halvings would reach. The laws are positive
     below the breaking point and zero above it, so this returns the same
-    bits as halving one point at a time. Returns ``math.inf`` when the
-    prediction never reaches zero on [0, 1] (the channel never breaks
-    entanglement there).
+    bits as halving one point at a time. A ``tol`` below the float spacing
+    at the breaking point ends the search once the bracket stops shrinking.
+    Returns ``math.inf`` when the prediction never reaches zero on [0, 1]
+    (the channel never breaks entanglement there).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     law = predict_one_sided if mode == "one_sided" else predict_two_sided
 
     def c_of(p):
@@ -154,7 +157,10 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
         stride = 256 >> halvings
         width = (hi - lo) / 2**halvings
         k = int(np.count_nonzero(positive[stride - 1 :: stride]))
-        lo, hi = lo + k * width, lo + (k + 1) * width
+        bracket = lo + k * width, lo + (k + 1) * width
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 

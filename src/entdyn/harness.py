@@ -331,7 +331,9 @@ def _columns(rows) -> tuple[tuple, list]:
 def _cell_csv(value) -> str:
     """A cell as csv.writer writes it in a row: empty for None, a float by
     ``float.__repr__`` (so ``np.float64(0.5)`` is ``0.5`` and -inf is
-    ``-inf``), anything else as its ``str``, quoted by csv's rules."""
+    ``-inf``), anything else as its ``str``, quoted by csv's rules. The
+    writer's line terminator is CR LF so that a carriage return is quoted
+    like a newline; unquoted, it would split the row on reading."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -340,8 +342,8 @@ def _cell_csv(value) -> str:
     if not text:
         return text
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text,))
-    return buf.getvalue()[:-1]
+    csv.writer(buf, lineterminator="\r\n").writerow((text,))
+    return buf.getvalue()[:-2]
 
 
 def _cell_json(value) -> str:

@@ -6,17 +6,18 @@ H/V/D/A/R/L), the recorded coincidence count is Poisson distributed around
 exposure * Born probability. Reconstruction parameterizes the state as
 T^dag T / Tr(T^dag T) with a lower-triangular complex T, so the estimate is
 physical by construction, and minimizes a Poisson likelihood (Gaussian
-approximation by default, exact form behind a switch) with L-BFGS on the
-analytic gradient, restarted until a round no longer improves it. In the 16
-real T-parameters t every Born probability is a ratio of real quadratic
-forms, t.Q_s t / t.t, and the forms of a settings sequence are built once
-and cached, so one likelihood-and-gradient evaluation is one product with
-the stacked forms plus a few 36-vectors of arithmetic. L-BFGS keeps its last
-8 curvature pairs in the compact representation (Byrd, Nocedal & Schnabel
-1994), so a search direction is a handful of small products. Error bars
-come from parametric bootstrap: counts are resampled Poisson around the
-observed values, the reconstruction is re-run, and the standard deviation of
-the derived quantity is reported.
+approximation by default, exact form behind a switch) by one projected-Newton
+search on its exact Hessian. In the 16 real T-parameters t every Born
+probability is a ratio of real quadratic forms, t.Q_s t / t.t, and the forms
+of a settings sequence are built once and cached, so one evaluation of the
+likelihood, its gradient and its Hessian is two products with the stacked
+forms plus a few small products. The search keeps t on the unit sphere and
+stops on the Newton decrement: a fit takes about six evaluations, and up to
+a few hundred where its maximum lies on the rank-deficient boundary and two
+diagonal entries of T shrink together. Error bars come from parametric
+bootstrap: counts are resampled Poisson around the observed values, the
+reconstruction is re-run, and the standard deviation of the derived quantity
+is reported.
 
 Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
@@ -106,8 +107,10 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """A likelihood fit: ``iterations`` counts likelihood-and-gradient
-    evaluations, ``rounds`` the L-BFGS rounds of the restart loop."""
+    """A likelihood fit: ``iterations`` counts likelihood evaluations (each
+    with its gradient and Hessian), ``rounds`` the Newton steps taken, and
+    ``converged`` says the search met its stop rule (see :func:`minimize`)
+    within the evaluation budget."""
 
     rho_hat: np.ndarray
     log_likelihood: float
@@ -273,144 +276,126 @@ def linear_inversion_state(records) -> np.ndarray:
 
 
 def _objective(likelihood: str, design: _Design, counts, exposures):
-    """Negative log-likelihood of the T-parameters and its gradient.
+    """Negative log-likelihood of the T-parameters, its gradient, its Hessian
+    and the size (2 / n) sum_s |g_s| of the Hessian's terms, which sets how
+    far rounding moves its eigenvalues.
 
     Every Born probability is a ratio of real quadratic forms in the 16
-    parameters, p_s = t.Q_s t / t.t (``design.forms``). With g_s = e_s
-    f'(mu_s) the gradient is (2 / t.t)(sum_s g_s Q_s t - (g.p) t), so one
-    product with the stacked forms gives every Q_s t and two small products
-    give p and the gradient. Probabilities clipped at 1e-12 contribute no
-    gradient.
+    parameters, p_s = t.Q_s t / n with n = t.t (``design.forms``). With
+    u_s = Q_s t - p_s t, g_s = e_s f'(mu_s), h_s = e_s^2 f''(mu_s) and
+    w = sum_s g_s u_s, the gradient is (2 / n) w and the Hessian
+
+        (4 / n^2) U^T diag(h) U + (2 / n)(sum_s g_s Q_s - (g.p) I)
+            - (4 / n^2)(t w^T + w t^T),
+
+    so one product with the stacked forms gives every Q_s t, and one more
+    gives sum_s g_s Q_s. The second term is the curvature of the Born
+    probabilities themselves: it keeps a T-row that shrinks towards the
+    rank-deficient boundary curved. A probability below 1e-12 is clipped to
+    it in the count term of f (c^2 / 2 mu, c ln mu), which there adds no
+    gradient and no curvature; the term linear in p is not clipped, so a
+    setting without counts stays smooth down to p = 0.
     """
     if likelihood not in LIKELIHOODS:
         raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
     gaussian = likelihood == "gaussian"
     forms = design.forms
+    stacked = forms.reshape(-1, 256)  # row s is Q_s
     half_exposures = 0.5 * exposures
 
-    def fun(t: np.ndarray) -> tuple[float, np.ndarray]:
+    def fun(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
         qt = (forms @ t).reshape(-1, 16)  # rows Q_s t
         trace = float(t @ t)  # Tr T^dag T
         p_raw = (qt @ t) / trace
         p = np.maximum(p_raw, 1e-12)
         mu = exposures * p
+        r = counts / mu * (p_raw > 1e-12)  # c / mu, 0 where p is clipped
         if gaussian:
-            # q = 1 - c / mu: f = sum (mu - c) q / 2, e f'(mu) = e q (2 - q) / 2
+            # f = sum (mu - c)^2 / 2 mu; e f'(mu) = e (1 - r^2) / 2, e^2 f''(mu) = e r^2 / p
             diff = mu - counts
-            q = diff / mu
-            f = 0.5 * float(diff @ q)
-            g = half_exposures * q * (2.0 - q)
+            f = 0.5 * float(diff @ (diff / mu) + exposures @ (p_raw - p))
+            g = half_exposures * (1.0 - r * r)
+            h = exposures * (r * r) / p
         else:
-            # f = sum mu - c ln mu; e f'(mu) = e - c / p
-            f = float(mu.sum() - counts @ np.log(mu))
-            g = exposures - counts / p
-        g *= p_raw > 1e-12
-        return f, (2.0 / trace) * (g @ qt - float(g @ p_raw) * t)
+            # f = sum mu - c ln mu; e f'(mu) = e (1 - r), e^2 f''(mu) = e r / p
+            f = float(exposures @ p_raw - counts @ np.log(mu))
+            g = exposures * (1.0 - r)
+            h = exposures * r / p
+        u = qt - p_raw[:, None] * t
+        w = g @ u
+        tw = t[:, None] * w
+        scale = 2.0 / trace
+        hess = (g @ stacked).reshape(16, 16)
+        hess.flat[::17] -= float(g @ p_raw)
+        hess = scale * hess + scale * scale * ((u.T * h) @ u - tw - tw.T)
+        return f, scale * w, hess, scale * float(np.abs(g).sum())
 
     return fun
 
 
-#: Curvature pairs kept by the L-BFGS memory.
-_MEMORY = 8
 #: Trial steps per line search; each shrinks the step at least twofold.
 _BACKTRACKS = 30
 
 
-class _CurvatureMemory:
-    """The last ``_MEMORY`` L-BFGS pairs (s, y) in the compact representation
-    of Byrd, Nocedal & Schnabel (Math. Prog. 63, 129, 1994).
-
-    With S and Y the stacks of the pairs, R the upper triangle of S Y^T in
-    the order the pairs arrived, D its diagonal and gamma = s.y / y.y of the
-    newest pair, the L-BFGS inverse Hessian applied to g is
-
-        H g = gamma g + S^T R^-T ((D + gamma Y Y^T) z - gamma Y g) - gamma Y^T z,
-        z = R^-1 S g,
-
-    the same vector as the two-loop recursion. Pair k goes to row k mod
-    ``_MEMORY`` of S and Y (rows not yet written are zero and drop out).
-    R^-1, D and Y Y^T are kept in the same slot order and updated when a
-    pair is accepted: dropping the oldest pair zeroes its row and column of
-    R^-1 (the inverse of a trailing block of a triangular matrix is that
-    block of the inverse), and the new pair's column of R^-1 follows from
-    the others (column-wise triangular inversion).
-    """
-
-    def __init__(self, n: int):
-        self.pairs = np.zeros((2 * _MEMORY, n))  # S over Y
-        self.d = np.zeros(_MEMORY)
-        self.r_inv = np.zeros((_MEMORY, _MEMORY))
-        self.yy = np.zeros((_MEMORY, _MEMORY))
-        self.gamma = 1.0
-        self.pushed = 0
-
-    def push(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
-        k = self.pushed % _MEMORY
-        self.pushed += 1
-        r_inv = self.r_inv
-        r_inv[k] = r_inv[:, k] = 0.0
-        self.pairs[k] = s
-        self.pairs[_MEMORY + k] = y
-        self.d[k] = sy
-        dots = self.pairs @ y  # s_j.y, then y_j.y
-        r_inv[:, k] = (r_inv @ dots[:_MEMORY]) * (-1.0 / sy)
-        r_inv[k, k] = 1.0 / sy
-        self.yy[k] = self.yy[:, k] = dots[_MEMORY:]
-        self.gamma = sy / float(dots[_MEMORY + k])
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        """-H g, or -g while no pair is stored."""
-        if not self.pushed:
-            return -g
-        gamma, r_inv = self.gamma, self.r_inv
-        sg_yg = self.pairs @ g
-        z = r_inv @ sg_yg[:_MEMORY]
-        w = self.d * z + gamma * (self.yy @ z - sg_yg[_MEMORY:])
-        return np.concatenate((-(w @ r_inv), gamma * z)) @ self.pairs - gamma * g
-
-
 def minimize(fun, t: np.ndarray, max_evals: int):
-    """One L-BFGS round from ``t`` on ``fun(t) -> (f, gradient)``.
+    """Projected Newton search from ``t`` on ``fun(t) -> (f, gradient,
+    Hessian, size)``, with ``size`` the scale of the Hessian's rounding.
 
-    Directions come from the compact representation of the last ``_MEMORY``
-    steps (:class:`_CurvatureMemory`); each step is an Armijo backtracking
-    line search that interpolates a cubic through the values and slopes at
-    both ends. The round stops when a step lowers f by no more than a
-    relative 1e-12, when the line search finds no decrease, or when
-    ``max_evals`` evaluations are spent. Returns ``(t, f, evaluations)``
-    with f never above ``fun(t)``.
+    The objective depends on the direction of t only, so t is kept on the
+    unit sphere and the Hessian is projected onto its tangent space, P H P
+    with P = I - t t^T. Unprojected, the scale direction couples to the
+    gradient and shows as a spurious negative eigenvalue. The step solves
+    the projected system on its eigenvalues taken as |lambda|, floored at
+    1e-8 of the largest and at 1e-12 ``size`` (below which an eigenvalue is
+    rounding), and is an Armijo backtracking line search that interpolates
+    a cubic through the values and slopes at both ends.
+
+    The search stops converged when the Newton decrement -g.d / 2 falls to
+    1e-12 max(1, |f|) with evaluations to spare and no eigenvalue lies below
+    minus the floor. Where one does, t sits near a saddle (a T-row shrunk to
+    zero that should grow), and the search steps downhill along the most
+    negative curvature; if no step there lowers f, the curvature is too weak
+    to matter and the search stops converged. It stops unconverged when
+    ``max_evals`` evaluations are spent or a Newton line search finds no
+    decrease. Returns ``(t, f, evaluations, steps, converged)`` with t a
+    unit vector and f never above its start.
     """
-    f, g = fun(t)
+    t = t / np.linalg.norm(t)
+    f, g, hess, size = fun(t)
     evals = 1
-    memory = _CurvatureMemory(t.size)
+    steps = 0
+    converged = False
     while evals < max_evals:
-        d = memory.direction(g)
+        proj = np.eye(t.size) - np.outer(t, t)
+        lam, vec = np.linalg.eigh(proj @ hess @ proj)
+        floor = max(1e-8 * max(-lam[0], lam[-1]), 1e-12 * size)
+        gv = g @ vec
+        d = vec @ (gv / -np.maximum(np.abs(lam), floor))
         slope = float(g @ d)
-        if not slope < 0.0:
-            break
-        if not memory.pushed:
-            # no curvature known yet: a first step of at most unit length
-            d = d / max(1.0, float(np.linalg.norm(d)))
-            slope = float(g @ d)
+        rule_met = -0.5 * slope <= 1e-12 * max(1.0, abs(f))
+        if rule_met:
+            if lam[0] >= -floor:
+                converged = True
+                break
+            d = math.copysign(1.0, -gv[0]) * vec[:, 0]
+            slope = -abs(float(gv[0]))
         step = 1.0
         for _ in range(_BACKTRACKS):
-            t_new = t + step * d
-            f_new, g_new = fun(t_new)
+            x = t + step * d
+            norm = float(np.linalg.norm(x))
+            t_new = x / norm
+            f_new, g_new, hess_new, size_new = fun(t_new)
             evals += 1
             if f_new <= f + 1e-4 * step * slope or evals >= max_evals:
                 break
-            step = _cubic_step(step, f, slope, f_new, float(g_new @ d))
+            # f is scale invariant, so its slope along the line at x is g(x / |x|).d / |x|
+            step = _cubic_step(step, f, slope, f_new, float(g_new @ d) / norm)
         if not f_new < f:
+            converged = rule_met and evals < max_evals
             break
-        s, y = t_new - t, g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(y @ y):
-            memory.push(s, y, sy)
-        reduction = f - f_new
-        t, f, g = t_new, f_new, g_new
-        if reduction <= 1e-12 * max(1.0, abs(f)):
-            break
-    return t, f, evals
+        t, f, g, hess, size = t_new, f_new, g_new, hess_new, size_new
+        steps += 1
+    return t, f, evals, steps, converged
 
 
 def _cubic_step(step, f0, slope0, f1, slope1) -> float:
@@ -435,15 +420,15 @@ def reconstruct_state_mle(
     """Maximum-likelihood two-qubit state from coincidence counts.
 
     The state is parameterized as T^dag T / Tr(T^dag T) (physical by
-    construction) and the likelihood is minimized by L-BFGS rounds on its
-    analytic gradient (:func:`minimize`), each restarted from the last
-    optimum, until a round improves the objective by less than a relative
-    1e-10. ``max_evals`` caps the likelihood-and-gradient evaluations
-    (``iterations``); a fit that reaches the cap is returned with
-    ``converged=False``. ``initial`` warm-starts the search from a given
-    density matrix instead of the linear-inversion seed. The seed is mixed
-    with 1% of I/4 first: from a rank-deficient seed the T-diagonal is near
-    zero, where the gradient vanishes and the search stalls.
+    construction) and the likelihood is maximized by one projected-Newton
+    search on its exact Hessian (:func:`minimize`), which stops when the
+    Newton decrement falls to a relative 1e-12. ``max_evals`` caps the
+    likelihood evaluations (``iterations``); a fit that reaches the cap is
+    returned with ``converged=False``. ``initial`` warm-starts the search
+    from a given density matrix instead of the linear-inversion seed. The
+    seed is mixed with 1% of I/4 first: from a rank-deficient seed the
+    T-diagonal is near zero, where the gradient vanishes and the search
+    stalls.
     """
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals!r}")
@@ -455,25 +440,13 @@ def reconstruct_state_mle(
 
     seed_rho = linear_inversion_state(records) if initial is None else np.asarray(initial)
     t = _params_from_rho(0.99 * seed_rho + 0.01 * np.eye(4) / 4.0)
-    best_f = math.inf
-    evals = 0
-    rounds = 0
-    converged = False
-    while evals < max_evals:
-        t, f, used = minimize(fun, t, max_evals - evals)
-        evals += used
-        rounds += 1
-        improvement = best_f - f
-        best_f = f
-        if improvement < 1e-10 * max(1.0, abs(f)):
-            converged = evals < max_evals
-            break
+    t, f, evals, steps, converged = minimize(fun, t, max_evals)
     return ReconstructionResult(
         rho_hat=_frozen(_rho_from_params(t)),
-        log_likelihood=-best_f,
+        log_likelihood=-f,
         iterations=evals,
         converged=converged,
-        rounds=rounds,
+        rounds=steps,
     )
 
 

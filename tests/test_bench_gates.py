@@ -44,9 +44,10 @@ def _unital(check):
 
 
 def _run_schedule(workload, tmp_path, monkeypatch):
-    """Run seed 1 of ``workload`` op by op; returns (ops, projection warnings).
-    ``summaries`` carries tomo-sim results between ops, so that a
-    ``--counts-in`` read-back is compared with the op that wrote the file."""
+    """Run seed 1 of ``workload`` op by op; returns (ops, projection warnings,
+    tomo-sim summaries by op index). ``summaries`` carries tomo-sim results
+    between ops, so that a ``--counts-in`` read-back is compared with the op
+    that wrote the file."""
     monkeypatch.delenv("ENTDYN_OUTDIR", raising=False)
     monkeypatch.chdir(tmp_path)
     for sub in ("out", "shared", "inputs"):
@@ -69,24 +70,28 @@ def _run_schedule(workload, tmp_path, monkeypatch):
         projected += expected
         problems = checks.check_op(op["check"], str(tmp_path), summaries, index, result)
         assert problems == [], op
-    return ops, projected
+    return ops, projected, summaries
 
 
 def test_law_sweep_schedule_passes_the_gates(tmp_path, monkeypatch):
-    ops, projected = _run_schedule("law_sweep", tmp_path, monkeypatch)
+    ops, projected, _ = _run_schedule("law_sweep", tmp_path, monkeypatch)
     verbs = {op["check"]["verb"] for op in ops}
     assert verbs == {"sweep", "pes-sweep", "breaking-points", "unital"}
     assert projected == 0
 
 
 def test_channel_tomo_schedule_passes_the_gates(tmp_path, monkeypatch):
-    ops, projected = _run_schedule("channel_tomo", tmp_path, monkeypatch)
+    ops, projected, _ = _run_schedule("channel_tomo", tmp_path, monkeypatch)
     verbs = {op["check"]["verb"] for op in ops}
     assert verbs == {"characterize", "ellipsoid"}
     assert projected > 0  # sampled probes exercise the projection path
 
 
 def test_tomo_bootstrap_schedule_passes_the_gates(tmp_path, monkeypatch):
-    ops, _ = _run_schedule("tomo_bootstrap", tmp_path, monkeypatch)
+    ops, _, summaries = _run_schedule("tomo_bootstrap", tmp_path, monkeypatch)
     assert {op["check"]["verb"] for op in ops} == {"tomo-sim"}
     assert sum(op["check"]["same_as"] is not None for op in ops) == 2  # counts read back
+    # evaluations of the base fits: a count that repeats exactly, so a slide
+    # back to a first-order search (905 here) fails without a timing
+    assert len(summaries) == len(ops)
+    assert sum(s["iterations"] for s in summaries.values()) <= 200

@@ -265,7 +265,7 @@ def test_tomo_sim_summary_reports_the_fit(tmp_path):
     assert code == 0
     summary = json.loads(out.read_text())
     assert summary["converged"] is True
-    assert 2 <= summary["rounds"] <= summary["iterations"]
+    assert 1 <= summary["rounds"] < summary["iterations"]
     assert summary["bootstrap_unconverged"] == 0
     assert summary["bootstrap_dropped"] == 0
     assert summary["trials"] == 2

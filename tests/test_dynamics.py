@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -228,6 +229,25 @@ class TestBreakingPoints:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             breaking_point("isotropic", "both_sides")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            breaking_point("two-field", "one_sided", tol)
+
+    @pytest.mark.parametrize(
+        "family, mode", [("two-field", "one_sided"), ("isotropic", "two_sided")]
+    )
+    def test_tol_below_float_spacing_ends(self, family, mode):
+        # the bracket cannot shrink below the spacing at p* (1.1e-16 at 0.5)
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(breaking_point(family, mode, 1e-17)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and result
+        assert abs(result[0] - breaking_point(family, mode, 1e-14)) <= 1e-14
 
 
 class TestFactorization:

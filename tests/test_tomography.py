@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,7 +17,6 @@ from entdyn.tomography import (
     _T_BASIS,
     CountRecord,
     MeasurementSetting,
-    _CurvatureMemory,
     _objective,
     _params_from_rho,
     _sample_poisson,
@@ -182,9 +181,9 @@ class TestReconstruction:
 
     def test_non_convergence_flagged(self):
         records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=3)
-        result = reconstruct_state_mle(records, max_evals=10)
+        result = reconstruct_state_mle(records, max_evals=2)
         assert not result.converged
-        assert result.iterations <= 60
+        assert result.iterations == 2
 
     def test_error_decreases_with_counts(self):
         rho = bell_state("phi+")
@@ -331,24 +330,57 @@ def _fit_objective(records, likelihood):
     return _objective(likelihood, _setting_matrix(records), counts, exposures)
 
 
+def _derivative_point(likelihood, point):
+    """The objective of seeded counts and T-parameters of an interior or a
+    near-rank-1 state."""
+    rng = np.random.default_rng(90)
+    records = simulate_counts(random_density_matrix(rng, 4), standard_settings(), 1000, seed=91)
+    if point == "interior":
+        t = _params_from_rho(random_density_matrix(rng, 4))
+    else:
+        psi = dm(np.array([0.6, 0.0, 0.0, 0.8], dtype=complex))
+        t = _params_from_rho(0.999 * psi + 0.00025 * np.eye(4))
+    return _fit_objective(records, likelihood), t
+
+
 class TestGradientFit:
     @pytest.mark.parametrize("likelihood", ["gaussian", "poisson"])
     @pytest.mark.parametrize("point", ["interior", "near_rank_1"])
     def test_gradient_matches_central_differences(self, likelihood, point):
-        rng = np.random.default_rng(90)
-        records = simulate_counts(random_density_matrix(rng, 4), standard_settings(), 1000, seed=91)
-        fun = _fit_objective(records, likelihood)
-        if point == "interior":
-            t = _params_from_rho(random_density_matrix(rng, 4))
-        else:
-            psi = dm(np.array([0.6, 0.0, 0.0, 0.8], dtype=complex))
-            t = _params_from_rho(0.999 * psi + 0.00025 * np.eye(4))
-        _, grad = fun(t)
-        h = 1e-6
+        fun, t = _derivative_point(likelihood, point)
         numeric = np.array(
-            [(fun(t + h * e)[0] - fun(t - h * e)[0]) / (2 * h) for e in np.eye(16)]
+            [(fun(t + 1e-6 * e)[0] - fun(t - 1e-6 * e)[0]) / 2e-6 for e in np.eye(16)]
         )
-        assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(numeric)
+        assert np.linalg.norm(fun(t)[1] - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson"])
+    @pytest.mark.parametrize("point", ["interior", "near_rank_1"])
+    def test_hessian_matches_central_differences(self, likelihood, point):
+        fun, t = _derivative_point(likelihood, point)
+        numeric = np.array(
+            [(fun(t + 1e-6 * e)[1] - fun(t - 1e-6 * e)[1]) / 2e-6 for e in np.eye(16)]
+        )
+        assert np.linalg.norm(fun(t)[2] - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+    # psi+ through two-field p = 0.7 one-sided noise has its maximum on the
+    # rank-deficient boundary. Each reference is the higher of an earlier
+    # L-BFGS fit of these counts and a warm refit of it; that fit reported
+    # convergence up to 9e-8 short of the maximum.
+    @pytest.mark.parametrize(
+        "seed, likelihood, n, reference",
+        [(34, "gaussian", 10_000, -5.23114478222139),
+         (34, "poisson", 1000, 41205.30842220383),
+         (68, "gaussian", 10_000, -13.14016279830691),
+         (68, "poisson", 1000, 41586.45056158812),
+         (69, "gaussian", 10_000, -5.970998556267144),
+         (69, "poisson", 1000, 41597.13248065983)],
+    )
+    def test_boundary_fit_reaches_the_maximum(self, seed, likelihood, n, reference):
+        rho = apply_one_sided(two_field_channel(0.7), bell_state("psi+"), target=1)
+        records = simulate_counts(rho, standard_settings(), n, seed=seed)
+        fit = reconstruct_state_mle(records, likelihood=likelihood)
+        assert fit.converged
+        assert fit.log_likelihood >= reference - 1e-9 * abs(reference)
 
     def test_rank_deficient_seed_reaches_the_maximum(self):
         # pure singlet: the undiluted linear-inversion seed is rank deficient,
@@ -357,15 +389,10 @@ class TestGradientFit:
         fun = _fit_objective(records, "gaussian")
         raw = linear_inversion_state(records)
         assert np.linalg.eigvalsh(raw)[0] < 1e-12
-        t, f, _ = minimize(fun, _params_from_rho(raw), 10_000)
-        while True:
-            t, f_next, _ = minimize(fun, t, 10_000)
-            if f - f_next < 1e-10 * max(1.0, abs(f_next)):
-                break
-            f = f_next
+        _, f, _, _, converged = minimize(fun, _params_from_rho(raw), 10_000)
         diluted = reconstruct_state_mle(records)
-        assert diluted.converged
-        assert -f_next == pytest.approx(diluted.log_likelihood, abs=1e-6 * (1 + abs(f_next)))
+        assert converged and diluted.converged
+        assert -f == pytest.approx(diluted.log_likelihood, abs=1e-6 * (1 + abs(f)))
 
     def test_seed_is_diluted_before_the_fit(self):
         # a rank-2 state whose undiluted linear-inversion seed stalls the
@@ -384,12 +411,12 @@ class TestGradientFit:
         rho = 0.8 * bell_state("phi-") + 0.05 * np.eye(4)
         records = simulate_counts(rho, standard_settings(), 10_000, seed=12)
         result = reconstruct_state_mle(records, likelihood=likelihood)
-        assert result.converged and result.rounds >= 2
+        assert result.converged
         fun = _fit_objective(records, likelihood)
         t = _params_from_rho(result.rho_hat)
         f_hat = fun(t)[0]
         assert -f_hat == pytest.approx(result.log_likelihood, abs=1e-9 * (1 + abs(f_hat)))
-        _, f_more, _ = minimize(fun, t, 10_000)
+        _, f_more, *_ = minimize(fun, t, 10_000)
         assert f_hat - f_more < 1e-9 * (1 + abs(f_hat))
 
     def test_unconverged_refits_counted_and_kept(self, monkeypatch):
@@ -408,8 +435,7 @@ class TestGradientFit:
         assert est.trials == 3 and est.dropped == 0
 
 
-# Oracles: the complex-T objective and the two-loop recursion that the real
-# quadratic-form kernel and the compact L-BFGS memory replaced.
+# Oracle: the complex-T objective that the real quadratic-form kernel replaced.
 
 
 def complex_t_objective(likelihood, pmat, counts, exposures):
@@ -429,30 +455,16 @@ def complex_t_objective(likelihood, pmat, counts, exposures):
         else:
             f = (mu - counts * np.log(mu)).sum()
             df_dmu = 1.0 - counts / mu
-        g = np.where(p_raw > 1e-12, exposures * df_dmu, 0.0)
+        # below p = 1e-12 only the count term is clipped, not the term linear in mu
+        slope = 0.5 if gaussian else 1.0
+        f += slope * (exposures * (p_raw - p)).sum()
+        g = np.where(p_raw > 1e-12, exposures * df_dmu, slope * exposures)
         h = (g @ pmat).reshape(4, 4).T
-        h.flat[::5] -= g @ p
+        h.flat[::5] -= g @ p_raw
         m = (2.0 / trace) * (T @ h)
         return float(f), (_T_BASIS.conj().T @ m.reshape(16)).real
 
     return fun
-
-
-def two_loop_direction(g, pairs):
-    """-H g of the L-BFGS inverse Hessian of ``pairs`` (s, y, 1 / s.y), oldest
-    first, with H0 = (s.y / y.y) I of the newest pair."""
-    q = -g
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * float(s @ q)
-        alphas.append(alpha)
-        q -= alpha * y
-    if pairs:
-        _, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(y @ y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(y @ q)) * s
-    return q
 
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
@@ -495,7 +507,7 @@ class TestKernelOracles:
         records = [CountRecord(s, int(c), 1000.0) for s, c in zip(standard_settings(), counts)]
         design = _setting_matrix(records)
         exposures = np.full(36, 1000.0)
-        f, grad = _objective(likelihood, design, counts, exposures)(t)
+        f, grad, *_ = _objective(likelihood, design, counts, exposures)(t)
         f_ref, grad_ref = complex_t_objective(likelihood, design.pmat, counts, exposures)(t)
         # Both routes compute each p_s to about 1e-15 absolute. Where p_s is
         # tiny and its count is not, that error is carried through
@@ -505,34 +517,51 @@ class TestKernelOracles:
         p_raw = (design.pmat @ (T.conj().T @ T).reshape(16)).real / (t @ t)
         mu = exposures * np.maximum(p_raw, 1e-12)
         if likelihood == "gaussian":
-            df, d2f = 0.5 * (1.0 - (counts / mu) ** 2), counts**2 / mu**3
+            df, d2f, slope = 0.5 * (1.0 - (counts / mu) ** 2), counts**2 / mu**3, 0.5
         else:
-            df, d2f = 1.0 - counts / mu, counts / mu**2
+            df, d2f, slope = 1.0 - counts / mu, counts / mu**2, 1.0
         kept = p_raw > 1e-12
-        g = np.abs(np.where(kept, exposures * df, 0.0)).sum()
+        g = np.abs(np.where(kept, exposures * df, slope * exposures)).sum()
         h = np.where(kept, exposures**2 * d2f, 0.0).sum()
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref) + 1e-15 * g
         error = np.linalg.norm(grad - grad_ref)
         assert error <= 1e-10 * np.linalg.norm(grad_ref) + 1e-15 * (4.0 * g + 2.0 * h) / np.linalg.norm(t)
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("pushes", [*range(9), 11])
-    def test_compact_direction_matches_two_loop(self, pushes, seed):
-        rng = np.random.default_rng([pushes, seed])
-        a = rng.normal(size=(16, 16))
-        hessian = a @ a.T + 0.1 * np.eye(16)
-        memory = _CurvatureMemory(16)
-        pairs = []
-        for _ in range(pushes):
-            s = rng.normal(size=16) * 10.0 ** rng.uniform(-6, 0)
-            y = hessian @ s + 0.01 * np.linalg.norm(s) * rng.normal(size=16)
-            sy = float(s @ y)
-            assert sy > 0.0
-            memory.push(s, y, sy)
-            pairs = (pairs + [(s, y, 1.0 / sy)])[-8:]
-        g = rng.normal(size=16)
-        d, ref = memory.direction(g), two_loop_direction(g.copy(), pairs)
-        assert np.linalg.norm(d - ref) <= 1e-10 * np.linalg.norm(ref)
+
+@st.composite
+def count_vectors(draw):
+    """Counts of the 36 settings: any, all zero, or one nonzero."""
+    kind = draw(st.sampled_from(["any", "zero", "single"]))
+    if kind == "any":
+        return draw(arrays(np.float64, 36, elements=st.integers(0, 1000).map(float)))
+    counts = np.zeros(36)
+    if kind == "single":
+        counts[draw(st.integers(0, 35))] = draw(st.integers(1, 1000))
+    return counts
+
+
+def _sparse(exposure, **counts):
+    """A count vector with the given nonzero counts, keyed by setting label."""
+    labels = [s.proj_a + s.proj_b for s in standard_settings()]
+    return np.array([float(counts.get(label, 0)) for label in labels]), exposure
+
+
+class TestNewtonFit:
+    @PROPERTY
+    @given(st.sampled_from(LIKELIHOODS), count_vectors(), st.floats(10.0, 1e5))
+    # no counts at equal exposures: f is flat, and its Hessian is rounding
+    @example("gaussian", *_sparse(7785.44144133351))
+    # a setting whose probability falls below the 1e-12 clip on the way
+    @example("poisson", *_sparse(279.83144106706516, RA=417))
+    # a T-row shrinks to zero early and the search passes near a saddle
+    @example("gaussian", *_sparse(6238.59541745942, HV=658, HR=937, AH=8))
+    def test_fit_converges_and_a_warm_refit_gains_nothing(self, likelihood, counts, exposure):
+        records = [CountRecord(s, int(c), exposure) for s, c in zip(standard_settings(), counts)]
+        fit = reconstruct_state_mle(records, likelihood=likelihood)
+        assert fit.converged
+        fun = _fit_objective(records, likelihood)
+        _, f_more, *_ = minimize(fun, _params_from_rho(fit.rho_hat), 10_000)
+        assert -f_more - fit.log_likelihood <= 1e-9 * (1 + abs(fit.log_likelihood))
 
 
 class TestEllipsoidMesh:

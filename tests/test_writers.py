@@ -73,12 +73,26 @@ def tables_json_reference(tables) -> str:
 
 
 def table_csv_reference(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(layout(rows[0])[0])
-    for row in rows:
-        writer.writerow([float.__repr__(v) if isinstance(v, float) else v for v in layout(row)[1]])
-    return buf.getvalue()
+    """Each row as csv.writer writes it under a CR LF terminator (which
+    quotes a carriage return as well as a newline), ended by LF."""
+    lines = [layout(rows[0])[0]]
+    lines += [[float.__repr__(v) if isinstance(v, float) else v for v in layout(row)[1]]
+              for row in rows]
+    out = []
+    for line in lines:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(line)
+        out.append(buf.getvalue()[:-2] + "\n")
+    return "".join(out)
+
+
+def table_csv_cells(rows) -> list[list[str]]:
+    """The cells a CSV reader must get back: the header, then each cell as
+    text, a float by ``float.__repr__`` and None as empty."""
+    def text(v):
+        return "" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
+
+    return [layout(rows[0])[0]] + [[text(v) for v in layout(row)[1]] for row in rows]
 
 
 def named_meshes():
@@ -262,8 +276,17 @@ def tables(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(tables())
 def test_render_matches_csv_writer_and_json_dumps(rows):
-    assert render(rows, "csv") == table_csv_reference(rows)
+    text = render(rows, "csv")
+    assert text == table_csv_reference(rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == table_csv_cells(rows)
     assert render(rows, "json") == table_json_reference(rows)
+
+
+def test_carriage_return_cell_reads_back():
+    rows = [BreakingPoint(family="r\rx", mode="one_sided", p_star=0.5)]
+    text = render(rows, "csv")
+    assert text == 'family,mode,p_star\n"r\rx",one_sided,0.5\n'
+    assert list(csv.reader(io.StringIO(text, newline=""))) == table_csv_cells(rows)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
