@@ -563,6 +563,33 @@ class TestNewtonFit:
         _, f_more, *_ = minimize(fun, _params_from_rho(fit.rho_hat), 10_000)
         assert -f_more - fit.log_likelihood <= 1e-9 * (1 + abs(fit.log_likelihood))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("start", [*range(9), "random"])
+    def test_search_reaches_the_smallest_rayleigh_quotient(self, start, seed):
+        # f(t) = t.A t / t.t is minimal at the eigenvector of A's smallest
+        # eigenvalue and has a saddle at every other eigenvector, where the
+        # gradient vanishes and only the negative-curvature step leaves.
+        rng = np.random.default_rng([seed, 16])
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+        levels = np.arange(16.0) + rng.uniform(0.0, 0.5, size=16)
+        a = (q * levels) @ q.T
+
+        def rayleigh(t):
+            n = float(t @ t)
+            f = float(t @ a @ t) / n
+            w = a @ t - f * t
+            tw = np.outer(t, w)
+            hess = (2.0 / n) * (a - f * np.eye(16)) - (4.0 / n**2) * (tw + tw.T)
+            return f, (2.0 / n) * w, hess, (2.0 / n) * float(np.abs(levels).sum())
+
+        t0 = rng.normal(size=16) if start == "random" else q[:, start]
+        t, f, evals, steps, converged = minimize(rayleigh, t0, 1_000)
+        assert converged
+        assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-14)
+        assert f == pytest.approx(levels[0], rel=1e-12, abs=1e-12)
+        assert abs(t @ q[:, 0]) == pytest.approx(1.0, abs=1e-9)
+        assert (steps == 0) == (start == 0)
+
 
 class TestEllipsoidMesh:
     def test_identity_unit_sphere(self):
