@@ -27,7 +27,6 @@ from .harness import (
     ENV_OUTDIR,
     ConfigError,
     NumericalError,
-    _evolved_states,
     analytic_prediction,
     emit,
     initial_spec_from,
@@ -39,18 +38,11 @@ from .harness import (
     run_pes_sweep,
     run_selftest,
     run_sweep,
+    shot_noise_point,
     sweep_config_from_dict,
 )
 from .states import matrix_to_json, purity
-from .tomography import (
-    ellipsoid_mesh,
-    monte_carlo_errors,
-    read_counts_csv,
-    reconstruct_state_mle,
-    simulate_counts,
-    standard_settings,
-    write_counts_csv,
-)
+from .tomography import MAX_COUNT, ellipsoid_mesh, read_counts_csv, write_counts_csv
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -164,6 +156,8 @@ def _cmd_breaking_points(args) -> int:
 def _cmd_characterize(args) -> int:
     if args.counts is not None and args.counts < 1:
         raise ConfigError(f"counts: must be >= 1, got {args.counts!r}")
+    if args.counts is not None and args.counts > MAX_COUNT:
+        raise ConfigError(f"counts: must be <= 1e18, got {args.counts!r}")
     p_grid = _parse_grid_flag(args.p_grid) if args.p_grid else list(np.linspace(0.0, 1.0, 11))
     rows = run_channel_characterization(
         args.family, p_grid, n_per_probe=args.counts, seed=args.seed or 0
@@ -186,6 +180,8 @@ def _cmd_ellipsoid(args) -> int:
 
 
 def _cmd_tomo_sim(args) -> int:
+    if not 0.0 <= args.p <= 1.0:
+        raise ConfigError(f"p: value {args.p!r} outside [0, 1]")
     spec = initial_spec_from(args.initial or "bell:phi+")
     mode = (args.mode or "one_sided").replace("-", "_")
     flags = (("n_per_setting", args.counts), ("trials", args.trials), ("seed", args.seed),
@@ -195,40 +191,28 @@ def _cmd_tomo_sim(args) -> int:
             "family": args.family or "isotropic",
             "mode": mode,
             "initial": spec,
-            "p_grid": [args.p or 0.0],
+            "p_grid": [args.p],
             "pipeline": {"kind": "shot_noise", **{k: v for k, v in flags if v is not None}},
         }
     )
     pipeline = config.pipeline
-    rho = _evolved_states(config, spec, config.p_grid[0])
-    if args.counts_in:
-        records = read_counts_csv(args.counts_in)
-    else:
-        records = simulate_counts(rho, standard_settings(), pipeline.n_per_setting, seed=pipeline.seed)
+    records = read_counts_csv(args.counts_in) if args.counts_in else None
+    records, fit, estimate = shot_noise_point(config, spec, 0, records)
     if args.counts_out:
         counts_out = _resolve_out(args.counts_out)
         counts_out.parent.mkdir(parents=True, exist_ok=True)
         write_counts_csv(records, counts_out)
-    fit = reconstruct_state_mle(records, likelihood=pipeline.likelihood)
-    estimate = monte_carlo_errors(
-        records,
-        trials=pipeline.trials,
-        estimator="concurrence",
-        seed=(pipeline.seed, 1),
-        likelihood=pipeline.likelihood,
-        base=fit,
-    )
     summary = {
         "family": config.family,
         "mode": mode,
-        "p": args.p or 0.0,
+        "p": args.p,
         "initial": spec.label(),
         "n_per_setting": pipeline.n_per_setting,
         "trials": pipeline.trials,
         "seed": pipeline.seed,
         "concurrence": concurrence(fit.rho_hat).c,
         "error": estimate.std_dev,
-        "predicted": analytic_prediction(config, args.p or 0.0, spec),
+        "predicted": analytic_prediction(config, args.p, spec),
         "purity": purity(fit.rho_hat),
         "log_likelihood": fit.log_likelihood,
         "iterations": fit.iterations,

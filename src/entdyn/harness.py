@@ -8,7 +8,8 @@ pipelines:
 * ``analytic``          the closed-form law on the (N, 3) stack of radii,
 * ``exact_simulation``  one PTM evolution of the (N, 4, 4) stack of states,
                         then one batched Wootters concurrence (no law),
-* ``shot_noise``        per point: Poissonian coincidence counts, a maximum-
+* ``shot_noise``        per point (:func:`shot_noise_point`, which ``tomo-sim``
+                        runs too): Poisson coincidence counts, a maximum-
                         likelihood reconstruction and a bootstrap error.
 
 Every row also carries the analytic prediction so pipelines can be compared
@@ -48,9 +49,10 @@ from .dynamics import (
     pure_state_concurrence,
     wootters,
 )
-from .states import BASIS_KETS, dm
+from .states import BASIS_KETS, BELL_KETS, dm
 from .tomography import (
     DEFAULT_PROBE_LABELS,
+    MAX_COUNT,
     monte_carlo_errors,
     probe_outputs,
     process_matrices,
@@ -139,6 +141,8 @@ def validate_sweep_config(config: SweepConfig) -> None:
         raise ConfigError(f"pipeline.kind: expected one of {PIPELINES}, got {pl.kind!r}")
     if pl.n_per_setting < 1:
         raise ConfigError(f"pipeline.n_per_setting: must be >= 1, got {pl.n_per_setting!r}")
+    if pl.n_per_setting > MAX_COUNT:
+        raise ConfigError(f"pipeline.n_per_setting: must be <= 1e18, got {pl.n_per_setting!r}")
     if pl.trials < 2:
         raise ConfigError(f"pipeline.trials: must be >= 2, got {pl.trials!r}")
     if pl.seed < 0:
@@ -150,6 +154,9 @@ def validate_sweep_config(config: SweepConfig) -> None:
     for label, spec in _named_initials(config):
         if not isinstance(spec, InitialStateSpec):
             raise ConfigError(f"{label}: expected an InitialStateSpec, got {type(spec).__name__}")
+        if spec.kind == "bell" and _bell_key(spec.bell) not in BELL_KETS:
+            raise ConfigError(f"{label}.bell: unknown Bell state {spec.bell!r}; "
+                              f"expected one of {sorted(BELL_KETS)}")
         for name in ("delta", "phi"):
             value = getattr(spec, name)
             if not math.isfinite(value):
@@ -204,6 +211,23 @@ def analytic_prediction(config: SweepConfig, p, spec: InitialStateSpec | None = 
     return _law(config, spec, p if config.p_scale is None else np.minimum(1.0, p / config.p_scale))
 
 
+def shot_noise_point(config: SweepConfig, spec: InitialStateSpec, index: int, records=None):
+    """The shot-noise pipeline at grid point ``index``: Poisson counts of the
+    evolved state on the 36-setting scan, drawn from stream ``(seed, index,
+    0)`` unless ``records`` are given, their maximum-likelihood fit, and the
+    bootstrap spread of its concurrence from stream ``(seed, index, 1)``.
+    Returns ``(records, fit, estimate)``; the caller judges ``fit.converged``.
+    """
+    pl = config.pipeline
+    if records is None:
+        rho = _evolved_states(config, spec, config.p_grid[index])
+        records = simulate_counts(rho, standard_settings(), pl.n_per_setting, seed=(pl.seed, index, 0))
+    fit = reconstruct_state_mle(records, likelihood=pl.likelihood)
+    estimate = monte_carlo_errors(records, pl.trials, "concurrence", seed=(pl.seed, index, 1),
+                                  likelihood=pl.likelihood, base=fit)
+    return records, fit, estimate
+
+
 def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
     p = np.asarray(config.p_grid, dtype=float)
     pl = config.pipeline
@@ -214,18 +238,13 @@ def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
         values = _exact(config, spec, p)
     else:
         values = []
-        for i, rho in enumerate(_evolved_states(config, spec, p)):
-            records = simulate_counts(rho, standard_settings(), pl.n_per_setting, seed=(pl.seed, i, 0))
-            base = reconstruct_state_mle(records, likelihood=pl.likelihood)
-            values.append(concurrence(base.rho_hat).c)
-            errors[i] = monte_carlo_errors(
-                records,
-                trials=pl.trials,
-                estimator="concurrence",
-                seed=(pl.seed, i, 1),
-                likelihood=pl.likelihood,
-                base=base,
-            ).std_dev
+        for i in range(p.size):
+            _, fit, estimate = shot_noise_point(config, spec, i)
+            if not fit.converged:
+                raise NumericalError(f"p_grid[{i}]: likelihood fit did not converge "
+                                     f"({fit.iterations} evaluations, {fit.rounds} Newton steps)")
+            values.append(concurrence(fit.rho_hat).c)
+            errors[i] = estimate.std_dev
     reuse = pl.kind == "analytic" and config.p_scale is None
     predicted = values if reuse else analytic_prediction(config, p, spec)
     cells = zip(p.tolist(), np.asarray(values, dtype=float).tolist(), errors, predicted.tolist())

@@ -17,7 +17,9 @@ a few hundred where its maximum lies on the rank-deficient boundary and two
 diagonal entries of T shrink together. Error bars come from parametric
 bootstrap: counts are resampled Poisson around the observed values, the
 reconstruction is re-run, and the standard deviation of the derived quantity
-is reported.
+is reported. Every count, simulated or resampled, is an exact Poisson draw,
+by one ``Generator.poisson`` call per random stream, and at most
+:data:`MAX_COUNT`.
 
 Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
@@ -32,7 +34,7 @@ import csv
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +49,10 @@ PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
 DEFAULT_PROBE_LABELS = ("H", "V", "D", "R")
 
 LIKELIHOODS = ("gaussian", "poisson")
+
+#: Largest count, pairs per setting or counts per projector: numpy's Poisson
+#: sampler takes means up to ~9.2e18, less a margin for rounding.
+MAX_COUNT = 10**18
 
 _PROJECTORS = {label: dm(ket) for label, ket in BASIS_KETS.items()}
 
@@ -99,8 +105,8 @@ class CountRecord:
     exposure: float
 
     def __post_init__(self):
-        if not self.count >= 0:
-            raise ValueError(f"count must be non-negative, got {self.count!r}")
+        if not 0 <= self.count <= MAX_COUNT:
+            raise ValueError(f"count must be between 0 and 1e18, got {self.count!r}")
         if not 0 < self.exposure < math.inf:
             raise ValueError(f"exposure must be positive and finite, got {self.exposure!r}")
 
@@ -162,41 +168,22 @@ def born_probability(rho, setting: MeasurementSetting) -> float:
     return float(np.trace(np.asarray(rho) @ setting.operator()).real)
 
 
-def _sample_poisson(rng: np.random.Generator, mean: float) -> int:
-    """Poisson sample: inversion by sequential search below mean 30, rounded
-    Gaussian above (exact where counts are small, fast where they are not)."""
-    if mean <= 0.0:
-        return 0
-    if mean < 30.0:
-        u = rng.random()
-        p = math.exp(-mean)
-        c = p
-        k = 0
-        while u > c and k < 1000:
-            k += 1
-            p *= mean / k
-            c += p
-        return k
-    return max(0, int(round(rng.normal(mean, math.sqrt(mean)))))
-
-
 def simulate_counts(rho, settings, n_per_setting: int, seed) -> list[CountRecord]:
-    """Draw one Poissonian coincidence count per setting.
+    """Draw one Poisson coincidence count per setting, with mean
+    ``n_per_setting`` times its Born probability.
 
-    ``seed`` may be an int or a sequence of ints; the draw is deterministic
-    for a fixed seed and setting order. All Born probabilities come from one
-    product with the stacked setting operators.
+    All Born probabilities come from one product with the stacked setting
+    operators (a probability rounded below 0 counts as 0), and all counts
+    from one ``np.random.default_rng(seed).poisson`` call, in setting order.
+    ``seed`` may be an int or a sequence of ints.
     """
-    if n_per_setting < 1:
-        raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting!r}")
+    if not 1 <= n_per_setting <= MAX_COUNT:
+        raise ValueError(f"n_per_setting must be >= 1 and <= 1e18, got {n_per_setting!r}")
     settings = list(settings)
     operators = np.array([s.operator() for s in settings])
     means = n_per_setting * np.maximum(np.einsum("sab,ba->s", operators, rho).real, 0.0)
-    rng = np.random.default_rng(seed)
-    return [
-        CountRecord(setting=s, count=_sample_poisson(rng, mean), exposure=float(n_per_setting))
-        for s, mean in zip(settings, means.tolist())
-    ]
+    counts = np.random.default_rng(seed).poisson(means).tolist()
+    return [CountRecord(s, c, float(n_per_setting)) for s, c in zip(settings, counts)]
 
 
 class _Design(NamedTuple):
@@ -467,14 +454,15 @@ def monte_carlo_errors(
     """Bootstrap error bar for a quantity derived from a reconstruction.
 
     Each trial resamples every count as Poisson around the observed value,
-    re-runs the likelihood fit (warm-started from the base reconstruction)
-    and evaluates the estimator: either a registered name ("concurrence",
-    "purity") or any callable of the reconstructed density matrix. Trials
-    where the estimator raises or returns a non-finite value are dropped and
-    counted. Refits that end with ``converged=False`` stay in the spread and
-    are counted as ``unconverged``. Each trial owns a private random stream
-    derived from (seed, trial index), so the outcome does not depend on
-    execution order.
+    all of them by one ``np.random.default_rng([*seed, trial]).poisson``
+    call on the observed counts, so each trial owns a private stream and the
+    outcome does not depend on execution order. It then re-runs the
+    likelihood fit (warm-started from the base reconstruction) and evaluates
+    the estimator: either a registered name ("concurrence", "purity") or any
+    callable of the reconstructed density matrix. Trials where the estimator
+    raises or returns a non-finite value are dropped and counted. Refits
+    that end with ``converged=False`` stay in the spread and are counted as
+    ``unconverged``.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials!r}")
@@ -491,15 +479,14 @@ def monte_carlo_errors(
     if base is None:
         base = reconstruct_state_mle(records, likelihood=likelihood)
     seed_parts = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    observed = np.array([r.count for r in records], dtype=float)
 
     values = []
     dropped = 0
     unconverged = 0
     for trial in range(trials):
-        rng = np.random.default_rng(seed_parts + [trial])
-        resampled = [
-            replace(r, count=_sample_poisson(rng, float(r.count))) for r in records
-        ]
+        counts = np.random.default_rng(seed_parts + [trial]).poisson(observed).tolist()
+        resampled = [CountRecord(r.setting, c, r.exposure) for r, c in zip(records, counts)]
         fit = reconstruct_state_mle(resampled, likelihood=likelihood, initial=base.rho_hat)
         unconverged += not fit.converged
         try:
@@ -587,25 +574,23 @@ def probe_outputs(ptm, probe_labels=DEFAULT_PROBE_LABELS, n_per_projector=None, 
 
     With ``n_per_projector`` unset the outputs are exact: each PTM maps the
     Pauli components of the probe inputs. Otherwise ``seeds`` holds one seed
-    per channel, and channel i draws from its own stream
-    ``np.random.default_rng(seeds[i])`` one Poissonian count on each of the
-    six polarization projectors (H, V, D, A, R, L) of each probe in label
-    order; the Bloch components are the normalized count differences, and a
-    vector longer than 1 is scaled back into the ball.
+    per channel, and channel i draws by one ``np.random.default_rng(seeds[i])
+    .poisson`` call a Poisson count on each of the six polarization
+    projectors (H, V, D, A, R, L) of each probe, probes in label order; the
+    Bloch components are the normalized count differences, and a vector
+    longer than 1 is scaled back into the ball.
     """
-    if n_per_projector is not None and n_per_projector < 1:
-        raise ValueError(f"n_per_projector must be >= 1, got {n_per_projector!r}")
+    if n_per_projector is not None and not 1 <= n_per_projector <= MAX_COUNT:
+        raise ValueError(f"n_per_projector must be >= 1 and <= 1e18, got {n_per_projector!r}")
     rho_in = np.array([dm(BASIS_KETS[label]) for label in probe_labels])
     components = np.einsum("iab,kba->ki", _PAULI_STACK, rho_in)  # Tr(sigma_i rho)
     mapped = np.einsum("nij,kj->nki", np.asarray(ptm), components)
     rho_out = np.einsum("nki,iab->nkab", 0.5 * mapped, _PAULI_STACK)
     if n_per_projector is None:
         return rho_out
-    means = n_per_projector * np.einsum("nkab,lba->nkl", rho_out, _PROJECTOR_STACK).real
-    counts = np.array([
-        [[_sample_poisson(rng, mean) for mean in probe] for probe in point]
-        for rng, point in zip(map(np.random.default_rng, seeds), means.tolist())
-    ])
+    probabilities = np.einsum("nkab,lba->nkl", rho_out, _PROJECTOR_STACK).real
+    means = n_per_projector * np.maximum(probabilities, 0.0)
+    counts = np.array([np.random.default_rng(s).poisson(m) for s, m in zip(seeds, means)])
     plus, minus = counts[..., _PLUS], counts[..., _MINUS]
     total = plus + minus
     vec = np.divide(plus - minus, total, out=np.zeros(total.shape), where=total > 0)

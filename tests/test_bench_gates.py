@@ -3,13 +3,15 @@ benchmark's own gates (perfbench/checks.py): CLI ops run through
 ``cli.main``, and ``law_sweep``'s random-unital ops make the library calls
 the benchmark's runner makes. A writer, channel, breaking-point, batching or
 likelihood-fit regression fails here before it shows up as failed benchmark
-ops."""
+ops. The two workloads that draw counts, ``tomo_bootstrap`` and
+``channel_tomo``, run on seeds 1-3; ``law_sweep`` draws none and runs seed 1."""
 
 import importlib.util
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from entdyn.channels import apply_two_sided
 from entdyn.cli import main
@@ -43,8 +45,8 @@ def _unital(check):
     return out
 
 
-def _run_schedule(workload, tmp_path, monkeypatch):
-    """Run seed 1 of ``workload`` op by op; returns (ops, projection warnings,
+def _run_schedule(workload, tmp_path, monkeypatch, seed=1):
+    """Run ``seed`` of ``workload`` op by op; returns (ops, projection warnings,
     tomo-sim summaries by op index). ``summaries`` carries tomo-sim results
     between ops, so that a ``--counts-in`` read-back is compared with the op
     that wrote the file."""
@@ -52,7 +54,7 @@ def _run_schedule(workload, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for sub in ("out", "shared", "inputs"):
         (tmp_path / sub).mkdir()
-    ops = workloads.schedule(workload, 1)
+    ops = workloads.schedule(workload, seed)
     projected = 0
     summaries = {}
     for index, op in enumerate(ops):
@@ -80,15 +82,17 @@ def test_law_sweep_schedule_passes_the_gates(tmp_path, monkeypatch):
     assert projected == 0
 
 
-def test_channel_tomo_schedule_passes_the_gates(tmp_path, monkeypatch):
-    ops, projected, _ = _run_schedule("channel_tomo", tmp_path, monkeypatch)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_channel_tomo_schedule_passes_the_gates(tmp_path, monkeypatch, seed):
+    ops, projected, _ = _run_schedule("channel_tomo", tmp_path, monkeypatch, seed)
     verbs = {op["check"]["verb"] for op in ops}
     assert verbs == {"characterize", "ellipsoid"}
     assert projected > 0  # sampled probes exercise the projection path
 
 
-def test_tomo_bootstrap_schedule_passes_the_gates(tmp_path, monkeypatch):
-    ops, _, summaries = _run_schedule("tomo_bootstrap", tmp_path, monkeypatch)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tomo_bootstrap_schedule_passes_the_gates(tmp_path, monkeypatch, seed):
+    ops, _, summaries = _run_schedule("tomo_bootstrap", tmp_path, monkeypatch, seed)
     assert {op["check"]["verb"] for op in ops} == {"tomo-sim"}
     assert sum(op["check"]["same_as"] is not None for op in ops) == 2  # counts read back
     # evaluations of the base fits: a count that repeats exactly, so a slide

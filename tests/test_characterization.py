@@ -14,8 +14,8 @@ from entdyn.sampling import random_unital_channel
 from entdyn.states import BASIS_KETS, PAULIS, density_from_bloch, dm
 from entdyn.tomography import (
     DEFAULT_PROBE_LABELS,
+    MAX_COUNT,
     PROJECTOR_LABELS,
-    _sample_poisson,
     probe_outputs,
     process_matrices,
     process_tomography_single_qubit,
@@ -61,7 +61,7 @@ def reference_sampled_outputs(channel, n, seed):
     pairs = []
     for label in DEFAULT_PROBE_LABELS:
         rho_out = apply(channel, dm(BASIS_KETS[label]))
-        counts = {lab: _sample_poisson(rng, n * float(np.trace(rho_out @ projector(lab)).real))
+        counts = {lab: rng.poisson(n * max(float(np.trace(rho_out @ projector(lab)).real), 0.0))
                   for lab in PROJECTOR_LABELS}
         vec = np.array([(counts[a] - counts[b]) / (counts[a] + counts[b])
                         if counts[a] + counts[b] else 0.0
@@ -154,6 +154,14 @@ def test_non_positive_counts_rejected(n):
         simulate_probe_outputs(channel_for("isotropic", 0.2), n_per_projector=n, seed=1)
     with pytest.raises(ValueError, match="n_per_projector"):
         run_channel_characterization("isotropic", (0.2,), n_per_probe=n)
+
+
+def test_counts_above_the_limit_rejected():
+    with pytest.raises(ValueError, match="n_per_projector must be >= 1 and <= 1e18"):
+        simulate_probe_outputs(channel_for("isotropic", 0.2), n_per_projector=MAX_COUNT + 1, seed=1)
+    pairs = simulate_probe_outputs(channel_for("isotropic", 0.2), n_per_projector=MAX_COUNT, seed=1)
+    assert np.max(np.abs(process_tomography_single_qubit(pairs).diagonal().real
+                         - [0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3])) < 1e-6
 
 
 @pytest.mark.parametrize("counts", ["0", "-4"])

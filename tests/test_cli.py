@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import entdyn.harness
 from entdyn.cli import main
 from entdyn.harness import NumericalError
 from entdyn.states import bell_state
-from entdyn.tomography import simulate_counts, standard_settings, write_counts_csv
+from entdyn.tomography import MAX_COUNT, simulate_counts, standard_settings, write_counts_csv
 
 
 def test_sweep_to_csv(tmp_path, capsys):
@@ -95,6 +96,21 @@ def test_numerical_error_exit_code(monkeypatch):
     monkeypatch.setattr(entdyn.harness, "run_breaking_points", boom)
     monkeypatch.setattr("entdyn.cli.run_breaking_points", boom)
     assert main(["breaking-points"]) == 2
+
+
+def test_unconverged_shot_noise_sweep_exit_code(monkeypatch, capsys, tmp_path):
+    fit = entdyn.harness.reconstruct_state_mle
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(fit(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(entdyn.harness, "reconstruct_state_mle", unconverged)
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--pipeline", "shot-noise", "--p-grid", "0.2,0.4", "--counts", "500",
+            "--trials", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: p_grid[0]: likelihood fit")
+    assert not out.exists()
 
 
 def test_reused_parser_keeps_calls_apart(capsys):
@@ -256,6 +272,77 @@ def test_tomo_sim_summary_and_counts_round_trip(tmp_path):
     assert code == 0
     summary2 = json.loads(summary2_path.read_text())
     assert summary2["concurrence"] == pytest.approx(summary["concurrence"], abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--p", "0.3", "--seed", "5"],
+     ["--p", "0.0", "--seed", "8", "--family", "two-field", "--initial", "bell:psi+"],
+     ["--p", "0.6", "--mode", "two_sided", "--likelihood", "poisson", "--initial", "pes:0.2"]],
+)
+def test_tomo_sim_is_a_one_point_shot_noise_sweep(tmp_path, capsys, flags):
+    # tomo-sim runs grid point 0 of the sweep's shot-noise pipeline: counts
+    # from stream (seed, 0, 0), bootstrap from (seed, 0, 1)
+    common = ["--counts", "800", "--trials", "3"]
+    out = tmp_path / "summary.json"
+    assert main(["tomo-sim", *flags, *common, "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    sweep_flags = [f if f != "--p" else "--p-grid" for f in flags]
+    assert main(["sweep", "--pipeline", "shot-noise", *sweep_flags, *common,
+                 "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["concurrence"] == summary["concurrence"]
+    assert row["error"] == summary["error"]
+    assert row["predicted"] == summary["predicted"]
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_tomo_sim_p_outside_unit_interval_names_p(tmp_path, capsys, p):
+    out = tmp_path / "summary.json"
+    assert main(["tomo-sim", "--p", p, "--trials", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: p: value {float(p)!r} outside [0, 1]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["tomo-sim", "--trials", "2"], "pipeline.n_per_setting: must be <= 1e18"),
+     (["sweep", "--pipeline", "shot-noise", "--p-grid", "0.2", "--trials", "2"],
+      "pipeline.n_per_setting: must be <= 1e18"),
+     (["characterize", "--family", "isotropic", "--p-grid", "0.2"], "counts: must be <= 1e18")],
+)
+def test_counts_above_the_limit_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--counts", str(10**20), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}, got {10**20}\n"
+    assert not out.exists()
+    assert main([*argv, "--counts", str(MAX_COUNT), "--out", str(out)]) in (0, 2)
+    capsys.readouterr()
+
+
+def test_counts_in_above_the_limit_names_the_row(tmp_path, capsys):
+    records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=2)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(records, path)
+    lines = path.read_text().splitlines()
+    lines[3] = f"H,D,{10**19},1000.0"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: malformed count record on data row 3" in err
+    assert "count must be between 0 and 1e18" in err
+
+
+@pytest.mark.parametrize("verb", ["sweep", "pes-sweep"])
+@pytest.mark.parametrize("pipeline", ["analytic", "exact"])
+def test_unknown_bell_state_exit_1(tmp_path, capsys, verb, pipeline):
+    out = tmp_path / "rows.csv"
+    argv = [verb, "--pipeline", pipeline, "--p-grid", "0,0.5", "--initial", "bell:nope",
+            "--out", str(out)]
+    assert main(argv) == 1
+    field = "initial.bell" if verb == "sweep" else "initials[0].bell"
+    assert capsys.readouterr().err.startswith(f"error: {field}: unknown Bell state 'nope'")
+    assert not out.exists()
 
 
 def test_tomo_sim_summary_reports_the_fit(tmp_path):

@@ -1,8 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import entdyn.harness
 
 from entdyn.channels import (
     apply_one_sided,
@@ -24,6 +27,7 @@ from entdyn.dynamics import (
 from entdyn.harness import (
     BreakingPoint,
     ConfigError,
+    NumericalError,
     Pipeline,
     SweepConfig,
     emit,
@@ -35,9 +39,11 @@ from entdyn.harness import (
     run_pes_sweep,
     run_selftest,
     run_sweep,
+    shot_noise_point,
     sweep_config_from_dict,
 )
 from entdyn.states import dm
+from entdyn.tomography import MAX_COUNT, simulate_counts, standard_settings
 
 BELL = InitialStateSpec(kind="bell", bell="phi_plus")
 
@@ -104,6 +110,42 @@ class TestRunSweep:
         for row in rows:
             assert row.error is not None and row.error >= 0.0
             assert abs(row.concurrence - row.predicted) < 0.1
+
+    def test_shot_noise_point_streams(self):
+        pipeline = Pipeline(kind="shot_noise", n_per_setting=500, trials=3, seed=4)
+        config = analytic_config(p_grid=(0.1, 0.3), pipeline=pipeline)
+        records, fit, estimate = shot_noise_point(config, BELL, 1)
+        rho = apply_one_sided(channel_for("two-field", 0.3), make_initial(BELL), target=1)
+        expected = simulate_counts(rho, standard_settings(), 500, seed=(4, 1, 0))
+        assert [r.count for r in records] == [r.count for r in expected]
+        # given records are fitted as they are, with the same bootstrap stream
+        again = shot_noise_point(config, BELL, 1, records=expected)
+        assert again[0] is expected
+        assert np.array_equal(again[1].rho_hat, fit.rho_hat) and again[2] == estimate
+        assert estimate.trials == 3
+        rows = run_sweep(config)
+        assert rows[1].concurrence == concurrence(fit.rho_hat).c
+        assert rows[1].error == estimate.std_dev
+
+    def test_unconverged_shot_noise_fit_names_the_point(self, monkeypatch):
+        # the harness fits each point's counts once; the refits run inside
+        # the bootstrap
+        fit = entdyn.harness.reconstruct_state_mle
+        calls = []
+
+        def second_fit_unconverged(*args, **kwargs):
+            calls.append(1)
+            result = fit(*args, **kwargs)
+            return replace(result, converged=False) if len(calls) == 2 else result
+
+        monkeypatch.setattr(entdyn.harness, "reconstruct_state_mle", second_fit_unconverged)
+        config = analytic_config(
+            p_grid=(0.1, 0.3, 0.5),
+            pipeline=Pipeline(kind="shot_noise", n_per_setting=500, trials=2, seed=4),
+        )
+        with pytest.raises(NumericalError, match=r"^p_grid\[1\]: likelihood fit did not converge"):
+            run_sweep(config)
+        assert len(calls) == 2
 
 
 class TestPesSweep:
@@ -363,6 +405,18 @@ class TestConfigValidation:
     def test_bad_pipeline_kind(self):
         with pytest.raises(ConfigError, match=r"^pipeline\.kind"):
             run_sweep(analytic_config(pipeline=Pipeline(kind="monte_carlo")))
+
+    def test_counts_above_the_limit(self):
+        with pytest.raises(ConfigError, match=r"^pipeline\.n_per_setting: must be <= 1e18"):
+            run_sweep(analytic_config(pipeline=Pipeline(kind="shot_noise", n_per_setting=MAX_COUNT + 1)))
+
+    @pytest.mark.parametrize("pipeline", ["analytic", "exact", "shot_noise"])
+    def test_unknown_bell_state(self, pipeline):
+        with pytest.raises(ConfigError, match=r"^initial\.bell: unknown Bell state 'nope'"):
+            sweep_config_from_dict({"initial": "bell:nope", "pipeline": pipeline})
+        initials = ["bell:psi-", {"kind": "bell", "bell": "nope"}]
+        with pytest.raises(ConfigError, match=r"^initials\[1\]\.bell: unknown Bell state 'nope'"):
+            sweep_config_from_dict({"initials": initials, "pipeline": pipeline})
 
     def test_bad_trials(self):
         with pytest.raises(ConfigError, match=r"^pipeline\.trials"):

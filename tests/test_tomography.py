@@ -14,12 +14,12 @@ from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, trace_distance
 import entdyn.tomography
 from entdyn.tomography import (
     LIKELIHOODS,
+    MAX_COUNT,
     _T_BASIS,
     CountRecord,
     MeasurementSetting,
     _objective,
     _params_from_rho,
-    _sample_poisson,
     _setting_matrix,
     born_probability,
     ellipsoid_mesh,
@@ -80,33 +80,76 @@ class TestSettings:
             MeasurementSetting("H", "Q")
 
 
-class TestPoissonSampler:
-    def test_zero_mean(self):
-        rng = np.random.default_rng(0)
-        assert _sample_poisson(rng, 0.0) == 0
+def legacy_counts(rho, n, seed):
+    """36-setting counts as the hard cases below were found on them: drawn
+    count by count from ``np.random.default_rng(seed)``, by inversion below
+    mean 30 and as a rounded Gaussian above. Keeps those cases on their
+    exact counts now that the program draws exact Poisson counts."""
+    rng = np.random.default_rng(seed)
+    settings = standard_settings()
+    operators = np.array([s.operator() for s in settings])
+    means = n * np.maximum(np.einsum("sab,ba->s", operators, rho).real, 0.0)
+    records = []
+    for s, mean in zip(settings, means.tolist()):
+        k = 0
+        if 0.0 < mean < 30.0:
+            u, p = rng.random(), math.exp(-mean)
+            c = p
+            while u > c and k < 1000:
+                k += 1
+                p *= mean / k
+                c += p
+        elif mean >= 30.0:
+            k = max(0, int(round(rng.normal(mean, math.sqrt(mean)))))
+        records.append(CountRecord(s, k, float(n)))
+    return records
 
-    def test_deterministic(self):
-        a = [_sample_poisson(np.random.default_rng(5), m) for m in (0.5, 3.0, 80.0)]
-        b = [_sample_poisson(np.random.default_rng(5), m) for m in (0.5, 3.0, 80.0)]
-        assert a == b
 
+def repeated_counts(mean, draws, seed):
+    """``draws`` counts of one setting with Born probability 1, at ``mean``
+    pairs per setting."""
+    hh = MeasurementSetting("H", "H")
+    records = simulate_counts(dm(np.kron(BASIS_KETS["H"], BASIS_KETS["H"])), [hh] * draws, mean, seed)
+    return np.array([r.count for r in records])
+
+
+class TestPoissonCounts:
     def test_small_mean_matches_exact_pmf(self):
-        rng = np.random.default_rng(6)
-        mean = 3.0
-        n = 20000
-        samples = np.array([_sample_poisson(rng, mean) for _ in range(n)])
+        mean, n = 3, 20000
+        samples = repeated_counts(mean, n, seed=6)
         for k in range(8):
             pmf = math.exp(-mean) * mean**k / math.factorial(k)
             observed = np.mean(samples == k)
             assert observed == pytest.approx(pmf, abs=5 * math.sqrt(pmf * (1 - pmf) / n) + 1e-4)
 
     def test_large_mean_moments(self):
-        rng = np.random.default_rng(7)
-        mean = 5000.0
-        samples = np.array([_sample_poisson(rng, mean) for _ in range(4000)])
-        assert samples.mean() == pytest.approx(mean, abs=5 * math.sqrt(mean / 4000))
+        mean, n = 5000, 4000
+        samples = repeated_counts(mean, n, seed=7)
+        assert samples.mean() == pytest.approx(mean, abs=5 * math.sqrt(mean / n))
         assert samples.var() == pytest.approx(mean, rel=0.2)
         assert np.all(samples >= 0)
+
+    def test_skewness_is_poisson(self):
+        # a rounded Gaussian has skewness 0; a Poisson count of mean m has
+        # 1 / sqrt(m), here 0.141, and the sample skewness of n draws has a
+        # standard error of about sqrt(6 / n)
+        mean, n = 50, 10**5
+        samples = repeated_counts(mean, n, seed=8).astype(float)
+        centred = samples - samples.mean()
+        skewness = np.mean(centred**3) / np.mean(centred**2) ** 1.5
+        assert abs(skewness - 1 / math.sqrt(mean)) < 5 * math.sqrt(6 / n)
+
+    def test_counts_above_the_limit_rejected(self, tmp_path):
+        hh = MeasurementSetting("H", "H")
+        with pytest.raises(ValueError, match="n_per_setting must be >= 1 and <= 1e18"):
+            simulate_counts(bell_state("phi+"), [hh], MAX_COUNT + 1, seed=1)
+        assert simulate_counts(bell_state("phi+"), [hh], MAX_COUNT, seed=1)[0].count > 0
+        with pytest.raises(ValueError, match="count must be between 0 and 1e18"):
+            CountRecord(hh, MAX_COUNT + 1, 1.0)
+        path = tmp_path / "counts.csv"
+        path.write_text(f"proj_a,proj_b,count,exposure\nH,H,5,10.0\nH,V,{MAX_COUNT + 1},10.0\n")
+        with pytest.raises(ValueError, match=r"counts\.csv: .*data row 2 .*count must be"):
+            read_counts_csv(path)
 
 
 class TestSimulateCounts:
@@ -139,7 +182,7 @@ class TestSimulateCounts:
             for chosen in (standard_settings(), [MeasurementSetting("D", "L")]):
                 rng = np.random.default_rng(seed)
                 loop = [
-                    CountRecord(s, _sample_poisson(rng, n * max(born_probability(rho, s), 0.0)), float(n))
+                    CountRecord(s, int(rng.poisson(n * max(born_probability(rho, s), 0.0))), float(n))
                     for s in chosen
                 ]
                 assert simulate_counts(rho, iter(chosen), n, seed=seed) == loop
@@ -290,7 +333,7 @@ class TestMonteCarlo:
     def test_boundary_state_spread_suppressed(self):
         # at C = 1 the physicality constraint clips fluctuations quadratically,
         # so the spread sits well below the interior 1/sqrt(N) scale
-        records = simulate_counts(bell_state("phi+"), standard_settings(), 10**4, seed=12)
+        records = legacy_counts(bell_state("phi+"), 10**4, seed=12)
         est = monte_carlo_errors(records, trials=10, estimator="concurrence", seed=(12, 1))
         assert est.std_dev < 0.002
 
@@ -377,7 +420,7 @@ class TestGradientFit:
     )
     def test_boundary_fit_reaches_the_maximum(self, seed, likelihood, n, reference):
         rho = apply_one_sided(two_field_channel(0.7), bell_state("psi+"), target=1)
-        records = simulate_counts(rho, standard_settings(), n, seed=seed)
+        records = legacy_counts(rho, n, seed)
         fit = reconstruct_state_mle(records, likelihood=likelihood)
         assert fit.converged
         assert fit.log_likelihood >= reference - 1e-9 * abs(reference)
@@ -385,7 +428,7 @@ class TestGradientFit:
     def test_rank_deficient_seed_reaches_the_maximum(self):
         # pure singlet: the undiluted linear-inversion seed is rank deficient,
         # its T-diagonal near zero; the search must still reach the maximum
-        records = simulate_counts(bell_state("psi-"), standard_settings(), 10_000, seed=6)
+        records = legacy_counts(bell_state("psi-"), 10_000, seed=6)
         fun = _fit_objective(records, "gaussian")
         raw = linear_inversion_state(records)
         assert np.linalg.eigvalsh(raw)[0] < 1e-12
@@ -398,7 +441,7 @@ class TestGradientFit:
         # a rank-2 state whose undiluted linear-inversion seed stalls the
         # search 0.5% short of the maximum
         rho = apply_one_sided(two_field_channel(0.7), bell_state("psi-"), target=1)
-        records = simulate_counts(rho, standard_settings(), 10_000, seed=0)
+        records = legacy_counts(rho, 10_000, seed=0)
         assert np.linalg.eigvalsh(linear_inversion_state(records))[0] < 1e-12
         fit = reconstruct_state_mle(records)
         interior = reconstruct_state_mle(records, initial=np.eye(4) / 4)
