@@ -501,28 +501,36 @@ def channel_to_json(channel) -> dict:
 
 
 def channel_from_json(obj: dict):
-    """Parse a channel description object, enforcing exactly one parameterization."""
+    """Parse a channel description object, enforcing exactly one
+    parameterization; a parameter that fails is named (``p: ...``)."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError("channel object must be a mapping with a 'family' key")
     family = obj["family"]
     params = set(obj) - {"family"}
+
+    def parameter(name, build):
+        try:
+            return build(obj[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+
     if family in PAULI_FAMILIES:
         if params != {"p"}:
             raise ValueError(f"family {family!r} takes exactly the parameter 'p', got {sorted(params)}")
-        return channel_for(family, float(obj["p"]))
+        return parameter("p", lambda p: channel_for(family, float(p)))
     if family == "pauli":
         if params != {"chi"}:
             raise ValueError(f"family 'pauli' takes exactly the parameter 'chi', got {sorted(params)}")
-        return PauliChannel(np.asarray(obj["chi"], dtype=float))
+        return parameter("chi", lambda chi: PauliChannel(np.asarray(chi, dtype=float)))
     if family == "unital":
         if params != {"radii", "u", "v"}:
             raise ValueError(
                 f"family 'unital' takes exactly the parameters radii/u/v, got {sorted(params)}"
             )
         return UnitalChannel(
-            pre_rotation=matrix_from_json(obj["v"]),
-            post_rotation=matrix_from_json(obj["u"]),
-            radii=np.asarray(obj["radii"], dtype=float),
+            pre_rotation=parameter("v", matrix_from_json),
+            post_rotation=parameter("u", matrix_from_json),
+            radii=parameter("radii", lambda radii: np.asarray(radii, dtype=float)),
         )
     raise ValueError(f"unknown channel family {family!r}")
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import channel_for, channel_from_json
+from .channels import PAULI_FAMILIES, channel_for, channel_from_json
 from .dynamics import concurrence
 from .harness import (
     ENV_OUTDIR,
@@ -29,7 +29,7 @@ from .harness import (
     NumericalError,
     analytic_prediction,
     emit,
-    initial_spec_from,
+    p_grid_from,
     render,
     render_mesh,
     render_tables,
@@ -64,61 +64,53 @@ def _write_or_print(text: str, out: Path | None) -> None:
             fh.write(text)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path: str, name: str):
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
+        raise ConfigError(f"{name}: {path} is not valid JSON ({exc})") from exc
+
+
+def _load_config_file(path: str | None) -> dict:
+    obj = {} if path is None else _read_json(path, "config")
     if not isinstance(obj, dict):
         raise ConfigError("config: top-level JSON value must be an object")
     return obj
 
 
-def _parse_grid_flag(text: str) -> list[float]:
+def _parse_grid_flag(text: str):
+    """``--p-grid`` text split into the config file's own ``p_grid`` shapes:
+    ``start:stop:points`` as a range mapping, a comma list as a list. The
+    values stay text for :func:`~entdyn.harness.p_grid_from` to convert."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"p_grid: expected start:stop:points, got {text!r}")
-        return [float(x) for x in np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))]
-    return [float(x) for x in text.split(",") if x.strip()]
+        return dict(zip(("start", "stop", "points"), parts))
+    return [x for x in text.split(",") if x.strip()]
 
 
-def _sweep_config_from_args(args, multi_initial: bool = False):
-    obj = _load_config_file(args.config)
-    if args.family is not None:
-        obj["family"] = args.family
+def _sweep_config_from_args(args, **fixed):
+    """The ``--config`` file's mapping (for verbs that take one) with the
+    verb's ``fixed`` fields and then its flags on top, read as one config."""
+    obj = {**_load_config_file(getattr(args, "config", None)), **fixed}
     if args.mode is not None:
         obj["mode"] = args.mode.replace("-", "_")
-    if args.p_grid is not None:
+    if getattr(args, "p_grid", None) is not None:
         obj["p_grid"] = _parse_grid_flag(args.p_grid)
-    if getattr(args, "noisy_qubit", None) is not None:
-        obj["noisy_qubit"] = args.noisy_qubit
-    if getattr(args, "p_scale", None) is not None:
-        obj["p_scale"] = args.p_scale
-    initial = getattr(args, "initial", None)
-    if initial:
-        if multi_initial:
-            obj["initials"] = list(initial)
-        else:
-            obj["initial"] = initial
-    pipeline = dict(obj.get("pipeline", {})) if isinstance(obj.get("pipeline"), dict) else {}
-    if isinstance(obj.get("pipeline"), str):
-        pipeline = {"kind": obj["pipeline"]}
-    if args.pipeline is not None:
-        pipeline["kind"] = args.pipeline
-    if args.counts is not None:
-        pipeline["n_per_setting"] = args.counts
-    if args.trials is not None:
-        pipeline["trials"] = args.trials
-    if args.seed is not None:
-        pipeline["seed"] = args.seed
-    if args.likelihood is not None:
-        pipeline["likelihood"] = args.likelihood
-    if pipeline:
-        obj["pipeline"] = pipeline
+    for name in ("family", "noisy_qubit", "p_scale"):
+        if getattr(args, name, None) is not None:
+            obj[name] = getattr(args, name)
+    if args.initial:  # pes-sweep's repeatable flag gives a list
+        obj["initials" if isinstance(args.initial, list) else "initial"] = args.initial
+    flags = (("kind", getattr(args, "pipeline", None)), ("n_per_setting", args.counts),
+             ("trials", args.trials), ("seed", args.seed), ("likelihood", args.likelihood))
+    flags = {name: value for name, value in flags if value is not None}
+    if flags:
+        pipeline = obj.get("pipeline", {})
+        pipeline = {"kind": pipeline} if isinstance(pipeline, str) else pipeline
+        obj["pipeline"] = {**pipeline, **flags} if isinstance(pipeline, dict) else pipeline
     return sweep_config_from_dict(obj)
 
 
@@ -130,7 +122,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_pes_sweep(args) -> int:
-    config = _sweep_config_from_args(args, multi_initial=True)
+    config = _sweep_config_from_args(args)
     tables = run_pes_sweep(config)
     out = _resolve_out(args.out)
     if args.format == "json":
@@ -158,7 +150,7 @@ def _cmd_characterize(args) -> int:
         raise ConfigError(f"counts: must be >= 1, got {args.counts!r}")
     if args.counts is not None and args.counts > MAX_COUNT:
         raise ConfigError(f"counts: must be <= 1e18, got {args.counts!r}")
-    p_grid = _parse_grid_flag(args.p_grid) if args.p_grid else list(np.linspace(0.0, 1.0, 11))
+    p_grid = p_grid_from(_parse_grid_flag(args.p_grid)) if args.p_grid else np.linspace(0.0, 1.0, 11)
     rows = run_channel_characterization(
         args.family, p_grid, n_per_probe=args.counts, seed=args.seed or 0
     )
@@ -168,8 +160,11 @@ def _cmd_characterize(args) -> int:
 
 def _cmd_ellipsoid(args) -> int:
     if args.channel:
-        with open(args.channel) as fh:
-            channel = channel_from_json(json.load(fh))
+        obj = _read_json(args.channel, "channel")
+        try:
+            channel = channel_from_json(obj)
+        except ValueError as exc:
+            raise ConfigError(f"{args.channel}: {exc}") from exc
     else:
         if args.p is None:
             raise ConfigError("p: required unless --channel is given")
@@ -182,20 +177,8 @@ def _cmd_ellipsoid(args) -> int:
 def _cmd_tomo_sim(args) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise ConfigError(f"p: value {args.p!r} outside [0, 1]")
-    spec = initial_spec_from(args.initial or "bell:phi+")
-    mode = (args.mode or "one_sided").replace("-", "_")
-    flags = (("n_per_setting", args.counts), ("trials", args.trials), ("seed", args.seed),
-             ("likelihood", args.likelihood))
-    config = sweep_config_from_dict(
-        {
-            "family": args.family or "isotropic",
-            "mode": mode,
-            "initial": spec,
-            "p_grid": [args.p],
-            "pipeline": {"kind": "shot_noise", **{k: v for k, v in flags if v is not None}},
-        }
-    )
-    pipeline = config.pipeline
+    config = _sweep_config_from_args(args, p_grid=[args.p], pipeline="shot_noise")
+    pipeline, spec = config.pipeline, config.initial
     records = read_counts_csv(args.counts_in) if args.counts_in else None
     records, fit, estimate = shot_noise_point(config, spec, 0, records)
     if args.counts_out:
@@ -204,7 +187,7 @@ def _cmd_tomo_sim(args) -> int:
         write_counts_csv(records, counts_out)
     summary = {
         "family": config.family,
-        "mode": mode,
+        "mode": config.mode,
         "p": args.p,
         "initial": spec.label(),
         "n_per_setting": pipeline.n_per_setting,
@@ -243,29 +226,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement dynamics of qubit pairs under unital noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grid_help = "comma list or start:stop:points"
 
     def add_common(p, formats=("csv", "json")):
         p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--format", choices=formats, default="csv")
 
-    def add_sweep_flags(p, multi=False):
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--family", choices=["two-field", "isotropic", "dephasing"])
+    def add_config_flags(p, multi=False):
+        """The sweep-config flags that sweep, pes-sweep and tomo-sim share."""
+        p.add_argument("--family", choices=PAULI_FAMILIES)
         p.add_argument("--mode", choices=["one_sided", "two_sided", "one-sided", "two-sided"])
-        if multi:
-            p.add_argument(
-                "--initial",
-                action="append",
-                help="initial state (repeatable): bell:phi+, pes:<delta>[:<phi>], mixed:<delta>:<p>",
-            )
-        else:
-            p.add_argument("--initial", help="bell:phi+, pes:<delta>[:<phi>], or mixed:<delta>:<p>")
-        p.add_argument("--p-grid", dest="p_grid", help="comma list or start:stop:points")
-        p.add_argument("--pipeline", choices=["analytic", "exact", "exact_simulation", "shot-noise", "shot_noise"])
+        p.add_argument("--initial", action="append" if multi else "store",
+                       help=("initial state (repeatable): " if multi else "")
+                       + "bell:phi+, pes:<delta>[:<phi>], or mixed:<delta>:<p>")
         p.add_argument("--counts", type=int, help="pairs per setting for shot noise")
         p.add_argument("--trials", type=int, help="Monte Carlo trials for error bars")
         p.add_argument("--seed", type=int)
         p.add_argument("--likelihood", choices=["gaussian", "poisson"])
+
+    def add_sweep_flags(p, multi=False):
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        add_config_flags(p, multi)
+        p.add_argument("--p-grid", dest="p_grid", help=grid_help)
+        p.add_argument("--pipeline", choices=["analytic", "exact", "exact_simulation", "shot-noise", "shot_noise"])
         p.add_argument("--noisy-qubit", dest="noisy_qubit", type=int, choices=[0, 1])
         p.add_argument("--p-scale", dest="p_scale", type=float,
                        help="stretch predicted curves' noise axis (figure comparison only)")
@@ -285,15 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_breaking_points)
 
     p = sub.add_parser("characterize", help="process-matrix eigenvalue curves vs theory")
-    p.add_argument("--family", choices=["two-field", "isotropic", "dephasing"], required=True)
-    p.add_argument("--p-grid", dest="p_grid", help="comma list or start:stop:points")
+    p.add_argument("--family", choices=PAULI_FAMILIES, required=True)
+    p.add_argument("--p-grid", dest="p_grid", help=grid_help)
     p.add_argument("--counts", type=int, help="counts per projector (omit for exact probes)")
     p.add_argument("--seed", type=int)
     add_common(p)
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("ellipsoid", help="mapped Bloch-sphere mesh points")
-    p.add_argument("--family", choices=["two-field", "isotropic", "dephasing"], default="isotropic")
+    p.add_argument("--family", choices=PAULI_FAMILIES, default="isotropic")
     p.add_argument("--p", type=float)
     p.add_argument("--channel", help="JSON channel description file (overrides family/p)")
     p.add_argument("--n-theta", dest="n_theta", type=int, default=25)
@@ -302,14 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ellipsoid)
 
     p = sub.add_parser("tomo-sim", help="simulate counts, reconstruct, report concurrence")
-    p.add_argument("--family", choices=["two-field", "isotropic", "dephasing"])
-    p.add_argument("--mode", choices=["one_sided", "two_sided", "one-sided", "two-sided"])
+    add_config_flags(p)
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--initial", help="bell:phi+, pes:<delta>[:<phi>], or mixed:<delta>:<p>")
-    p.add_argument("--counts", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--likelihood", choices=["gaussian", "poisson"])
     p.add_argument("--counts-out", dest="counts_out", help="also write the simulated counts CSV here")
     p.add_argument("--counts-in", dest="counts_in", help="reconstruct from this counts CSV instead of simulating")
     p.add_argument("--out", help="summary JSON path (stdout if omitted)")

@@ -22,7 +22,9 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 from itertools import chain
 from operator import attrgetter
 
@@ -49,7 +51,7 @@ from .dynamics import (
     pure_state_concurrence,
     wootters,
 )
-from .states import BASIS_KETS, BELL_KETS, dm
+from .states import BASIS_KETS, bell_key, dm
 from .tomography import (
     DEFAULT_PROBE_LABELS,
     MAX_COUNT,
@@ -154,9 +156,8 @@ def validate_sweep_config(config: SweepConfig) -> None:
     for label, spec in _named_initials(config):
         if not isinstance(spec, InitialStateSpec):
             raise ConfigError(f"{label}: expected an InitialStateSpec, got {type(spec).__name__}")
-        if spec.kind == "bell" and _bell_key(spec.bell) not in BELL_KETS:
-            raise ConfigError(f"{label}.bell: unknown Bell state {spec.bell!r}; "
-                              f"expected one of {sorted(BELL_KETS)}")
+        if spec.kind == "bell":
+            _bell(spec.bell, f"{label}.bell")
         for name in ("delta", "phi"):
             value = getattr(spec, name)
             if not math.isfinite(value):
@@ -505,113 +506,129 @@ def read_rows(path, format: str = "json") -> list[SweepRow]:
 # Configuration parsing (JSON file / CLI)
 
 
-def initial_spec_from(obj) -> InitialStateSpec:
-    """Parse an initial-state recipe from a mapping or compact string.
+#: Fields of each initial-state kind in compact-string order, with their
+#: defaults (``_REQUIRED`` marks a field that has none).
+_REQUIRED = object()
+_INITIAL_FIELDS = {
+    "bell": {"bell": "phi_plus"},
+    "pure_pes": {"delta": _REQUIRED, "phi": 0.0},
+    "mixed_pes": {"delta": _REQUIRED, "dephasing": _REQUIRED},
+}
+_INITIAL_ALIASES = {"pes": "pure_pes", "mixed": "mixed_pes"}
+_PIPELINE_ALIASES = {"exact": "exact_simulation", "shot-noise": "shot_noise"}
 
-    Strings: ``bell:phi+``, ``pes:<delta>[:<phi>]``, ``mixed:<delta>:<p>``
-    (angles in radians).
-    """
+
+def _field(value, kind, path: str):
+    """``value`` as a ``kind`` (str, int or float), or a ConfigError naming
+    ``path``. A number may be spelled as a string (a compact string's
+    fields, a flag's text); an int takes an integral float but no fraction;
+    bools, None, lists and mappings are never numbers."""
+    if isinstance(value, str if kind is str else (str, numbers.Real)) and not isinstance(value, bool):
+        try:
+            out = kind(value)
+        except (ValueError, OverflowError):
+            out = None
+        if out is not None and (kind is not int or isinstance(value, str) or out == value):
+            return out
+    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+
+
+def _read(obj: dict, name: str, kind, prefix: str, default):
+    """Field ``name`` of the mapping ``obj`` as a ``kind``, named
+    ``prefix + name`` in errors; ``default`` when absent."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"{prefix}{name}: missing")
+        return default
+    return _field(obj[name], kind, prefix + name)
+
+
+def _bell(name, path: str) -> str:
+    try:
+        return bell_key(name)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
+    """Parse an initial-state recipe from a mapping, or from a compact string
+    read as the mapping of its fields: ``bell:phi+``, ``pes:<delta>[:<phi>]``
+    or ``mixed:<delta>:<p>`` (angles in radians). Errors name ``path``."""
     if isinstance(obj, InitialStateSpec):
         return obj
     if isinstance(obj, str):
-        parts = obj.split(":")
-        try:
-            if parts[0] == "bell":
-                return InitialStateSpec(kind="bell", bell=_bell_key(parts[1] if len(parts) > 1 else "phi+"))
-            if parts[0] in ("pes", "pure_pes"):
-                return InitialStateSpec(
-                    kind="pure_pes",
-                    delta=float(parts[1]),
-                    phi=float(parts[2]) if len(parts) > 2 else 0.0,
-                )
-            if parts[0] in ("mixed", "mixed_pes"):
-                return InitialStateSpec(kind="mixed_pes", delta=float(parts[1]), dephasing=float(parts[2]))
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"initial: cannot parse {obj!r} ({exc})") from exc
-        raise ConfigError(f"initial: unknown kind {parts[0]!r}")
+        kind, *values = obj.split(":")
+        kind = _INITIAL_ALIASES.get(kind, kind)
+        obj = {"kind": kind, **dict(zip(_INITIAL_FIELDS.get(kind, ()), values))}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a mapping or string, got {type(obj).__name__}")
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _INITIAL_FIELDS:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}; expected one of {sorted(_INITIAL_FIELDS)}")
+    prefix = f"{path}."
+    if kind == "bell":
+        return InitialStateSpec(kind="bell", bell=_bell(obj.get("bell", "phi_plus"), prefix + "bell"))
+    return InitialStateSpec(kind=kind, **{name: _read(obj, name, float, prefix, default)
+                                          for name, default in _INITIAL_FIELDS[kind].items()})
+
+
+def p_grid_from(obj) -> tuple:
+    """A noise grid as floats, from a list of values or a ``{start, stop,
+    points}`` range; errors name the field (``p_grid[2]``, ``p_grid.points``)."""
     if isinstance(obj, dict):
-        kind = obj.get("kind")
+        start, stop = (_read(obj, name, float, "p_grid.", _REQUIRED) for name in ("start", "stop"))
+        points = _read(obj, "points", int, "p_grid.", _REQUIRED)
+        for name, value in (("start", start), ("stop", stop)):
+            if not math.isfinite(value):
+                raise ConfigError(f"p_grid.{name}: must be finite, got {value!r}")
         try:
-            if kind == "bell":
-                return InitialStateSpec(kind="bell", bell=_bell_key(obj.get("bell", "phi_plus")))
-            if kind == "pure_pes":
-                return InitialStateSpec(
-                    kind="pure_pes", delta=float(obj["delta"]), phi=float(obj.get("phi", 0.0))
-                )
-            if kind == "mixed_pes":
-                return InitialStateSpec(
-                    kind="mixed_pes", delta=float(obj["delta"]), dephasing=float(obj["dephasing"])
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"initial.{exc}: missing or malformed field") from exc
-        raise ConfigError(f"initial.kind: unknown kind {kind!r}")
-    raise ConfigError(f"initial: expected a mapping or string, got {type(obj).__name__}")
-
-
-def _bell_key(name: str) -> str:
-    return name.strip().lower().replace("+", "_plus").replace("-", "_minus")
-
-
-def _parse_p_grid(obj) -> tuple:
-    if isinstance(obj, dict):
-        try:
-            return tuple(
-                float(x)
-                for x in np.linspace(float(obj["start"]), float(obj["stop"]), int(obj["points"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"p_grid: malformed range object ({exc})") from exc
-    try:
-        return tuple(float(x) for x in obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"p_grid: expected numbers, got {obj!r}") from exc
+            return tuple(np.linspace(start, stop, points).tolist())
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"p_grid.points: cannot make {points} points ({exc})") from None
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return tuple(_field(x, float, f"p_grid[{i}]") for i, x in enumerate(obj))
+    raise ConfigError(f"p_grid: expected a list or a {{start, stop, points}} range, got {obj!r}")
 
 
 def pipeline_from(obj) -> Pipeline:
+    """A pipeline from a mapping of :class:`Pipeline` fields or a kind string,
+    with the kind shorthands ``exact`` and ``shot-noise`` resolved."""
     if isinstance(obj, Pipeline):
         return obj
     if isinstance(obj, str):
-        kind = {"exact": "exact_simulation", "shot-noise": "shot_noise"}.get(obj, obj)
-        return Pipeline(kind=kind)
-    if isinstance(obj, dict):
-        known = {"kind", "n_per_setting", "trials", "seed", "likelihood"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"pipeline.{sorted(unknown)[0]}: unknown field")
-        base = Pipeline()
-        kind = obj.get("kind", base.kind)
-        kind = {"exact": "exact_simulation", "shot-noise": "shot_noise"}.get(kind, kind)
-        return Pipeline(
-            kind=kind,
-            n_per_setting=int(obj.get("n_per_setting", base.n_per_setting)),
-            trials=int(obj.get("trials", base.trials)),
-            seed=int(obj.get("seed", base.seed)),
-            likelihood=obj.get("likelihood", base.likelihood),
-        )
-    raise ConfigError(f"pipeline: expected a mapping or string, got {type(obj).__name__}")
+        obj = {"kind": obj}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"pipeline: expected a mapping or string, got {type(obj).__name__}")
+    defaults = {f.name: f.default for f in dataclass_fields(Pipeline)}
+    unknown = set(obj) - set(defaults)
+    if unknown:
+        raise ConfigError(f"pipeline.{sorted(unknown)[0]}: unknown field")
+    values = {name: _read(obj, name, type(d), "pipeline.", d) for name, d in defaults.items()}
+    values["kind"] = _PIPELINE_ALIASES.get(values["kind"], values["kind"])
+    return Pipeline(**values)
 
 
 def sweep_config_from_dict(obj: dict) -> SweepConfig:
     """Build and validate a sweep configuration from a JSON-style mapping."""
     if not isinstance(obj, dict):
         raise ConfigError(f"config: expected a mapping, got {type(obj).__name__}")
-    known = {"family", "mode", "initial", "initials", "p_grid", "pipeline", "noisy_qubit", "p_scale"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in dataclass_fields(SweepConfig)}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
     base = SweepConfig()
-    config = replace(
-        base,
-        family=obj.get("family", base.family),
-        mode=obj.get("mode", base.mode),
+    initials = obj.get("initials")
+    if initials is not None and not isinstance(initials, (list, tuple)):
+        raise ConfigError(f"initials: expected a list, got {initials!r}")
+    config = SweepConfig(
+        family=_read(obj, "family", str, "", base.family),
+        mode=_read(obj, "mode", str, "", base.mode),
         initial=initial_spec_from(obj.get("initial", base.initial)),
-        p_grid=_parse_p_grid(obj["p_grid"]) if "p_grid" in obj else base.p_grid,
+        p_grid=p_grid_from(obj["p_grid"]) if "p_grid" in obj else base.p_grid,
         pipeline=pipeline_from(obj.get("pipeline", base.pipeline)),
-        noisy_qubit=int(obj.get("noisy_qubit", base.noisy_qubit)),
-        p_scale=None if obj.get("p_scale") is None else float(obj["p_scale"]),
-        initials=(
-            tuple(initial_spec_from(x) for x in obj["initials"]) if obj.get("initials") else None
-        ),
+        noisy_qubit=_read(obj, "noisy_qubit", int, "", base.noisy_qubit),
+        p_scale=None if obj.get("p_scale") is None else _field(obj["p_scale"], float, "p_scale"),
+        initials=tuple(initial_spec_from(x, f"initials[{i}]") for i, x in enumerate(initials))
+        if initials else None,
     )
     validate_sweep_config(config)
     return config

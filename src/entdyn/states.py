@@ -69,16 +69,20 @@ def dm(psi) -> np.ndarray:
     return _frozen(np.outer(v, v.conj()))
 
 
-def bell_state(name: str) -> np.ndarray:
-    """Density matrix of one of the four Bell states.
+def bell_key(name) -> str:
+    """The :data:`BELL_KETS` key of a Bell-state name: a key or a short form
+    ``phi+``, ``phi-``, ``psi+``, ``psi-``, in any case. Anything else, a
+    non-string included, is a ValueError."""
+    if isinstance(name, str):
+        key = name.strip().lower().replace("+", "_plus").replace("-", "_minus")
+        if key in BELL_KETS:
+            return key
+    raise ValueError(f"unknown Bell state {name!r}; expected one of {sorted(BELL_KETS)}")
 
-    Accepts ``phi_plus``/``phi_minus``/``psi_plus``/``psi_minus`` or the
-    short forms ``phi+``, ``phi-``, ``psi+``, ``psi-``.
-    """
-    key = name.strip().lower().replace("+", "_plus").replace("-", "_minus")
-    if key not in BELL_KETS:
-        raise ValueError(f"unknown Bell state {name!r}")
-    return dm(BELL_KETS[key])
+
+def bell_state(name: str) -> np.ndarray:
+    """Density matrix of the Bell state ``name`` (see :func:`bell_key`)."""
+    return dm(BELL_KETS[bell_key(name)])
 
 
 def density_matrix(matrix, psd_tol: float = PSD_TOL) -> np.ndarray:

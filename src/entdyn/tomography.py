@@ -412,10 +412,7 @@ def reconstruct_state_mle(
     Newton decrement falls to a relative 1e-12. ``max_evals`` caps the
     likelihood evaluations (``iterations``); a fit that reaches the cap is
     returned with ``converged=False``. ``initial`` warm-starts the search
-    from a given density matrix instead of the linear-inversion seed. The
-    seed is mixed with 1% of I/4 first: from a rank-deficient seed the
-    T-diagonal is near zero, where the gradient vanishes and the search
-    stalls.
+    from a given density matrix instead of the linear-inversion seed.
     """
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals!r}")
@@ -426,7 +423,7 @@ def reconstruct_state_mle(
     fun = _objective(likelihood, design, counts, exposures)
 
     seed_rho = linear_inversion_state(records) if initial is None else np.asarray(initial)
-    t = _params_from_rho(0.99 * seed_rho + 0.01 * np.eye(4) / 4.0)
+    t = _params_from_rho(seed_rho)
     t, f, evals, steps, converged = minimize(fun, t, max_evals)
     return ReconstructionResult(
         rho_hat=_frozen(_rho_from_params(t)),

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import entdyn.harness
-from entdyn.cli import main
+from entdyn.cli import build_parser, main
 from entdyn.harness import NumericalError
 from entdyn.states import bell_state
 from entdyn.tomography import MAX_COUNT, simulate_counts, standard_settings, write_counts_csv
@@ -425,3 +426,149 @@ def test_cli_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=path)
     code = "import sys, entdyn.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# Every flag of every verb: option strings -> (dest, action, choices, default,
+# type, required). Help text and declaration order are left out on purpose.
+_MODES = ("one_sided", "two_sided", "one-sided", "two-sided")
+_FAMILIES = ("two-field", "isotropic", "dephasing")
+_OUTPUT = {
+    ("--out",): ("out", "_StoreAction", None, None, None, False),
+    ("--format",): ("format", "_StoreAction", ("csv", "json"), "csv", None, False),
+}
+_HELP = {("-h", "--help"): ("help", "_HelpAction", None, "==SUPPRESS==", None, False)}
+_SWEEP = {
+    ("--config",): ("config", "_StoreAction", None, None, None, False),
+    ("--counts",): ("counts", "_StoreAction", None, None, "int", False),
+    ("--family",): ("family", "_StoreAction", _FAMILIES, None, None, False),
+    ("--likelihood",): ("likelihood", "_StoreAction", ("gaussian", "poisson"), None, None, False),
+    ("--mode",): ("mode", "_StoreAction", _MODES, None, None, False),
+    ("--noisy-qubit",): ("noisy_qubit", "_StoreAction", (0, 1), None, "int", False),
+    ("--p-grid",): ("p_grid", "_StoreAction", None, None, None, False),
+    ("--p-scale",): ("p_scale", "_StoreAction", None, None, "float", False),
+    ("--pipeline",): ("pipeline", "_StoreAction",
+                      ("analytic", "exact", "exact_simulation", "shot-noise", "shot_noise"),
+                      None, None, False),
+    ("--seed",): ("seed", "_StoreAction", None, None, "int", False),
+    ("--trials",): ("trials", "_StoreAction", None, None, "int", False),
+    **_OUTPUT, **_HELP,
+}
+CLI_FLAGS = {
+    "sweep": {
+        **_SWEEP,
+        ("--initial",): ("initial", "_StoreAction", None, None, None, False),
+    },
+    "pes-sweep": {
+        **_SWEEP,
+        ("--initial",): ("initial", "_AppendAction", None, None, None, False),
+    },
+    "breaking-points": {**_OUTPUT, **_HELP},
+    "characterize": {
+        ("--counts",): ("counts", "_StoreAction", None, None, "int", False),
+        ("--family",): ("family", "_StoreAction", _FAMILIES, None, None, True),
+        ("--p-grid",): ("p_grid", "_StoreAction", None, None, None, False),
+        ("--seed",): ("seed", "_StoreAction", None, None, "int", False),
+        **_OUTPUT, **_HELP,
+    },
+    "ellipsoid": {
+        ("--channel",): ("channel", "_StoreAction", None, None, None, False),
+        ("--family",): ("family", "_StoreAction", _FAMILIES, "isotropic", None, False),
+        ("--n-phi",): ("n_phi", "_StoreAction", None, 50, "int", False),
+        ("--n-theta",): ("n_theta", "_StoreAction", None, 25, "int", False),
+        ("--p",): ("p", "_StoreAction", None, None, "float", False),
+        **_OUTPUT, **_HELP,
+    },
+    "tomo-sim": {
+        ("--counts",): ("counts", "_StoreAction", None, None, "int", False),
+        ("--counts-in",): ("counts_in", "_StoreAction", None, None, None, False),
+        ("--counts-out",): ("counts_out", "_StoreAction", None, None, None, False),
+        ("--family",): ("family", "_StoreAction", _FAMILIES, None, None, False),
+        ("--initial",): ("initial", "_StoreAction", None, None, None, False),
+        ("--likelihood",): ("likelihood", "_StoreAction", ("gaussian", "poisson"), None, None, False),
+        ("--mode",): ("mode", "_StoreAction", _MODES, None, None, False),
+        ("--out",): ("out", "_StoreAction", None, None, None, False),
+        ("--p",): ("p", "_StoreAction", None, 0.0, "float", False),
+        ("--seed",): ("seed", "_StoreAction", None, None, "int", False),
+        ("--trials",): ("trials", "_StoreAction", None, None, "int", False),
+        **_HELP,
+    },
+    "selftest": {
+        ("--full",): ("full", "_StoreTrueAction", None, False, None, False),
+        **_HELP,
+    },
+}
+
+
+def test_cli_flags_snapshot():
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(verbs.choices) == list(CLI_FLAGS)
+    for verb, parser in verbs.choices.items():
+        flags = {
+            tuple(a.option_strings): (a.dest, type(a).__name__,
+                                      None if a.choices is None else tuple(a.choices),
+                                      a.default, getattr(a.type, "__name__", None), a.required)
+            for a in parser._actions
+        }
+        assert flags == CLI_FLAGS[verb], verb
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [(["sweep", "--p-grid", "0:1:x"], None, "p_grid.points: expected int, got 'x'"),
+     (["sweep", "--p-grid", "a,b"], None, "p_grid[0]: expected float, got 'a'"),
+     (["sweep", "--p-grid", "inf:1:3"], None, "p_grid.start: must be finite, got inf"),
+     (["characterize", "--family", "isotropic", "--p-grid", "0:1:x"], None,
+      "p_grid.points: expected int, got 'x'"),
+     ([], {"initial": {"kind": "bell", "bell": 5}}, "initial.bell: unknown Bell state 5"),
+     ([], {"initial": {"kind": "pure_pes", "delta": "x"}}, "initial.delta: expected float, got 'x'"),
+     ([], {"initials": ["pes:0.1", {"kind": "mixed_pes", "delta": 0.1}]},
+      "initials[1].dephasing: missing"),
+     ([], {"initials": ["pes:0.1", "pes:x"]}, "initials[1].delta: expected float, got 'x'"),
+     ([], {"initials": 5}, "initials: expected a list, got 5"),
+     ([], {"initials": "pes:0.1"}, "initials: expected a list, got 'pes:0.1'"),
+     ([], {"pipeline": {"trials": "x"}}, "pipeline.trials: expected int, got 'x'"),
+     ([], {"pipeline": {"seed": None}}, "pipeline.seed: expected int, got None"),
+     ([], {"noisy_qubit": None}, "noisy_qubit: expected int, got None"),
+     ([], {"p_scale": [1]}, "p_scale: expected float, got [1]")],
+)
+def test_malformed_input_names_the_field(tmp_path, argv, config, message):
+    # run as a subprocess, so a traceback would show on stderr
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = ["sweep", "--config", str(path)]
+    src = str(Path(entdyn.harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "entdyn", *argv, "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "channel, message",
+    [({"family": "isotropic", "p": None}, "p: float() argument must be"),
+     ({"family": "isotropic", "p": "x"}, "p: could not convert string to float: 'x'"),
+     ({"family": "isotropic", "p": 1.5}, "p: probability must be in [0, 1], got 1.5"),
+     ({"family": "pauli", "chi": "abc"}, "chi: could not convert string to float: 'abc'"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": 5,
+       "v": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}}, "u: malformed matrix object"),
+     ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'")],
+)
+def test_ellipsoid_channel_file_errors_name_file_and_field(tmp_path, capsys, channel, message):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel))
+    assert main(["ellipsoid", "--channel", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: {message}")
+
+
+def test_ellipsoid_channel_file_invalid_json(tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_text("{not json")
+    assert main(["ellipsoid", "--channel", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: channel: {path} is not valid JSON (Expecting property name")

@@ -31,7 +31,6 @@ from entdyn.sampling import (
     random_pauli_channel,
     random_pure_ket,
     random_rotated_bell,
-    random_unitary,
 )
 from entdyn.states import SIGMA_2, bell_state, dm
 
@@ -74,14 +73,6 @@ class TestConcurrence:
         assert np.all(np.diff(res.lambdas) <= 1e-12)
         assert np.all(res.lambdas >= 0.0)
         assert 0.0 <= res.c <= 1.0 + 1e-12
-
-    def test_local_unitary_invariance(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            rho = random_density_matrix(rng, 4)
-            u = np.kron(random_unitary(rng), random_unitary(rng))
-            rotated = u @ rho @ u.conj().T
-            assert concurrence(rotated).c == pytest.approx(concurrence(rho).c, abs=1e-10)
 
     def test_lambdas_match_nonhermitian_oracle(self):
         rng = np.random.default_rng(42)

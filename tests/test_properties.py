@@ -1,5 +1,6 @@
 """Property tests for the Pauli-transfer-matrix channel representation, the
-complete-positivity test and the batched Wootters concurrence.
+complete-positivity test, the batched Wootters concurrence and the sweep
+configuration reader.
 
 Every channel operation reads the PTM, so these check it against the
 literal Kraus-sum oracle on random process matrices (non-unital and
@@ -8,6 +9,9 @@ PTM is built once at construction. Sweeps take the concurrence of a whole
 stack of states at once, so the batched core is checked against the
 single-state wrapper, state by state.
 """
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from entdyn.channels import (
     rotation_from_su2,
 )
 from entdyn.dynamics import concurrence, wootters
+from entdyn.harness import ConfigError, sweep_config_from_dict
 from entdyn.states import PAULIS, psd_sqrt
 from test_channels import kraus_sum_oracle
 
@@ -230,3 +235,69 @@ def test_batched_psd_sqrt_cuts_off_per_matrix(items):
     for m, root in zip(stack, psd_sqrt(stack)):
         single = psd_sqrt(m)
         assert np.max(np.abs(root - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+@PROPERTY
+@given(st.one_of(low_rank_states(), psd_unit_trace(4)), unitaries(), unitaries())
+def test_concurrence_is_local_unitary_invariant(rho, u, v):
+    """C((u x v) rho (u x v)^dag) = C(rho), at every rank from pure states up."""
+    w = np.kron(u, v)
+    assert abs(concurrence(w @ rho @ w.conj().T).c - concurrence(rho).c) <= 1e-10
+
+
+# Values of the wrong type for any config field. Numbers stay small: a range
+# object's ``points`` is allocated as that many floats.
+junk = st.one_of(
+    st.integers(-100, 100),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=5),
+    st.none(),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2),
+)
+
+
+def mappings(*names):
+    return st.dictionaries(st.sampled_from(names), junk, max_size=len(names))
+
+
+initial_states = st.one_of(
+    junk,
+    st.builds(lambda kind, fields: {"kind": kind, **fields},
+              st.sampled_from(["bell", "pure_pes", "mixed_pes"]),
+              mappings("bell", "delta", "phi", "dephasing")),
+    st.builds(lambda kind, parts: ":".join([kind, *parts]),
+              st.sampled_from(["bell", "pes", "pure_pes", "mixed", "mixed_pes"]),
+              st.lists(st.one_of(st.text(max_size=4), st.floats().map(repr)), max_size=3)),
+)
+
+malformed_configs = st.fixed_dictionaries({}, optional={
+    "family": junk,
+    "mode": junk,
+    "noisy_qubit": junk,
+    "p_scale": junk,
+    "initial": initial_states,
+    "initials": st.one_of(junk, st.lists(initial_states, max_size=3)),
+    "p_grid": st.one_of(junk, mappings("start", "stop", "points"), st.lists(junk, max_size=4)),
+    "pipeline": st.one_of(junk, mappings("kind", "n_per_setting", "trials", "seed", "likelihood")),
+})
+
+# A field of the schema, or any key of a mapping that has no such field.
+SCHEMA_PATH = re.compile(
+    r"(family|mode|noisy_qubit|p_scale|initials?|p_grid|pipeline)(\[\d+\])?"
+    r"((\.(kind|bell|delta|phi|dephasing|start|stop|points|n_per_setting|trials|seed|likelihood))?: "
+    r"|\..*: unknown field$)",
+    re.DOTALL,
+)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(malformed_configs)
+def test_malformed_config_fails_naming_a_schema_path(obj):
+    """A config either reads or is a ConfigError whose message starts with
+    the path of a schema field, never another exception."""
+    try:
+        sweep_config_from_dict(obj)
+    except ConfigError as exc:
+        assert SCHEMA_PATH.match(str(exc)), str(exc)

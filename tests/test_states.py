@@ -6,6 +6,7 @@ from entdyn.states import (
     BASIS_KETS,
     BELL_KETS,
     PAULIS,
+    bell_key,
     bell_state,
     bloch_vector,
     density_from_bloch,
@@ -247,6 +248,21 @@ def test_bell_states_are_orthonormal():
     for i, a in enumerate(kets):
         for j, b in enumerate(kets):
             assert np.vdot(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, key", [("phi+", "phi_plus"), (" PSI- ", "psi_minus"),
+                                       ("PHI_MINUS", "phi_minus"), ("psi_plus", "psi_plus")])
+def test_bell_key_normalises_names(name, key):
+    assert bell_key(name) == key
+    assert np.array_equal(bell_state(name), dm(BELL_KETS[key]))
+
+
+@pytest.mark.parametrize("name", ["nope", "", "phi", 5, None, ["phi+"]])
+def test_bell_key_rejects_other_names(name):
+    with pytest.raises(ValueError, match=r"^unknown Bell state .*; expected one of"):
+        bell_key(name)
+    with pytest.raises(ValueError, match="unknown Bell state"):
+        bell_state(name)
 
 
 def test_pauli_algebra():

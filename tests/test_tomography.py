@@ -426,20 +426,20 @@ class TestGradientFit:
         assert fit.log_likelihood >= reference - 1e-9 * abs(reference)
 
     def test_rank_deficient_seed_reaches_the_maximum(self):
-        # pure singlet: the undiluted linear-inversion seed is rank deficient,
-        # its T-diagonal near zero; the search must still reach the maximum
+        # pure singlet: the linear-inversion seed is rank deficient, its
+        # T-diagonal near zero; the search must still reach the maximum
         records = legacy_counts(bell_state("psi-"), 10_000, seed=6)
         fun = _fit_objective(records, "gaussian")
         raw = linear_inversion_state(records)
         assert np.linalg.eigvalsh(raw)[0] < 1e-12
         _, f, _, _, converged = minimize(fun, _params_from_rho(raw), 10_000)
-        diluted = reconstruct_state_mle(records)
-        assert converged and diluted.converged
-        assert -f == pytest.approx(diluted.log_likelihood, abs=1e-6 * (1 + abs(f)))
+        fit = reconstruct_state_mle(records)
+        assert converged and fit.converged
+        assert -f == pytest.approx(fit.log_likelihood, abs=1e-6 * (1 + abs(f)))
 
-    def test_seed_is_diluted_before_the_fit(self):
-        # a rank-2 state whose undiluted linear-inversion seed stalls the
-        # search 0.5% short of the maximum
+    def test_rank_deficient_rank_2_seed_reaches_the_maximum(self):
+        # a rank-2 state whose rank-deficient linear-inversion seed stalled
+        # an earlier (L-BFGS) search 0.5% short of the maximum
         rho = apply_one_sided(two_field_channel(0.7), bell_state("psi-"), target=1)
         records = legacy_counts(rho, 10_000, seed=0)
         assert np.linalg.eigvalsh(linear_inversion_state(records))[0] < 1e-12
