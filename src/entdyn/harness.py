@@ -543,6 +543,13 @@ def _read(obj: dict, name: str, kind, prefix: str, default):
     return _field(obj[name], kind, prefix + name)
 
 
+def _known(obj: dict, names, prefix: str) -> None:
+    """ConfigError naming the first field of ``obj`` not among ``names``."""
+    unknown = set(obj) - set(names)
+    if unknown:
+        raise ConfigError(f"{prefix}{min(map(str, unknown))}: unknown field")
+
+
 def _bell(name, path: str) -> str:
     try:
         return bell_key(name)
@@ -559,6 +566,8 @@ def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
     if isinstance(obj, str):
         kind, *values = obj.split(":")
         kind = _INITIAL_ALIASES.get(kind, kind)
+        if kind in _INITIAL_FIELDS and len(values) > len(_INITIAL_FIELDS[kind]):
+            raise ConfigError(f"{path}: too many fields in {obj!r}")
         obj = {"kind": kind, **dict(zip(_INITIAL_FIELDS.get(kind, ()), values))}
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping or string, got {type(obj).__name__}")
@@ -566,6 +575,7 @@ def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
     if not isinstance(kind, str) or kind not in _INITIAL_FIELDS:
         raise ConfigError(f"{path}.kind: unknown kind {kind!r}; expected one of {sorted(_INITIAL_FIELDS)}")
     prefix = f"{path}."
+    _known(obj, ("kind", *_INITIAL_FIELDS[kind]), prefix)
     if kind == "bell":
         return InitialStateSpec(kind="bell", bell=_bell(obj.get("bell", "phi_plus"), prefix + "bell"))
     return InitialStateSpec(kind=kind, **{name: _read(obj, name, float, prefix, default)
@@ -576,6 +586,7 @@ def p_grid_from(obj) -> tuple:
     """A noise grid as floats, from a list of values or a ``{start, stop,
     points}`` range; errors name the field (``p_grid[2]``, ``p_grid.points``)."""
     if isinstance(obj, dict):
+        _known(obj, ("start", "stop", "points"), "p_grid.")
         start, stop = (_read(obj, name, float, "p_grid.", _REQUIRED) for name in ("start", "stop"))
         points = _read(obj, "points", int, "p_grid.", _REQUIRED)
         for name, value in (("start", start), ("stop", stop)):
@@ -600,9 +611,7 @@ def pipeline_from(obj) -> Pipeline:
     if not isinstance(obj, dict):
         raise ConfigError(f"pipeline: expected a mapping or string, got {type(obj).__name__}")
     defaults = {f.name: f.default for f in dataclass_fields(Pipeline)}
-    unknown = set(obj) - set(defaults)
-    if unknown:
-        raise ConfigError(f"pipeline.{sorted(unknown)[0]}: unknown field")
+    _known(obj, defaults, "pipeline.")
     values = {name: _read(obj, name, type(d), "pipeline.", d) for name, d in defaults.items()}
     values["kind"] = _PIPELINE_ALIASES.get(values["kind"], values["kind"])
     return Pipeline(**values)
@@ -612,9 +621,7 @@ def sweep_config_from_dict(obj: dict) -> SweepConfig:
     """Build and validate a sweep configuration from a JSON-style mapping."""
     if not isinstance(obj, dict):
         raise ConfigError(f"config: expected a mapping, got {type(obj).__name__}")
-    unknown = set(obj) - {f.name for f in dataclass_fields(SweepConfig)}
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
+    _known(obj, [f.name for f in dataclass_fields(SweepConfig)], "")
     base = SweepConfig()
     initials = obj.get("initials")
     if initials is not None and not isinstance(initials, (list, tuple)):

@@ -3,23 +3,19 @@
 The measurement model mirrors a two-detector coincidence experiment: for each
 two-qubit projective setting (one polarization projector per arm, drawn from
 H/V/D/A/R/L), the recorded coincidence count is Poisson distributed around
-exposure * Born probability. Reconstruction parameterizes the state as
-T^dag T / Tr(T^dag T) with a lower-triangular complex T, so the estimate is
-physical by construction, and minimizes a Poisson likelihood (Gaussian
-approximation by default, exact form behind a switch) by one projected-Newton
-search on its exact Hessian. In the 16 real T-parameters t every Born
-probability is a ratio of real quadratic forms, t.Q_s t / t.t, and the forms
-of a settings sequence are built once and cached, so one evaluation of the
-likelihood, its gradient and its Hessian is two products with the stacked
-forms plus a few small products. The search keeps t on the unit sphere and
-stops on the Newton decrement: a fit takes about six evaluations, and up to
-a few hundred where its maximum lies on the rank-deficient boundary and two
-diagonal entries of T shrink together. Error bars come from parametric
-bootstrap: counts are resampled Poisson around the observed values, the
-reconstruction is re-run, and the standard deviation of the derived quantity
-is reported. Every count, simulated or resampled, is an exact Poisson draw,
-by one ``Generator.poisson`` call per random stream, and at most
-:data:`MAX_COUNT`.
+exposure * Born probability. :class:`CountRecord` lists carry count data at
+the public API and in count files only; inside, a count set is the cached
+design of its settings plus count and exposure vectors (:func:`_arrays`).
+Reconstruction parameterizes the state as T^dag T / Tr(T^dag T) with a
+lower-triangular complex T, so the estimate is physical by construction, and
+minimizes a Poisson likelihood (Gaussian approximation by default, exact
+form behind a switch) by one projected-Newton search on its exact Hessian
+(:func:`_fit`). Error bars come from a parametric bootstrap on arrays: a
+(trials, S) array of counts resampled Poisson around the observed ones, a
+refit of each row from one warm start, and one call of a registered
+estimator on the stack of refit states. Every count, simulated or resampled,
+is an exact Poisson draw, by one ``Generator.poisson`` call per random
+stream, around a mean of at most :data:`MAX_COUNT`.
 
 Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
@@ -30,6 +26,7 @@ inversion; the single-channel functions are thin calls into these two.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -39,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import pauli_transfer_matrix
-from .dynamics import concurrence
-from .states import BASIS_KETS, PAULIS, _frozen, dm, purity
+from .channels import bloch_affine_map, pauli_transfer_matrix
+from .dynamics import wootters
+from .states import BASIS_KETS, PAULIS, _frozen, dm
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -203,23 +200,39 @@ class _Design(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _design(settings: tuple) -> _Design:
     """Design of a sequence of (proj_a, proj_b) label pairs; raises if the
-    settings are not informationally complete. Cached, because every
-    bootstrap refit reuses the settings of its base fit."""
+    settings are not informationally complete. Cached, because the fits of
+    a sweep share one scan."""
     pmat = np.stack([_SETTING_OPERATORS[key].T.reshape(16) for key in settings])
     rank = np.linalg.matrix_rank(pmat)
     if rank < 16:
-        raise ValueError(
-            f"settings are not informationally complete (operator rank {rank} < 16)"
-        )
+        raise ValueError(f"settings are not informationally complete (operator rank {rank} < 16)")
     basis = _T_BASIS.T.reshape(16, 4, 4)
     products = np.einsum("iba,jbc->ijac", basis.conj(), basis).reshape(256, 16)
     forms = np.ascontiguousarray((pmat @ products.T).real.reshape(-1, 16))
     return _Design(_frozen(pmat), _frozen(forms))
 
 
-def _setting_matrix(records) -> _Design:
-    """The cached :class:`_Design` of the records' settings."""
-    return _design(tuple((r.setting.proj_a, r.setting.proj_b) for r in records))
+def _arrays(records) -> tuple[_Design, np.ndarray, np.ndarray]:
+    """The cached :class:`_Design` of the records' settings and their counts
+    and exposures as float arrays: the one converter from records."""
+    records = list(records)
+    design = _design(tuple((r.setting.proj_a, r.setting.proj_b) for r in records))
+    counts = np.array([float(r.count) for r in records])
+    exposures = np.array([float(r.exposure) for r in records])
+    return design, counts, exposures
+
+
+def _checked_state(rho, name: str) -> np.ndarray:
+    """``rho`` as a complex array if it is a finite Hermitian 4x4 matrix
+    (to 1e-10), else a ValueError that starts with ``name``."""
+    m = np.asarray(rho, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"{name}: expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name}: entries must be finite")
+    if np.abs(m - m.conj().T).max() > 1e-10:
+        raise ValueError(f"{name}: matrix is not Hermitian")
+    return m
 
 
 def _rho_from_params(t: np.ndarray) -> np.ndarray:
@@ -250,9 +263,8 @@ def linear_inversion_state(records) -> np.ndarray:
     Used to seed the likelihood search; raises if the settings are not
     informationally complete.
     """
-    a = _setting_matrix(records).pmat
-    freqs = np.array([r.count / r.exposure for r in records])
-    x, *_ = np.linalg.lstsq(a, freqs, rcond=None)
+    design, counts, exposures = _arrays(records)
+    x, *_ = np.linalg.lstsq(design.pmat, counts / exposures, rcond=None)
     rho = x.reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(rho)
@@ -322,6 +334,7 @@ def _objective(likelihood: str, design: _Design, counts, exposures):
 
 #: Trial steps per line search; each shrinks the step at least twofold.
 _BACKTRACKS = 30
+_MAX_EVALS = 100_000  # likelihood evaluations of a fit unless the caller caps them
 
 
 def minimize(fun, t: np.ndarray, max_evals: int):
@@ -398,10 +411,18 @@ def _cubic_step(step, f0, slope0, f1, slope1) -> float:
     return 0.5 * step
 
 
+def _fit(likelihood: str, design: _Design, counts, exposures, t0, max_evals: int):
+    """Likelihood fit of count arrays from T-parameters ``t0``: base fits and refits."""
+    fun = _objective(likelihood, design, counts, exposures)
+    t, f, evals, steps, converged = minimize(fun, t0, max_evals)
+    return ReconstructionResult(rho_hat=_frozen(_rho_from_params(t)), log_likelihood=-f,
+                                iterations=evals, converged=converged, rounds=steps)
+
+
 def reconstruct_state_mle(
     records,
     likelihood: str = "gaussian",
-    max_evals: int = 100_000,
+    max_evals: int = _MAX_EVALS,
     initial=None,
 ) -> ReconstructionResult:
     """Maximum-likelihood two-qubit state from coincidence counts.
@@ -412,32 +433,31 @@ def reconstruct_state_mle(
     Newton decrement falls to a relative 1e-12. ``max_evals`` caps the
     likelihood evaluations (``iterations``); a fit that reaches the cap is
     returned with ``converged=False``. ``initial`` warm-starts the search
-    from a given density matrix instead of the linear-inversion seed.
+    from a given density matrix, which must be a finite Hermitian 4x4
+    matrix, instead of the linear-inversion seed.
     """
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals!r}")
     records = list(records)
-    design = _setting_matrix(records)
-    counts = np.array([float(r.count) for r in records])
-    exposures = np.array([r.exposure for r in records])
-    fun = _objective(likelihood, design, counts, exposures)
-
-    seed_rho = linear_inversion_state(records) if initial is None else np.asarray(initial)
-    t = _params_from_rho(seed_rho)
-    t, f, evals, steps, converged = minimize(fun, t, max_evals)
-    return ReconstructionResult(
-        rho_hat=_frozen(_rho_from_params(t)),
-        log_likelihood=-f,
-        iterations=evals,
-        converged=converged,
-        rounds=steps,
-    )
+    seed_rho = (linear_inversion_state(records) if initial is None
+                else _checked_state(initial, "initial"))
+    return _fit(likelihood, *_arrays(records), _params_from_rho(seed_rho), max_evals)
 
 
+#: Registered estimators of a (trials, 4, 4) stack; purity rounds as ``purity`` does.
 _ESTIMATORS = {
-    "concurrence": lambda rho: concurrence(rho).c,
-    "purity": purity,
+    "concurrence": lambda states: np.maximum(wootters(states)[0], 0.0),
+    "purity": lambda states: np.trace(states @ states, axis1=1, axis2=2).real,
 }
+
+
+def _each(fun, states) -> np.ndarray:
+    """``fun`` of each state, NaN where it raises ValueError or ArithmeticError."""
+    values = np.full(len(states), math.nan)
+    for i, rho in enumerate(states):
+        with contextlib.suppress(ValueError, ArithmeticError):
+            values[i] = float(fun(rho))
+    return values
 
 
 def monte_carlo_errors(
@@ -450,62 +470,43 @@ def monte_carlo_errors(
 ) -> ErrorEstimate:
     """Bootstrap error bar for a quantity derived from a reconstruction.
 
-    Each trial resamples every count as Poisson around the observed value,
-    all of them by one ``np.random.default_rng([*seed, trial]).poisson``
-    call on the observed counts, so each trial owns a private stream and the
-    outcome does not depend on execution order. It then re-runs the
-    likelihood fit (warm-started from the base reconstruction) and evaluates
-    the estimator: either a registered name ("concurrence", "purity") or any
-    callable of the reconstructed density matrix. Trials where the estimator
-    raises or returns a non-finite value are dropped and counted. Refits
-    that end with ``converged=False`` stay in the spread and are counted as
-    ``unconverged``.
+    Trial i resamples every count as Poisson around the observed value, by
+    one ``np.random.default_rng([*seed, i]).poisson`` call, so each trial
+    owns a private stream and the outcome does not depend on execution
+    order. Each row of the (trials, S) array of draws is re-fitted from one
+    warm start, the T-parameters of ``base`` (a finite Hermitian estimate;
+    a fit of the records when unset). A registered estimator
+    ("concurrence", "purity") runs once on the (trials, 4, 4) stack of refit
+    states, any other callable on each refit state in trial order. Trials
+    where the estimator raises or returns a non-finite value are dropped and
+    counted. Refits that end with ``converged=False`` stay in the spread and
+    are counted as ``unconverged``.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials!r}")
     if isinstance(estimator, str):
         if estimator not in _ESTIMATORS:
-            raise ValueError(
-                f"unknown estimator {estimator!r}; registered: {sorted(_ESTIMATORS)}"
-            )
-        name, fun = estimator, _ESTIMATORS[estimator]
+            raise ValueError(f"unknown estimator {estimator!r}; registered: {sorted(_ESTIMATORS)}")
+        name, evaluate = estimator, _ESTIMATORS[estimator]
     else:
-        name, fun = getattr(estimator, "__name__", "custom"), estimator
+        name, evaluate = getattr(estimator, "__name__", "custom"), functools.partial(_each, estimator)
 
     records = list(records)
+    design, observed, exposures = _arrays(records)
     if base is None:
         base = reconstruct_state_mle(records, likelihood=likelihood)
+    t0 = _params_from_rho(_checked_state(base.rho_hat, "base.rho_hat"))
     seed_parts = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-    observed = np.array([r.count for r in records], dtype=float)
-
-    values = []
-    dropped = 0
-    unconverged = 0
-    for trial in range(trials):
-        counts = np.random.default_rng(seed_parts + [trial]).poisson(observed).tolist()
-        resampled = [CountRecord(r.setting, c, r.exposure) for r, c in zip(records, counts)]
-        fit = reconstruct_state_mle(resampled, likelihood=likelihood, initial=base.rho_hat)
-        unconverged += not fit.converged
-        try:
-            value = float(fun(fit.rho_hat))
-        except (ValueError, ArithmeticError):
-            dropped += 1
-            continue
-        if not math.isfinite(value):
-            dropped += 1
-            continue
-        values.append(value)
+    draws = np.array([np.random.default_rng([*seed_parts, trial]).poisson(observed)
+                      for trial in range(trials)], dtype=float)
+    fits = [_fit(likelihood, design, counts, exposures, t0, _MAX_EVALS) for counts in draws]
+    values = evaluate(_frozen(np.array([fit.rho_hat for fit in fits])))
+    values = values[np.isfinite(values)]
     if len(values) < 2:
         raise ValueError(f"only {len(values)} usable trials out of {trials}")
-    arr = np.asarray(values)
-    return ErrorEstimate(
-        quantity=name,
-        mean=float(arr.mean()),
-        std_dev=float(arr.std(ddof=1)),
-        trials=len(values),
-        dropped=dropped,
-        unconverged=unconverged,
-    )
+    return ErrorEstimate(quantity=name, mean=float(values.mean()), std_dev=float(values.std(ddof=1)),
+                         trials=len(values), dropped=trials - len(values),
+                         unconverged=sum(not fit.converged for fit in fits))
 
 
 def process_matrices(rho_in, rho_out, *, stacklevel: int = 2) -> np.ndarray:
@@ -619,8 +620,6 @@ def ellipsoid_mesh(channel, n_theta: int = 25, n_phi: int = 50) -> np.ndarray:
     Returns an (n_theta * n_phi, 3) array of Cartesian points; for a
     completely positive unital channel every point stays inside the ball.
     """
-    from .channels import bloch_affine_map
-
     if n_theta < 2 or n_phi < 1:
         raise ValueError("mesh needs n_theta >= 2 and n_phi >= 1")
     m = bloch_affine_map(channel)
@@ -675,7 +674,7 @@ def read_counts_csv(path) -> list[CountRecord]:
     if not records:
         raise ValueError(f"no count records in {path}")
     try:
-        _setting_matrix(records)
+        _arrays(records)
     except ValueError as exc:
         missing = [a + b for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS if (a, b) not in rows]
         raise ValueError(

@@ -80,6 +80,17 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == 1
 
 
+def test_unknown_nested_field_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text('{"p_grid": {"start": 0, "stop": 1, "points": 3, "step": 9}}')
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: p_grid.step: unknown field")
+    assert main(["sweep", "--initial", "pes:0.1:0.2:0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: initial: too many fields")
+    assert not out.exists()
+
+
 def test_unwritable_out_exit_code(tmp_path):
     out = tmp_path / "no_such_dir"
     out.write_text("block")  # a file where a directory is needed

@@ -432,6 +432,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^p_scale"):
             run_sweep(analytic_config(p_scale=p_scale))
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [({"initial": {"kind": "bell", "delta": 0.1}}, r"initial\.delta: unknown field"),
+         ({"p_grid": {"start": 0, "stop": 1, "points": 3, "step": 9}}, r"p_grid\.step: unknown field"),
+         ({"initial": "pes:0.1:0.2:0.3"}, "initial: too many fields"),
+         ({"initials": ["pes:0.1", "bell:phi+:extra"]}, r"initials\[1\]: too many fields")],
+        ids=["mapping_field", "grid_field", "pes_string", "bell_string"],
+    )
+    def test_unknown_nested_field_named(self, obj, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            sweep_config_from_dict(obj)
+
     def test_non_finite_initial_angles(self):
         with pytest.raises(ConfigError, match=r"^initial\.delta"):
             sweep_config_from_dict({"initial": "pes:nan"})

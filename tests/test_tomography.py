@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from entdyn.channels import PauliChannel, apply_one_sided, isotropic_channel, two_field_channel
 from entdyn.dynamics import concurrence
 from entdyn.sampling import random_density_matrix
-from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, trace_distance
+from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, purity, trace_distance
 import entdyn.tomography
 from entdyn.tomography import (
     LIKELIHOODS,
@@ -18,9 +18,9 @@ from entdyn.tomography import (
     _T_BASIS,
     CountRecord,
     MeasurementSetting,
+    _arrays,
     _objective,
     _params_from_rho,
-    _setting_matrix,
     born_probability,
     ellipsoid_mesh,
     linear_inversion_state,
@@ -257,6 +257,26 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="max_evals"):
             reconstruct_state_mle(records, max_evals=0)
 
+    @pytest.mark.parametrize(
+        "initial, message",
+        [(np.eye(2) / 2, "shape"),
+         (np.full((4, 4), np.nan), "finite"),
+         (np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-9), 1), "Hermitian")],
+        ids=["shape", "nan", "non_hermitian"],
+    )
+    def test_bad_initial_rejected_by_name(self, initial, message):
+        records = exact_records(bell_state("phi+"), 1000)
+        with pytest.raises(ValueError, match=f"^initial: .*{message}"):
+            reconstruct_state_mle(records, initial=initial)
+        base = replace(reconstruct_state_mle(records), rho_hat=initial)
+        with pytest.raises(ValueError, match=f"^base.rho_hat: .*{message}"):
+            monte_carlo_errors(records, trials=2, estimator="purity", seed=1, base=base)
+
+    def test_initial_within_the_hermitian_tolerance_accepted(self):
+        records = exact_records(bell_state("phi+"), 1000)
+        skewed = np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-11), 1)
+        assert reconstruct_state_mle(records, initial=skewed).converged
+
     def test_linear_inversion_recovers_exact(self):
         rng = np.random.default_rng(71)
         rho = random_density_matrix(rng, 4)
@@ -367,10 +387,53 @@ class TestMonteCarlo:
             monte_carlo_errors([], trials=1, estimator="purity", seed=1)
 
 
+def per_trial_bootstrap(records, trials, estimator, seed, likelihood, base):
+    """The per-trial bootstrap loop that the array bootstrap replaced, from
+    public names only: a resampled record list and a warm-started public fit
+    per trial, the estimator applied to each refit state."""
+    fun = {"concurrence": lambda rho: concurrence(rho).c, "purity": purity}.get(estimator, estimator)
+    observed = np.array([r.count for r in records], dtype=float)
+    values, dropped, unconverged = [], 0, 0
+    for trial in range(trials):
+        counts = np.random.default_rng([*seed, trial]).poisson(observed).tolist()
+        resampled = [CountRecord(r.setting, c, r.exposure) for r, c in zip(records, counts)]
+        fit = reconstruct_state_mle(resampled, likelihood=likelihood, initial=base.rho_hat)
+        unconverged += not fit.converged
+        try:
+            value = float(fun(fit.rho_hat))
+        except (ValueError, ArithmeticError):
+            value = math.nan
+        if math.isfinite(value):
+            values.append(value)
+        else:
+            dropped += 1
+    arr = np.asarray(values)
+    return arr.mean(), arr.std(ddof=1), len(values), dropped, unconverged
+
+
+class TestArrayBootstrap:
+    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
+    @pytest.mark.parametrize("estimator", ["concurrence", "purity", "callable"])
+    def test_matches_the_per_trial_loop(self, estimator, likelihood):
+        rho = apply_one_sided(isotropic_channel(0.3), bell_state("phi+"), target=1)
+        records = simulate_counts(rho, standard_settings(), 1000, seed=41)
+        base = reconstruct_state_mle(records, likelihood=likelihood)
+        if estimator == "callable":
+            # raises (math domain error) on every refit less pure than the base
+            def estimator(state):
+                return math.log(purity(state) - purity(base.rho_hat))
+
+        est = monte_carlo_errors(records, 12, estimator, (41, 1), likelihood=likelihood, base=base)
+        mean, std_dev, trials, dropped, unconverged = per_trial_bootstrap(
+            records, 12, estimator, (41, 1), likelihood, base
+        )
+        assert est.mean == mean and est.std_dev == std_dev
+        assert (est.trials, est.dropped, est.unconverged) == (trials, dropped, unconverged)
+        assert est.trials >= 2 and (est.dropped > 0) == callable(estimator)
+
+
 def _fit_objective(records, likelihood):
-    counts = np.array([float(r.count) for r in records])
-    exposures = np.array([r.exposure for r in records])
-    return _objective(likelihood, _setting_matrix(records), counts, exposures)
+    return _objective(likelihood, *_arrays(records))
 
 
 def _derivative_point(likelihood, point):
@@ -463,8 +526,9 @@ class TestGradientFit:
         assert f_hat - f_more < 1e-9 * (1 + abs(f_hat))
 
     def test_unconverged_refits_counted_and_kept(self, monkeypatch):
+        # the base fit and every refit run the fit core; call 2 is the first refit
         records = exact_records(bell_state("phi+"), 500)
-        fit = entdyn.tomography.reconstruct_state_mle
+        fit = entdyn.tomography._fit
         calls = {"n": 0}
 
         def first_refit_unconverged(*args, **kwargs):
@@ -472,7 +536,7 @@ class TestGradientFit:
             calls["n"] += 1
             return replace(result, converged=False) if calls["n"] == 2 else result
 
-        monkeypatch.setattr(entdyn.tomography, "reconstruct_state_mle", first_refit_unconverged)
+        monkeypatch.setattr(entdyn.tomography, "_fit", first_refit_unconverged)
         est = monte_carlo_errors(records, trials=3, estimator="purity", seed=6)
         assert est.unconverged == 1
         assert est.trials == 3 and est.dropped == 0
@@ -548,8 +612,7 @@ class TestKernelOracles:
     def test_quadratic_form_kernel_matches_complex_t(self, point):
         likelihood, counts, t = point
         records = [CountRecord(s, int(c), 1000.0) for s, c in zip(standard_settings(), counts)]
-        design = _setting_matrix(records)
-        exposures = np.full(36, 1000.0)
+        design, _, exposures = _arrays(records)
         f, grad, *_ = _objective(likelihood, design, counts, exposures)(t)
         f_ref, grad_ref = complex_t_objective(likelihood, design.pmat, counts, exposures)(t)
         # Both routes compute each p_s to about 1e-15 absolute. Where p_s is
