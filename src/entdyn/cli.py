@@ -22,13 +22,18 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PAULI_FAMILIES, channel_for, channel_from_json
-from .dynamics import concurrence
+from .dynamics import MODES, concurrence
 from .harness import (
+    _MODE_ALIASES,
+    _PIPELINE_ALIASES,
     ENV_OUTDIR,
+    PIPELINES,
     ConfigError,
     NumericalError,
+    _check_at_least,
+    _check_count,
+    _check_probability,
     analytic_prediction,
-    emit,
     p_grid_from,
     render,
     render_mesh,
@@ -42,17 +47,12 @@ from .harness import (
     sweep_config_from_dict,
 )
 from .states import matrix_to_json, purity
-from .tomography import MAX_COUNT, ellipsoid_mesh, read_counts_csv, write_counts_csv
+from .tomography import LIKELIHOODS, ellipsoid_mesh, read_counts_csv, write_counts_csv
 
 
 def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    p = Path(path)
-    base = os.environ.get(ENV_OUTDIR)
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
+    """``path`` under ``$ENTDYN_OUTDIR`` when that is set; an absolute path stays as it is."""
+    return None if path is None else Path(os.environ.get(ENV_OUTDIR, "")) / path
 
 
 def _write_or_print(text: str, out: Path | None) -> None:
@@ -95,11 +95,9 @@ def _sweep_config_from_args(args, **fixed):
     """The ``--config`` file's mapping (for verbs that take one) with the
     verb's ``fixed`` fields and then its flags on top, read as one config."""
     obj = {**_load_config_file(getattr(args, "config", None)), **fixed}
-    if args.mode is not None:
-        obj["mode"] = args.mode.replace("-", "_")
     if getattr(args, "p_grid", None) is not None:
         obj["p_grid"] = _parse_grid_flag(args.p_grid)
-    for name in ("family", "noisy_qubit", "p_scale"):
+    for name in ("family", "mode", "noisy_qubit", "p_scale"):
         if getattr(args, name, None) is not None:
             obj[name] = getattr(args, name)
     if args.initial:  # pes-sweep's repeatable flag gives a list
@@ -133,9 +131,7 @@ def _cmd_pes_sweep(args) -> int:
         sys.stdout.write("\n".join(chunks))
         return 0
     for label, rows in sorted(tables.items()):
-        target = out.with_name(f"{out.stem}_{label}{out.suffix or '.csv'}")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        emit(rows, "csv", target)
+        _write_or_print(render(rows, "csv"), out.with_name(f"{out.stem}_{label}{out.suffix or '.csv'}"))
     return 0
 
 
@@ -146,10 +142,8 @@ def _cmd_breaking_points(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    if args.counts is not None and args.counts < 1:
-        raise ConfigError(f"counts: must be >= 1, got {args.counts!r}")
-    if args.counts is not None and args.counts > MAX_COUNT:
-        raise ConfigError(f"counts: must be <= 1e18, got {args.counts!r}")
+    if args.counts is not None:
+        _check_count(args.counts, "counts")
     p_grid = p_grid_from(_parse_grid_flag(args.p_grid)) if args.p_grid else np.linspace(0.0, 1.0, 11)
     rows = run_channel_characterization(
         args.family, p_grid, n_per_probe=args.counts, seed=args.seed or 0
@@ -159,6 +153,8 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_ellipsoid(args) -> int:
+    _check_at_least(args.n_theta, 2, "n_theta")
+    _check_at_least(args.n_phi, 1, "n_phi")
     if args.channel:
         obj = _read_json(args.channel, "channel")
         try:
@@ -168,6 +164,7 @@ def _cmd_ellipsoid(args) -> int:
     else:
         if args.p is None:
             raise ConfigError("p: required unless --channel is given")
+        _check_probability(args.p, "p")
         channel = channel_for(args.family, args.p)
     mesh = ellipsoid_mesh(channel, n_theta=args.n_theta, n_phi=args.n_phi)
     _write_or_print(render_mesh(mesh, args.format), _resolve_out(args.out))
@@ -175,8 +172,7 @@ def _cmd_ellipsoid(args) -> int:
 
 
 def _cmd_tomo_sim(args) -> int:
-    if not 0.0 <= args.p <= 1.0:
-        raise ConfigError(f"p: value {args.p!r} outside [0, 1]")
+    _check_probability(args.p, "p")
     config = _sweep_config_from_args(args, p_grid=[args.p], pipeline="shot_noise")
     pipeline, spec = config.pipeline, config.initial
     records = read_counts_csv(args.counts_in) if args.counts_in else None
@@ -235,20 +231,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config_flags(p, multi=False):
         """The sweep-config flags that sweep, pes-sweep and tomo-sim share."""
         p.add_argument("--family", choices=PAULI_FAMILIES)
-        p.add_argument("--mode", choices=["one_sided", "two_sided", "one-sided", "two-sided"])
+        p.add_argument("--mode", choices=[*MODES, *_MODE_ALIASES])
         p.add_argument("--initial", action="append" if multi else "store",
                        help=("initial state (repeatable): " if multi else "")
                        + "bell:phi+, pes:<delta>[:<phi>], or mixed:<delta>:<p>")
         p.add_argument("--counts", type=int, help="pairs per setting for shot noise")
         p.add_argument("--trials", type=int, help="Monte Carlo trials for error bars")
         p.add_argument("--seed", type=int)
-        p.add_argument("--likelihood", choices=["gaussian", "poisson"])
+        p.add_argument("--likelihood", choices=LIKELIHOODS)
 
     def add_sweep_flags(p, multi=False):
         p.add_argument("--config", help="JSON config file; flags override its fields")
         add_config_flags(p, multi)
         p.add_argument("--p-grid", dest="p_grid", help=grid_help)
-        p.add_argument("--pipeline", choices=["analytic", "exact", "exact_simulation", "shot-noise", "shot_noise"])
+        p.add_argument("--pipeline", choices=sorted([*PIPELINES, *_PIPELINE_ALIASES]))
         p.add_argument("--noisy-qubit", dest="noisy_qubit", type=int, choices=[0, 1])
         p.add_argument("--p-scale", dest="p_scale", type=float,
                        help="stretch predicted curves' noise axis (figure comparison only)")
@@ -313,9 +309,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -54,6 +54,7 @@ from .dynamics import (
 from .states import BASIS_KETS, bell_key, dm
 from .tomography import (
     DEFAULT_PROBE_LABELS,
+    LIKELIHOODS,
     MAX_COUNT,
     monte_carlo_errors,
     probe_outputs,
@@ -124,52 +125,72 @@ class CharacterizationRow:
     theory: tuple
 
 
+def _check_family(family, path: str = "family") -> None:
+    if family not in PAULI_FAMILIES:
+        raise ConfigError(f"{path}: unknown family {family!r}; expected one of {PAULI_FAMILIES}")
+
+
+def _check_probability(p, path: str) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"{path}: value {p!r} outside [0, 1]")
+
+
+def _check_grid(p_grid, increasing: bool = False, path: str = "p_grid") -> None:
+    """A non-empty list of probabilities, strictly increasing if ``increasing``."""
+    if not p_grid:
+        raise ConfigError(f"{path}: must not be empty")
+    for i, p in enumerate(p_grid):
+        _check_probability(p, f"{path}[{i}]")
+        if increasing and i > 0 and p <= p_grid[i - 1]:
+            raise ConfigError(f"{path}[{i}]: values must be strictly increasing")
+
+
+def _check_at_least(value, low, path: str) -> None:
+    if value < low:
+        raise ConfigError(f"{path}: must be >= {low}, got {value!r}")
+
+
+def _check_count(n, path: str) -> None:
+    """Pairs per setting or counts per projector: 1 to MAX_COUNT."""
+    _check_at_least(n, 1, path)
+    if n > MAX_COUNT:
+        raise ConfigError(f"{path}: must be <= 1e18, got {n!r}")
+
+
+def _check_initial(spec, path: str) -> None:
+    if not isinstance(spec, InitialStateSpec):
+        raise ConfigError(f"{path}: expected an InitialStateSpec, got {type(spec).__name__}")
+    if spec.kind == "bell":
+        _bell(spec.bell, f"{path}.bell")
+    for name, value in (("delta", spec.delta), ("phi", spec.phi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}.{name}: must be finite, got {value!r}")
+    if spec.kind == "mixed_pes":
+        _check_probability(spec.dephasing, f"{path}.dephasing")
+
+
 def validate_sweep_config(config: SweepConfig) -> None:
-    if config.family not in PAULI_FAMILIES:
-        raise ConfigError(f"family: unknown family {config.family!r}; expected one of {PAULI_FAMILIES}")
+    """Check every field of ``config``, ``initial`` and each of ``initials`` included."""
+    _check_family(config.family)
     if config.mode not in MODES:
         raise ConfigError(f"mode: expected one of {MODES}, got {config.mode!r}")
     if config.noisy_qubit not in (0, 1):
         raise ConfigError(f"noisy_qubit: expected 0 or 1, got {config.noisy_qubit!r}")
-    if not config.p_grid:
-        raise ConfigError("p_grid: must not be empty")
-    for i, p in enumerate(config.p_grid):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"p_grid[{i}]: value {p!r} outside [0, 1]")
-        if i > 0 and p <= config.p_grid[i - 1]:
-            raise ConfigError(f"p_grid[{i}]: values must be strictly increasing")
+    _check_grid(config.p_grid, increasing=True)
     pl = config.pipeline
     if pl.kind not in PIPELINES:
         raise ConfigError(f"pipeline.kind: expected one of {PIPELINES}, got {pl.kind!r}")
-    if pl.n_per_setting < 1:
-        raise ConfigError(f"pipeline.n_per_setting: must be >= 1, got {pl.n_per_setting!r}")
-    if pl.n_per_setting > MAX_COUNT:
-        raise ConfigError(f"pipeline.n_per_setting: must be <= 1e18, got {pl.n_per_setting!r}")
-    if pl.trials < 2:
-        raise ConfigError(f"pipeline.trials: must be >= 2, got {pl.trials!r}")
-    if pl.seed < 0:
-        raise ConfigError(f"pipeline.seed: must be >= 0, got {pl.seed!r}")
-    if pl.likelihood not in ("gaussian", "poisson"):
-        raise ConfigError(f"pipeline.likelihood: expected 'gaussian' or 'poisson', got {pl.likelihood!r}")
+    _check_count(pl.n_per_setting, "pipeline.n_per_setting")
+    _check_at_least(pl.trials, 2, "pipeline.trials")
+    _check_at_least(pl.seed, 0, "pipeline.seed")
+    if pl.likelihood not in LIKELIHOODS:
+        raise ConfigError(f"pipeline.likelihood: expected {' or '.join(map(repr, LIKELIHOODS))}, "
+                          f"got {pl.likelihood!r}")
     if config.p_scale is not None and not 0 < config.p_scale < math.inf:
         raise ConfigError(f"p_scale: must be positive and finite, got {config.p_scale!r}")
-    for label, spec in _named_initials(config):
-        if not isinstance(spec, InitialStateSpec):
-            raise ConfigError(f"{label}: expected an InitialStateSpec, got {type(spec).__name__}")
-        if spec.kind == "bell":
-            _bell(spec.bell, f"{label}.bell")
-        for name in ("delta", "phi"):
-            value = getattr(spec, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{label}.{name}: must be finite, got {value!r}")
-        if spec.kind == "mixed_pes" and not 0.0 <= spec.dephasing <= 1.0:
-            raise ConfigError(f"{label}.dephasing: value {spec.dephasing!r} outside [0, 1]")
-
-
-def _named_initials(config: SweepConfig):
-    if config.initials:
-        return [(f"initials[{i}]", s) for i, s in enumerate(config.initials)]
-    return [("initial", config.initial)]
+    _check_initial(config.initial, "initial")
+    for i, spec in enumerate(config.initials or ()):
+        _check_initial(spec, f"initials[{i}]")
 
 
 def _evolved_states(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
@@ -297,16 +318,10 @@ def run_channel_characterization(
     ``(seed, i)``. For these channels the process matrix is diagonal in the
     Pauli basis, so the diagonal entries are its eigenvalue curves.
     """
-    if family not in PAULI_FAMILIES:
-        raise ConfigError(f"family: unknown family {family!r}; expected one of {PAULI_FAMILIES}")
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed!r}")
+    _check_family(family)
+    _check_at_least(seed, 0, "seed")
     p_grid = list(p_grid)
-    if not p_grid:
-        raise ConfigError("p_grid: must not be empty")
-    for i, p in enumerate(p_grid):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"p_grid[{i}]: value {p!r} outside [0, 1]")
+    _check_grid(p_grid)
     p = np.asarray(p_grid, dtype=float)
     weights = np.clip(family_weights(family, p), 0.0, None)  # as PauliChannel stores them
     seeds = None if n_per_probe is None else [(seed, i) for i in range(p.size)]
@@ -474,32 +489,19 @@ def emit(rows, format: str, path) -> None:
 
 
 def read_rows(path, format: str = "json") -> list[SweepRow]:
-    """Read sweep rows back from an emitted file."""
+    """Read sweep rows back from an emitted file; a JSON ``null`` or an empty
+    CSV cell in the ``error`` column reads as ``None``."""
     if format == "json":
         with open(path) as fh:
-            payload = json.load(fh)
-        return [
-            SweepRow(
-                p=float(r["p"]),
-                concurrence=float(r["concurrence"]),
-                error=None if r["error"] is None else float(r["error"]),
-                predicted=float(r["predicted"]),
-            )
-            for r in payload
-        ]
-    if format == "csv":
+            records, null = json.load(fh), None
+    elif format == "csv":
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            return [
-                SweepRow(
-                    p=float(r["p"]),
-                    concurrence=float(r["concurrence"]),
-                    error=None if r["error"] == "" else float(r["error"]),
-                    predicted=float(r["predicted"]),
-                )
-                for r in reader
-            ]
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+            records, null = list(csv.DictReader(fh)), ""
+    else:
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    return [SweepRow(float(r["p"]), float(r["concurrence"]),
+                     None if r["error"] == null else float(r["error"]), float(r["predicted"]))
+            for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +518,7 @@ _INITIAL_FIELDS = {
 }
 _INITIAL_ALIASES = {"pes": "pure_pes", "mixed": "mixed_pes"}
 _PIPELINE_ALIASES = {"exact": "exact_simulation", "shot-noise": "shot_noise"}
+_MODE_ALIASES = {"one-sided": "one_sided", "two-sided": "two_sided"}
 
 
 def _field(value, kind, path: str):
@@ -626,9 +629,11 @@ def sweep_config_from_dict(obj: dict) -> SweepConfig:
     initials = obj.get("initials")
     if initials is not None and not isinstance(initials, (list, tuple)):
         raise ConfigError(f"initials: expected a list, got {initials!r}")
+    family = _read(obj, "family", str, "", base.family)
+    mode = _read(obj, "mode", str, "", base.mode)
     config = SweepConfig(
-        family=_read(obj, "family", str, "", base.family),
-        mode=_read(obj, "mode", str, "", base.mode),
+        family=family,
+        mode=_MODE_ALIASES.get(mode, mode),
         initial=initial_spec_from(obj.get("initial", base.initial)),
         p_grid=p_grid_from(obj["p_grid"]) if "p_grid" in obj else base.p_grid,
         pipeline=pipeline_from(obj.get("pipeline", base.pipeline)),

@@ -15,7 +15,8 @@ form behind a switch) by one projected-Newton search on its exact Hessian
 refit of each row from one warm start, and one call of a registered
 estimator on the stack of refit states. Every count, simulated or resampled,
 is an exact Poisson draw, by one ``Generator.poisson`` call per random
-stream, around a mean of at most :data:`MAX_COUNT`.
+stream: a simulated count around a mean of at most :data:`MAX_COUNT`, a
+resampled one around an observed count of at most twice that.
 
 Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
@@ -47,8 +48,10 @@ DEFAULT_PROBE_LABELS = ("H", "V", "D", "R")
 
 LIKELIHOODS = ("gaussian", "poisson")
 
-#: Largest count, pairs per setting or counts per projector: numpy's Poisson
-#: sampler takes means up to ~9.2e18, less a margin for rounding.
+#: Largest mean count, pairs per setting or counts per projector. A record's
+#: count, a draw around such a mean, may reach twice this (the draw stays
+#: below that by ~1e9 standard deviations); numpy's Poisson sampler, which
+#: the bootstrap resamples counts with, takes means up to ~9.2e18.
 MAX_COUNT = 10**18
 
 _PROJECTORS = {label: dm(ket) for label, ket in BASIS_KETS.items()}
@@ -102,8 +105,8 @@ class CountRecord:
     exposure: float
 
     def __post_init__(self):
-        if not 0 <= self.count <= MAX_COUNT:
-            raise ValueError(f"count must be between 0 and 1e18, got {self.count!r}")
+        if not 0 <= self.count <= 2 * MAX_COUNT:
+            raise ValueError(f"count must be between 0 and 2e18, got {self.count!r}")
         if not 0 < self.exposure < math.inf:
             raise ValueError(f"exposure must be positive and finite, got {self.exposure!r}")
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -9,11 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entdyn.cli
 import entdyn.harness
 from entdyn.cli import build_parser, main
-from entdyn.harness import NumericalError
+from entdyn.dynamics import MODES
+from entdyn.harness import _MODE_ALIASES, _PIPELINE_ALIASES, PIPELINES, NumericalError
 from entdyn.states import bell_state
-from entdyn.tomography import MAX_COUNT, simulate_counts, standard_settings, write_counts_csv
+from entdyn.tomography import (
+    LIKELIHOODS, MAX_COUNT, simulate_counts, standard_settings, write_counts_csv,
+)
 
 
 def test_sweep_to_csv(tmp_path, capsys):
@@ -70,6 +75,14 @@ def test_config_file_with_flag_override(tmp_path):
     rows = json.loads(out.read_text())
     # isotropic and two-field coincide on a Bell pair one-sided; check grid came from file
     assert [r["p"] for r in rows] == [0.0, 0.25]
+    # a mode shorthand in the file reads as the flag does
+    for mode in ("one-sided", "two-sided"):
+        cfg_path.write_text(json.dumps({**config, "mode": mode}))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        flag_out = tmp_path / "flag.csv"
+        assert main(["sweep", "--family", "two-field", "--mode", mode, "--p-grid", "0,0.25",
+                     "--pipeline", "analytic", "--out", str(flag_out)]) == 0
+        assert out.read_bytes() == flag_out.read_bytes()
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -337,12 +350,12 @@ def test_counts_in_above_the_limit_names_the_row(tmp_path, capsys):
     path = tmp_path / "counts.csv"
     write_counts_csv(records, path)
     lines = path.read_text().splitlines()
-    lines[3] = f"H,D,{10**19},1000.0"
+    lines[3] = f"H,D,{2 * MAX_COUNT + 1},1000.0"
     path.write_text("\n".join(lines) + "\n")
     assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"{path}: malformed count record on data row 3" in err
-    assert "count must be between 0 and 1e18" in err
+    assert "count must be between 0 and 2e18" in err
 
 
 @pytest.mark.parametrize("verb", ["sweep", "pes-sweep"])
@@ -523,6 +536,26 @@ def test_cli_flags_snapshot():
         assert flags == CLI_FLAGS[verb], verb
 
 
+def test_vocabulary_flags_offer_the_config_reader_vocabularies():
+    # choices come from the reader's vocabularies and alias tables, in the
+    # order the snapshot above pins; no vocabulary is spelled out in cli.py
+    expected = {"mode": (*MODES, *_MODE_ALIASES),
+                "pipeline": tuple(sorted([*PIPELINES, *_PIPELINE_ALIASES])),
+                "likelihood": LIKELIHOODS}
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {(verb, a.dest): tuple(a.choices)
+               for verb, parser in verbs.choices.items() for a in parser._actions if a.dest in expected}
+    assert {dest for _, dest in offered} == set(expected)
+    for (verb, dest), choices in offered.items():
+        assert choices == expected[dest], (verb, dest)
+    words = {*MODES, *_MODE_ALIASES, *PIPELINES, *_PIPELINE_ALIASES, *LIKELIHOODS}
+    tree = ast.parse(Path(entdyn.cli.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
+            spelled = {e.value for e in node.elts if isinstance(e, ast.Constant)} & words
+            assert not spelled, f"cli.py line {node.lineno} spells out {sorted(spelled)}"
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [(["sweep", "--p-grid", "0:1:x"], None, "p_grid.points: expected int, got 'x'"),
@@ -540,7 +573,22 @@ def test_cli_flags_snapshot():
      ([], {"pipeline": {"trials": "x"}}, "pipeline.trials: expected int, got 'x'"),
      ([], {"pipeline": {"seed": None}}, "pipeline.seed: expected int, got None"),
      ([], {"noisy_qubit": None}, "noisy_qubit: expected int, got None"),
-     ([], {"p_scale": [1]}, "p_scale: expected float, got [1]")],
+     ([], {"p_scale": [1]}, "p_scale: expected float, got [1]"),
+     # initial is checked even when initials is given
+     ([], {"initial": {"kind": "pure_pes", "delta": "nan"}, "initials": ["bell:phi+"],
+           "pipeline": "exact"}, "initial.delta: must be finite, got nan"),
+     (["ellipsoid", "--p", "1.5"], None, "p: value 1.5 outside [0, 1]"),
+     (["ellipsoid", "--p", "nan"], None, "p: value nan outside [0, 1]"),
+     (["ellipsoid", "--p", "0.2", "--n-theta", "1"], None, "n_theta: must be >= 2, got 1"),
+     (["ellipsoid", "--p", "0.2", "--n-phi", "0"], None, "n_phi: must be >= 1, got 0"),
+     (["characterize", "--family", "isotropic", "--counts", "0"], None,
+      "counts: must be >= 1, got 0"),
+     # the examples of docs/config_schema.md
+     ([], {"p_grid": [0.0, 0.4, 0.8, 1.2]}, "p_grid[3]: value 1.2 outside [0, 1]"),
+     ([], {"pipeline": {"trials": 1}}, "pipeline.trials: must be >= 2, got 1"),
+     ([], {"pipeline": {"seed": -1}}, "pipeline.seed: must be >= 0, got -1"),
+     ([], {"initials": ["pes:0.1", "pes:nan"]}, "initials[1].delta: must be finite, got nan"),
+     ([], {"initial": "bell:nope"}, "initial.bell: unknown Bell state 'nope'")],
 )
 def test_malformed_input_names_the_field(tmp_path, argv, config, message):
     # run as a subprocess, so a traceback would show on stderr
@@ -564,6 +612,7 @@ def test_malformed_input_names_the_field(tmp_path, argv, config, message):
      ({"family": "isotropic", "p": "x"}, "p: could not convert string to float: 'x'"),
      ({"family": "isotropic", "p": 1.5}, "p: probability must be in [0, 1], got 1.5"),
      ({"family": "pauli", "chi": "abc"}, "chi: could not convert string to float: 'abc'"),
+     ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: chi_diag must be finite"),
      ({"family": "unital", "radii": [1, 1, 1], "u": 5,
        "v": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}}, "u: malformed matrix object"),
      ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'")],

@@ -144,10 +144,13 @@ class TestPoissonCounts:
         with pytest.raises(ValueError, match="n_per_setting must be >= 1 and <= 1e18"):
             simulate_counts(bell_state("phi+"), [hh], MAX_COUNT + 1, seed=1)
         assert simulate_counts(bell_state("phi+"), [hh], MAX_COUNT, seed=1)[0].count > 0
-        with pytest.raises(ValueError, match="count must be between 0 and 1e18"):
-            CountRecord(hh, MAX_COUNT + 1, 1.0)
+        # |HH> on HH has Born probability 1: a draw above the largest mean is a valid record
+        rho = dm(np.kron(BASIS_KETS["H"], BASIS_KETS["H"]))
+        assert simulate_counts(rho, standard_settings(), MAX_COUNT, seed=1)[0].count > MAX_COUNT
+        with pytest.raises(ValueError, match="count must be between 0 and 2e18"):
+            CountRecord(hh, 2 * MAX_COUNT + 1, 1.0)
         path = tmp_path / "counts.csv"
-        path.write_text(f"proj_a,proj_b,count,exposure\nH,H,5,10.0\nH,V,{MAX_COUNT + 1},10.0\n")
+        path.write_text(f"proj_a,proj_b,count,exposure\nH,H,5,10.0\nH,V,{2 * MAX_COUNT + 1},10.0\n")
         with pytest.raises(ValueError, match=r"counts\.csv: .*data row 2 .*count must be"):
             read_counts_csv(path)
 
