@@ -45,6 +45,8 @@ _PAULI_ROWS = _frozen(np.array(PAULIS).reshape(4, 4))
 
 # Row 4i + j is sigma_i (x) sigma_j flattened: the two-qubit Pauli basis.
 _TWO_QUBIT_PAULIS = _frozen(np.einsum("iac,jbd->ijabcd", PAULIS, PAULIS).reshape(16, 16))
+# vec(rho) @ _TWO_QUBIT_PAULIS_H is the vector of Tr(rho sigma_i (x) sigma_j).
+_TWO_QUBIT_PAULIS_H = _frozen(_TWO_QUBIT_PAULIS.conj().T)
 
 # vec(R) = _CHI_TO_PTM @ vec(chi) for rho -> sum_ab chi_ab sigma_a rho sigma_b;
 # the entries (1/2) Tr(sigma_i sigma_a sigma_j sigma_b) are 0, +-1 or +-i, and
@@ -114,10 +116,14 @@ class UnitalChannel:
     def __post_init__(self):
         v = np.asarray(self.pre_rotation, dtype=complex)
         u = np.asarray(self.post_rotation, dtype=complex)
-        for name, m in (("pre_rotation", v), ("post_rotation", u)):
+        names = ("pre_rotation", "post_rotation")
+        for name, m in zip(names, (v, u)):
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
-            if not np.max(np.abs(m @ m.conj().T - SIGMA_0)) <= UNITARY_TOL:
+        vu = np.stack((v, u))
+        deviation = np.max(np.abs(vu @ vu.conj().swapaxes(1, 2) - SIGMA_0), axis=(1, 2))
+        for name, d in zip(names, deviation.tolist()):
+            if not d <= UNITARY_TOL:
                 raise ValueError(f"{name} is not unitary")
         r = np.asarray(self.radii, dtype=float).reshape(-1)
         if r.size != 3:
@@ -132,8 +138,9 @@ class UnitalChannel:
         object.__setattr__(self, "pre_rotation", _frozen(v.copy()))
         object.__setattr__(self, "post_rotation", _frozen(u.copy()))
         object.__setattr__(self, "radii", _frozen(r.copy()))
+        o_v, o_u = rotation_from_su2(vu)
         ptm = np.eye(4)
-        ptm[1:, 1:] = rotation_from_su2(u) * r @ rotation_from_su2(v)
+        ptm[1:, 1:] = o_u * r @ o_v
         object.__setattr__(self, "_ptm", _frozen(ptm))
 
 
@@ -359,7 +366,7 @@ def apply_ptm(r, rho, targets) -> np.ndarray:
     broadcasts against it; the result is the broadcast stack of outputs.
     """
     m = np.asarray(rho, dtype=complex)
-    t = (m.reshape(m.shape[:-2] + (16,)) @ _TWO_QUBIT_PAULIS.conj().T).reshape(m.shape)
+    t = (m.reshape(m.shape[:-2] + (16,)) @ _TWO_QUBIT_PAULIS_H).reshape(m.shape)
     if 0 in targets:
         t = r @ t
     if 1 in targets:
@@ -452,9 +459,12 @@ def decompose_unital(m) -> UnitalChannel:
 def rotation_from_su2(u) -> np.ndarray:
     """SO(3) Bloch rotation O_ij = Tr(sigma_i u sigma_j u^dag) / 2 of the
     conjugation rho -> u rho u^dag: the constant (9, 16) matrix
-    _SU2_TO_SO3 contracted with u (x) conj(u)."""
+    _SU2_TO_SO3 contracted with u (x) conj(u). ``u`` is a 2x2 matrix or a
+    (..., 2, 2) stack of them, mapped to (..., 3, 3); each rotation has the
+    bits of its own single-matrix call."""
     m = np.asarray(u, dtype=complex)
-    return _frozen(np.einsum("kabcd,bc,ad->k", _SU2_TO_SO3, m, m.conj()).real.reshape(3, 3))
+    o = np.einsum("kabcd,...bc,...ad->...k", _SU2_TO_SO3, m, m.conj()).real
+    return _frozen(o.reshape(m.shape[:-2] + (3, 3)))
 
 
 def su2_from_rotation(o) -> np.ndarray:

@@ -27,11 +27,13 @@ from .harness import (
     _MODE_ALIASES,
     _PIPELINE_ALIASES,
     ENV_OUTDIR,
+    NOISY_QUBITS,
     PIPELINES,
     ConfigError,
     NumericalError,
     _check_at_least,
     _check_count,
+    _check_mapping,
     _check_probability,
     analytic_prediction,
     p_grid_from,
@@ -74,8 +76,7 @@ def _read_json(path: str, name: str):
 
 def _load_config_file(path: str | None) -> dict:
     obj = {} if path is None else _read_json(path, "config")
-    if not isinstance(obj, dict):
-        raise ConfigError("config: top-level JSON value must be an object")
+    _check_mapping(obj)
     return obj
 
 
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_config_flags(p, multi)
         p.add_argument("--p-grid", dest="p_grid", help=grid_help)
         p.add_argument("--pipeline", choices=sorted([*PIPELINES, *_PIPELINE_ALIASES]))
-        p.add_argument("--noisy-qubit", dest="noisy_qubit", type=int, choices=[0, 1])
+        p.add_argument("--noisy-qubit", dest="noisy_qubit", type=int, choices=NOISY_QUBITS)
         p.add_argument("--p-scale", dest="p_scale", type=float,
                        help="stretch predicted curves' noise axis (figure comparison only)")
 

@@ -30,11 +30,14 @@ from .channels import (
     family_weights,
     pauli_radii,
 )
-from .states import SIGMA_2, _frozen, bell_state, dm, psd_sqrt, purity
+from .states import _frozen, bell_state, dm, psd_sqrt, purity
 
 MODES = ("one_sided", "two_sided")
 
-_SPIN_FLIP = _frozen(np.kron(SIGMA_2, SIGMA_2).real)
+# (sy x sy) A (sy x sy) = _FLIP_SIGNS * A[::-1, ::-1]: sy x sy is the
+# anti-diagonal (-1, 1, 1, -1), so the flip reverses rows and columns and
+# signs entry (i, j) by s_i s_j.
+_FLIP_SIGNS = _frozen(np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0]))
 
 _PURITY_TOL = 1e-8
 
@@ -65,9 +68,11 @@ def wootters(rho) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues of rho (sy x sy) rho* (sy x sy), and reading the roots off an
     SVD keeps eigenvalues that are analytically zero at machine precision
     instead of sqrt(eps). A stack takes one ``eigh`` and one ``svd`` call.
+    The spin flip (sy x sy) sqrt(rho)* (sy x sy) is an index reversal and
+    a sign pattern, with the bits of the two matrix products it replaces.
     """
     sq = psd_sqrt(rho)
-    sq_flipped = _SPIN_FLIP @ sq.conj() @ _SPIN_FLIP
+    sq_flipped = sq[..., ::-1, ::-1].conj() * _FLIP_SIGNS
     roots = np.linalg.svd(sq_flipped @ sq, compute_uv=False)
     return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], roots
 

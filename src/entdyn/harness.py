@@ -26,7 +26,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from itertools import chain
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +69,8 @@ ENV_OUTDIR = "ENTDYN_OUTDIR"
 
 PIPELINES = ("analytic", "exact_simulation", "shot_noise")
 
+NOISY_QUBITS = (0, 1)
+
 DEFAULT_P_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
 
@@ -101,24 +103,30 @@ class SweepConfig:
     initials: tuple | None = None  # extra initial states for PES sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One row of a sweep table. Rows are named tuples: a table is built
+    from its columns by ``SweepRow._make`` and read back with ``zip(*rows)``,
+    a row equals the plain tuple of its cells, and ``row._replace(...)``
+    gives an edited copy."""
+
     p: float
     concurrence: float
     error: float | None
     predicted: float
 
 
-@dataclass(frozen=True)
-class BreakingPoint:
+class BreakingPoint(NamedTuple):
+    """Entanglement-breaking probability of one family and side (a named
+    tuple, as :class:`SweepRow`)."""
+
     family: str
     mode: str
     p_star: float
 
 
-@dataclass(frozen=True)
-class CharacterizationRow:
-    """Process-matrix diagonal vs theory at one noise setting."""
+class CharacterizationRow(NamedTuple):
+    """Process-matrix diagonal vs theory at one noise setting (a named tuple
+    whose ``chi`` and ``theory`` cells are tuples of four)."""
 
     p: float
     chi: tuple
@@ -140,7 +148,8 @@ def _check_grid(p_grid, increasing: bool = False, path: str = "p_grid") -> None:
     if not p_grid:
         raise ConfigError(f"{path}: must not be empty")
     for i, p in enumerate(p_grid):
-        _check_probability(p, f"{path}[{i}]")
+        if not 0.0 <= p <= 1.0:  # name the point only once it fails
+            _check_probability(p, f"{path}[{i}]")
         if increasing and i > 0 and p <= p_grid[i - 1]:
             raise ConfigError(f"{path}[{i}]: values must be strictly increasing")
 
@@ -174,7 +183,7 @@ def validate_sweep_config(config: SweepConfig) -> None:
     _check_family(config.family)
     if config.mode not in MODES:
         raise ConfigError(f"mode: expected one of {MODES}, got {config.mode!r}")
-    if config.noisy_qubit not in (0, 1):
+    if config.noisy_qubit not in NOISY_QUBITS:
         raise ConfigError(f"noisy_qubit: expected 0 or 1, got {config.noisy_qubit!r}")
     _check_grid(config.p_grid, increasing=True)
     pl = config.pipeline
@@ -270,7 +279,7 @@ def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
     reuse = pl.kind == "analytic" and config.p_scale is None
     predicted = values if reuse else analytic_prediction(config, p, spec)
     cells = zip(p.tolist(), np.asarray(values, dtype=float).tolist(), errors, predicted.tolist())
-    return [SweepRow(*row) for row in cells]
+    return list(map(SweepRow._make, cells))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
@@ -339,13 +348,11 @@ def run_channel_characterization(
 # Emission
 
 
-#: Column headers and the cells of one row, by row type.
+#: Column headers of each row type, and the flattener of a row type whose
+#: cells are not its fields (``None`` where the row is its own cells).
 _LAYOUTS = {
-    SweepRow: (
-        ("p", "concurrence", "error", "predicted"),
-        attrgetter("p", "concurrence", "error", "predicted"),
-    ),
-    BreakingPoint: (("family", "mode", "p_star"), attrgetter("family", "mode", "p_star")),
+    SweepRow: (SweepRow._fields, None),
+    BreakingPoint: (BreakingPoint._fields, None),
     CharacterizationRow: (
         ("p", "chi_0", "chi_1", "chi_2", "chi_3", "theory_0", "theory_1", "theory_2", "theory_3"),
         lambda row: (row.p, *row.chi, *row.theory),
@@ -360,7 +367,7 @@ def _columns(rows) -> tuple[tuple, list]:
         names = ", ".join(sorted(kind.__name__ for kind in kinds))
         raise ValueError(f"cannot emit rows of type {names}")
     headers, cells = _LAYOUTS[type(rows[0])]
-    return headers, list(zip(*map(cells, rows)))
+    return headers, list(zip(*(rows if cells is None else map(cells, rows))))
 
 
 def _cell_csv(value) -> str:
@@ -521,19 +528,27 @@ _PIPELINE_ALIASES = {"exact": "exact_simulation", "shot-noise": "shot_noise"}
 _MODE_ALIASES = {"one-sided": "one_sided", "two-sided": "two_sided"}
 
 
-def _field(value, kind, path: str):
-    """``value`` as a ``kind`` (str, int or float), or a ConfigError naming
-    ``path``. A number may be spelled as a string (a compact string's
-    fields, a flag's text); an int takes an integral float but no fraction;
-    bools, None, lists and mappings are never numbers."""
+def _convert(value, kind):
+    """``value`` as a ``kind`` (str, int or float), or None if it is not
+    one. A number may be spelled as a string (a compact string's fields, a
+    flag's text); an int takes an integral float but no fraction; bools,
+    None, lists and mappings are never numbers."""
     if isinstance(value, str if kind is str else (str, numbers.Real)) and not isinstance(value, bool):
         try:
             out = kind(value)
         except (ValueError, OverflowError):
-            out = None
-        if out is not None and (kind is not int or isinstance(value, str) or out == value):
+            return None
+        if kind is not int or isinstance(value, str) or out == value:
             return out
-    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    return None
+
+
+def _field(value, kind, path: str):
+    """``value`` as a ``kind`` (see :func:`_convert`), or a ConfigError naming ``path``."""
+    out = _convert(value, kind)
+    if out is None:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    return out
 
 
 def _read(obj: dict, name: str, kind, prefix: str, default):
@@ -600,7 +615,11 @@ def p_grid_from(obj) -> tuple:
         except (ValueError, MemoryError) as exc:
             raise ConfigError(f"p_grid.points: cannot make {points} points ({exc})") from None
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return tuple(_field(x, float, f"p_grid[{i}]") for i, x in enumerate(obj))
+        values = [_convert(x, float) for x in obj]
+        if None in values:  # name only the first point that is not a float
+            i = values.index(None)
+            _field(obj[i], float, f"p_grid[{i}]")
+        return tuple(values)
     raise ConfigError(f"p_grid: expected a list or a {{start, stop, points}} range, got {obj!r}")
 
 
@@ -620,10 +639,15 @@ def pipeline_from(obj) -> Pipeline:
     return Pipeline(**values)
 
 
+def _check_mapping(obj, path: str = "config") -> None:
+    """A ConfigError naming ``path`` unless ``obj`` is a mapping."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
+
+
 def sweep_config_from_dict(obj: dict) -> SweepConfig:
     """Build and validate a sweep configuration from a JSON-style mapping."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config: expected a mapping, got {type(obj).__name__}")
+    _check_mapping(obj)
     _known(obj, [f.name for f in dataclass_fields(SweepConfig)], "")
     base = SweepConfig()
     initials = obj.get("initials")

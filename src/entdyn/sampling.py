@@ -13,11 +13,18 @@ from .channels import PauliChannel, UnitalChannel, is_completely_positive
 from .states import BELL_KETS, _frozen
 
 
+def _haar_unitaries(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """(n, dim, dim) stack of Haar unitaries from one normal draw, taken as
+    each matrix's real part and then its imaginary part, matrix by matrix,
+    and one stacked QR."""
+    g = rng.normal(size=(n, 2, dim, dim))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return _frozen(q * (d / np.abs(d)))
+    return _frozen(_haar_unitaries(rng, 1, dim)[0])
 
 
 def random_pure_ket(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -45,11 +52,12 @@ def random_cp_radii(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unital_channel(rng: np.random.Generator) -> UnitalChannel:
-    return UnitalChannel(
-        pre_rotation=random_unitary(rng),
-        post_rotation=random_unitary(rng),
-        radii=random_cp_radii(rng),
-    )
+    """Haar-random pre- and post-rotations and CP radii, drawn in that
+    order: the stream is that of two :func:`random_unitary` calls and then
+    :func:`random_cp_radii`, with both unitaries from one normal draw and
+    one stacked QR."""
+    v, u = _haar_unitaries(rng, 2, 2)
+    return UnitalChannel(pre_rotation=v, post_rotation=u, radii=random_cp_radii(rng))
 
 
 def random_rotated_bell(rng: np.random.Generator, which: str = "phi_plus") -> np.ndarray:

@@ -178,7 +178,7 @@ def psd_sqrt(matrix) -> np.ndarray:
     """
     m = np.asarray(matrix, dtype=complex)
     w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     w[w < 1e-14 * w[..., -1:]] = 0.0
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import entdyn.channels
 from entdyn.channels import (
+    _SU2_TO_SO3,
     PauliChannel,
     UnitalChannel,
     apply,
@@ -410,6 +412,52 @@ class TestRotationConversions:
     def test_improper_rotation_rejected(self):
         with pytest.raises(ValueError):
             su2_from_rotation(np.diag([1.0, 1.0, -1.0]))
+
+    def test_stacked_rotations_match_the_single_matrix_einsum(self):
+        rng = np.random.default_rng(38)
+        us = np.stack([random_unitary(rng) for _ in range(400)])
+        reference = np.stack([np.einsum("kabcd,bc,ad->k", _SU2_TO_SO3, u, u.conj()).real.reshape(3, 3)
+                              for u in us])
+        assert rotation_from_su2(us).tobytes() == reference.tobytes()
+        assert rotation_from_su2(us.reshape(20, 20, 2, 2)).tobytes() == reference.tobytes()
+        for u, o in zip(us, reference):
+            assert rotation_from_su2(u).tobytes() == o.tobytes()
+
+
+class TestUnitalChannel:
+    def test_ptm_bits_match_the_per_matrix_build(self):
+        # 1 (+) O_u diag(R) O_v with each rotation's image taken on its own
+        rng = np.random.default_rng(39)
+        channels = [random_unital_channel(rng) for _ in range(200)]
+        channels += [decompose_unital(bloch_affine_map(ch)) for ch in channels[:20]]
+        for ch in channels:
+            reference = np.eye(4)
+            reference[1:, 1:] = (rotation_from_su2(ch.post_rotation) * ch.radii
+                                 @ rotation_from_su2(ch.pre_rotation))
+            assert pauli_transfer_matrix(ch).tobytes() == reference.tobytes()
+
+    def test_one_rotation_call_per_channel(self, monkeypatch):
+        calls = []
+        rotation = entdyn.channels.rotation_from_su2
+
+        def counted(u):
+            calls.append(np.shape(u))
+            return rotation(u)
+
+        monkeypatch.setattr(entdyn.channels, "rotation_from_su2", counted)
+        rng = np.random.default_rng(40)
+        for _ in range(5):
+            random_unital_channel(rng)
+        assert calls == [(2, 2, 2)] * 5
+
+    def test_rotation_errors_name_the_rotation(self):
+        bad = np.array([[1.0, 0.0], [0.0, 1.1]])
+        with pytest.raises(ValueError, match="^pre_rotation is not unitary$"):
+            UnitalChannel(bad, np.eye(2), (1, 1, 1))
+        with pytest.raises(ValueError, match="^post_rotation is not unitary$"):
+            UnitalChannel(np.eye(2), bad, (1, 1, 1))
+        with pytest.raises(ValueError, match=r"^post_rotation must be 2x2, got shape \(3, 3\)$"):
+            UnitalChannel(np.eye(2), np.eye(3), (1, 1, 1))
 
 
 class TestValidationAndSerialization:

@@ -14,7 +14,13 @@ import entdyn.cli
 import entdyn.harness
 from entdyn.cli import build_parser, main
 from entdyn.dynamics import MODES
-from entdyn.harness import _MODE_ALIASES, _PIPELINE_ALIASES, PIPELINES, NumericalError
+from entdyn.harness import (
+    _MODE_ALIASES,
+    _PIPELINE_ALIASES,
+    NOISY_QUBITS,
+    PIPELINES,
+    NumericalError,
+)
 from entdyn.states import bell_state
 from entdyn.tomography import (
     LIKELIHOODS, MAX_COUNT, simulate_counts, standard_settings, write_counts_csv,
@@ -541,7 +547,8 @@ def test_vocabulary_flags_offer_the_config_reader_vocabularies():
     # order the snapshot above pins; no vocabulary is spelled out in cli.py
     expected = {"mode": (*MODES, *_MODE_ALIASES),
                 "pipeline": tuple(sorted([*PIPELINES, *_PIPELINE_ALIASES])),
-                "likelihood": LIKELIHOODS}
+                "likelihood": LIKELIHOODS,
+                "noisy_qubit": NOISY_QUBITS}
     (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     offered = {(verb, a.dest): tuple(a.choices)
                for verb, parser in verbs.choices.items() for a in parser._actions if a.dest in expected}
@@ -552,8 +559,10 @@ def test_vocabulary_flags_offer_the_config_reader_vocabularies():
     tree = ast.parse(Path(entdyn.cli.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            spelled = {e.value for e in node.elts if isinstance(e, ast.Constant)} & words
+            constants = [e.value for e in node.elts if isinstance(e, ast.Constant)]
+            spelled = set(constants) & words
             assert not spelled, f"cli.py line {node.lineno} spells out {sorted(spelled)}"
+            assert constants != list(NOISY_QUBITS), f"cli.py line {node.lineno} spells out the qubits"
 
 
 @pytest.mark.parametrize(
@@ -588,7 +597,9 @@ def test_vocabulary_flags_offer_the_config_reader_vocabularies():
      ([], {"pipeline": {"trials": 1}}, "pipeline.trials: must be >= 2, got 1"),
      ([], {"pipeline": {"seed": -1}}, "pipeline.seed: must be >= 0, got -1"),
      ([], {"initials": ["pes:0.1", "pes:nan"]}, "initials[1].delta: must be finite, got nan"),
-     ([], {"initial": "bell:nope"}, "initial.bell: unknown Bell state 'nope'")],
+     ([], {"initial": "bell:nope"}, "initial.bell: unknown Bell state 'nope'"),
+     # the reader's own rule for a config that is not a mapping
+     ([], [1], "config: expected a mapping, got list")],
 )
 def test_malformed_input_names_the_field(tmp_path, argv, config, message):
     # run as a subprocess, so a traceback would show on stderr

@@ -30,8 +30,10 @@ from entdyn.harness import (
     NumericalError,
     Pipeline,
     SweepConfig,
+    SweepRow,
     emit,
     initial_spec_from,
+    p_grid_from,
     read_rows,
     render,
     run_breaking_points,
@@ -41,6 +43,7 @@ from entdyn.harness import (
     run_sweep,
     shot_noise_point,
     sweep_config_from_dict,
+    validate_sweep_config,
 )
 from entdyn.states import dm
 from entdyn.tomography import MAX_COUNT, simulate_counts, standard_settings
@@ -373,6 +376,13 @@ class TestEmit:
         with pytest.raises(OSError):
             emit(rows, "csv", tmp_path / "missing_dir" / "x.csv")
 
+    def test_rows_are_named_tuples(self):
+        rows = run_sweep(analytic_config(p_grid=(0.0, 0.25, 0.5)))
+        assert rows == [(0.0, 1.0, None, 1.0), (0.25, 0.5, None, 0.5), (0.5, 0.0, None, 0.0)]
+        assert rows[1]._replace(error=0.5) == SweepRow(0.25, 0.5, 0.5, 0.5)
+        assert SweepRow._fields == ("p", "concurrence", "error", "predicted")
+        assert BreakingPoint._fields == ("family", "mode", "p_star")
+
     def test_other_row_types_render(self):
         text = render(run_breaking_points(), "csv")
         assert text.splitlines()[0] == "family,mode,p_star"
@@ -443,6 +453,31 @@ class TestConfigValidation:
     def test_unknown_nested_field_named(self, obj, message):
         with pytest.raises(ConfigError, match=f"^{message}"):
             sweep_config_from_dict(obj)
+
+    def test_valid_grid_names_no_point(self, monkeypatch):
+        # a point's path is formatted only once the point fails
+        calls = []
+        check = entdyn.harness._check_probability
+        monkeypatch.setattr(entdyn.harness, "_check_probability",
+                            lambda p, path: calls.append(path) or check(p, path))
+        grid = tuple(np.linspace(0.0, 1.0, 201).tolist())
+        validate_sweep_config(analytic_config(p_grid=grid))
+        assert calls == []
+        with pytest.raises(ConfigError, match=r"^p_grid\[200\]: value 1.5 outside \[0, 1\]$"):
+            validate_sweep_config(analytic_config(p_grid=(*grid[:-1], 1.5)))
+        assert calls == ["p_grid[200]"]
+
+    def test_grid_errors_keep_their_order(self):
+        # point by point, range before order
+        with pytest.raises(ConfigError, match=r"^p_grid\[1\]: values must be strictly increasing$"):
+            validate_sweep_config(analytic_config(p_grid=(0.5, 0.2, 1.5)))
+        with pytest.raises(ConfigError, match=r"^p_grid\[1\]: value nan outside \[0, 1\]$"):
+            validate_sweep_config(analytic_config(p_grid=(0.5, math.nan, 0.2)))
+
+    def test_grid_list_names_the_first_bad_point(self):
+        assert p_grid_from(["0", 0.5, np.float64(1.0)]) == (0.0, 0.5, 1.0)
+        with pytest.raises(ConfigError, match=r"^p_grid\[2\]: expected float, got 'x'$"):
+            p_grid_from([0.0, "0.5", "x", None])
 
     def test_non_finite_initial_angles(self):
         with pytest.raises(ConfigError, match=r"^initial\.delta"):

@@ -7,7 +7,8 @@ literal Kraus-sum oracle on random process matrices (non-unital and
 non-trace-preserving ones included) and on random unital channels, whose
 PTM is built once at construction. Sweeps take the concurrence of a whole
 stack of states at once, so the batched core is checked against the
-single-state wrapper, state by state.
+single-state wrapper, state by state, and the spin flip it takes by index
+reversal against the matrix products it replaced, bit for bit.
 """
 
 import math
@@ -224,6 +225,27 @@ def test_batched_wootters_matches_concurrence(states):
         single = concurrence(rho)
         assert abs(q[i] - single.q) < 1e-13
         assert np.max(np.abs(roots[i] ** 2 - single.lambdas)) < 1e-13
+
+
+SPIN_FLIP = np.kron(PAULIS[2], PAULIS[2]).real
+
+
+def spin_flip_product_wootters(rho):
+    """Wootters q and roots with the spin flip as two products by sy (x) sy."""
+    sq = psd_sqrt(rho)
+    roots = np.linalg.svd(SPIN_FLIP @ sq.conj() @ SPIN_FLIP @ sq, compute_uv=False)
+    return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], roots
+
+
+@PROPERTY
+@given(st.lists(low_rank_states(), min_size=1, max_size=6))
+def test_wootters_bits_match_the_spin_flip_products(states):
+    """The index-and-sign spin flip gives the bits of the matrix products,
+    for one state and for a stack."""
+    for rho in (*states, np.stack(states)):
+        got, want = wootters(rho), spin_flip_product_wootters(rho)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 @PROPERTY

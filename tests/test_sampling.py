@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from entdyn.channels import is_completely_positive
 from entdyn.sampling import (
@@ -62,3 +63,40 @@ def test_deterministic_under_seed():
     a = random_unitary(np.random.default_rng(99))
     b = random_unitary(np.random.default_rng(99))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_random_unitary_bits_match_the_per_matrix_draw(dim):
+    # the real part, then the imaginary part, then one QR with its phases fixed
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        reference = q * (d / np.abs(d))
+        assert random_unitary(np.random.default_rng(seed), dim).tobytes() == reference.tobytes()
+
+
+def test_unital_channel_stream_is_two_unitaries_then_radii():
+    for seed in range(50):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ch = random_unital_channel(rng)
+        assert ch.pre_rotation.tobytes() == random_unitary(reference_rng).tobytes()
+        assert ch.post_rotation.tobytes() == random_unitary(reference_rng).tobytes()
+        assert ch.radii.tobytes() == random_cp_radii(reference_rng).tobytes()
+        assert rng.random() == reference_rng.random()
+
+
+def test_one_qr_per_unital_channel(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    rng = np.random.default_rng(66)
+    for _ in range(5):
+        random_unital_channel(rng)
+    assert calls == [(2, 2, 2)] * 5
