@@ -138,9 +138,10 @@ def _check_family(family, path: str = "family") -> None:
         raise ConfigError(f"{path}: unknown family {family!r}; expected one of {PAULI_FAMILIES}")
 
 
-def _check_probability(p, path: str) -> None:
+def _check_probability(p, path: str, index=None) -> None:
+    """``p`` in [0, 1]; a grid point is named ``path[index]``, formatted only once it fails."""
     if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"{path}: value {p!r} outside [0, 1]")
+        raise ConfigError(f"{path if index is None else f'{path}[{index}]'}: value {p!r} outside [0, 1]")
 
 
 def _check_grid(p_grid, increasing: bool = False, path: str = "p_grid") -> None:
@@ -148,8 +149,7 @@ def _check_grid(p_grid, increasing: bool = False, path: str = "p_grid") -> None:
     if not p_grid:
         raise ConfigError(f"{path}: must not be empty")
     for i, p in enumerate(p_grid):
-        if not 0.0 <= p <= 1.0:  # name the point only once it fails
-            _check_probability(p, f"{path}[{i}]")
+        _check_probability(p, path, i)
         if increasing and i > 0 and p <= p_grid[i - 1]:
             raise ConfigError(f"{path}[{i}]: values must be strictly increasing")
 
@@ -528,27 +528,19 @@ _PIPELINE_ALIASES = {"exact": "exact_simulation", "shot-noise": "shot_noise"}
 _MODE_ALIASES = {"one-sided": "one_sided", "two-sided": "two_sided"}
 
 
-def _convert(value, kind):
-    """``value`` as a ``kind`` (str, int or float), or None if it is not
-    one. A number may be spelled as a string (a compact string's fields, a
-    flag's text); an int takes an integral float but no fraction; bools,
-    None, lists and mappings are never numbers."""
+def _field(value, kind, path: str):
+    """``value`` as a ``kind`` (str, int or float), or a ConfigError naming
+    ``path``. A number may be spelled as a string (a compact string's
+    fields, a flag's text); an int takes an integral float but no fraction;
+    bools, None, lists and mappings are never numbers."""
     if isinstance(value, str if kind is str else (str, numbers.Real)) and not isinstance(value, bool):
         try:
             out = kind(value)
         except (ValueError, OverflowError):
-            return None
-        if kind is not int or isinstance(value, str) or out == value:
+            out = None
+        if out is not None and (kind is not int or isinstance(value, str) or out == value):
             return out
-    return None
-
-
-def _field(value, kind, path: str):
-    """``value`` as a ``kind`` (see :func:`_convert`), or a ConfigError naming ``path``."""
-    out = _convert(value, kind)
-    if out is None:
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-    return out
+    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
 
 
 def _read(obj: dict, name: str, kind, prefix: str, default):
@@ -615,11 +607,7 @@ def p_grid_from(obj) -> tuple:
         except (ValueError, MemoryError) as exc:
             raise ConfigError(f"p_grid.points: cannot make {points} points ({exc})") from None
     if isinstance(obj, (list, tuple, np.ndarray)):
-        values = [_convert(x, float) for x in obj]
-        if None in values:  # name only the first point that is not a float
-            i = values.index(None)
-            _field(obj[i], float, f"p_grid[{i}]")
-        return tuple(values)
+        return tuple(_field(x, float, f"p_grid[{i}]") for i, x in enumerate(obj))
     raise ConfigError(f"p_grid: expected a list or a {{start, stop, points}} range, got {obj!r}")
 
 

@@ -455,17 +455,18 @@ class TestConfigValidation:
             sweep_config_from_dict(obj)
 
     def test_valid_grid_names_no_point(self, monkeypatch):
-        # a point's path is formatted only once the point fails
-        calls = []
+        # each point is checked under the grid's own path and its index; the
+        # point's path is formatted only inside the raise
+        paths = set()
         check = entdyn.harness._check_probability
         monkeypatch.setattr(entdyn.harness, "_check_probability",
-                            lambda p, path: calls.append(path) or check(p, path))
+                            lambda p, path, index=None: paths.add(path) or check(p, path, index))
         grid = tuple(np.linspace(0.0, 1.0, 201).tolist())
         validate_sweep_config(analytic_config(p_grid=grid))
-        assert calls == []
+        assert paths == {"p_grid"}
         with pytest.raises(ConfigError, match=r"^p_grid\[200\]: value 1.5 outside \[0, 1\]$"):
             validate_sweep_config(analytic_config(p_grid=(*grid[:-1], 1.5)))
-        assert calls == ["p_grid[200]"]
+        assert paths == {"p_grid"}
 
     def test_grid_errors_keep_their_order(self):
         # point by point, range before order
