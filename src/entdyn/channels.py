@@ -129,12 +129,11 @@ class UnitalChannel:
         if r.size != 3:
             raise ValueError(f"radii must have 3 entries, got {r.size}")
         _require_finite("radii", r)
-        # slack matches decompose_unital's gate so round-tripped boundary maps
-        # construct cleanly
-        if not is_completely_positive(r, tol=1e-10):
-            raise ValueError(
-                "radii are not completely positive: " + "; ".join(cp_violations(r, tol=1e-10))
-            )
+        # 1e-10 of slack: radii read off an SVD (decompose_unital, compose)
+        # carry rounding, so a map on the tetrahedron's faces still constructs
+        violations = cp_violations(r, tol=1e-10)
+        if violations:
+            raise ValueError("radii are not completely positive: " + "; ".join(violations))
         object.__setattr__(self, "pre_rotation", _frozen(v.copy()))
         object.__setattr__(self, "post_rotation", _frozen(u.copy()))
         object.__setattr__(self, "radii", _frozen(r.copy()))
@@ -245,54 +244,39 @@ def chi_from_radii(radii) -> np.ndarray:
 
 
 def pauli_channel_from_radii(radii) -> PauliChannel:
-    """Validated Pauli channel with the given ellipsoid radii.
-
-    Raises ``ValueError`` naming the offending weight when the radii fall
-    outside the completely positive tetrahedron.
-    """
-    chi = chi_from_radii(radii)
-    if chi.min() < -CP_TOL:
-        raise ValueError(
-            f"radii {np.asarray(radii).tolist()} are not completely positive: "
-            f"chi_{int(chi.argmin())} = {chi.min()!r} < 0"
-        )
-    chi = np.clip(chi, 0.0, None)
-    return PauliChannel(chi / chi.sum())
+    """Pauli channel of the weights :func:`chi_from_radii` gives. Radii off
+    the completely positive tetrahedron give a negative weight, which
+    :class:`PauliChannel` names (it clips one within ``CP_TOL`` of zero)."""
+    return PauliChannel(chi_from_radii(radii))
 
 
 # (i, j, k) of the tetrahedron inequalities |R_i +- R_j| <= |1 +- R_k|.
 _CP_TRIPLES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
-def cp_violations(radii, tol: float = CP_TOL) -> list[str]:
-    """Human-readable list of violated tetrahedron inequalities (empty if CP).
-
-    A non-finite radius violates every inequality it enters.
-    """
-    r = np.asarray(radii, dtype=float).reshape(-1)
-    out = []
+def _violated(radii, tol: float):
+    """The tetrahedron inequalities |R_i +- R_j| <= |1 +- R_k| + tol that
+    three signed radii break, lazily and in a fixed order, as ``(i, j, k,
+    "+" or "-", lhs, rhs)``. A non-finite radius breaks every inequality it enters."""
+    r = np.asarray(radii, dtype=float).reshape(3).tolist()
     for i, j, k in _CP_TRIPLES:
         for sign, label in ((1.0, "+"), (-1.0, "-")):
-            lhs = abs(r[i] + sign * r[j])
-            rhs = abs(1.0 + sign * r[k])
+            lhs, rhs = abs(r[i] + sign * r[j]), abs(1.0 + sign * r[k])
             if not lhs <= rhs + tol:
-                out.append(
-                    f"|R{i + 1} {label} R{j + 1}| = {lhs:.6g} > |1 {label} R{k + 1}| = {rhs:.6g}"
-                )
-    return out
+                yield i, j, k, label, lhs, rhs
+
+
+def cp_violations(radii, tol: float = CP_TOL) -> list[str]:
+    """Every tetrahedron inequality the three radii violate, worded (empty
+    if they are completely positive)."""
+    return [f"|R{i + 1} {label} R{j + 1}| = {lhs:.6g} > |1 {label} R{k + 1}| = {rhs:.6g}"
+            for i, j, k, label, lhs, rhs in _violated(radii, tol)]
 
 
 def is_completely_positive(radii, tol: float = CP_TOL) -> bool:
-    """True iff the three signed radii satisfy all tetrahedron inequalities
-    |R_i +- R_j| <= |1 +- R_k| + tol, in the arithmetic of
-    :func:`cp_violations`, which only runs to word a failure. A non-finite
-    radius fails."""
-    r = np.asarray(radii, dtype=float).reshape(3).tolist()
-    return all(
-        abs(r[i] + sign * r[j]) <= abs(1.0 + sign * r[k]) + tol
-        for i, j, k in _CP_TRIPLES
-        for sign in (1.0, -1.0)
-    )
+    """True iff the three signed radii satisfy every tetrahedron inequality
+    of :func:`cp_violations`; stops at the first violation and words none."""
+    return next(_violated(radii, tol), None) is None
 
 
 def pauli_transfer_matrix(channel) -> np.ndarray:
@@ -431,8 +415,8 @@ def decompose_unital(m) -> UnitalChannel:
 
     The canonical form has |R1| >= |R2| >= |R3| with at most one negative
     radius (carrying the sign of det M); reflections are absorbed into the
-    rotations. Raises ``ValueError`` quoting the violated tetrahedron
-    inequality when the map is not completely positive.
+    rotations. The radii are checked by :class:`UnitalChannel` alone, whose
+    ``ValueError`` quotes the violated tetrahedron inequality.
     """
     mat = np.asarray(m, dtype=float)
     if mat.shape != (3, 3):
@@ -447,10 +431,6 @@ def decompose_unital(m) -> UnitalChannel:
         xt = xt.copy()
         xt[2, :] *= -1.0
         r[2] *= -1.0
-    if not is_completely_positive(r, tol=1e-10):
-        raise ValueError(
-            "Bloch map is not completely positive: " + "; ".join(cp_violations(r, tol=1e-10))
-        )
     return UnitalChannel(
         pre_rotation=su2_from_rotation(xt), post_rotation=su2_from_rotation(w), radii=r
     )

@@ -91,18 +91,6 @@ class Pipeline:
     likelihood: str = "gaussian"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    family: str = "isotropic"
-    mode: str = "one_sided"
-    initial: InitialStateSpec = field(default_factory=lambda: InitialStateSpec(kind="bell"))
-    p_grid: tuple = DEFAULT_P_GRID
-    pipeline: Pipeline = field(default_factory=Pipeline)
-    noisy_qubit: int = 1
-    p_scale: float | None = None
-    initials: tuple | None = None  # extra initial states for PES sweeps
-
-
 class SweepRow(NamedTuple):
     """One row of a sweep table. Rows are named tuples: a table is built
     from its columns by ``SweepRow._make`` and read back with ``zip(*rows)``,
@@ -178,28 +166,45 @@ def _check_initial(spec, path: str) -> None:
         _check_probability(spec.dephasing, f"{path}.dephasing")
 
 
-def validate_sweep_config(config: SweepConfig) -> None:
-    """Check every field of ``config``, ``initial`` and each of ``initials`` included."""
-    _check_family(config.family)
-    if config.mode not in MODES:
-        raise ConfigError(f"mode: expected one of {MODES}, got {config.mode!r}")
-    if config.noisy_qubit not in NOISY_QUBITS:
-        raise ConfigError(f"noisy_qubit: expected 0 or 1, got {config.noisy_qubit!r}")
-    _check_grid(config.p_grid, increasing=True)
-    pl = config.pipeline
-    if pl.kind not in PIPELINES:
-        raise ConfigError(f"pipeline.kind: expected one of {PIPELINES}, got {pl.kind!r}")
-    _check_count(pl.n_per_setting, "pipeline.n_per_setting")
-    _check_at_least(pl.trials, 2, "pipeline.trials")
-    _check_at_least(pl.seed, 0, "pipeline.seed")
-    if pl.likelihood not in LIKELIHOODS:
-        raise ConfigError(f"pipeline.likelihood: expected {' or '.join(map(repr, LIKELIHOODS))}, "
-                          f"got {pl.likelihood!r}")
-    if config.p_scale is not None and not 0 < config.p_scale < math.inf:
-        raise ConfigError(f"p_scale: must be positive and finite, got {config.p_scale!r}")
-    _check_initial(config.initial, "initial")
-    for i, spec in enumerate(config.initials or ()):
-        _check_initial(spec, f"initials[{i}]")
+@dataclass(frozen=True)
+class SweepConfig:
+    """A sweep's settings, checked once, when the config is built: a
+    :class:`ConfigError` names the first bad field (``initials[1].delta``)."""
+
+    family: str = "isotropic"
+    mode: str = "one_sided"
+    initial: InitialStateSpec = field(default_factory=lambda: InitialStateSpec(kind="bell"))
+    p_grid: tuple = DEFAULT_P_GRID
+    pipeline: Pipeline = field(default_factory=Pipeline)
+    noisy_qubit: int = 1
+    p_scale: float | None = None
+    initials: tuple | None = None  # extra initial states for PES sweeps
+
+    def __post_init__(self):
+        _check_family(self.family)
+        if self.mode not in MODES:
+            raise ConfigError(f"mode: expected one of {MODES}, got {self.mode!r}")
+        if self.noisy_qubit not in NOISY_QUBITS:
+            raise ConfigError(f"noisy_qubit: expected 0 or 1, got {self.noisy_qubit!r}")
+        _check_grid(self.p_grid, increasing=True)
+        pl = self.pipeline
+        if pl.kind not in PIPELINES:
+            raise ConfigError(f"pipeline.kind: expected one of {PIPELINES}, got {pl.kind!r}")
+        _check_count(pl.n_per_setting, "pipeline.n_per_setting")
+        _check_at_least(pl.trials, 2, "pipeline.trials")
+        _check_at_least(pl.seed, 0, "pipeline.seed")
+        if pl.likelihood not in LIKELIHOODS:
+            raise ConfigError(f"pipeline.likelihood: expected {' or '.join(map(repr, LIKELIHOODS))}, "
+                              f"got {pl.likelihood!r}")
+        if self.p_scale is not None and not 0 < self.p_scale < math.inf:
+            raise ConfigError(f"p_scale: must be positive and finite, got {self.p_scale!r}")
+        _check_initial(self.initial, "initial")
+        labels = {}  # PES tables are keyed by label, so no two initials may share one
+        for i, spec in enumerate(self.initials or ()):
+            _check_initial(spec, f"initials[{i}]")
+            first = labels.setdefault(spec.label(), i)
+            if first != i:
+                raise ConfigError(f"initials[{i}]: label {spec.label()!r} repeats initials[{first}]")
 
 
 def _evolved_states(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
@@ -284,7 +289,6 @@ def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Concurrence versus noise probability for one initial state."""
-    validate_sweep_config(config)
     return _sweep_rows(config, config.initial)
 
 
@@ -295,7 +299,6 @@ def run_pes_sweep(config: SweepConfig) -> dict[str, list[SweepRow]]:
     Pure PES rows get factorization-law predictions, mixed PES rows the
     composed-channel law.
     """
-    validate_sweep_config(config)
     specs = config.initials if config.initials else (config.initial,)
     return {spec.label(): _sweep_rows(config, spec) for spec in specs}
 
@@ -633,29 +636,30 @@ def _check_mapping(obj, path: str = "config") -> None:
         raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
 
 
+#: The config whose fields a config file's absent fields take (checked once).
+_DEFAULTS = SweepConfig()
+
+
 def sweep_config_from_dict(obj: dict) -> SweepConfig:
     """Build and validate a sweep configuration from a JSON-style mapping."""
     _check_mapping(obj)
     _known(obj, [f.name for f in dataclass_fields(SweepConfig)], "")
-    base = SweepConfig()
     initials = obj.get("initials")
     if initials is not None and not isinstance(initials, (list, tuple)):
         raise ConfigError(f"initials: expected a list, got {initials!r}")
-    family = _read(obj, "family", str, "", base.family)
-    mode = _read(obj, "mode", str, "", base.mode)
-    config = SweepConfig(
+    family = _read(obj, "family", str, "", _DEFAULTS.family)
+    mode = _read(obj, "mode", str, "", _DEFAULTS.mode)
+    return SweepConfig(
         family=family,
         mode=_MODE_ALIASES.get(mode, mode),
-        initial=initial_spec_from(obj.get("initial", base.initial)),
-        p_grid=p_grid_from(obj["p_grid"]) if "p_grid" in obj else base.p_grid,
-        pipeline=pipeline_from(obj.get("pipeline", base.pipeline)),
-        noisy_qubit=_read(obj, "noisy_qubit", int, "", base.noisy_qubit),
+        initial=initial_spec_from(obj.get("initial", _DEFAULTS.initial)),
+        p_grid=p_grid_from(obj["p_grid"]) if "p_grid" in obj else _DEFAULTS.p_grid,
+        pipeline=pipeline_from(obj.get("pipeline", _DEFAULTS.pipeline)),
+        noisy_qubit=_read(obj, "noisy_qubit", int, "", _DEFAULTS.noisy_qubit),
         p_scale=None if obj.get("p_scale") is None else _field(obj["p_scale"], float, "p_scale"),
         initials=tuple(initial_spec_from(x, f"initials[{i}]") for i, x in enumerate(initials))
         if initials else None,
     )
-    validate_sweep_config(config)
-    return config
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,7 @@ def bell_state(name: str) -> np.ndarray:
 def density_matrix(matrix, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Validate a density matrix (Hermitian, unit trace, PSD) and freeze it.
 
-    ``psd_tol`` is the slack allowed on the smallest eigenvalue; analytic
-    states use the default, tomography reconstructions pass a looser 1e-6.
+    ``psd_tol`` is the slack allowed on the smallest eigenvalue.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):

@@ -450,6 +450,27 @@ class TestUnitalChannel:
             random_unital_channel(rng)
         assert calls == [(2, 2, 2)] * 5
 
+    def test_cp_rule_runs_once_per_channel(self, monkeypatch):
+        # the inequalities are evaluated once per channel built, by
+        # UnitalChannel: decompose_unital runs no check of its own, and a
+        # failing check is worded by the same pass that found it
+        calls = []
+
+        def counted(rule):
+            return lambda *args, **kwargs: calls.append(rule.__name__) or rule(*args, **kwargs)
+
+        for rule in (entdyn.channels.is_completely_positive, entdyn.channels.cp_violations):
+            monkeypatch.setattr(entdyn.channels, rule.__name__, counted(rule))
+        decompose_unital(np.diag([0.5, 0.5, 0.2]))
+        assert len(calls) == 1
+        message = r"^radii are not completely positive: \|R1 \+ R2\| = 2 > \|1 \+ R3\| = 0; "
+        with pytest.raises(ValueError, match=message):
+            UnitalChannel(np.eye(2), np.eye(2), (1, 1, -1))
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match=message):
+            decompose_unital(np.diag([1.0, 1.0, -1.0]))
+        assert len(calls) == 3
+
     def test_rotation_errors_name_the_rotation(self):
         bad = np.array([[1.0, 0.0], [0.0, 1.1]])
         with pytest.raises(ValueError, match="^pre_rotation is not unitary$"):

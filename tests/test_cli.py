@@ -199,6 +199,21 @@ def test_pes_sweep_json_keyed_by_label(capsys):
     assert len(rows) == 2
 
 
+def test_pes_sweep_csv_to_stdout(capsys):
+    # one "# initial: <label>" block per table, in sorted label order, the
+    # blocks apart by a blank line
+    argv = ["pes-sweep", "--family", "isotropic", "--p-grid", "0,0.5", "--pipeline", "analytic",
+            "--initial", "pes:0.1309", "--initial", "mixed:0.3927:0.25", "--initial", "bell:psi-"]
+    assert main(argv) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    labels = ["bell_psi_minus", "mixed_pes_delta0.3927_p0.25", "pure_pes_delta0.1309_phi0"]
+    assert [block.splitlines()[0] for block in blocks] == [f"# initial: {label}" for label in labels]
+    for block in blocks:
+        lines = block.splitlines()
+        assert lines[1] == "p,concurrence,error,predicted" and len(lines) == 4
+    assert blocks[-1].endswith("\n") and not blocks[-1].endswith("\n\n")
+
+
 def test_characterize(tmp_path):
     out = tmp_path / "chars.csv"
     code = main(
@@ -603,7 +618,17 @@ def test_vocabulary_flags_offer_the_config_reader_vocabularies():
      ([], {"initials": ["pes:0.1", "pes:nan"]}, "initials[1].delta: must be finite, got nan"),
      ([], {"initial": "bell:nope"}, "initial.bell: unknown Bell state 'nope'"),
      # the reader's own rule for a config that is not a mapping
-     ([], [1], "config: expected a mapping, got list")],
+     ([], [1], "config: expected a mapping, got list"),
+     ([], {"noisy_qubit": 2}, "noisy_qubit: expected 0 or 1, got 2"),
+     ([], {"pipeline": {"likelihood": "x"}},
+      "pipeline.likelihood: expected 'gaussian' or 'poisson', got 'x'"),
+     (["sweep", "--p-grid", "0:1"], None, "p_grid: expected start:stop:points, got '0:1'"),
+     (["sweep", "--p-grid", "0:1:-1"], None, "p_grid.points: cannot make -1 points"),
+     # pes-sweep keys its tables and files by label, so labels must differ
+     (["pes-sweep", "--initial", "pes:0.1309", "--initial", "pes:0.13090001", "--format", "json"], None,
+      "initials[1]: label 'pure_pes_delta0.1309_phi0' repeats initials[0]"),
+     (["pes-sweep", "--initial", "mixed:0.2:0.1", "--initial", "mixed:0.2:0.1000001"], None,
+      "initials[1]: label 'mixed_pes_delta0.2_p0.1' repeats initials[0]")],
 )
 def test_malformed_input_names_the_field(tmp_path, argv, config, message):
     # run as a subprocess, so a traceback would show on stderr

@@ -14,6 +14,7 @@ from entdyn.channels import (
     dephasing_channel,
     radii_from_chi,
 )
+from entdyn.cli import main
 from entdyn.dynamics import (
     InitialStateSpec,
     concurrence,
@@ -43,7 +44,6 @@ from entdyn.harness import (
     run_sweep,
     shot_noise_point,
     sweep_config_from_dict,
-    validate_sweep_config,
 )
 from entdyn.states import dm
 from entdyn.tomography import MAX_COUNT, simulate_counts, standard_settings
@@ -462,18 +462,57 @@ class TestConfigValidation:
         monkeypatch.setattr(entdyn.harness, "_check_probability",
                             lambda p, path, index=None: paths.add(path) or check(p, path, index))
         grid = tuple(np.linspace(0.0, 1.0, 201).tolist())
-        validate_sweep_config(analytic_config(p_grid=grid))
+        analytic_config(p_grid=grid)
         assert paths == {"p_grid"}
         with pytest.raises(ConfigError, match=r"^p_grid\[200\]: value 1.5 outside \[0, 1\]$"):
-            validate_sweep_config(analytic_config(p_grid=(*grid[:-1], 1.5)))
+            analytic_config(p_grid=(*grid[:-1], 1.5))
         assert paths == {"p_grid"}
+
+    def test_config_is_checked_once_when_built(self, monkeypatch, capsys):
+        # one sweep op checks its grid once, when its config is built, and
+        # neither the reader nor run_sweep checks it again
+        calls = []
+
+        def counted(check):
+            return lambda *args, **kwargs: calls.append(check.__name__) or check(*args, **kwargs)
+
+        for check in (entdyn.harness._check_grid, entdyn.harness._check_probability):
+            monkeypatch.setattr(entdyn.harness, check.__name__, counted(check))
+        assert main(["sweep", "--pipeline", "exact", "--p-grid", "0:1:201"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 202
+        assert (calls.count("_check_grid"), calls.count("_check_probability")) == (1, 201)
+
+    def test_invalid_config_cannot_be_built(self):
+        valid = analytic_config(pipeline=Pipeline(kind="shot_noise", n_per_setting=100, trials=2))
+        message = r"^pipeline\.likelihood: expected 'gaussian' or 'poisson', got 'x'$"
+        with pytest.raises(ConfigError, match=message):
+            analytic_config(pipeline=Pipeline(kind="shot_noise", likelihood="x"))
+        with pytest.raises(ConfigError, match=message):
+            replace(valid, pipeline=replace(valid.pipeline, likelihood="x"))
+        # so the shot-noise step, which tomo-sim runs without run_sweep, is
+        # never handed a config that names no field in its errors
+        with pytest.raises(ConfigError, match=message):
+            shot_noise_point(analytic_config(pipeline=Pipeline(kind="shot_noise", likelihood="x")), BELL, 0)
+        with pytest.raises(ConfigError, match=r"^p_grid\[0\]: value 2\.0 outside \[0, 1\]$"):
+            replace(valid, p_grid=(2.0,))
+
+    def test_initials_labels_are_distinct(self):
+        # pes-sweep keys its tables by label, so a repeated label would drop a table
+        pes = [InitialStateSpec(kind="pure_pes", delta=d) for d in (0.1309, 0.2, 0.13090001)]
+        with pytest.raises(ConfigError, match=r"^initials\[2\]: label 'pure_pes_delta0.1309_phi0' "
+                                              r"repeats initials\[0\]$"):
+            analytic_config(initials=tuple(pes))
+        with pytest.raises(ConfigError, match=r"^initials\[1\]: label 'mixed_pes_delta0.2_p0.1' "
+                                              r"repeats initials\[0\]$"):
+            sweep_config_from_dict({"initials": ["mixed:0.2:0.1", "mixed:0.2:0.1000001"]})
+        assert len(run_pes_sweep(analytic_config(initials=tuple(pes[:2])))) == 2
 
     def test_grid_errors_keep_their_order(self):
         # point by point, range before order
         with pytest.raises(ConfigError, match=r"^p_grid\[1\]: values must be strictly increasing$"):
-            validate_sweep_config(analytic_config(p_grid=(0.5, 0.2, 1.5)))
+            analytic_config(p_grid=(0.5, 0.2, 1.5))
         with pytest.raises(ConfigError, match=r"^p_grid\[1\]: value nan outside \[0, 1\]$"):
-            validate_sweep_config(analytic_config(p_grid=(0.5, math.nan, 0.2)))
+            analytic_config(p_grid=(0.5, math.nan, 0.2))
 
     def test_grid_list_names_the_first_bad_point(self):
         assert p_grid_from(["0", 0.5, np.float64(1.0)]) == (0.0, 0.5, 1.0)
