@@ -7,7 +7,9 @@ ops. The two workloads that draw counts, ``tomo_bootstrap`` and
 ``channel_tomo``, run on seeds 1-3; ``law_sweep`` draws none and runs seed 1."""
 
 import importlib.util
+import io
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -45,28 +47,41 @@ def _unital(check):
     return out
 
 
-def _run_schedule(workload, tmp_path, monkeypatch, seed=1):
-    """Run ``seed`` of ``workload`` op by op; returns (ops, projection warnings,
-    tomo-sim summaries by op index). ``summaries`` carries tomo-sim results
-    between ops, so that a ``--counts-in`` read-back is compared with the op
-    that wrote the file."""
+def _play(workload, tmp_path, monkeypatch, seed):
+    """Run ``seed`` of ``workload`` op by op with ``tmp_path`` as the working
+    directory. After each op, yields (index, op, exit code, stdout, caught
+    warnings, result): CLI ops give their exit code and stdout, library-only
+    ``unital`` ops the ``result`` of :func:`_unital` (the other is None)."""
     monkeypatch.delenv("ENTDYN_OUTDIR", raising=False)
     monkeypatch.chdir(tmp_path)
     for sub in ("out", "shared", "inputs"):
         (tmp_path / sub).mkdir()
-    ops = workloads.schedule(workload, seed)
-    projected = 0
-    summaries = {}
-    for index, op in enumerate(ops):
+    for index, op in enumerate(workloads.schedule(workload, seed)):
         for rel, text in op.get("files", {}).items():
             (tmp_path / rel).write_text(text)
-        result = None
-        with warnings.catch_warnings(record=True) as caught:
+        code = result = None
+        stdout = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout):
             warnings.simplefilter("always")
             if "argv" in op:
-                assert main(op["argv"]) == 0, op["argv"]
+                code = main(op["argv"])
             else:
                 result = _unital(op["check"])
+        yield index, op, code, stdout.getvalue(), caught, result
+
+
+def _run_schedule(workload, tmp_path, monkeypatch, seed=1):
+    """Run ``seed`` of ``workload`` through the gates; returns (ops, projection
+    warnings, tomo-sim summaries by op index). ``summaries`` carries tomo-sim
+    results between ops, so that a ``--counts-in`` read-back is compared with
+    the op that wrote the file."""
+    ops = []
+    projected = 0
+    summaries = {}
+    for index, op, code, _, caught, result in _play(workload, tmp_path, monkeypatch, seed):
+        ops.append(op)
+        if "argv" in op:
+            assert code == 0, op["argv"]
         expected, other = checks.unexpected_warnings(op["check"], caught)
         assert other == [], op
         projected += expected
