@@ -77,12 +77,15 @@ class PauliChannel:
     """Channel applying sigma_i with probability chi_diag[i] (i=0 is identity).
 
     ``family`` and ``p`` are optional construction metadata kept so named
-    channels serialize back to their one-parameter form.
+    channels serialize back to their one-parameter form. Construction
+    validates the weights and then builds the channel's read-only PTM
+    diag(1, R1, R2, R3) once; :func:`pauli_transfer_matrix` returns it.
     """
 
     chi_diag: np.ndarray
     family: str | None = field(default=None, compare=False)
     p: float | None = field(default=None, compare=False)
+    _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         chi = np.asarray(self.chi_diag, dtype=float).reshape(-1)
@@ -91,11 +94,12 @@ class PauliChannel:
         _require_finite("chi_diag", chi)
         if chi.min() < -CP_TOL:
             raise ValueError(
-                f"chi_diag must be non-negative, got chi_{int(chi.argmin())} = {chi.min()!r}"
+                f"chi_diag must be non-negative, got chi_{int(chi.argmin())} = {float(chi.min())!r}"
             )
         if abs(chi.sum() - 1.0) > 1e-12:
-            raise ValueError(f"chi_diag must sum to 1, got {chi.sum()!r}")
+            raise ValueError(f"chi_diag must sum to 1, got {float(chi.sum())!r}")
         object.__setattr__(self, "chi_diag", _frozen(np.clip(chi, 0.0, None)))
+        object.__setattr__(self, "_ptm", _frozen(pauli_ptm(self.chi_diag)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +156,7 @@ def process_matrix(chi) -> np.ndarray:
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValueError("process matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-        raise ValueError(f"process matrix trace is {np.trace(m)!r}, expected 1")
+        raise ValueError(f"process matrix trace is {complex(np.trace(m))!r}, expected 1")
     min_eig = float(np.linalg.eigvalsh(m)[0])
     if min_eig < -1e-10:
         raise ValueError(f"process matrix is not PSD: min eigenvalue {min_eig!r}")
@@ -288,9 +292,7 @@ def pauli_transfer_matrix(channel) -> np.ndarray:
     four diagonal weights of one) the fixed basis change
     R_ij = (1/2) sum_ab chi_ab Tr(sigma_i sigma_a sigma_j sigma_b).
     """
-    if isinstance(channel, PauliChannel):
-        return _frozen(pauli_ptm(channel.chi_diag))
-    if isinstance(channel, UnitalChannel):
+    if isinstance(channel, (PauliChannel, UnitalChannel)):
         return channel._ptm
     chi = np.asarray(channel, dtype=complex)
     if chi.shape == (4,):

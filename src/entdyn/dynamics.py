@@ -23,6 +23,7 @@ import numpy as np
 
 from .channels import (
     _chi_diag,
+    _two_qubit_state,
     apply_one_sided,
     channel_radii,
     compose,
@@ -41,7 +42,8 @@ _FLIP_SIGNS = _frozen(np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0]))
 
 _PURITY_TOL = 1e-8
 
-# Offsets, in 1/256 of the bracket, of the points one breaking_point step tests.
+# Offsets, in units of one step's finest halving, of the points that
+# breaking_point tests: a step of h halvings tests the first 2**h - 1.
 _STEPS = _frozen(np.arange(1.0, 256.0))
 
 
@@ -79,10 +81,7 @@ def wootters(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def concurrence(rho) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit density matrix (see :func:`wootters`)."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got shape {m.shape}")
-    q, roots = wootters(m)
+    q, roots = wootters(_two_qubit_state(rho))
     q = float(q)
     return ConcurrenceResult(q=q, c=max(0.0, q), lambdas=_frozen(roots**2))
 
@@ -129,12 +128,13 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
     Solved by bisection on the analytic law for the given channel family
     ("two-field", "isotropic" or "dephasing"), halving [0, 1] until the
     bracket is at most ``tol`` wide and returning its midpoint. Each step
-    takes up to 8 halvings at once: the law is evaluated once on the 255
-    dyadic points inside the bracket, and the bracket becomes the pair of
-    neighbouring points those halvings would reach. The laws are positive
-    below the breaking point and zero above it, so this returns the same
-    bits as halving one point at a time. A ``tol`` below the float spacing
-    at the breaking point ends the search once the bracket stops shrinking.
+    takes h <= 8 halvings at once: the law is evaluated once on the
+    2**h - 1 dyadic points that cut the bracket into 2**h equal parts, and
+    the bracket becomes the pair of neighbouring points those halvings
+    would reach. The laws are positive below the breaking point and zero
+    above it, so this returns the same bits as halving one point at a time.
+    A ``tol`` below the float spacing at the breaking point ends the search
+    once the bracket stops shrinking.
     Returns ``math.inf`` when the prediction never reaches zero on [0, 1]
     (the channel never breaks entanglement there).
     """
@@ -156,12 +156,8 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
         halvings = 1
         while halvings < 8 and (hi - lo) / 2**halvings > tol:
             halvings += 1
-        positive = c_of(lo + (hi - lo) / 256 * _STEPS) > 0.0
-        # the points these halvings visit are every (256 >> halvings)-th one;
-        # the law is positive on a prefix of them
-        stride = 256 >> halvings
         width = (hi - lo) / 2**halvings
-        k = int(np.count_nonzero(positive[stride - 1 :: stride]))
+        k = int(np.count_nonzero(c_of(lo + width * _STEPS[: 2**halvings - 1]) > 0.0))
         bracket = lo + k * width, lo + (k + 1) * width
         if bracket == (lo, hi):
             break

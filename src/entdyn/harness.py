@@ -491,16 +491,9 @@ def render_mesh(points, format: str = "csv") -> str:
     raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
-def emit(rows, format: str, path) -> None:
-    """Write a row table to ``path`` (CSV header: p,concurrence,error,predicted)."""
-    text = render(rows, format)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def read_rows(path, format: str = "json") -> list[SweepRow]:
-    """Read sweep rows back from an emitted file; a JSON ``null`` or an empty
-    CSV cell in the ``error`` column reads as ``None``."""
+    """Read sweep rows back from a file of :func:`render` text; a JSON
+    ``null`` or an empty CSV cell in the ``error`` column reads as ``None``."""
     if format == "json":
         with open(path) as fh:
             records, null = json.load(fh), None
@@ -666,14 +659,15 @@ def sweep_config_from_dict(obj: dict) -> SweepConfig:
 # Self-test battery (quick versions of the verification suite)
 
 
-def run_selftest(fast: bool = True, seed: int = 20260808) -> list[tuple[str, bool, str]]:
-    """Run the property battery; returns (name, passed, detail) triples."""
+def run_selftest(fast: bool = True) -> list[tuple[str, bool, str]]:
+    """Run the property battery on random draws from one fixed seed; returns
+    (name, passed, detail) triples. ``fast`` runs the quick sample sizes."""
     from .dynamics import lambda_two_sided
     from .sampling import random_pauli_channel, random_pure_ket, random_unital_channel
     from .states import bell_state, fidelity
     from .tomography import CountRecord, born_probability
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20260808)
     results = []
 
     def check(name, passed, detail=""):
@@ -724,7 +718,7 @@ def run_selftest(fast: bool = True, seed: int = 20260808) -> list[tuple[str, boo
         rho0 = np.outer(psi, psi.conj())
         direct = concurrence(apply_one_sided(channel, rho0, target=1)).c
         worst = max(worst, abs(factorization_prediction(rho0, channel) - direct))
-    check("factorization law", worst < 1e-9, f"max deviation {worst:.2e} over {n}^2 pairs")
+    check("factorization law", worst < 1e-9, f"max deviation {worst:.2e} over {n} pairs")
 
     n = 100 if fast else 1000
     singlet = bell_state("psi_minus")

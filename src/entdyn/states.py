@@ -85,10 +85,10 @@ def bell_state(name: str) -> np.ndarray:
     return dm(BELL_KETS[bell_key(name)])
 
 
-def density_matrix(matrix, psd_tol: float = PSD_TOL) -> np.ndarray:
+def density_matrix(matrix) -> np.ndarray:
     """Validate a density matrix (Hermitian, unit trace, PSD) and freeze it.
 
-    ``psd_tol`` is the slack allowed on the smallest eigenvalue.
+    The smallest eigenvalue may fall below zero by ``PSD_TOL``.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
@@ -99,14 +99,14 @@ def density_matrix(matrix, psd_tol: float = PSD_TOL) -> np.ndarray:
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"matrix trace is {trace!r}, expected 1")
     min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -psd_tol:
+    if min_eig < -PSD_TOL:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig!r}")
     return _frozen(m.copy())
 
 
-def is_density_matrix(matrix, psd_tol: float = PSD_TOL) -> bool:
+def is_density_matrix(matrix) -> bool:
     try:
-        density_matrix(matrix, psd_tol=psd_tol)
+        density_matrix(matrix)
     except ValueError:
         return False
     return True
@@ -156,12 +156,12 @@ def density_from_bloch(vec) -> np.ndarray:
     return _frozen(out)
 
 
-def hermitian_eigenvalues(matrix, herm_tol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending."""
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix (to 1e-10), sorted descending."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > herm_tol:
+    if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValueError("matrix is not Hermitian")
     return _frozen(np.linalg.eigvalsh(m)[::-1].copy())
 

@@ -483,10 +483,11 @@ class TestUnitalChannel:
 
 class TestValidationAndSerialization:
     def test_pauli_channel_invariants(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        # values are quoted as Python numbers, not numpy scalar reprs
+        with pytest.raises(ValueError, match=r"^chi_diag must be non-negative, got chi_1 = -0\.1$"):
             PauliChannel([1.1, -0.1, 0, 0])
-        with pytest.raises(ValueError, match="sum"):
-            PauliChannel([0.5, 0.2, 0.1, 0.1])
+        with pytest.raises(ValueError, match=r"^chi_diag must sum to 1, got 0\.5$"):
+            PauliChannel([0.25, 0.125, 0.0625, 0.0625])
 
     def test_unital_channel_invariants(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -511,6 +512,8 @@ class TestValidationAndSerialization:
     def test_process_matrix_invariants(self):
         with pytest.raises(ValueError, match="PSD"):
             process_matrix(np.diag([1.5, -0.5, 0, 0]).astype(complex))
+        with pytest.raises(ValueError, match=r"^process matrix trace is \(0\.5\+0j\), expected 1$"):
+            process_matrix(np.diag([0.5, 0, 0, 0]).astype(complex))
         chi = process_matrix(np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex))
         assert chi.shape == (4, 4)
 

@@ -653,6 +653,8 @@ def test_malformed_input_names_the_field(tmp_path, argv, config, message):
      ({"family": "isotropic", "p": 1.5}, "p: probability must be in [0, 1], got 1.5"),
      ({"family": "pauli", "chi": "abc"}, "chi: could not convert string to float: 'abc'"),
      ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: chi_diag must be finite"),
+     ({"family": "pauli", "chi": [1.5, 0, 0, -0.5]},
+      "chi: chi_diag must be non-negative, got chi_3 = -0.5\n"),
      ({"family": "unital", "radii": [1, 1, 1], "u": 5,
        "v": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}}, "u: malformed matrix object"),
      ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'")],

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import entdyn.dynamics
 from entdyn.channels import (
     apply_one_sided,
     apply_two_sided,
@@ -26,6 +27,7 @@ from entdyn.dynamics import (
     predict_two_sided,
     pure_pes_ket,
 )
+from entdyn.harness import run_breaking_points
 from entdyn.sampling import (
     random_density_matrix,
     random_pauli_channel,
@@ -73,6 +75,8 @@ class TestConcurrence:
         assert np.all(np.diff(res.lambdas) <= 1e-12)
         assert np.all(res.lambdas >= 0.0)
         assert 0.0 <= res.c <= 1.0 + 1e-12
+        with pytest.raises(ValueError, match=r"^expected a 4x4 state, got shape \(2, 2\)$"):
+            concurrence(np.eye(2) / 2)
 
     def test_lambdas_match_nonhermitian_oracle(self):
         rng = np.random.default_rng(42)
@@ -199,6 +203,20 @@ class TestBreakingPoints:
     def test_bit_identical_to_scalar_bisection(self, family, mode, tol):
         got, want = breaking_point(family, mode, tol), scalar_bisection(family, mode, tol)
         assert float.hex(got) == float.hex(want)
+
+    def test_law_points_per_run(self, monkeypatch):
+        # each step evaluates the law on the points its halvings read and on
+        # no others: 2 end points + 4 * 255 + 3 per breaking point at the
+        # default tol (34 halvings), a count that repeats exactly
+        points = []
+
+        def counted(chi_diag):
+            points.append(np.asarray(chi_diag).size // 4)
+            return pauli_radii(chi_diag)
+
+        monkeypatch.setattr(entdyn.dynamics, "pauli_radii", counted)
+        run_breaking_points()
+        assert sum(points) == 4100
 
     def test_reference_values(self):
         assert breaking_point("two-field", "one_sided") == pytest.approx(0.5, abs=1e-8)

@@ -216,8 +216,8 @@ class TestReconstruction:
         eigs = np.linalg.eigvalsh(result.rho_hat)
         assert eigs.min() >= -1e-6
         assert np.trace(result.rho_hat).real == pytest.approx(1.0, abs=1e-9)
-        # accepted by the validator at the reconstruction tolerance
-        density_matrix(result.rho_hat, psd_tol=1e-6)
+        # accepted by the validator
+        density_matrix(result.rho_hat)
 
     def test_incomplete_settings_rejected(self):
         rho = bell_state("phi+")
