@@ -58,6 +58,8 @@ from .dynamics import (
     mixed_evolution_prediction,
     predict_one_sided,
     predict_two_sided,
+    predict_two_sided_unital,
+    predict_x_state,
 )
 from .tomography import (
     CountRecord,

@@ -7,11 +7,13 @@ maximally entangled pair, the output concurrence is
 * two-sided:  max{(R1^2 + R2^2 + R3^2 - 1)/2, 0}
 
 The two-sided expression is exact for Pauli channels on Bell states and for
-any unital channel on the singlet; for general unital channels on other
-maximally entangled states it is only an upper bound. Pure partially
-entangled states follow the factorization law (prediction scales with the
-initial concurrence), and dephasing-prepared mixed states reduce to it
-through channel composition.
+any unital channel on the singlet; for general unital channels on the other
+Bell states it is only an upper bound, and :func:`predict_two_sided_unital`
+gives the exact law. Pure partially entangled states follow the
+factorization law under one-sided noise (prediction scales with the initial
+concurrence), and dephasing-prepared mixed states reduce to it through
+channel composition; under two-sided Pauli noise both stay X-shaped and
+follow :func:`predict_x_state`.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from .channels import (
     _chi_diag,
     _two_qubit_state,
     apply_one_sided,
+    bloch_affine_map,
     channel_radii,
     compose,
     dephasing_channel,
     family_weights,
     pauli_radii,
 )
-from .states import _frozen, bell_state, dm, psd_sqrt, purity
+from .states import PAULIS, _frozen, bell_state, dm, psd_sqrt, purity
 
 MODES = ("one_sided", "two_sided")
 
@@ -101,6 +104,61 @@ def predict_two_sided(radii):
     (``radii`` as in :func:`predict_one_sided`)."""
     r = np.asarray(radii, dtype=float)
     return np.maximum((r[..., 0] ** 2 + r[..., 1] ** 2 + r[..., 2] ** 2 - 1.0) / 2.0, 0.0)
+
+
+def predict_x_state(radii_0, radii_1, delta: float, phi: float = 0.0):
+    """Concurrence of cos(2 delta)|hh> + e^{i phi} sin(2 delta)|vv> after Pauli
+    noise with radii ``radii_0`` on qubit 0 and ``radii_1`` on qubit 1 (each
+    as in :func:`predict_one_sided`; the result has their broadcast leading
+    shape).
+
+    Local Pauli channels keep the state X-shaped (Yu & Eberly, QIC 7, 459,
+    2007). With s = (1 + R3)/2, f = (1 - R3)/2 and a+- = (R1 +- R2)/2 on
+    qubit 0, and b+- the same on qubit 1, the populations are sums of
+    products of s and f, the coherences become
+    rho14 -> a+ b+ rho14 + a- b- rho14* and rho23 -> a+ b- rho14 + a- b+ rho14*,
+    and C = max{0, 2 max(|rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))}.
+    """
+    r0 = np.asarray(radii_0, dtype=float)
+    r1 = np.asarray(radii_1, dtype=float)
+    s0, f0 = (1.0 + r0[..., 2]) / 2.0, (1.0 - r0[..., 2]) / 2.0
+    s1, f1 = (1.0 + r1[..., 2]) / 2.0, (1.0 - r1[..., 2]) / 2.0
+    a_plus, a_minus = (r0[..., 0] + r0[..., 1]) / 2.0, (r0[..., 0] - r0[..., 1]) / 2.0
+    b_plus, b_minus = (r1[..., 0] + r1[..., 1]) / 2.0, (r1[..., 0] - r1[..., 1]) / 2.0
+    v = pure_pes_ket(delta, phi)
+    hh, vv = abs(v[0]) ** 2, abs(v[3]) ** 2
+    rho14 = v[0] * v[3].conjugate()
+    rho11 = hh * s0 * s1 + vv * f0 * f1
+    rho22 = hh * s0 * f1 + vv * f0 * s1
+    rho33 = hh * f0 * s1 + vv * s0 * f1
+    rho44 = hh * f0 * f1 + vv * s0 * s1
+    rho14_out = a_plus * b_plus * rho14 + a_minus * b_minus * rho14.conjugate()
+    rho23_out = a_plus * b_minus * rho14 + a_minus * b_plus * rho14.conjugate()
+    q = np.maximum(np.abs(rho14_out) - np.sqrt(rho22 * rho33),
+                   np.abs(rho23_out) - np.sqrt(rho11 * rho44))
+    return np.maximum(2.0 * q, 0.0)
+
+
+def predict_two_sided_unital(channel, bell: str = "phi_plus") -> float:
+    """Concurrence after the same unital channel on both qubits of the Bell
+    state ``bell`` (see :func:`~entdyn.states.bell_key`).
+
+    With M the channel's Bloch map (:func:`~entdyn.channels.bloch_affine_map`),
+    C = max{0, (||M S_b D M^T||_* - 1)/2}, where ||.||_* is the sum of
+    singular values, D = diag(1, -1, 1) is the transpose on the Bloch ball
+    and S_b is diag(1, 1, 1), (-1, -1, 1), (1, -1, -1) or (-1, 1, -1) for
+    phi+, phi-, psi+ or psi-. Since (A x 1)|phi+> = (1 x A^T)|phi+>,
+    two-sided noise is one-sided noise by the map M S_b D M^T, which then
+    follows the one-sided law. S_b D is the diagonal of the Bell state's
+    correlations <s_i x s_i>, read off the state here; for the singlet it
+    is -I, and the law is :func:`predict_two_sided` on the radii.
+    """
+    rho = bell_state(bell)
+    # each is +-1; rint drops the 2e-16 that the kets' 1/sqrt(2) entries leave
+    correlations = np.rint([np.trace(rho @ np.kron(s, s)).real for s in PAULIS[1:]])
+    m = bloch_affine_map(channel)
+    nuclear = np.linalg.svd(m * correlations @ m.T, compute_uv=False).sum()
+    return max(0.0, (float(nuclear) - 1.0) / 2.0)
 
 
 def lambda_two_sided(channel) -> np.ndarray:

@@ -13,7 +13,10 @@ pipelines:
                         likelihood reconstruction and a bootstrap error.
 
 Every row also carries the analytic prediction so pipelines can be compared
-against theory point by point.
+against theory point by point. The prediction is always a closed form: the
+paper's one- and two-sided laws for a Bell pair, the factorization law for
+one-sided noise on a partially entangled state, and the X-state law
+(:func:`~entdyn.dynamics.predict_x_state`) for two-sided noise on one.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .dynamics import (
     make_initial,
     predict_one_sided,
     predict_two_sided,
+    predict_x_state,
     pure_state_concurrence,
     wootters,
 )
@@ -221,18 +225,21 @@ def _exact(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
 
 
 def _law(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
-    """Closed-form concurrence at each noise probability in ``p``; falls back
-    to exact evolution when no closed form covers the configuration
-    (non-maximally entangled initial state under two-sided noise)."""
-    if config.mode == "two_sided" and spec.kind != "bell":
-        return _exact(config, spec, p)
+    """Closed-form concurrence at each noise probability in ``p``: the
+    paper's laws for a Bell pair, the factorization law for one-sided noise
+    on a partially entangled state, and the X-state law for two-sided noise
+    on one. No configuration evolves a state."""
     radii = pauli_radii(family_weights(config.family, p))
     if spec.kind == "bell":
         return (predict_one_sided if config.mode == "one_sided" else predict_two_sided)(radii)
+    noisy = radii
     if spec.kind == "mixed_pes":  # the pure state after its dephasing prep: Pauli radii multiply
-        radii = radii * pauli_radii(family_weights("dephasing", spec.dephasing))
+        noisy = radii * pauli_radii(family_weights("dephasing", spec.dephasing))
         spec = replace(spec, kind="pure_pes", phi=0.0)
-    return predict_one_sided(radii) * pure_state_concurrence(make_initial(spec))
+    if config.mode == "two_sided":
+        pair = (noisy, radii) if config.noisy_qubit == 0 else (radii, noisy)
+        return predict_x_state(*pair, spec.delta, spec.phi)
+    return predict_one_sided(noisy) * pure_state_concurrence(make_initial(spec))
 
 
 def analytic_prediction(config: SweepConfig, p, spec: InitialStateSpec | None = None):
@@ -662,7 +669,7 @@ def sweep_config_from_dict(obj: dict) -> SweepConfig:
 def run_selftest(fast: bool = True) -> list[tuple[str, bool, str]]:
     """Run the property battery on random draws from one fixed seed; returns
     (name, passed, detail) triples. ``fast`` runs the quick sample sizes."""
-    from .dynamics import lambda_two_sided
+    from .dynamics import lambda_two_sided, predict_two_sided_unital
     from .sampling import random_pauli_channel, random_pure_ket, random_unital_channel
     from .states import bell_state, fidelity
     from .tomography import CountRecord, born_probability
@@ -721,15 +728,20 @@ def run_selftest(fast: bool = True) -> list[tuple[str, bool, str]]:
     check("factorization law", worst < 1e-9, f"max deviation {worst:.2e} over {n} pairs")
 
     n = 100 if fast else 1000
-    singlet = bell_state("psi_minus")
-    worst_eq, worst_bound = 0.0, -1.0
+    bells = {name: bell_state(name) for name in ("phi_plus", "phi_minus", "psi_plus", "psi_minus")}
+    worst_eq, worst_bound, worst_law = 0.0, -1.0, 0.0
     for _ in range(n):
         channel = random_unital_channel(rng)
         pred = predict_two_sided(channel.radii)
-        worst_eq = max(worst_eq, abs(concurrence(apply_two_sided(channel, singlet)).c - pred))
-        worst_bound = max(worst_bound, concurrence(apply_two_sided(channel, bell)).c - pred)
+        c = {name: concurrence(apply_two_sided(channel, rho)).c for name, rho in bells.items()}
+        worst_eq = max(worst_eq, abs(c["psi_minus"] - pred))
+        worst_bound = max(worst_bound, c["phi_plus"] - pred)
+        worst_law = max(worst_law, *(abs(predict_two_sided_unital(channel, name) - c[name])
+                                     for name in bells))
     check("singlet equality", worst_eq < 1e-9, f"max deviation {worst_eq:.2e}")
     check("two-sided upper bound", worst_bound <= 1e-10, f"max excess {worst_bound:.2e}")
+    check("two-sided unital law", worst_law < 1e-9,
+          f"max deviation {worst_law:.2e} over {n} channels x 4 Bell states")
 
     n_counts = 2000
     records = [

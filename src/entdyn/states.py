@@ -104,14 +104,6 @@ def density_matrix(matrix) -> np.ndarray:
     return _frozen(m.copy())
 
 
-def is_density_matrix(matrix) -> bool:
-    try:
-        density_matrix(matrix)
-    except ValueError:
-        return False
-    return True
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit operators (first factor = qubit 0)."""
     a = np.asarray(a, dtype=complex)

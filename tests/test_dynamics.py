@@ -25,6 +25,7 @@ from entdyn.dynamics import (
     mixed_evolution_prediction,
     predict_one_sided,
     predict_two_sided,
+    predict_two_sided_unital,
     pure_pes_ket,
 )
 from entdyn.harness import run_breaking_points
@@ -33,6 +34,7 @@ from entdyn.sampling import (
     random_pauli_channel,
     random_pure_ket,
     random_rotated_bell,
+    random_unital_channel,
 )
 from entdyn.states import SIGMA_2, bell_state, dm
 
@@ -382,3 +384,28 @@ class TestUpperBound:
             assert c == pytest.approx(
                 predict_two_sided(radii_from_chi(ch)), abs=1e-9
             )
+
+
+class TestTwoSidedUnitalLaw:
+    def test_matches_simulation_on_every_bell_state(self):
+        rng = np.random.default_rng(56)
+        bells = {name: bell_state(name) for name in ("phi+", "phi-", "psi+", "psi-")}
+        worst = 0.0
+        for _ in range(1000):
+            ch = random_unital_channel(rng)
+            for name, rho in bells.items():
+                c = concurrence(apply_two_sided(ch, rho)).c
+                worst = max(worst, abs(predict_two_sided_unital(ch, name) - c))
+        assert worst <= 1e-9
+
+    def test_pauli_channels_reduce_to_the_paper_law(self):
+        rng = np.random.default_rng(57)
+        for _ in range(50):
+            ch = random_pauli_channel(rng)
+            for name in ("phi_plus", "phi_minus", "psi_plus", "psi_minus"):
+                assert predict_two_sided_unital(ch, name) == pytest.approx(
+                    predict_two_sided(radii_from_chi(ch)), abs=1e-12)
+
+    def test_unknown_bell_state_rejected(self):
+        with pytest.raises(ValueError, match="unknown Bell state"):
+            predict_two_sided_unital(isotropic_channel(0.1), "omega")

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -290,6 +291,29 @@ class TestBatchedSweepOracle:
                 assert row.p == p
                 assert abs(row.concurrence - c) < 1e-12
                 assert abs(row.predicted - predicted) < 1e-12
+
+
+def test_analytic_rows_run_no_simulation(monkeypatch):
+    """No analytic row evolves a state or takes a Wootters concurrence: every
+    family, mode, initial kind and noisy qubit, with and without p_scale."""
+    calls = []
+
+    def counted(name):
+        original = getattr(entdyn.harness, name)
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    for name in ("wootters", "apply_ptm"):
+        monkeypatch.setattr(entdyn.harness, name, counted(name))
+    for family, mode, noisy_qubit, p_scale in product(
+            ("two-field", "isotropic", "dephasing"), ("one_sided", "two_sided"), (0, 1), (None, 1.3)):
+        config = analytic_config(family=family, mode=mode, noisy_qubit=noisy_qubit, p_scale=p_scale,
+                                 p_grid=ORACLE_GRID, initials=ORACLE_SPECS[1:])
+        for spec in ORACLE_SPECS:
+            run_sweep(replace(config, initial=spec))
+        run_pes_sweep(config)
+    assert calls == []
+    run_sweep(analytic_config(mode="two_sided", pipeline=Pipeline(kind="exact_simulation")))
+    assert calls == ["apply_ptm", "wootters"]  # the guard sees the simulation's two calls
 
 
 class TestBreakingPointsTable:

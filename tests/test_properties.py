@@ -1,6 +1,6 @@
 """Property tests for the Pauli-transfer-matrix channel representation, the
-complete-positivity test, the batched Wootters concurrence and the sweep
-configuration reader.
+complete-positivity test, the batched Wootters concurrence, the X-state law
+and the sweep configuration reader.
 
 Every channel operation reads the PTM, so these check it against the
 literal Kraus-sum oracle on random process matrices (non-unital and
@@ -8,11 +8,15 @@ non-trace-preserving ones included) and on random unital channels, whose
 PTM is built once at construction. Sweeps take the concurrence of a whole
 stack of states at once, so the batched core is checked against the
 single-state wrapper, state by state, and the spin flip it takes by index
-reversal against the matrix products it replaced, bit for bit.
+reversal against the matrix products it replaced, bit for bit. The X-state
+law fills the analytic rows of two-sided sweeps on partially entangled
+states, so it is held to exact evolution on arbitrary Pauli channels and on
+every sweep configuration.
 """
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 from entdyn.channels import (
     CP_TOL,
+    PAULI_FAMILIES,
     PauliChannel,
     UnitalChannel,
     apply,
@@ -32,11 +37,27 @@ from entdyn.channels import (
     decompose_unital,
     is_completely_positive,
     kraus_operators,
+    pauli_channel_from_radii,
     pauli_transfer_matrix,
     rotation_from_su2,
 )
-from entdyn.dynamics import concurrence, wootters
-from entdyn.harness import ConfigError, sweep_config_from_dict
+from entdyn.dynamics import (
+    MODES,
+    InitialStateSpec,
+    concurrence,
+    predict_x_state,
+    pure_pes_ket,
+    wootters,
+)
+from entdyn.harness import (
+    DEFAULT_P_GRID,
+    ConfigError,
+    Pipeline,
+    SweepConfig,
+    run_sweep,
+    sweep_config_from_dict,
+)
+from entdyn.states import dm
 from entdyn.states import PAULIS, psd_sqrt
 from test_channels import kraus_sum_oracle
 
@@ -72,9 +93,18 @@ def chi_weights(draw):
 
 
 # R_i = chi_0 + chi_i - chi_j - chi_k: non-negative weights give CP radii.
-cp_radii = chi_weights().map(
-    lambda w: np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float) @ w
-)
+RADII_OF_WEIGHTS = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float)
+cp_radii = chi_weights().map(lambda w: RADII_OF_WEIGHTS @ w)
+
+
+@st.composite
+def near_unitary_radii(draw):
+    """Radii of a Pauli channel with weight >= 0.6 on one of the four Pauli
+    unitaries. A random CP channel on each qubit leaves a partially entangled
+    state separable in most draws, where C = 0 tests nothing; a flip near
+    sigma_1 or sigma_2 moves the coherence to rho23, the law's other branch."""
+    t = draw(st.floats(0.0, 0.4))
+    return RADII_OF_WEIGHTS @ ((1.0 - t) * np.eye(4)[draw(st.integers(0, 3))] + t * draw(chi_weights()))
 
 
 @st.composite
@@ -265,6 +295,40 @@ def test_concurrence_is_local_unitary_invariant(rho, u, v):
     """C((u x v) rho (u x v)^dag) = C(rho), at every rank from pure states up."""
     w = np.kron(u, v)
     assert abs(concurrence(w @ rho @ w.conj().T).c - concurrence(rho).c) <= 1e-10
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+@PROPERTY
+@given(near_unitary_radii(), near_unitary_radii(), angles, angles)
+def test_x_state_law_matches_evolution(radii_0, radii_1, delta, phi):
+    """Any Pauli channel on each qubit, R1 != R2 included (the families never
+    draw that), against the Wootters concurrence of the evolved state."""
+    rho = dm(pure_pes_ket(delta, phi))
+    rho = apply_one_sided(pauli_channel_from_radii(radii_0), rho, target=0)
+    rho = apply_one_sided(pauli_channel_from_radii(radii_1), rho, target=1)
+    assert abs(predict_x_state(radii_0, radii_1, delta, phi) - concurrence(rho).c) <= 1e-9
+
+
+partially_entangled = st.one_of(
+    st.builds(InitialStateSpec, kind=st.just("pure_pes"), delta=angles, phi=angles),
+    st.builds(InitialStateSpec, kind=st.just("mixed_pes"), delta=angles,
+              dephasing=st.floats(0.0, 1.0)),
+)
+
+
+@PROPERTY
+@given(st.sampled_from(PAULI_FAMILIES), st.sampled_from(MODES), st.sampled_from((0, 1)),
+       partially_entangled)
+def test_analytic_rows_match_exact_evolution(family, mode, noisy_qubit, spec):
+    """Analytic sweep rows on a partially entangled state, one- or two-sided,
+    against the exact pipeline's simulation on the 21-point default grid."""
+    config = SweepConfig(family=family, mode=mode, initial=spec, p_grid=DEFAULT_P_GRID,
+                         noisy_qubit=noisy_qubit, pipeline=Pipeline(kind="analytic"))
+    law = [row.concurrence for row in run_sweep(config)]
+    exact = run_sweep(replace(config, pipeline=Pipeline(kind="exact_simulation")))
+    assert np.max(np.abs(np.subtract(law, [row.concurrence for row in exact]))) <= 1e-9
 
 
 # Values of the wrong type for any config field. Numbers stay small: a range

@@ -11,7 +11,7 @@ from entdyn.sampling import (
     random_unital_channel,
     random_unitary,
 )
-from entdyn.states import is_density_matrix
+from entdyn.states import density_matrix
 
 
 def test_random_unitary_is_unitary():
@@ -24,7 +24,7 @@ def test_random_unitary_is_unitary():
 def test_random_states_valid():
     rng = np.random.default_rng(61)
     for _ in range(10):
-        assert is_density_matrix(random_density_matrix(rng, 4))
+        density_matrix(random_density_matrix(rng, 4))  # raises ValueError if not a state
         psi = random_pure_ket(rng, 4)
         assert np.vdot(psi, psi).real == np.float64(1.0) or abs(np.vdot(psi, psi).real - 1) < 1e-12
 
