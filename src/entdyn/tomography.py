@@ -62,11 +62,12 @@ _PROJECTOR_STACK = _frozen(np.array([_PROJECTORS[label] for label in PROJECTOR_L
 _PLUS = [PROJECTOR_LABELS.index(label) for label in "DRH"]
 _MINUS = [PROJECTOR_LABELS.index(label) for label in "ALV"]
 
-_SETTING_OPERATORS = {
-    (a, b): _frozen(np.kron(_PROJECTORS[a], _PROJECTORS[b]))
-    for a in PROJECTOR_LABELS
-    for b in PROJECTOR_LABELS
-}
+# The 36-setting scan in standard order, its (36, 4, 4) stack of setting
+# operators Pi_a (x) Pi_b, and each label pair's index into that stack.
+_STANDARD_KEYS = tuple((a, b) for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS)
+_OPERATOR_STACK = _frozen(np.array([np.kron(_PROJECTORS[a], _PROJECTORS[b])
+                                    for a, b in _STANDARD_KEYS]))
+_SETTING_INDEX = {key: i for i, key in enumerate(_STANDARD_KEYS)}
 
 # Parameter layout of the lower-triangular T: 4 real diagonal entries followed
 # by the real and imaginary parts of the strictly-lower entries, so that
@@ -93,7 +94,7 @@ class MeasurementSetting:
                 raise ValueError(f"unknown projector label {label!r}")
 
     def operator(self) -> np.ndarray:
-        return _SETTING_OPERATORS[(self.proj_a, self.proj_b)]
+        return _OPERATOR_STACK[_SETTING_INDEX[(self.proj_a, self.proj_b)]]
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,14 @@ def projector(label: str) -> np.ndarray:
     return _PROJECTORS[label]
 
 
+#: The 36 settings of :func:`standard_settings`, validated once at import.
+_STANDARD_SETTINGS = tuple(MeasurementSetting(a, b) for a, b in _STANDARD_KEYS)
+
+
 def standard_settings() -> list[MeasurementSetting]:
-    """The overcomplete 36-setting scan: every pairing of H/V/D/A/R/L."""
-    return [MeasurementSetting(a, b) for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS]
+    """The overcomplete 36-setting scan: every pairing of H/V/D/A/R/L, as a
+    new list of the settings built at import (they are frozen, so shared)."""
+    return list(_STANDARD_SETTINGS)
 
 
 def minimal_settings() -> list[MeasurementSetting]:
@@ -172,15 +178,17 @@ def simulate_counts(rho, settings, n_per_setting: int, seed) -> list[CountRecord
     """Draw one Poisson coincidence count per setting, with mean
     ``n_per_setting`` times its Born probability.
 
-    All Born probabilities come from one product with the stacked setting
-    operators (a probability rounded below 0 counts as 0), and all counts
-    from one ``np.random.default_rng(seed).poisson`` call, in setting order.
-    ``seed`` may be an int or a sequence of ints.
+    All Born probabilities come from one product with the setting operators,
+    rows of the stack of the 36 built at import (a probability rounded below
+    0 counts as 0), and all counts from one
+    ``np.random.default_rng(seed).poisson`` call, in setting order. Any
+    sequence of settings is drawn, informationally complete or not. ``seed``
+    may be an int or a sequence of ints.
     """
     if not 1 <= n_per_setting <= MAX_COUNT:
         raise ValueError(f"n_per_setting must be >= 1 and <= 1e18, got {n_per_setting!r}")
     settings = list(settings)
-    operators = np.array([s.operator() for s in settings])
+    operators = _OPERATOR_STACK[[_SETTING_INDEX[(s.proj_a, s.proj_b)] for s in settings]]
     means = n_per_setting * np.maximum(np.einsum("sab,ba->s", operators, rho).real, 0.0)
     counts = np.random.default_rng(seed).poisson(means).tolist()
     return [CountRecord(s, c, float(n_per_setting)) for s, c in zip(settings, counts)]
@@ -205,7 +213,7 @@ def _design(settings: tuple) -> _Design:
     """Design of a sequence of (proj_a, proj_b) label pairs; raises if the
     settings are not informationally complete. Cached, because the fits of
     a sweep share one scan."""
-    pmat = np.stack([_SETTING_OPERATORS[key].T.reshape(16) for key in settings])
+    pmat = np.stack([_OPERATOR_STACK[_SETTING_INDEX[key]].T.reshape(16) for key in settings])
     rank = np.linalg.matrix_rank(pmat)
     if rank < 16:
         raise ValueError(f"settings are not informationally complete (operator rank {rank} < 16)")
@@ -364,20 +372,22 @@ def minimize(fun, t: np.ndarray, max_evals: int):
     unit vector and f never above its start.
     """
     t = t / np.linalg.norm(t)
+    eye = np.eye(t.size)
     f, g, hess, size = fun(t)
     evals = 1
     steps = 0
     converged = False
     while evals < max_evals:
-        proj = np.eye(t.size) - np.outer(t, t)
+        proj = eye - t[:, None] * t
         lam, vec = np.linalg.eigh(proj @ hess @ proj)
-        floor = max(1e-8 * max(-lam[0], lam[-1]), 1e-12 * size)
+        lowest, highest = float(lam[0]), float(lam[-1])
+        floor = max(1e-8 * max(-lowest, highest), 1e-12 * size)
         gv = g @ vec
         d = vec @ (gv / -np.maximum(np.abs(lam), floor))
         slope = float(g @ d)
         rule_met = -0.5 * slope <= 1e-12 * max(1.0, abs(f))
         if rule_met:
-            if lam[0] >= -floor:
+            if lowest >= -floor:
                 converged = True
                 break
             d = math.copysign(1.0, -gv[0]) * vec[:, 0]
@@ -385,7 +395,7 @@ def minimize(fun, t: np.ndarray, max_evals: int):
         step = 1.0
         for _ in range(_BACKTRACKS):
             x = t + step * d
-            norm = float(np.linalg.norm(x))
+            norm = math.sqrt(float(x @ x))
             t_new = x / norm
             f_new, g_new, hess_new, size_new = fun(t_new)
             evals += 1
@@ -679,7 +689,7 @@ def read_counts_csv(path) -> list[CountRecord]:
     try:
         _arrays(records)
     except ValueError as exc:
-        missing = [a + b for a in PROJECTOR_LABELS for b in PROJECTOR_LABELS if (a, b) not in rows]
+        missing = [a + b for a, b in _STANDARD_KEYS if (a, b) not in rows]
         raise ValueError(
             f"{path}: {exc}; of the 36-setting scan it lacks {', '.join(missing)}"
         ) from exc

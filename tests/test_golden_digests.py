@@ -112,7 +112,25 @@ def test_outputs_match_golden_digests(workload, tmp_path_factory, monkeypatch):
         pytest.fail(f"{len(moved)} outputs moved ({note}):\n" + "\n".join(moved), pytrace=False)
 
 
-def main() -> int:
+USAGE = "usage: PYTHONPATH=src python tests/test_golden_digests.py  (takes no arguments)"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--check"], [""]])
+def test_main_refuses_arguments_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    target = tmp_path / "golden_digests.json"
+    monkeypatch.setattr(sys.modules[__name__], "DIGESTS", target)
+    assert main(argv) == 2
+    assert not target.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:")
+
+
+def main(argv: list[str]) -> int:
+    """Regenerate ``DIGESTS``; any argument is refused (usage on stderr,
+    exit 2) and nothing is written."""
+    if argv:
+        print(USAGE, file=sys.stderr)
+        return 2
     ops = {}
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
         for workload in workloads.WORKLOADS:
@@ -126,4 +144,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
