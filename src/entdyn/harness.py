@@ -26,7 +26,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from itertools import chain
 from typing import NamedTuple
@@ -52,7 +52,6 @@ from .dynamics import (
     predict_one_sided,
     predict_two_sided,
     predict_x_state,
-    pure_state_concurrence,
     wootters,
 )
 from .states import BASIS_KETS, bell_key, dm
@@ -227,19 +226,19 @@ def _exact(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
 def _law(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
     """Closed-form concurrence at each noise probability in ``p``: the
     paper's laws for a Bell pair, the factorization law for one-sided noise
-    on a partially entangled state, and the X-state law for two-sided noise
-    on one. No configuration evolves a state."""
+    on a partially entangled state (the Bell-pair law times the pure
+    state's concurrence |sin 4 delta|), and the X-state law for two-sided
+    noise on one. No configuration evolves a state."""
     radii = pauli_radii(family_weights(config.family, p))
     if spec.kind == "bell":
         return (predict_one_sided if config.mode == "one_sided" else predict_two_sided)(radii)
-    noisy = radii
-    if spec.kind == "mixed_pes":  # the pure state after its dephasing prep: Pauli radii multiply
-        noisy = radii * pauli_radii(family_weights("dephasing", spec.dephasing))
-        spec = replace(spec, kind="pure_pes", phi=0.0)
+    noisy, phi = radii, spec.phi
+    if spec.kind == "mixed_pes":  # the pure state (phi = 0) after its dephasing prep: radii multiply
+        noisy, phi = radii * pauli_radii(family_weights("dephasing", spec.dephasing)), 0.0
     if config.mode == "two_sided":
         pair = (noisy, radii) if config.noisy_qubit == 0 else (radii, noisy)
-        return predict_x_state(*pair, spec.delta, spec.phi)
-    return predict_one_sided(noisy) * pure_state_concurrence(make_initial(spec))
+        return predict_x_state(*pair, spec.delta, phi)
+    return predict_one_sided(noisy) * abs(math.sin(4.0 * spec.delta))
 
 
 def analytic_prediction(config: SweepConfig, p, spec: InitialStateSpec | None = None):

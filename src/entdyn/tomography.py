@@ -198,21 +198,24 @@ class _Design(NamedTuple):
     """A settings sequence as the fit reads it.
 
     ``pmat`` (S, 16) maps vec(rho) to Born probabilities, row_s =
-    vec(Pi_s^T). ``forms`` (S * 16, 16) stacks the real symmetric quadratic
-    forms Q_s[i, j] = Re Tr(Pi_s E_i^dag E_j) of the T-parameters, with E_i
-    column i of ``_T_BASIS`` as a 4x4 matrix, so that Tr(Pi_s T^dag T) =
-    t.Q_s t.
+    vec(Pi_s^T), and ``pinv`` (16, S) is its pseudo-inverse, which maps
+    count frequencies to the least-squares vec(rho). ``forms`` (S * 16, 16)
+    stacks the real symmetric quadratic forms Q_s[i, j] = Re Tr(Pi_s E_i^dag
+    E_j) of the T-parameters, with E_i column i of ``_T_BASIS`` as a 4x4
+    matrix, so that Tr(Pi_s T^dag T) = t.Q_s t.
     """
 
     pmat: np.ndarray
+    pinv: np.ndarray
     forms: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
 def _design(settings: tuple) -> _Design:
     """Design of a sequence of (proj_a, proj_b) label pairs; raises if the
-    settings are not informationally complete. Cached, because the fits of
-    a sweep share one scan."""
+    settings are not informationally complete. Cached, with its
+    pseudo-inverse, because every fit of a scan shares them: a sweep's base
+    fits and refits, and every linear-inversion seed."""
     pmat = np.stack([_OPERATOR_STACK[_SETTING_INDEX[key]].T.reshape(16) for key in settings])
     rank = np.linalg.matrix_rank(pmat)
     if rank < 16:
@@ -220,7 +223,7 @@ def _design(settings: tuple) -> _Design:
     basis = _T_BASIS.T.reshape(16, 4, 4)
     products = np.einsum("iba,jbc->ijac", basis.conj(), basis).reshape(256, 16)
     forms = np.ascontiguousarray((pmat @ products.T).real.reshape(-1, 16))
-    return _Design(_frozen(pmat), _frozen(forms))
+    return _Design(_frozen(pmat), _frozen(np.linalg.pinv(pmat)), _frozen(forms))
 
 
 def _arrays(records) -> tuple[_Design, np.ndarray, np.ndarray]:
@@ -271,11 +274,13 @@ def _params_from_rho(rho: np.ndarray) -> np.ndarray:
 def linear_inversion_state(records) -> np.ndarray:
     """Least-squares state estimate from count frequencies, clipped to physical.
 
-    Used to seed the likelihood search; raises if the settings are not
-    informationally complete.
+    Used to seed the likelihood search. The least-squares solution is one
+    product with the pseudo-inverse cached with the scan's design
+    (:func:`_design`), so the seeds of a scan's fits share one
+    decomposition; raises if the settings are not informationally complete.
     """
     design, counts, exposures = _arrays(records)
-    x, *_ = np.linalg.lstsq(design.pmat, counts / exposures, rcond=None)
+    x = design.pinv @ (counts / exposures)
     rho = x.reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(rho)

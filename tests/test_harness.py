@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import entdyn.dynamics
 import entdyn.harness
 
 from entdyn.channels import (
@@ -294,16 +295,20 @@ class TestBatchedSweepOracle:
 
 
 def test_analytic_rows_run_no_simulation(monkeypatch):
-    """No analytic row evolves a state or takes a Wootters concurrence: every
-    family, mode, initial kind and noisy qubit, with and without p_scale."""
+    """No analytic row evolves a state or takes a Wootters concurrence, by
+    the harness's own call or through ``dynamics`` (``concurrence`` and
+    ``pure_state_concurrence`` take it there): every family, mode, initial
+    kind and noisy qubit, with and without p_scale."""
     calls = []
 
-    def counted(name):
-        original = getattr(entdyn.harness, name)
-        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
+        label = f"{module.__name__.rpartition('.')[2]}.{name}"
+        return lambda *args, **kwargs: calls.append(label) or original(*args, **kwargs)
 
-    for name in ("wootters", "apply_ptm"):
-        monkeypatch.setattr(entdyn.harness, name, counted(name))
+    for module, name in ((entdyn.harness, "wootters"), (entdyn.harness, "apply_ptm"),
+                         (entdyn.dynamics, "wootters")):
+        monkeypatch.setattr(module, name, counted(module, name))
     for family, mode, noisy_qubit, p_scale in product(
             ("two-field", "isotropic", "dephasing"), ("one_sided", "two_sided"), (0, 1), (None, 1.3)):
         config = analytic_config(family=family, mode=mode, noisy_qubit=noisy_qubit, p_scale=p_scale,
@@ -313,7 +318,7 @@ def test_analytic_rows_run_no_simulation(monkeypatch):
         run_pes_sweep(config)
     assert calls == []
     run_sweep(analytic_config(mode="two_sided", pipeline=Pipeline(kind="exact_simulation")))
-    assert calls == ["apply_ptm", "wootters"]  # the guard sees the simulation's two calls
+    assert calls == ["harness.apply_ptm", "harness.wootters"]  # the guard sees the simulation
 
 
 class TestBreakingPointsTable:

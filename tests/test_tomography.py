@@ -12,6 +12,7 @@ from entdyn.dynamics import concurrence
 from entdyn.sampling import random_density_matrix
 from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, purity, trace_distance
 import entdyn.tomography
+from entdyn.cli import main
 from entdyn.tomography import (
     LIKELIHOODS,
     MAX_COUNT,
@@ -698,6 +699,49 @@ class TestNewtonFit:
         assert f == pytest.approx(levels[0], rel=1e-12, abs=1e-12)
         assert abs(t @ q[:, 0]) == pytest.approx(1.0, abs=1e-9)
         assert (steps == 0) == (start == 0)
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of ``np.linalg.<name>`` for the rest of the test."""
+    calls = []
+    original = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+    return calls
+
+
+class TestScanConstants:
+    @PROPERTY
+    @given(st.sampled_from(["standard", "minimal"]), count_vectors(), st.floats(10.0, 1e5))
+    def test_pinv_seed_matches_lstsq(self, scan, counts, exposure):
+        settings = standard_settings() if scan == "standard" else minimal_settings()
+        records = [CountRecord(s, int(c), exposure) for s, c in zip(settings, counts)]
+        design, counts, exposures = _arrays(records)
+        frequencies = counts / exposures
+        reference, *_ = np.linalg.lstsq(design.pmat, frequencies, rcond=None)
+        assert np.abs(design.pinv @ frequencies - reference).max() <= 1e-12
+
+    def test_one_tomo_sim_op_solves_no_least_squares(self, tmp_path, monkeypatch):
+        calls = _counted(monkeypatch, "lstsq")
+        argv = ["tomo-sim", "--family", "two-field", "--mode", "two_sided", "--p", "0.3",
+                "--initial", "pes:0.3:0.5", "--trials", "2", "--seed", "3",
+                "--out", str(tmp_path / "summary.json")]
+        assert main(argv) == 0
+        assert calls == []
+
+    def test_pinv_once_per_scan_across_fits(self, monkeypatch):
+        entdyn.tomography._design.cache_clear()
+        calls = _counted(monkeypatch, "pinv")
+        for settings in (standard_settings(), minimal_settings()):
+            for seed in range(3):
+                records = simulate_counts(bell_state("psi-"), settings, 1000, seed)
+                monte_carlo_errors(records, 2, "purity", seed)
+                reconstruct_state_mle(records, likelihood="poisson")
+        assert calls == ["pinv", "pinv"]
+
+    def test_standard_settings_is_a_new_list_each_call(self):
+        first = standard_settings()
+        first.pop()
+        assert len(standard_settings()) == 36
 
 
 class TestEllipsoidMesh:
