@@ -112,9 +112,6 @@ def test_outputs_match_golden_digests(workload, tmp_path_factory, monkeypatch):
         pytest.fail(f"{len(moved)} outputs moved ({note}):\n" + "\n".join(moved), pytrace=False)
 
 
-USAGE = "usage: PYTHONPATH=src python tests/test_golden_digests.py  (takes no arguments)"
-
-
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--check"], [""]])
 def test_main_refuses_arguments_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
     target = tmp_path / "golden_digests.json"
@@ -129,7 +126,8 @@ def main(argv: list[str]) -> int:
     """Regenerate ``DIGESTS``; any argument is refused (usage on stderr,
     exit 2) and nothing is written."""
     if argv:
-        print(USAGE, file=sys.stderr)
+        print("usage: PYTHONPATH=src python tests/test_golden_digests.py  (takes no arguments)",
+              file=sys.stderr)
         return 2
     ops = {}
     with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
