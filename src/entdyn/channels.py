@@ -14,9 +14,11 @@ forms a channel is described and serialized in:
   rotations, parameterized by the signed primary radii of the ellipsoid the
   Bloch sphere is mapped onto.
 
-Radii and diagonal weights are linked by an affine bijection
-(:func:`radii_from_chi` / :func:`chi_from_radii`); complete positivity is the
-tetrahedron condition |R_i +- R_j| <= |1 +- R_k|.
+A Pauli channel's radii and diagonal weights are linked by an affine
+bijection (:func:`radii_from_chi` / :func:`chi_from_radii`); complete
+positivity is the tetrahedron condition |R_i +- R_j| <= |1 +- R_k|. For any
+other channel :func:`radii_from_chi` gives the radii of its Pauli twirl, and
+:func:`channel_radii` those of the ellipsoid it maps the Bloch sphere onto.
 
 The named families' weights (:func:`family_weights`) and their PTMs and
 radii (:func:`pauli_ptm`, :func:`pauli_radii`) also come as stacks over an
@@ -33,7 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import PAULIS, SIGMA_0, _frozen, matrix_from_json, matrix_to_json
+from .states import (
+    PAULIS, SIGMA_0, _finite, _frozen, _physical, _shaped, matrix_from_json, matrix_to_json,
+)
 
 CP_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -88,10 +92,7 @@ class PauliChannel:
     _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        chi = np.asarray(self.chi_diag, dtype=float).reshape(-1)
-        if chi.size != 4:
-            raise ValueError(f"chi_diag must have 4 entries, got {chi.size}")
-        _require_finite("chi_diag", chi)
+        chi = _finite("chi_diag", self.chi_diag, (4,), dtype=float)
         if chi.min() < -CP_TOL:
             raise ValueError(
                 f"chi_diag must be non-negative, got chi_{int(chi.argmin())} = {float(chi.min())!r}"
@@ -118,21 +119,14 @@ class UnitalChannel:
     _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.pre_rotation, dtype=complex)
-        u = np.asarray(self.post_rotation, dtype=complex)
-        names = ("pre_rotation", "post_rotation")
-        for name, m in zip(names, (v, u)):
-            if m.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+        v = _finite("pre_rotation", self.pre_rotation, (2, 2))
+        u = _finite("post_rotation", self.post_rotation, (2, 2))
         vu = np.stack((v, u))
         deviation = np.max(np.abs(vu @ vu.conj().swapaxes(1, 2) - SIGMA_0), axis=(1, 2))
-        for name, d in zip(names, deviation.tolist()):
+        for name, d in zip(("pre_rotation", "post_rotation"), deviation.tolist()):
             if not d <= UNITARY_TOL:
                 raise ValueError(f"{name} is not unitary")
-        r = np.asarray(self.radii, dtype=float).reshape(-1)
-        if r.size != 3:
-            raise ValueError(f"radii must have 3 entries, got {r.size}")
-        _require_finite("radii", r)
+        r = _finite("radii", self.radii, (3,), dtype=float)
         # 1e-10 of slack: radii read off an SVD (decompose_unital, compose)
         # carry rounding, so a map on the tetrahedron's faces still constructs
         violations = cp_violations(r, tol=1e-10)
@@ -149,23 +143,7 @@ class UnitalChannel:
 
 def process_matrix(chi) -> np.ndarray:
     """Validate a process matrix (Hermitian, PSD, unit trace) and freeze it."""
-    m = np.asarray(chi, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"process matrix must be 4x4, got shape {m.shape}")
-    _require_finite("process matrix", m)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("process matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-        raise ValueError(f"process matrix trace is {complex(np.trace(m))!r}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -1e-10:
-        raise ValueError(f"process matrix is not PSD: min eigenvalue {min_eig!r}")
-    return _frozen(m.copy())
-
-
-def _require_finite(name: str, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite, got {np.asarray(values).tolist()}")
+    return _frozen(_physical("chi", chi, (4, 4), tol=1e-10, psd_tol=1e-10).copy())
 
 
 def family_weights(family: str, p) -> np.ndarray:
@@ -227,9 +205,11 @@ def noise_probability(channel) -> float:
 
 
 def radii_from_chi(channel) -> np.ndarray:
-    """Signed primary radii R_i = chi_0 + chi_i - chi_j - chi_k of the mapped
-    ellipsoid, read off the PTM diagonal (only the diagonal weights of
-    ``chi`` reach it)."""
+    """The PTM diagonal R_i = chi_0 + chi_i - chi_j - chi_k, which only the
+    diagonal weights of ``chi`` reach: the signed radii of the channel's
+    Pauli twirl. Only for a Pauli channel are they the primary radii of the
+    mapped ellipsoid; :func:`channel_radii` gives those of any unital
+    channel."""
     return np.diag(pauli_transfer_matrix(channel))[1:]
 
 
@@ -240,10 +220,7 @@ def chi_from_radii(radii) -> np.ndarray:
     not completely positive, which is exactly what the CP check inspects.
     Use :func:`pauli_channel_from_radii` to get a validated channel.
     """
-    r = np.asarray(radii, dtype=float).reshape(-1)
-    if r.size != 3:
-        raise ValueError(f"radii must have 3 entries, got {r.size}")
-    _require_finite("radii", r)
+    r = _finite("radii", radii, (3,), dtype=float)
     return _frozen(0.25 * (_WALSH @ np.concatenate(([1.0], r))))
 
 
@@ -334,9 +311,7 @@ def kraus_operators(channel) -> list[np.ndarray]:
 def apply(channel, rho) -> np.ndarray:
     """Act with a single-qubit channel on a single-qubit density matrix: the
     PTM maps its Pauli components r_i = Tr(sigma_i rho)."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got shape {m.shape}")
+    m = _shaped("rho", rho, (2, 2))
     r = pauli_transfer_matrix(channel) @ (_PAULI_ROWS.conj() @ m.reshape(4))
     return _frozen((0.5 * r @ _PAULI_ROWS).reshape(2, 2))
 
@@ -360,17 +335,10 @@ def apply_ptm(r, rho, targets) -> np.ndarray:
     return (0.25 * t.reshape(t.shape[:-2] + (16,)) @ _TWO_QUBIT_PAULIS).reshape(t.shape)
 
 
-def _two_qubit_state(rho) -> np.ndarray:
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 state, got shape {m.shape}")
-    return m
-
-
 def apply_one_sided(channel, rho, target: int = 1) -> np.ndarray:
     """Act with a single-qubit channel on one qubit of a two-qubit state:
     T -> R T on qubit 0, T R^T on qubit 1 (see :func:`apply_ptm`)."""
-    m = _two_qubit_state(rho)
+    m = _shaped("rho", rho, (4, 4))
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
     return _frozen(apply_ptm(pauli_transfer_matrix(channel), m, (target,)))
@@ -378,7 +346,7 @@ def apply_one_sided(channel, rho, target: int = 1) -> np.ndarray:
 
 def apply_two_sided(channel, rho) -> np.ndarray:
     """Act with the same channel independently on both qubits: T -> R T R^T."""
-    return _frozen(apply_ptm(pauli_transfer_matrix(channel), _two_qubit_state(rho), (0, 1)))
+    return _frozen(apply_ptm(pauli_transfer_matrix(channel), _shaped("rho", rho, (4, 4)), (0, 1)))
 
 
 def compose(first, second):
@@ -420,10 +388,7 @@ def decompose_unital(m) -> UnitalChannel:
     rotations. The radii are checked by :class:`UnitalChannel` alone, whose
     ``ValueError`` quotes the violated tetrahedron inequality.
     """
-    mat = np.asarray(m, dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 real matrix, got shape {mat.shape}")
-    w, s, xt = np.linalg.svd(mat)
+    w, s, xt = np.linalg.svd(_finite("m", m, (3, 3), dtype=float))
     r = s.copy()
     if np.linalg.det(w) < 0:
         w = w.copy()
@@ -456,9 +421,9 @@ def su2_from_rotation(o) -> np.ndarray:
     rotation angle (the result is fixed only up to a global sign, which does
     not affect conjugation).
     """
-    m = np.asarray(o, dtype=float)
-    if m.shape != (3, 3) or np.max(np.abs(m @ m.T - np.eye(3))) > 1e-9 or np.linalg.det(m) < 0:
-        raise ValueError("expected a proper rotation matrix")
+    m = _finite("o", o, (3, 3), dtype=float)
+    if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-9 or np.linalg.det(m) < 0:
+        raise ValueError("o: expected a proper rotation matrix")
     t = m[0, 0] + m[1, 1] + m[2, 2]
     if t > max(m[0, 0], m[1, 1], m[2, 2]):
         s = 2.0 * np.sqrt(1.0 + t)

@@ -172,11 +172,28 @@ def _cmd_ellipsoid(args) -> int:
     return 0
 
 
+def _exposure(records, counts, path):
+    """The pairs per setting of the records a counts file holds: their one
+    exposure, an integer when integral (as ``--counts-out`` writes it), or
+    None when the rows differ. A ``--counts`` that differs from a row's
+    exposure is a ConfigError."""
+    exposures = sorted({record.exposure for record in records})
+    if counts is not None and exposures != [counts]:
+        other = next(e for e in exposures if e != counts)
+        raise ConfigError(f"counts: {counts} differs from the exposure {other!r} in {path}")
+    if len(exposures) > 1:
+        return None
+    return int(exposures[0]) if float(exposures[0]).is_integer() else exposures[0]
+
+
 def _cmd_tomo_sim(args) -> int:
     _check_probability(args.p, "p")
     config = _sweep_config_from_args(args, p_grid=[args.p], pipeline="shot_noise")
     pipeline, spec = config.pipeline, config.initial
-    records = read_counts_csv(args.counts_in) if args.counts_in else None
+    records, n_per_setting = None, pipeline.n_per_setting
+    if args.counts_in:
+        records = read_counts_csv(args.counts_in)
+        n_per_setting = _exposure(records, args.counts, args.counts_in)
     records, fit, estimate = shot_noise_point(config, spec, 0, records)
     if args.counts_out:
         counts_out = _resolve_out(args.counts_out)
@@ -187,7 +204,7 @@ def _cmd_tomo_sim(args) -> int:
         "mode": config.mode,
         "p": args.p,
         "initial": spec.label(),
-        "n_per_setting": pipeline.n_per_setting,
+        "n_per_setting": n_per_setting,
         "trials": pipeline.trials,
         "seed": pipeline.seed,
         "concurrence": concurrence(fit.rho_hat).c,

@@ -25,7 +25,6 @@ import numpy as np
 
 from .channels import (
     _chi_diag,
-    _two_qubit_state,
     apply_one_sided,
     bloch_affine_map,
     channel_radii,
@@ -34,7 +33,7 @@ from .channels import (
     family_weights,
     pauli_radii,
 )
-from .states import PAULIS, _frozen, bell_state, dm, psd_sqrt, purity
+from .states import PAULIS, _frozen, _shaped, bell_state, dm, psd_sqrt, purity
 
 MODES = ("one_sided", "two_sided")
 
@@ -84,7 +83,7 @@ def wootters(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def concurrence(rho) -> ConcurrenceResult:
     """Wootters concurrence of a two-qubit density matrix (see :func:`wootters`)."""
-    q, roots = wootters(_two_qubit_state(rho))
+    q, roots = wootters(_shaped("rho", rho, (4, 4)))
     q = float(q)
     return ConcurrenceResult(q=q, c=max(0.0, q), lambdas=_frozen(roots**2))
 

@@ -135,14 +135,14 @@ def _check_probability(p, path: str, index=None) -> None:
         raise ConfigError(f"{path if index is None else f'{path}[{index}]'}: value {p!r} outside [0, 1]")
 
 
-def _check_grid(p_grid, increasing: bool = False, path: str = "p_grid") -> None:
+def _check_grid(p_grid, increasing: bool = False) -> None:
     """A non-empty list of probabilities, strictly increasing if ``increasing``."""
     if not p_grid:
-        raise ConfigError(f"{path}: must not be empty")
+        raise ConfigError("p_grid: must not be empty")
     for i, p in enumerate(p_grid):
-        _check_probability(p, path, i)
+        _check_probability(p, "p_grid", i)
         if increasing and i > 0 and p <= p_grid[i - 1]:
-            raise ConfigError(f"{path}[{i}]: values must be strictly increasing")
+            raise ConfigError(f"p_grid[{i}]: values must be strictly increasing")
 
 
 def _check_at_least(value, low, path: str) -> None:

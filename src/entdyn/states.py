@@ -9,20 +9,70 @@ Conventions used throughout the package:
 
 All constructors return read-only arrays; every function is pure, so values
 can be shared freely between threads or tasks.
+
+Every module checks its array arguments with the checks defined here, each
+built on the one before: :func:`_shaped`, :func:`_finite`, :func:`_hermitian`
+and :func:`_physical` (unit trace, PSD). Validating constructors check shape
+and finiteness, operations only the shape; a failure is a ValueError
+``<argument>: <rule>``, e.g. ``rho: expected shape (4, 4), got (2, 2)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
+DENSITY_TOL = 1e-12  # Hermitian and unit-trace tolerance of density_matrix
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
+    return m
+
+
+def _shaped(name: str, value, *shapes, dtype=complex) -> np.ndarray:
+    """``value`` as an array of one of ``shapes``, else a ValueError naming
+    ``name``. A vector shape ``(n,)`` takes any array of n entries, which it
+    flattens; no shape at all takes any square matrix."""
+    m = np.asarray(value, dtype=dtype)
+    for shape in shapes:
+        if m.shape == shape:
+            return m
+        if len(shape) == 1 and m.size == shape[0]:
+            return m.reshape(shape)
+    if not shapes and m.ndim == 2 and m.shape[0] == m.shape[1]:
+        return m
+    expected = f"shape {' or '.join(map(str, shapes))}" if shapes else "a square matrix"
+    raise ValueError(f"{name}: expected {expected}, got {m.shape}")
+
+
+def _finite(name: str, value, *shapes, dtype=complex) -> np.ndarray:
+    """:func:`_shaped`, and every entry finite."""
+    m = _shaped(name, value, *shapes, dtype=dtype)
+    if np.count_nonzero(np.isfinite(m)) < m.size:
+        raise ValueError(f"{name}: entries must be finite")
+    return m
+
+
+def _hermitian(name: str, value, *shapes, tol: float) -> np.ndarray:
+    """:func:`_finite`, and no entry of m - m^dag larger than ``tol``."""
+    m = _finite(name, value, *shapes)
+    if np.abs(m - m.conj().T).max() > tol:
+        raise ValueError(f"{name}: matrix is not Hermitian")
+    return m
+
+
+def _physical(name: str, value, *shapes, tol: float, psd_tol: float) -> np.ndarray:
+    """:func:`_hermitian`, of unit trace to ``tol`` and with no eigenvalue
+    below ``-psd_tol``: the rules of a density or process matrix."""
+    m = _hermitian(name, value, *shapes, tol=tol)
+    trace = complex(np.trace(m))
+    if abs(trace - 1.0) > tol:
+        raise ValueError(f"{name}: trace is {trace!r}, expected 1")
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    if min_eig < -psd_tol:
+        raise ValueError(f"{name}: matrix is not positive semidefinite: min eigenvalue {min_eig!r}")
     return m
 
 
@@ -54,9 +104,7 @@ BELL_KETS = {
 
 def ket(amplitudes) -> np.ndarray:
     """Validate a pure-state vector (dim 2 or 4, unit norm) and freeze it."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if v.size not in (2, 4):
-        raise ValueError(f"ket must have dimension 2 or 4, got {v.size}")
+    v = _finite("amplitudes", amplitudes, (2,), (4,))
     norm_sq = float(np.vdot(v, v).real)
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"ket is not normalized: |psi|^2 = {norm_sq!r}")
@@ -90,34 +138,18 @@ def density_matrix(matrix) -> np.ndarray:
 
     The smallest eigenvalue may fall below zero by ``PSD_TOL``.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"matrix trace is {trace!r}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -PSD_TOL:
-        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {min_eig!r}")
+    m = _physical("matrix", matrix, (2, 2), (4, 4), tol=DENSITY_TOL, psd_tol=PSD_TOL)
     return _frozen(m.copy())
 
 
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product of two single-qubit operators (first factor = qubit 0)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"expected two 2x2 matrices, got shapes {a.shape} and {b.shape}")
-    return _frozen(np.kron(a, b))
+    return _frozen(np.kron(_shaped("a", a, (2, 2)), _shaped("b", b, (2, 2))))
 
 
 def partial_trace(rho, keep: int) -> np.ndarray:
     """Trace out one qubit of a two-qubit operator, keeping qubit ``keep`` (0 or 1)."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _shaped("rho", rho, (4, 4))
     if keep not in (0, 1):
         raise ValueError(f"keep must be 0 or 1, got {keep!r}")
     t = m.reshape(2, 2, 2, 2)  # indices: row0, row1, col0, col1
@@ -130,17 +162,13 @@ def partial_trace(rho, keep: int) -> np.ndarray:
 
 def bloch_vector(rho) -> np.ndarray:
     """Bloch components (Tr(rho sigma_1), Tr(rho sigma_2), Tr(rho sigma_3))."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    m = _shaped("rho", rho, (2, 2))
     return _frozen(np.array([float(np.trace(m @ s).real) for s in PAULIS[1:]]))
 
 
 def density_from_bloch(vec) -> np.ndarray:
     """Inverse Bloch map: rho = (sigma_0 + x sigma_1 + y sigma_2 + z sigma_3)/2."""
-    v = np.asarray(vec, dtype=float).reshape(-1)
-    if v.size != 3:
-        raise ValueError(f"expected 3 Bloch components, got {v.size}")
+    v = _finite("vec", vec, (3,), dtype=float)
     norm = float(np.linalg.norm(v))
     if norm > 1.0 + PSD_TOL:
         raise ValueError(f"Bloch vector has norm {norm!r} > 1")
@@ -150,12 +178,7 @@ def density_from_bloch(vec) -> np.ndarray:
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix (to 1e-10), sorted descending."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("matrix is not Hermitian")
-    return _frozen(np.linalg.eigvalsh(m)[::-1].copy())
+    return _frozen(np.linalg.eigvalsh(_hermitian("matrix", matrix, tol=1e-10))[::-1].copy())
 
 
 def psd_sqrt(matrix) -> np.ndarray:
@@ -197,9 +220,7 @@ def trace_distance(rho, sigma) -> float:
 
 def matrix_to_json(matrix) -> dict:
     """Serialize a complex matrix as {"dim": n, "re": [...], "im": [...]} (row-major)."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _shaped("matrix", matrix)
     return {
         "dim": int(m.shape[0]),
         "re": [float(x) for x in m.real.reshape(-1)],

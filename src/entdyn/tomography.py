@@ -39,7 +39,7 @@ import numpy as np
 
 from .channels import bloch_affine_map, pauli_transfer_matrix
 from .dynamics import wootters
-from .states import BASIS_KETS, PAULIS, _frozen, dm
+from .states import BASIS_KETS, PAULIS, _frozen, _hermitian, dm
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -234,19 +234,6 @@ def _arrays(records) -> tuple[_Design, np.ndarray, np.ndarray]:
     counts = np.array([float(r.count) for r in records])
     exposures = np.array([float(r.exposure) for r in records])
     return design, counts, exposures
-
-
-def _checked_state(rho, name: str) -> np.ndarray:
-    """``rho`` as a complex array if it is a finite Hermitian 4x4 matrix
-    (to 1e-10), else a ValueError that starts with ``name``."""
-    m = np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"{name}: expected a 4x4 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name}: entries must be finite")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError(f"{name}: matrix is not Hermitian")
-    return m
 
 
 def _rho_from_params(t: np.ndarray) -> np.ndarray:
@@ -458,7 +445,7 @@ def reconstruct_state_mle(
         raise ValueError(f"max_evals must be >= 1, got {max_evals!r}")
     records = list(records)
     seed_rho = (linear_inversion_state(records) if initial is None
-                else _checked_state(initial, "initial"))
+                else _hermitian("initial", initial, (4, 4), tol=1e-10))
     return _fit(likelihood, *_arrays(records), _params_from_rho(seed_rho), max_evals)
 
 
@@ -513,7 +500,7 @@ def monte_carlo_errors(
     design, observed, exposures = _arrays(records)
     if base is None:
         base = reconstruct_state_mle(records, likelihood=likelihood)
-    t0 = _params_from_rho(_checked_state(base.rho_hat, "base.rho_hat"))
+    t0 = _params_from_rho(_hermitian("base.rho_hat", base.rho_hat, (4, 4), tol=1e-10))
     seed_parts = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     draws = np.array([np.random.default_rng([*seed_parts, trial]).poisson(observed)
                       for trial in range(trials)], dtype=float)

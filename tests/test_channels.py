@@ -12,6 +12,7 @@ from entdyn.channels import (
     apply_two_sided,
     bloch_affine_map,
     channel_for,
+    channel_radii,
     channel_from_json,
     channel_to_json,
     chi_from_radii,
@@ -34,7 +35,7 @@ from entdyn.channels import (
     su2_from_rotation,
     two_field_channel,
 )
-from entdyn.dynamics import concurrence
+from entdyn.dynamics import concurrence, predict_one_sided
 from entdyn.sampling import (
     random_cp_radii,
     random_density_matrix,
@@ -43,7 +44,7 @@ from entdyn.sampling import (
     random_unital_channel,
     random_unitary,
 )
-from entdyn.states import PAULIS, bell_state, bloch_vector, dm, KET_H, partial_trace
+from entdyn.states import PAULIS, bell_state, bloch_vector, density_from_bloch, dm, KET_H, partial_trace
 
 
 def kraus_sum_oracle(chi, rho, lift=None):
@@ -215,6 +216,23 @@ class TestRadii:
             assert np.max(np.abs(radii_from_chi(pauli_channel_from_radii(r)) - r)) < 1e-14
             ch = random_pauli_channel(rng)
             assert np.max(np.abs(chi_from_radii(radii_from_chi(ch)) - ch.chi_diag)) < 1e-14
+
+    def test_rotated_channel_gives_its_pauli_twirl_radii(self):
+        # radii_from_chi reads the PTM diagonal: the radii of the Pauli twirl
+        # (1/4) sum_k sigma_k Phi(sigma_k rho sigma_k) sigma_k, which maps Bloch
+        # axis i to R_i times itself, not those of the channel's own ellipsoid
+        ch = random_unital_channel(np.random.default_rng(3))
+        r = radii_from_chi(ch)
+        for i, axis in enumerate(np.eye(3)):
+            rho = density_from_bloch(axis)
+            twirled = sum(s @ apply(ch, s @ rho @ s) @ s for s in PAULIS) / 4
+            assert np.allclose(bloch_vector(twirled), r[i] * axis, atol=1e-12)
+        assert np.allclose(r, (-0.0882, 0.1184, -0.0420), atol=1e-4)
+        assert np.allclose(channel_radii(ch), (0.7834, 0.4032, 0.3720), atol=1e-4)
+        exact = concurrence(apply_one_sided(ch, bell_state("phi+"))).c
+        assert exact == pytest.approx(0.2793, abs=1e-4)
+        assert predict_one_sided(r) == 0.0
+        assert predict_one_sided(channel_radii(ch)) == pytest.approx(exact, abs=1e-12)
 
     def test_non_cp_radii_rejected_with_diagnostic(self):
         with pytest.raises(ValueError, match="chi_"):
@@ -477,7 +495,7 @@ class TestUnitalChannel:
             UnitalChannel(bad, np.eye(2), (1, 1, 1))
         with pytest.raises(ValueError, match="^post_rotation is not unitary$"):
             UnitalChannel(np.eye(2), bad, (1, 1, 1))
-        with pytest.raises(ValueError, match=r"^post_rotation must be 2x2, got shape \(3, 3\)$"):
+        with pytest.raises(ValueError, match=r"^post_rotation: expected shape \(2, 2\), got \(3, 3\)$"):
             UnitalChannel(np.eye(2), np.eye(3), (1, 1, 1))
 
 
@@ -497,22 +515,22 @@ class TestValidationAndSerialization:
 
     def test_non_finite_parameters_rejected(self):
         nan = float("nan")
-        with pytest.raises(ValueError, match="chi_diag must be finite"):
+        with pytest.raises(ValueError, match="chi_diag: entries must be finite"):
             PauliChannel([nan, 0, 0, 0])
-        with pytest.raises(ValueError, match="radii must be finite"):
+        with pytest.raises(ValueError, match="radii: entries must be finite"):
             UnitalChannel(np.eye(2), np.eye(2), (nan, 0, 0))
-        with pytest.raises(ValueError, match="radii must be finite"):
+        with pytest.raises(ValueError, match="radii: entries must be finite"):
             pauli_channel_from_radii((nan, 0, 0))
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match="pre_rotation: entries must be finite"):
             UnitalChannel(np.full((2, 2), nan), np.eye(2), (1, 1, 1))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="chi: entries must be finite"):
             process_matrix(np.diag([nan, 0, 0, 0]))
         assert not is_completely_positive((nan, 0, 0))
 
     def test_process_matrix_invariants(self):
-        with pytest.raises(ValueError, match="PSD"):
+        with pytest.raises(ValueError, match="chi: matrix is not positive semidefinite"):
             process_matrix(np.diag([1.5, -0.5, 0, 0]).astype(complex))
-        with pytest.raises(ValueError, match=r"^process matrix trace is \(0\.5\+0j\), expected 1$"):
+        with pytest.raises(ValueError, match=r"^chi: trace is \(0\.5\+0j\), expected 1$"):
             process_matrix(np.diag([0.5, 0, 0, 0]).astype(complex))
         chi = process_matrix(np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex))
         assert chi.shape == (4, 4)

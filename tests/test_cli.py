@@ -281,6 +281,40 @@ def test_counts_in_with_non_finite_exposure(tmp_path, capsys):
     assert "data row 1" in capsys.readouterr().err
 
 
+def _counts_file(tmp_path, counts):
+    path = tmp_path / "counts.csv"
+    assert main(["tomo-sim", "--counts", str(counts), "--trials", "2", "--seed", "3",
+                 "--counts-out", str(path), "--out", str(tmp_path / "first.json")]) == 0
+    return path
+
+
+def test_counts_in_reports_the_file_exposure(tmp_path):
+    path = _counts_file(tmp_path, 500)
+    out = tmp_path / "summary.json"
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path), "--out", str(out)]) == 0
+    n = json.loads(out.read_text())["n_per_setting"]
+    assert (n, type(n)) == (500, int)
+
+
+def test_counts_in_rejects_a_different_counts_flag(tmp_path, capsys):
+    path = _counts_file(tmp_path, 500)
+    argv = ["tomo-sim", "--trials", "2", "--counts-in", str(path), "--counts", "400"]
+    assert main([*argv, "--out", str(tmp_path / "summary.json")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: counts: 400 differs from the exposure 500.0 in {path}")
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_counts_in_with_mixed_exposures_reports_null(tmp_path):
+    path = _counts_file(tmp_path, 500)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace(",500.0", ",501.0")
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "summary.json"
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n_per_setting"] is None
+
+
 def test_ellipsoid_requires_p_or_channel():
     assert main(["ellipsoid", "--family", "isotropic"]) == 1
 
@@ -652,7 +686,7 @@ def test_malformed_input_names_the_field(tmp_path, argv, config, message):
      ({"family": "isotropic", "p": "x"}, "p: could not convert string to float: 'x'"),
      ({"family": "isotropic", "p": 1.5}, "p: probability must be in [0, 1], got 1.5"),
      ({"family": "pauli", "chi": "abc"}, "chi: could not convert string to float: 'abc'"),
-     ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: chi_diag must be finite"),
+     ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: chi_diag: entries must be finite"),
      ({"family": "pauli", "chi": [1.5, 0, 0, -0.5]},
       "chi: chi_diag must be non-negative, got chi_3 = -0.5\n"),
      ({"family": "unital", "radii": [1, 1, 1], "u": 5,

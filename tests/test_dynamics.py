@@ -77,7 +77,7 @@ class TestConcurrence:
         assert np.all(np.diff(res.lambdas) <= 1e-12)
         assert np.all(res.lambdas >= 0.0)
         assert 0.0 <= res.c <= 1.0 + 1e-12
-        with pytest.raises(ValueError, match=r"^expected a 4x4 state, got shape \(2, 2\)$"):
+        with pytest.raises(ValueError, match=r"^rho: expected shape \(4, 4\), got \(2, 2\)$"):
             concurrence(np.eye(2) / 2)
 
     def test_lambdas_match_nonhermitian_oracle(self):
