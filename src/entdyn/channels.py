@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
-    PAULIS, SIGMA_0, _finite, _frozen, _physical, _shaped, matrix_from_json, matrix_to_json,
+    PAULIS, SIGMA_0, ConfigError, _check_choice, _check_probability, _finite, _frozen, _physical,
+    _shaped, matrix_from_json, matrix_to_json,
 )
 
 CP_TOL = 1e-12
@@ -94,11 +95,11 @@ class PauliChannel:
     def __post_init__(self):
         chi = _finite("chi_diag", self.chi_diag, (4,), dtype=float)
         if chi.min() < -CP_TOL:
-            raise ValueError(
-                f"chi_diag must be non-negative, got chi_{int(chi.argmin())} = {float(chi.min())!r}"
+            raise ConfigError(
+                f"chi_diag: must be non-negative, got chi_{int(chi.argmin())} = {float(chi.min())!r}"
             )
         if abs(chi.sum() - 1.0) > 1e-12:
-            raise ValueError(f"chi_diag must sum to 1, got {float(chi.sum())!r}")
+            raise ConfigError(f"chi_diag: must sum to 1, got {float(chi.sum())!r}")
         object.__setattr__(self, "chi_diag", _frozen(np.clip(chi, 0.0, None)))
         object.__setattr__(self, "_ptm", _frozen(pauli_ptm(self.chi_diag)))
 
@@ -125,13 +126,13 @@ class UnitalChannel:
         deviation = np.max(np.abs(vu @ vu.conj().swapaxes(1, 2) - SIGMA_0), axis=(1, 2))
         for name, d in zip(("pre_rotation", "post_rotation"), deviation.tolist()):
             if not d <= UNITARY_TOL:
-                raise ValueError(f"{name} is not unitary")
+                raise ConfigError(f"{name}: matrix is not unitary")
         r = _finite("radii", self.radii, (3,), dtype=float)
         # 1e-10 of slack: radii read off an SVD (decompose_unital, compose)
         # carry rounding, so a map on the tetrahedron's faces still constructs
         violations = cp_violations(r, tol=1e-10)
         if violations:
-            raise ValueError("radii are not completely positive: " + "; ".join(violations))
+            raise ConfigError("radii: not completely positive: " + "; ".join(violations))
         object.__setattr__(self, "pre_rotation", _frozen(v.copy()))
         object.__setattr__(self, "post_rotation", _frozen(u.copy()))
         object.__setattr__(self, "radii", _frozen(r.copy()))
@@ -162,7 +163,7 @@ def family_weights(family: str, p) -> np.ndarray:
     elif family == "dephasing":
         weights = (1.0 - p, zero, zero, p)
     else:
-        raise ValueError(f"unknown channel family {family!r}; expected one of {PAULI_FAMILIES}")
+        _check_choice(family, PAULI_FAMILIES, "family")  # raises: it is none of them
     return np.stack(weights, axis=-1)
 
 
@@ -185,13 +186,8 @@ def channel_for(family: str, p: float) -> PauliChannel:
     """Channel of a named family at noise probability p (weights from
     :func:`family_weights`), validated and tagged for serialization."""
     weights = family_weights(family, p)
-    _check_probability(p)
+    _check_probability(p, "p")
     return PauliChannel(weights, family=family, p=float(p))
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p!r}")
 
 
 def hwp_angle_to_p(theta: float) -> float:
@@ -339,8 +335,7 @@ def apply_one_sided(channel, rho, target: int = 1) -> np.ndarray:
     """Act with a single-qubit channel on one qubit of a two-qubit state:
     T -> R T on qubit 0, T R^T on qubit 1 (see :func:`apply_ptm`)."""
     m = _shaped("rho", rho, (4, 4))
-    if target not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target!r}")
+    _check_choice(target, (0, 1), "target")
     return _frozen(apply_ptm(pauli_transfer_matrix(channel), m, (target,)))
 
 
@@ -423,7 +418,7 @@ def su2_from_rotation(o) -> np.ndarray:
     """
     m = _finite("o", o, (3, 3), dtype=float)
     if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-9 or np.linalg.det(m) < 0:
-        raise ValueError("o: expected a proper rotation matrix")
+        raise ConfigError("o: expected a proper rotation matrix")
     t = m[0, 0] + m[1, 1] + m[2, 2]
     if t > max(m[0, 0], m[1, 1], m[2, 2]):
         s = 2.0 * np.sqrt(1.0 + t)
@@ -459,7 +454,8 @@ def channel_to_json(channel) -> dict:
 
 def channel_from_json(obj: dict):
     """Parse a channel description object, enforcing exactly one
-    parameterization; a parameter that fails is named (``p: ...``)."""
+    parameterization; a parameter that fails is named by its key (``p: ...``,
+    ``v: ...``)."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ValueError("channel object must be a mapping with a 'family' key")
     family = obj["family"]
@@ -469,12 +465,12 @@ def channel_from_json(obj: dict):
         try:
             return build(obj[name])
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}: {exc}") from exc
+            raise ConfigError(f"{name}: {exc}") from exc
 
     if family in PAULI_FAMILIES:
         if params != {"p"}:
             raise ValueError(f"family {family!r} takes exactly the parameter 'p', got {sorted(params)}")
-        return parameter("p", lambda p: channel_for(family, float(p)))
+        return channel_for(family, parameter("p", float))
     if family == "pauli":
         if params != {"chi"}:
             raise ValueError(f"family 'pauli' takes exactly the parameter 'chi', got {sorted(params)}")
@@ -484,12 +480,15 @@ def channel_from_json(obj: dict):
             raise ValueError(
                 f"family 'unital' takes exactly the parameters radii/u/v, got {sorted(params)}"
             )
-        return UnitalChannel(
-            pre_rotation=parameter("v", matrix_from_json),
-            post_rotation=parameter("u", matrix_from_json),
-            radii=parameter("radii", lambda radii: np.asarray(radii, dtype=float)),
-        )
-    raise ValueError(f"unknown channel family {family!r}")
+        v, u = parameter("v", matrix_from_json), parameter("u", matrix_from_json)
+        radii = parameter("radii", lambda radii: np.asarray(radii, dtype=float))
+        try:
+            return UnitalChannel(pre_rotation=v, post_rotation=u, radii=radii)
+        except ConfigError as exc:  # "<field>: <rule>", with the field renamed to its key
+            field_name, rule = str(exc).split(": ", 1)
+            key = {"pre_rotation": "v", "post_rotation": "u"}.get(field_name, field_name)
+            raise ConfigError(f"{key}: {rule}") from exc
+    _check_choice(family, (*PAULI_FAMILIES, "pauli", "unital"), "family")  # raises: none of them
 
 
 def channel_radii(channel) -> np.ndarray:

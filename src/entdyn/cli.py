@@ -31,10 +31,7 @@ from .harness import (
     PIPELINES,
     ConfigError,
     NumericalError,
-    _check_at_least,
-    _check_count,
     _check_mapping,
-    _check_probability,
     analytic_prediction,
     p_grid_from,
     render,
@@ -48,8 +45,8 @@ from .harness import (
     shot_noise_point,
     sweep_config_from_dict,
 )
-from .states import matrix_to_json, purity
-from .tomography import LIKELIHOODS, ellipsoid_mesh, read_counts_csv, write_counts_csv
+from .states import _check_probability, matrix_to_json, purity
+from .tomography import LIKELIHOODS, _check_count, ellipsoid_mesh, read_counts_csv, write_counts_csv
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -154,8 +151,6 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_ellipsoid(args) -> int:
-    _check_at_least(args.n_theta, 2, "n_theta")
-    _check_at_least(args.n_phi, 1, "n_phi")
     if args.channel:
         obj = _read_json(args.channel, "channel")
         try:
@@ -165,7 +160,6 @@ def _cmd_ellipsoid(args) -> int:
     else:
         if args.p is None:
             raise ConfigError("p: required unless --channel is given")
-        _check_probability(args.p, "p")
         channel = channel_for(args.family, args.p)
     mesh = ellipsoid_mesh(channel, n_theta=args.n_theta, n_phi=args.n_phi)
     _write_or_print(render_mesh(mesh, args.format), _resolve_out(args.out))

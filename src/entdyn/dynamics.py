@@ -33,7 +33,9 @@ from .channels import (
     family_weights,
     pauli_radii,
 )
-from .states import PAULIS, _frozen, _shaped, bell_state, dm, psd_sqrt, purity
+from .states import (
+    PAULIS, _check_choice, _check_positive, _frozen, _shaped, bell_state, dm, psd_sqrt, purity,
+)
 
 MODES = ("one_sided", "two_sided")
 
@@ -195,10 +197,8 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
     Returns ``math.inf`` when the prediction never reaches zero on [0, 1]
     (the channel never breaks entanglement there).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_choice(mode, MODES, "mode")
+    _check_positive(tol, "tol")
     law = predict_one_sided if mode == "one_sided" else predict_two_sided
 
     def c_of(p):
@@ -277,8 +277,7 @@ class InitialStateSpec:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("bell", "pure_pes", "mixed_pes"):
-            raise ValueError(f"unknown initial-state kind {self.kind!r}")
+        _check_choice(self.kind, ("bell", "pure_pes", "mixed_pes"), "kind")
 
     def label(self) -> str:
         if self.kind == "bell":

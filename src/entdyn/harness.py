@@ -54,11 +54,14 @@ from .dynamics import (
     predict_x_state,
     wootters,
 )
-from .states import BASIS_KETS, bell_key, dm
+from .states import (
+    BASIS_KETS, ConfigError, _check_at_least, _check_choice, _check_positive, _check_probability,
+    bell_key, dm,
+)
 from .tomography import (
     DEFAULT_PROBE_LABELS,
     LIKELIHOODS,
-    MAX_COUNT,
+    _check_count,
     monte_carlo_errors,
     probe_outputs,
     process_matrices,
@@ -75,10 +78,6 @@ PIPELINES = ("analytic", "exact_simulation", "shot_noise")
 NOISY_QUBITS = (0, 1)
 
 DEFAULT_P_GRID = tuple(round(0.05 * i, 2) for i in range(21))
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message starts with the offending field path."""
 
 
 class NumericalError(RuntimeError):
@@ -124,17 +123,6 @@ class CharacterizationRow(NamedTuple):
     theory: tuple
 
 
-def _check_family(family, path: str = "family") -> None:
-    if family not in PAULI_FAMILIES:
-        raise ConfigError(f"{path}: unknown family {family!r}; expected one of {PAULI_FAMILIES}")
-
-
-def _check_probability(p, path: str, index=None) -> None:
-    """``p`` in [0, 1]; a grid point is named ``path[index]``, formatted only once it fails."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"{path if index is None else f'{path}[{index}]'}: value {p!r} outside [0, 1]")
-
-
 def _check_grid(p_grid, increasing: bool = False) -> None:
     """A non-empty list of probabilities, strictly increasing if ``increasing``."""
     if not p_grid:
@@ -143,18 +131,6 @@ def _check_grid(p_grid, increasing: bool = False) -> None:
         _check_probability(p, "p_grid", i)
         if increasing and i > 0 and p <= p_grid[i - 1]:
             raise ConfigError(f"p_grid[{i}]: values must be strictly increasing")
-
-
-def _check_at_least(value, low, path: str) -> None:
-    if value < low:
-        raise ConfigError(f"{path}: must be >= {low}, got {value!r}")
-
-
-def _check_count(n, path: str) -> None:
-    """Pairs per setting or counts per projector: 1 to MAX_COUNT."""
-    _check_at_least(n, 1, path)
-    if n > MAX_COUNT:
-        raise ConfigError(f"{path}: must be <= 1e18, got {n!r}")
 
 
 def _check_initial(spec, path: str) -> None:
@@ -184,23 +160,18 @@ class SweepConfig:
     initials: tuple | None = None  # extra initial states for PES sweeps
 
     def __post_init__(self):
-        _check_family(self.family)
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: expected one of {MODES}, got {self.mode!r}")
-        if self.noisy_qubit not in NOISY_QUBITS:
-            raise ConfigError(f"noisy_qubit: expected 0 or 1, got {self.noisy_qubit!r}")
+        _check_choice(self.family, PAULI_FAMILIES, "family")
+        _check_choice(self.mode, MODES, "mode")
+        _check_choice(self.noisy_qubit, NOISY_QUBITS, "noisy_qubit")
         _check_grid(self.p_grid, increasing=True)
         pl = self.pipeline
-        if pl.kind not in PIPELINES:
-            raise ConfigError(f"pipeline.kind: expected one of {PIPELINES}, got {pl.kind!r}")
+        _check_choice(pl.kind, PIPELINES, "pipeline.kind")
         _check_count(pl.n_per_setting, "pipeline.n_per_setting")
         _check_at_least(pl.trials, 2, "pipeline.trials")
         _check_at_least(pl.seed, 0, "pipeline.seed")
-        if pl.likelihood not in LIKELIHOODS:
-            raise ConfigError(f"pipeline.likelihood: expected {' or '.join(map(repr, LIKELIHOODS))}, "
-                              f"got {pl.likelihood!r}")
-        if self.p_scale is not None and not 0 < self.p_scale < math.inf:
-            raise ConfigError(f"p_scale: must be positive and finite, got {self.p_scale!r}")
+        _check_choice(pl.likelihood, LIKELIHOODS, "pipeline.likelihood")
+        if self.p_scale is not None:
+            _check_positive(self.p_scale, "p_scale")
         _check_initial(self.initial, "initial")
         labels = {}  # PES tables are keyed by label, so no two initials may share one
         for i, spec in enumerate(self.initials or ()):
@@ -336,7 +307,7 @@ def run_channel_characterization(
     ``(seed, i)``. For these channels the process matrix is diagonal in the
     Pauli basis, so the diagonal entries are its eigenvalue curves.
     """
-    _check_family(family)
+    _check_choice(family, PAULI_FAMILIES, "family")
     _check_at_least(seed, 0, "seed")
     p_grid = list(p_grid)
     _check_grid(p_grid)
@@ -462,7 +433,7 @@ def render(rows, format: str = "csv") -> str:
         return ",".join(headers) + "\n" + _fill(",".join(fields) + "\n", "", values, len(rows))
     if format == "json":
         return _json_rows(rows) + "\n"
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    _check_choice(format, ("csv", "json"), "format")  # raises: it is neither
 
 
 def render_tables(tables: dict) -> str:
@@ -494,7 +465,7 @@ def render_mesh(points, format: str = "csv") -> str:
             values = [_JSON_NON_FINITE.get(repr(x), x) for x in values]
         template = ",\n".join(["  [\n    %s,\n    %s,\n    %s\n  ]"] * len(points))
         return f"[\n{template % tuple(values)}\n]\n"
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    _check_choice(format, ("csv", "json"), "format")  # raises: it is neither
 
 
 def read_rows(path, format: str = "json") -> list[SweepRow]:
@@ -507,7 +478,7 @@ def read_rows(path, format: str = "json") -> list[SweepRow]:
         with open(path, newline="") as fh:
             records, null = list(csv.DictReader(fh)), ""
     else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+        _check_choice(format, ("csv", "json"), "format")  # raises: it is neither
     return [SweepRow(float(r["p"]), float(r["concurrence"]),
                      None if r["error"] == null else float(r["error"]), float(r["predicted"]))
             for r in records]
@@ -584,8 +555,7 @@ def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping or string, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _INITIAL_FIELDS:
-        raise ConfigError(f"{path}.kind: unknown kind {kind!r}; expected one of {sorted(_INITIAL_FIELDS)}")
+    _check_choice(kind, tuple(_INITIAL_FIELDS), f"{path}.kind")
     prefix = f"{path}."
     _known(obj, ("kind", *_INITIAL_FIELDS[kind]), prefix)
     if kind == "bell":

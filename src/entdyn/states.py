@@ -10,11 +10,13 @@ Conventions used throughout the package:
 All constructors return read-only arrays; every function is pure, so values
 can be shared freely between threads or tasks.
 
-Every module checks its array arguments with the checks defined here, each
-built on the one before: :func:`_shaped`, :func:`_finite`, :func:`_hermitian`
-and :func:`_physical` (unit trace, PSD). Validating constructors check shape
-and finiteness, operations only the shape; a failure is a ValueError
-``<argument>: <rule>``, e.g. ``rho: expected shape (4, 4), got (2, 2)``.
+Every module checks its arguments with the checks defined here: the array
+checks, each built on the one before: :func:`_shaped`, :func:`_finite`,
+:func:`_hermitian` and :func:`_physical` (unit trace, PSD), and the scalar
+rules ``_check_*`` (the count bound sits by ``MAX_COUNT`` in tomography).
+Validating constructors check shape and finiteness, operations only the
+shape; a failure is a :class:`ConfigError` ``<argument>: <rule>``, e.g.
+``rho: expected shape (4, 4), got (2, 2)`` or ``p: value 1.5 outside [0, 1]``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,35 @@ import numpy as np
 DENSITY_TOL = 1e-12  # Hermitian and unit-trace tolerance of density_matrix
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
+
+
+class ConfigError(ValueError):
+    """Invalid input, from a config field, a flag or a function argument; the
+    message starts with the offending field path or argument name."""
+
+
+def _check_probability(p, path: str, index=None) -> None:
+    """``p`` in [0, 1]; a grid point is named ``path[index]``, formatted only once it fails."""
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"{path if index is None else f'{path}[{index}]'}: value {p!r} outside [0, 1]")
+
+
+def _check_at_least(value, low, path: str) -> None:
+    if value < low:
+        raise ConfigError(f"{path}: must be >= {low}, got {value!r}")
+
+
+def _check_positive(value, path: str) -> None:
+    """``value`` positive and finite."""
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{path}: must be positive and finite, got {value!r}")
+
+
+def _check_choice(value, choices: tuple, path: str) -> None:
+    """``value`` one of ``choices``, else ``path: expected 'a', 'b' or 'c', got 'x'``."""
+    if value not in choices:
+        *rest, last = map(repr, choices)
+        raise ConfigError(f"{path}: expected {', '.join(rest)} or {last}, got {value!r}")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -44,14 +75,14 @@ def _shaped(name: str, value, *shapes, dtype=complex) -> np.ndarray:
     if not shapes and m.ndim == 2 and m.shape[0] == m.shape[1]:
         return m
     expected = f"shape {' or '.join(map(str, shapes))}" if shapes else "a square matrix"
-    raise ValueError(f"{name}: expected {expected}, got {m.shape}")
+    raise ConfigError(f"{name}: expected {expected}, got {m.shape}")
 
 
 def _finite(name: str, value, *shapes, dtype=complex) -> np.ndarray:
     """:func:`_shaped`, and every entry finite."""
     m = _shaped(name, value, *shapes, dtype=dtype)
     if np.count_nonzero(np.isfinite(m)) < m.size:
-        raise ValueError(f"{name}: entries must be finite")
+        raise ConfigError(f"{name}: entries must be finite")
     return m
 
 
@@ -59,7 +90,7 @@ def _hermitian(name: str, value, *shapes, tol: float) -> np.ndarray:
     """:func:`_finite`, and no entry of m - m^dag larger than ``tol``."""
     m = _finite(name, value, *shapes)
     if np.abs(m - m.conj().T).max() > tol:
-        raise ValueError(f"{name}: matrix is not Hermitian")
+        raise ConfigError(f"{name}: matrix is not Hermitian")
     return m
 
 
@@ -69,10 +100,10 @@ def _physical(name: str, value, *shapes, tol: float, psd_tol: float) -> np.ndarr
     m = _hermitian(name, value, *shapes, tol=tol)
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > tol:
-        raise ValueError(f"{name}: trace is {trace!r}, expected 1")
+        raise ConfigError(f"{name}: trace is {trace!r}, expected 1")
     min_eig = float(np.linalg.eigvalsh(m)[0])
     if min_eig < -psd_tol:
-        raise ValueError(f"{name}: matrix is not positive semidefinite: min eigenvalue {min_eig!r}")
+        raise ConfigError(f"{name}: matrix is not positive semidefinite: min eigenvalue {min_eig!r}")
     return m
 
 
@@ -107,7 +138,7 @@ def ket(amplitudes) -> np.ndarray:
     v = _finite("amplitudes", amplitudes, (2,), (4,))
     norm_sq = float(np.vdot(v, v).real)
     if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"ket is not normalized: |psi|^2 = {norm_sq!r}")
+        raise ConfigError(f"amplitudes: ket is not normalized: |psi|^2 = {norm_sq!r}")
     return _frozen(v.copy())
 
 
@@ -150,8 +181,7 @@ def tensor_product(a, b) -> np.ndarray:
 def partial_trace(rho, keep: int) -> np.ndarray:
     """Trace out one qubit of a two-qubit operator, keeping qubit ``keep`` (0 or 1)."""
     m = _shaped("rho", rho, (4, 4))
-    if keep not in (0, 1):
-        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
+    _check_choice(keep, (0, 1), "keep")
     t = m.reshape(2, 2, 2, 2)  # indices: row0, row1, col0, col1
     if keep == 0:
         out = np.einsum("ijkj->ik", t)
@@ -171,7 +201,7 @@ def density_from_bloch(vec) -> np.ndarray:
     v = _finite("vec", vec, (3,), dtype=float)
     norm = float(np.linalg.norm(v))
     if norm > 1.0 + PSD_TOL:
-        raise ValueError(f"Bloch vector has norm {norm!r} > 1")
+        raise ConfigError(f"vec: Bloch vector has norm {norm!r} > 1")
     out = 0.5 * (SIGMA_0 + v[0] * SIGMA_1 + v[1] * SIGMA_2 + v[2] * SIGMA_3)
     return _frozen(out)
 

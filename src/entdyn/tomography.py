@@ -39,7 +39,10 @@ import numpy as np
 
 from .channels import bloch_affine_map, pauli_transfer_matrix
 from .dynamics import wootters
-from .states import BASIS_KETS, PAULIS, _frozen, _hermitian, dm
+from .states import (
+    BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _finite,
+    _frozen, _hermitian, dm,
+)
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -53,6 +56,14 @@ LIKELIHOODS = ("gaussian", "poisson")
 #: below that by ~1e9 standard deviations); numpy's Poisson sampler, which
 #: the bootstrap resamples counts with, takes means up to ~9.2e18.
 MAX_COUNT = 10**18
+
+
+def _check_count(n, path: str, low: int = 1, scale: int = 1) -> None:
+    """``n`` from ``low`` to ``scale`` * MAX_COUNT: a mean count, or a record's with low=0, scale=2."""
+    if not low <= n <= scale * MAX_COUNT:
+        _check_at_least(n, low, path)
+        raise ConfigError(f"{path}: must be <= {scale}e18, got {n!r}")
+
 
 _PROJECTORS = {label: dm(ket) for label, ket in BASIS_KETS.items()}
 
@@ -89,9 +100,8 @@ class MeasurementSetting:
     proj_b: str
 
     def __post_init__(self):
-        for label in (self.proj_a, self.proj_b):
-            if label not in PROJECTOR_LABELS:
-                raise ValueError(f"unknown projector label {label!r}")
+        _check_choice(self.proj_a, PROJECTOR_LABELS, "proj_a")
+        _check_choice(self.proj_b, PROJECTOR_LABELS, "proj_b")
 
     def operator(self) -> np.ndarray:
         return _OPERATOR_STACK[_SETTING_INDEX[(self.proj_a, self.proj_b)]]
@@ -106,10 +116,8 @@ class CountRecord:
     exposure: float
 
     def __post_init__(self):
-        if not 0 <= self.count <= 2 * MAX_COUNT:
-            raise ValueError(f"count must be between 0 and 2e18, got {self.count!r}")
-        if not 0 < self.exposure < math.inf:
-            raise ValueError(f"exposure must be positive and finite, got {self.exposure!r}")
+        _check_count(self.count, "count", low=0, scale=2)
+        _check_positive(self.exposure, "exposure")
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,7 @@ class ErrorEstimate:
 
 def projector(label: str) -> np.ndarray:
     """Single-qubit projector for one of the labels H, V, D, A, R, L."""
-    if label not in _PROJECTORS:
-        raise ValueError(f"unknown projector label {label!r}")
+    _check_choice(label, PROJECTOR_LABELS, "label")
     return _PROJECTORS[label]
 
 
@@ -185,8 +192,8 @@ def simulate_counts(rho, settings, n_per_setting: int, seed) -> list[CountRecord
     sequence of settings is drawn, informationally complete or not. ``seed``
     may be an int or a sequence of ints.
     """
-    if not 1 <= n_per_setting <= MAX_COUNT:
-        raise ValueError(f"n_per_setting must be >= 1 and <= 1e18, got {n_per_setting!r}")
+    _check_count(n_per_setting, "n_per_setting")
+    rho = _finite("rho", rho, (4, 4))
     settings = list(settings)
     operators = _OPERATOR_STACK[[_SETTING_INDEX[(s.proj_a, s.proj_b)] for s in settings]]
     means = n_per_setting * np.maximum(np.einsum("sab,ba->s", operators, rho).real, 0.0)
@@ -266,7 +273,11 @@ def linear_inversion_state(records) -> np.ndarray:
     (:func:`_design`), so the seeds of a scan's fits share one
     decomposition; raises if the settings are not informationally complete.
     """
-    design, counts, exposures = _arrays(records)
+    return _linear_inversion(*_arrays(records))
+
+
+def _linear_inversion(design: _Design, counts, exposures) -> np.ndarray:
+    """:func:`linear_inversion_state` of count arrays."""
     x = design.pinv @ (counts / exposures)
     rho = x.reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
@@ -298,8 +309,7 @@ def _objective(likelihood: str, design: _Design, counts, exposures):
     gradient and no curvature; the term linear in p is not clipped, so a
     setting without counts stays smooth down to p = 0.
     """
-    if likelihood not in LIKELIHOODS:
-        raise ValueError(f"likelihood must be one of {LIKELIHOODS}, got {likelihood!r}")
+    _check_choice(likelihood, LIKELIHOODS, "likelihood")
     gaussian = likelihood == "gaussian"
     forms = design.forms
     stacked = forms.reshape(-1, 256)  # row s is Q_s
@@ -441,12 +451,11 @@ def reconstruct_state_mle(
     from a given density matrix, which must be a finite Hermitian 4x4
     matrix, instead of the linear-inversion seed.
     """
-    if max_evals < 1:
-        raise ValueError(f"max_evals must be >= 1, got {max_evals!r}")
-    records = list(records)
-    seed_rho = (linear_inversion_state(records) if initial is None
+    _check_at_least(max_evals, 1, "max_evals")
+    design, counts, exposures = _arrays(records)
+    seed_rho = (_linear_inversion(design, counts, exposures) if initial is None
                 else _hermitian("initial", initial, (4, 4), tol=1e-10))
-    return _fit(likelihood, *_arrays(records), _params_from_rho(seed_rho), max_evals)
+    return _fit(likelihood, design, counts, exposures, _params_from_rho(seed_rho), max_evals)
 
 
 #: Registered estimators of a (trials, 4, 4) stack; purity rounds as ``purity`` does.
@@ -487,11 +496,9 @@ def monte_carlo_errors(
     counted. Refits that end with ``converged=False`` stay in the spread and
     are counted as ``unconverged``.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials!r}")
+    _check_at_least(trials, 2, "trials")
     if isinstance(estimator, str):
-        if estimator not in _ESTIMATORS:
-            raise ValueError(f"unknown estimator {estimator!r}; registered: {sorted(_ESTIMATORS)}")
+        _check_choice(estimator, tuple(_ESTIMATORS), "estimator")
         name, evaluate = estimator, _ESTIMATORS[estimator]
     else:
         name, evaluate = getattr(estimator, "__name__", "custom"), functools.partial(_each, estimator)
@@ -583,8 +590,8 @@ def probe_outputs(ptm, probe_labels=DEFAULT_PROBE_LABELS, n_per_projector=None, 
     Bloch components are the normalized count differences, and a vector
     longer than 1 is scaled back into the ball.
     """
-    if n_per_projector is not None and not 1 <= n_per_projector <= MAX_COUNT:
-        raise ValueError(f"n_per_projector must be >= 1 and <= 1e18, got {n_per_projector!r}")
+    if n_per_projector is not None:
+        _check_count(n_per_projector, "n_per_projector")
     rho_in = np.array([dm(BASIS_KETS[label]) for label in probe_labels])
     components = np.einsum("iab,kba->ki", _PAULI_STACK, rho_in)  # Tr(sigma_i rho)
     mapped = np.einsum("nij,kj->nki", np.asarray(ptm), components)
@@ -625,8 +632,8 @@ def ellipsoid_mesh(channel, n_theta: int = 25, n_phi: int = 50) -> np.ndarray:
     Returns an (n_theta * n_phi, 3) array of Cartesian points; for a
     completely positive unital channel every point stays inside the ball.
     """
-    if n_theta < 2 or n_phi < 1:
-        raise ValueError("mesh needs n_theta >= 2 and n_phi >= 1")
+    _check_at_least(n_theta, 2, "n_theta")
+    _check_at_least(n_phi, 1, "n_phi")
     m = bloch_affine_map(channel)
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
@@ -679,7 +686,7 @@ def read_counts_csv(path) -> list[CountRecord]:
     if not records:
         raise ValueError(f"no count records in {path}")
     try:
-        _arrays(records)
+        _design(tuple(rows))
     except ValueError as exc:
         missing = [a + b for a, b in _STANDARD_KEYS if (a, b) not in rows]
         raise ValueError(

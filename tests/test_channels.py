@@ -302,7 +302,7 @@ class TestFamilies:
                 channel = channel_for(family, row)
                 assert np.array_equal(w, pauli_transfer_matrix(channel))
                 assert np.array_equal(r, radii_from_chi(channel))
-        with pytest.raises(ValueError, match="unknown channel family"):
+        with pytest.raises(ValueError, match="family: expected"):
             family_weights("amplitude-damping", p)
 
 
@@ -481,7 +481,7 @@ class TestUnitalChannel:
             monkeypatch.setattr(entdyn.channels, rule.__name__, counted(rule))
         decompose_unital(np.diag([0.5, 0.5, 0.2]))
         assert len(calls) == 1
-        message = r"^radii are not completely positive: \|R1 \+ R2\| = 2 > \|1 \+ R3\| = 0; "
+        message = r"^radii: not completely positive: \|R1 \+ R2\| = 2 > \|1 \+ R3\| = 0; "
         with pytest.raises(ValueError, match=message):
             UnitalChannel(np.eye(2), np.eye(2), (1, 1, -1))
         assert len(calls) == 2
@@ -491,9 +491,9 @@ class TestUnitalChannel:
 
     def test_rotation_errors_name_the_rotation(self):
         bad = np.array([[1.0, 0.0], [0.0, 1.1]])
-        with pytest.raises(ValueError, match="^pre_rotation is not unitary$"):
+        with pytest.raises(ValueError, match="^pre_rotation: matrix is not unitary$"):
             UnitalChannel(bad, np.eye(2), (1, 1, 1))
-        with pytest.raises(ValueError, match="^post_rotation is not unitary$"):
+        with pytest.raises(ValueError, match="^post_rotation: matrix is not unitary$"):
             UnitalChannel(np.eye(2), bad, (1, 1, 1))
         with pytest.raises(ValueError, match=r"^post_rotation: expected shape \(2, 2\), got \(3, 3\)$"):
             UnitalChannel(np.eye(2), np.eye(3), (1, 1, 1))
@@ -502,9 +502,9 @@ class TestUnitalChannel:
 class TestValidationAndSerialization:
     def test_pauli_channel_invariants(self):
         # values are quoted as Python numbers, not numpy scalar reprs
-        with pytest.raises(ValueError, match=r"^chi_diag must be non-negative, got chi_1 = -0\.1$"):
+        with pytest.raises(ValueError, match=r"^chi_diag: must be non-negative, got chi_1 = -0\.1$"):
             PauliChannel([1.1, -0.1, 0, 0])
-        with pytest.raises(ValueError, match=r"^chi_diag must sum to 1, got 0\.5$"):
+        with pytest.raises(ValueError, match=r"^chi_diag: must sum to 1, got 0\.5$"):
             PauliChannel([0.25, 0.125, 0.0625, 0.0625])
 
     def test_unital_channel_invariants(self):
@@ -558,7 +558,7 @@ class TestValidationAndSerialization:
             channel_from_json({"family": "isotropic", "p": 0.2, "chi": [1, 0, 0, 0]})
         with pytest.raises(ValueError, match="exactly"):
             channel_from_json({"family": "pauli", "p": 0.2})
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match="family: expected"):
             channel_from_json({"family": "squeezing", "p": 0.2})
 
     def test_kraus_operators_complete(self):

@@ -150,14 +150,14 @@ def test_probe_rank(labels, rank):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_non_positive_counts_rejected(n):
-    with pytest.raises(ValueError, match="n_per_projector must be >= 1"):
+    with pytest.raises(ValueError, match="n_per_projector: must be >= 1"):
         simulate_probe_outputs(channel_for("isotropic", 0.2), n_per_projector=n, seed=1)
     with pytest.raises(ValueError, match="n_per_projector"):
         run_channel_characterization("isotropic", (0.2,), n_per_probe=n)
 
 
 def test_counts_above_the_limit_rejected():
-    with pytest.raises(ValueError, match="n_per_projector must be >= 1 and <= 1e18"):
+    with pytest.raises(ValueError, match="n_per_projector: must be <= 1e18"):
         simulate_probe_outputs(channel_for("isotropic", 0.2), n_per_projector=MAX_COUNT + 1, seed=1)
     pairs = simulate_probe_outputs(channel_for("isotropic", 0.2), n_per_projector=MAX_COUNT, seed=1)
     assert np.max(np.abs(process_tomography_single_qubit(pairs).diagonal().real

@@ -12,6 +12,7 @@ import pytest
 
 import entdyn.cli
 import entdyn.harness
+import entdyn.tomography
 from entdyn.cli import build_parser, main
 from entdyn.dynamics import MODES
 from entdyn.harness import (
@@ -400,6 +401,26 @@ def test_counts_above_the_limit_exit_1(tmp_path, capsys, argv, message):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("counts_in", [False, True], ids=["simulated", "counts_in"])
+def test_tomo_sim_converts_records_to_arrays_twice(tmp_path, monkeypatch, capsys, counts_in):
+    # one conversion for the fit and its linear-inversion seed, one for the
+    # bootstrap; a counts file's completeness check reads the keys it collected
+    path = tmp_path / "counts.csv"
+    argv = ["tomo-sim", "--p", "0.3", "--trials", "2", "--counts", "1000", "--seed", "3"]
+    assert main([*argv, "--counts-out", str(path)]) == 0
+    calls = []
+
+    def counted(name):
+        fn = getattr(entdyn.tomography, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("_arrays", "linear_inversion_state"):
+        monkeypatch.setattr(entdyn.tomography, name, counted(name))
+    assert main([*argv, *(["--counts-in", str(path)] if counts_in else [])]) == 0
+    assert calls == ["_arrays", "_arrays"]
+    capsys.readouterr()
+
+
 def test_counts_in_above_the_limit_names_the_row(tmp_path, capsys):
     records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=2)
     path = tmp_path / "counts.csv"
@@ -410,7 +431,7 @@ def test_counts_in_above_the_limit_names_the_row(tmp_path, capsys):
     assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"{path}: malformed count record on data row 3" in err
-    assert "count must be between 0 and 2e18" in err
+    assert "count: must be <= 2e18" in err
 
 
 @pytest.mark.parametrize("verb", ["sweep", "pes-sweep"])
@@ -651,6 +672,7 @@ def test_vocabulary_flags_offer_the_config_reader_vocabularies():
      ([], {"pipeline": {"seed": -1}}, "pipeline.seed: must be >= 0, got -1"),
      ([], {"initials": ["pes:0.1", "pes:nan"]}, "initials[1].delta: must be finite, got nan"),
      ([], {"initial": "bell:nope"}, "initial.bell: unknown Bell state 'nope'"),
+     ([], {"mode": "x"}, "mode: expected 'one_sided' or 'two_sided', got 'x'"),
      # the reader's own rule for a config that is not a mapping
      ([], [1], "config: expected a mapping, got list"),
      ([], {"noisy_qubit": 2}, "noisy_qubit: expected 0 or 1, got 2"),
@@ -680,17 +702,35 @@ def test_malformed_input_names_the_field(tmp_path, argv, config, message):
     assert not (tmp_path / "out").exists()
 
 
+def _matrix(re):
+    """A 2x2 real matrix in the matrix JSON form of channel descriptions."""
+    return {"dim": 2, "re": re, "im": [0, 0, 0, 0]}
+
+
+_EYE = _matrix([1, 0, 0, 1])
+
+
 @pytest.mark.parametrize(
     "channel, message",
     [({"family": "isotropic", "p": None}, "p: float() argument must be"),
      ({"family": "isotropic", "p": "x"}, "p: could not convert string to float: 'x'"),
-     ({"family": "isotropic", "p": 1.5}, "p: probability must be in [0, 1], got 1.5"),
+     ({"family": "isotropic", "p": 1.5}, "p: value 1.5 outside [0, 1]"),
      ({"family": "pauli", "chi": "abc"}, "chi: could not convert string to float: 'abc'"),
      ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: chi_diag: entries must be finite"),
      ({"family": "pauli", "chi": [1.5, 0, 0, -0.5]},
-      "chi: chi_diag must be non-negative, got chi_3 = -0.5\n"),
+      "chi: chi_diag: must be non-negative, got chi_3 = -0.5\n"),
      ({"family": "unital", "radii": [1, 1, 1], "u": 5,
        "v": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}}, "u: malformed matrix object"),
+     # a unital channel's rule names the file's key, not the UnitalChannel field
+     ({"family": "unital", "radii": [1, 1, 1], "u": _EYE, "v": _matrix([2, 0, 0, 2])},
+      "v: matrix is not unitary\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": _EYE, "v": _matrix([float("nan"), 0, 0, 1])},
+      "v: entries must be finite\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": _matrix([0, 2, 1, 0]), "v": _EYE},
+      "u: matrix is not unitary\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": _matrix([1, 0, 0, float("inf")]), "v": _EYE},
+      "u: entries must be finite\n"),
+     ({"family": "unital", "radii": [1, 1, -1], "u": _EYE, "v": _EYE}, "radii: not completely positive: "),
      ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'")],
 )
 def test_ellipsoid_channel_file_errors_name_file_and_field(tmp_path, capsys, channel, message):

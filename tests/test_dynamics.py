@@ -243,7 +243,7 @@ class TestBreakingPoints:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_bad_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(ValueError, match="tol: must be positive and finite"):
             breaking_point("two-field", "one_sided", tol)
 
     @pytest.mark.parametrize(
