@@ -44,6 +44,11 @@ def _check_at_least(value, low, path: str) -> None:
         raise ConfigError(f"{path}: must be >= {low}, got {value!r}")
 
 
+def _check_finite(value, path: str) -> None:
+    if not -np.inf < value < np.inf:
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+
+
 def _check_positive(value, path: str) -> None:
     """``value`` positive and finite."""
     if not 0 < value < np.inf:
@@ -148,15 +153,15 @@ def dm(psi) -> np.ndarray:
     return _frozen(np.outer(v, v.conj()))
 
 
-def bell_key(name) -> str:
+def bell_key(name, path: str = "bell") -> str:
     """The :data:`BELL_KETS` key of a Bell-state name: a key or a short form
     ``phi+``, ``phi-``, ``psi+``, ``psi-``, in any case. Anything else, a
-    non-string included, is a ValueError."""
+    non-string included, fails as a choice named ``path``."""
     if isinstance(name, str):
         key = name.strip().lower().replace("+", "_plus").replace("-", "_minus")
         if key in BELL_KETS:
             return key
-    raise ValueError(f"unknown Bell state {name!r}; expected one of {sorted(BELL_KETS)}")
+    _check_choice(name, tuple(BELL_KETS), path)  # raises: no key has this form
 
 
 def bell_state(name: str) -> np.ndarray:

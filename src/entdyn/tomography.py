@@ -503,10 +503,10 @@ def monte_carlo_errors(
     else:
         name, evaluate = getattr(estimator, "__name__", "custom"), functools.partial(_each, estimator)
 
-    records = list(records)
     design, observed, exposures = _arrays(records)
-    if base is None:
-        base = reconstruct_state_mle(records, likelihood=likelihood)
+    if base is None:  # the fit reconstruct_state_mle makes, on the arrays already converted
+        seed_rho = _linear_inversion(design, observed, exposures)
+        base = _fit(likelihood, design, observed, exposures, _params_from_rho(seed_rho), _MAX_EVALS)
     t0 = _params_from_rho(_hermitian("base.rho_hat", base.rho_hat, (4, 4), tol=1e-10))
     seed_parts = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     draws = np.array([np.random.default_rng([*seed_parts, trial]).poisson(observed)

@@ -27,6 +27,8 @@ from entdyn.tomography import (
     LIKELIHOODS, MAX_COUNT, simulate_counts, standard_settings, write_counts_csv,
 )
 
+BELLS = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
+
 
 def test_sweep_to_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
@@ -442,7 +444,7 @@ def test_unknown_bell_state_exit_1(tmp_path, capsys, verb, pipeline):
             "--out", str(out)]
     assert main(argv) == 1
     field = "initial.bell" if verb == "sweep" else "initials[0].bell"
-    assert capsys.readouterr().err.startswith(f"error: {field}: unknown Bell state 'nope'")
+    assert capsys.readouterr().err.startswith(f"error: {field}: {BELLS}, got 'nope'")
     assert not out.exists()
 
 
@@ -646,7 +648,7 @@ def test_vocabulary_flags_offer_the_config_reader_vocabularies():
      (["sweep", "--p-grid", "inf:1:3"], None, "p_grid.start: must be finite, got inf"),
      (["characterize", "--family", "isotropic", "--p-grid", "0:1:x"], None,
       "p_grid.points: expected int, got 'x'"),
-     ([], {"initial": {"kind": "bell", "bell": 5}}, "initial.bell: unknown Bell state 5"),
+     ([], {"initial": {"kind": "bell", "bell": 5}}, f"initial.bell: {BELLS}, got 5"),
      ([], {"initial": {"kind": "pure_pes", "delta": "x"}}, "initial.delta: expected float, got 'x'"),
      ([], {"initials": ["pes:0.1", {"kind": "mixed_pes", "delta": 0.1}]},
       "initials[1].dephasing: missing"),
@@ -671,7 +673,7 @@ def test_vocabulary_flags_offer_the_config_reader_vocabularies():
      ([], {"pipeline": {"trials": 1}}, "pipeline.trials: must be >= 2, got 1"),
      ([], {"pipeline": {"seed": -1}}, "pipeline.seed: must be >= 0, got -1"),
      ([], {"initials": ["pes:0.1", "pes:nan"]}, "initials[1].delta: must be finite, got nan"),
-     ([], {"initial": "bell:nope"}, "initial.bell: unknown Bell state 'nope'"),
+     ([], {"initial": "bell:nope"}, f"initial.bell: {BELLS}, got 'nope'"),
      ([], {"mode": "x"}, "mode: expected 'one_sided' or 'two_sided', got 'x'"),
      # the reader's own rule for a config that is not a mapping
      ([], [1], "config: expected a mapping, got list"),

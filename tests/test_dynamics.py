@@ -407,5 +407,6 @@ class TestTwoSidedUnitalLaw:
                     predict_two_sided(radii_from_chi(ch)), abs=1e-12)
 
     def test_unknown_bell_state_rejected(self):
-        with pytest.raises(ValueError, match="unknown Bell state"):
+        bells = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
+        with pytest.raises(ValueError, match=f"bell: {bells}, got 'omega'"):
             predict_two_sided_unital(isotropic_channel(0.1), "omega")

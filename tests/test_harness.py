@@ -445,10 +445,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("pipeline", ["analytic", "exact", "shot_noise"])
     def test_unknown_bell_state(self, pipeline):
-        with pytest.raises(ConfigError, match=r"^initial\.bell: unknown Bell state 'nope'"):
+        bells = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
+        with pytest.raises(ConfigError, match=rf"^initial\.bell: {bells}, got 'nope'"):
             sweep_config_from_dict({"initial": "bell:nope", "pipeline": pipeline})
         initials = ["bell:psi-", {"kind": "bell", "bell": "nope"}]
-        with pytest.raises(ConfigError, match=r"^initials\[1\]\.bell: unknown Bell state 'nope'"):
+        with pytest.raises(ConfigError, match=rf"^initials\[1\]\.bell: {bells}, got 'nope'"):
             sweep_config_from_dict({"initials": initials, "pipeline": pipeline})
 
     def test_bad_trials(self):

@@ -57,6 +57,7 @@ from entdyn.tomography import (
     standard_settings,
 )
 
+_BELLS = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
 _RECORDS = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=0)
 _CHANNEL = isotropic_channel(0.2)
 
@@ -228,6 +229,13 @@ SCALAR_CASES = {
     "config.p_scale": (lambda: sweep_config_from_dict({"p_scale": "inf"}),
                        "p_scale: must be positive and finite, got inf"),
     "flag.p_scale": (_flag("sweep", "--p-scale", "-1"), "p_scale: must be positive and finite, got -1.0"),
+    # finite
+    "config.initial_delta": (
+        lambda: sweep_config_from_dict({"initial": {"kind": "pure_pes", "delta": "nan"}}),
+        "initial.delta: must be finite, got nan"),
+    "config.p_grid_start": (
+        lambda: sweep_config_from_dict({"p_grid": {"start": "inf", "stop": 1, "points": 3}}),
+        "p_grid.start: must be finite, got inf"),
     # one of a vocabulary
     "family_weights.family": (lambda: family_weights("x", 0.5),
                               "family: expected 'two-field', 'isotropic' or 'dephasing', got 'x'"),
@@ -257,6 +265,9 @@ SCALAR_CASES = {
                             "initial.kind: expected 'bell', 'pure_pes' or 'mixed_pes', got 'x'"),
     "flag.initial_kind": (_flag("sweep", "--initial", "x:1"),
                           "initial.kind: expected 'bell', 'pure_pes' or 'mixed_pes', got 'x'"),
+    "bell_state.name": (lambda: bell_state("nope"), f"bell: {_BELLS}, got 'nope'"),
+    "config.initial_bell": (lambda: sweep_config_from_dict({"initial": {"kind": "bell", "bell": 5}}),
+                            f"initial.bell: {_BELLS}, got 5"),
     "MeasurementSetting.proj_a": (lambda: MeasurementSetting("Q", "H"),
                                   "proj_a: expected 'H', 'V', 'D', 'A', 'R' or 'L', got 'Q'"),
     "MeasurementSetting.proj_b": (lambda: MeasurementSetting("H", "Q"),

@@ -259,9 +259,10 @@ def test_bell_key_normalises_names(name, key):
 
 @pytest.mark.parametrize("name", ["nope", "", "phi", 5, None, ["phi+"]])
 def test_bell_key_rejects_other_names(name):
-    with pytest.raises(ValueError, match=r"^unknown Bell state .*; expected one of"):
+    bells = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
+    with pytest.raises(ValueError, match=rf"^bell: {bells}, got "):
         bell_key(name)
-    with pytest.raises(ValueError, match="unknown Bell state"):
+    with pytest.raises(ValueError, match=f"bell: {bells}, got "):
         bell_state(name)
 
 

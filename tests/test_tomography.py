@@ -390,6 +390,26 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_errors([], trials=1, estimator="purity", seed=1)
 
+    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
+    def test_own_base_fit_is_the_public_fit(self, likelihood):
+        records = simulate_counts(bell_state("psi+"), standard_settings(), 1000, seed=7)
+        base = reconstruct_state_mle(records, likelihood=likelihood)
+        own = monte_carlo_errors(records, 4, "concurrence", (7, 1), likelihood=likelihood)
+        given = monte_carlo_errors(records, 4, "concurrence", (7, 1), likelihood=likelihood,
+                                   base=base)
+        assert own == given
+
+    @pytest.mark.parametrize("with_base", [False, True], ids=["own_base", "given_base"])
+    def test_converts_records_to_arrays_once(self, monkeypatch, with_base):
+        records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=8)
+        base = reconstruct_state_mle(records) if with_base else None
+        calls = []
+        original = entdyn.tomography._arrays
+        monkeypatch.setattr(entdyn.tomography, "_arrays",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        monte_carlo_errors(records, 2, "purity", 8, base=base)
+        assert len(calls) == 1
+
 
 def per_trial_bootstrap(records, trials, estimator, seed, likelihood, base):
     """The per-trial bootstrap loop that the array bootstrap replaced, from

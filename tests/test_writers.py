@@ -42,6 +42,12 @@ def mesh_json_reference(mesh) -> str:
     return json.dumps([[float(x) for x in point] for point in mesh], indent=2) + "\n"
 
 
+def lines(text) -> list[str]:
+    """Text as a list of lines, which pytest compares line by line without
+    diffing the whole text when long outputs differ."""
+    return text.splitlines(keepends=True)
+
+
 def layout(row) -> tuple[list, list]:
     """Header and cells of a row, as docs/file_formats.md lists the columns."""
     if isinstance(row, SweepRow):
@@ -142,6 +148,38 @@ class TestMesh:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             render_mesh(np.zeros((1, 3)), "xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("size", [(50, 100), (25, 50)], ids=["50x100", "25x50"])
+    def test_named_families_at_benchmark_and_default_sizes(self, fmt, size):
+        # mostly repeated coordinates: these take the deduplicated fill
+        reference = mesh_csv_reference if fmt == "csv" else mesh_json_reference
+        for family in ("two-field", "isotropic", "dephasing"):
+            for p in (0.0, 0.25, 0.75, 1.0):
+                mesh = ellipsoid_mesh(channel_for(family, p), *size)
+                assert lines(render_mesh(mesh, fmt)) == lines(reference(mesh))
+
+    def test_repeated_special_values_keep_their_bits(self):
+        # -0.0 and 0.0 are equal floats with different text, so repeats are
+        # keyed by bit pattern; 8 distinct values in 6000 take the deduplicated fill
+        block = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 6.123233995736766e-17, 1e16]
+        points = np.tile(block, 750).reshape(2000, 3)
+        assert lines(render_mesh(points, "csv")) == lines(mesh_csv_reference(points))
+        assert lines(render_mesh(points, "json")) == lines(mesh_json_reference(points))
+
+    def test_repeat_share_of_named_and_random_meshes(self):
+        # the input property the fill's 75%-distinct cutoff reads
+        def distinct(mesh):
+            return len(np.unique(mesh.ravel().view(np.int64))) / mesh.size
+
+        for size in ((50, 100), (25, 50)):
+            for family in ("two-field", "isotropic", "dephasing"):
+                for p in (0.0, 0.25, 0.37, 0.75, 1.0):
+                    assert distinct(ellipsoid_mesh(channel_for(family, p), *size)) <= 0.55
+        rng = np.random.default_rng(21)
+        for i in range(20):
+            size = ((50, 100), (25, 50))[i % 2]
+            assert distinct(ellipsoid_mesh(random_unital_channel(rng), *size)) >= 0.9
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cli_named_and_channel_file(self, tmp_path, fmt):
