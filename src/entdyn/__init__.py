@@ -8,44 +8,27 @@ reconstruction and Monte Carlo error bars.
 
 from .states import (
     bell_state,
-    bloch_vector,
-    density_from_bloch,
-    density_matrix,
     dm,
     fidelity,
-    hermitian_eigenvalues,
-    ket,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     purity,
-    tensor_product,
-    trace_distance,
 )
 from .channels import (
     PauliChannel,
     UnitalChannel,
-    apply,
     apply_one_sided,
     apply_two_sided,
     bloch_affine_map,
     channel_for,
     channel_from_json,
+    channel_radii,
     channel_to_json,
     chi_from_radii,
     compose,
     decompose_unital,
-    dephasing_channel,
-    hwp_angle_to_p,
     is_completely_positive,
-    isotropic_channel,
-    kraus_operators,
-    noise_probability,
-    pauli_channel_from_radii,
     pauli_transfer_matrix,
-    process_matrix,
-    radii_from_chi,
-    two_field_channel,
 )
 from .dynamics import (
     ConcurrenceResult,

@@ -1,24 +1,24 @@
 """Nondissipative single-qubit channels and their geometry.
 
-Every channel operation reads one representation: the real 4x4
-Pauli-transfer matrix (PTM) R_ij = Tr(sigma_i Phi(sigma_j)) / 2 built by
-:func:`pauli_transfer_matrix`, whose lower-right 3x3 block is the affine map
-the channel induces on the Bloch sphere. Only that function tells apart the
-forms a channel is described and serialized in:
+A channel is one of two immutable value objects:
 
-* a 4x4 process matrix ``chi`` over the Pauli operator basis
-  (sigma_0..sigma_3), validated by :func:`process_matrix`;
-* a :class:`PauliChannel`, the diagonal-``chi`` special case: the state is
-  left alone or flipped by sigma_1/sigma_2/sigma_3 with fixed weights;
-* a :class:`UnitalChannel`, a diagonal map sandwiched between two unitary
+* a :class:`PauliChannel`: the state is left alone or flipped by
+  sigma_1/sigma_2/sigma_3 with fixed weights (a diagonal process matrix);
+* a :class:`UnitalChannel`: a diagonal map sandwiched between two unitary
   rotations, parameterized by the signed primary radii of the ellipsoid the
   Bloch sphere is mapped onto.
 
+Both are unital by construction, and each builds its real 4x4
+Pauli-transfer matrix (PTM) R_ij = Tr(sigma_i Phi(sigma_j)) / 2 once;
+:func:`pauli_transfer_matrix` returns it, and every channel operation reads
+that. The PTM's lower-right 3x3 block is the map the channel induces on the
+Bloch sphere.
+
 A Pauli channel's radii and diagonal weights are linked by an affine
-bijection (:func:`radii_from_chi` / :func:`chi_from_radii`); complete
-positivity is the tetrahedron condition |R_i +- R_j| <= |1 +- R_k|. For any
-other channel :func:`radii_from_chi` gives the radii of its Pauli twirl, and
-:func:`channel_radii` those of the ellipsoid it maps the Bloch sphere onto.
+bijection (the PTM diagonal / :func:`chi_from_radii`); complete positivity
+is the tetrahedron condition |R_i +- R_j| <= |1 +- R_k|. For any unital
+channel :func:`channel_radii` gives the radii of the ellipsoid it maps the
+Bloch sphere onto.
 
 The named families' weights (:func:`family_weights`) and their PTMs and
 radii (:func:`pauli_ptm`, :func:`pauli_radii`) also come as stacks over an
@@ -26,7 +26,7 @@ array of noise probabilities, and :func:`apply_ptm` evolves two-qubit states
 through a whole (..., 4, 4) stack of PTMs, so a sweep needs no channel object
 per point.
 
-All channel objects are immutable value objects and all functions are pure.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
-    PAULIS, SIGMA_0, ConfigError, _check_choice, _check_probability, _finite, _frozen, _physical,
-    _shaped, matrix_from_json, matrix_to_json,
+    PAULIS, SIGMA_0, ConfigError, _check_choice, _check_probability, _finite, _frozen, _shaped,
+    matrix_from_json, matrix_to_json,
 )
 
 CP_TOL = 1e-12
@@ -45,21 +45,10 @@ UNITARY_TOL = 1e-12
 
 PAULI_FAMILIES = ("two-field", "isotropic", "dephasing")
 
-# Row i is sigma_i flattened, so Tr(sigma_i rho) = (conj(row) . vec(rho)).
-_PAULI_ROWS = _frozen(np.array(PAULIS).reshape(4, 4))
-
 # Row 4i + j is sigma_i (x) sigma_j flattened: the two-qubit Pauli basis.
 _TWO_QUBIT_PAULIS = _frozen(np.einsum("iac,jbd->ijabcd", PAULIS, PAULIS).reshape(16, 16))
 # vec(rho) @ _TWO_QUBIT_PAULIS_H is the vector of Tr(rho sigma_i (x) sigma_j).
 _TWO_QUBIT_PAULIS_H = _frozen(_TWO_QUBIT_PAULIS.conj().T)
-
-# vec(R) = _CHI_TO_PTM @ vec(chi) for rho -> sum_ab chi_ab sigma_a rho sigma_b;
-# the entries (1/2) Tr(sigma_i sigma_a sigma_j sigma_b) are 0, +-1 or +-i, and
-# the matrix is twice a unitary, so its inverse is exactly its adjoint / 4.
-_CHI_TO_PTM = _frozen(
-    0.5 * np.einsum("iab,xbc,jcd,yda->ijxy", PAULIS, PAULIS, PAULIS, PAULIS).reshape(16, 16)
-)
-_PTM_TO_CHI = _frozen(_CHI_TO_PTM.conj().T / 4.0)
 
 # Entry (3i + j, a, b, c, d) is sigma_i[a, b] sigma_j[c, d] / 2, so that
 # O_ij = sum_abcd entry * u[b, c] * conj(u[a, d]) = Tr(sigma_i u sigma_j u^dag) / 2.
@@ -142,11 +131,6 @@ class UnitalChannel:
         object.__setattr__(self, "_ptm", _frozen(ptm))
 
 
-def process_matrix(chi) -> np.ndarray:
-    """Validate a process matrix (Hermitian, PSD, unit trace) and freeze it."""
-    return _frozen(_physical("chi", chi, (4, 4), tol=1e-10, psd_tol=1e-10).copy())
-
-
 def family_weights(family: str, p) -> np.ndarray:
     """Diagonal Pauli weights (chi_0, chi_1, chi_2, chi_3) of a named family.
 
@@ -167,21 +151,6 @@ def family_weights(family: str, p) -> np.ndarray:
     return np.stack(weights, axis=-1)
 
 
-def two_field_channel(p: float) -> PauliChannel:
-    """Equal-probability sigma_1/sigma_2 flips with total flip probability p."""
-    return channel_for("two-field", p)
-
-
-def isotropic_channel(p: float) -> PauliChannel:
-    """Depolarization: each Pauli flip with probability p/3 (mapped sphere)."""
-    return channel_for("isotropic", p)
-
-
-def dephasing_channel(p: float) -> PauliChannel:
-    """sigma_3 flip with probability p; shrinks the equatorial plane only."""
-    return channel_for("dephasing", p)
-
-
 def channel_for(family: str, p: float) -> PauliChannel:
     """Channel of a named family at noise probability p (weights from
     :func:`family_weights`), validated and tagged for serialization."""
@@ -190,41 +159,17 @@ def channel_for(family: str, p: float) -> PauliChannel:
     return PauliChannel(weights, family=family, p=float(p))
 
 
-def hwp_angle_to_p(theta: float) -> float:
-    """Noise probability realized by a half-wave plate at angle theta: sin^2(2 theta)."""
-    return float(np.sin(2.0 * theta) ** 2)
-
-
-def noise_probability(channel) -> float:
-    """Probability that the input state is changed at all: 1 - chi_0."""
-    return float(1.0 - _chi_diag(channel)[0])
-
-
-def radii_from_chi(channel) -> np.ndarray:
-    """The PTM diagonal R_i = chi_0 + chi_i - chi_j - chi_k, which only the
-    diagonal weights of ``chi`` reach: the signed radii of the channel's
-    Pauli twirl. Only for a Pauli channel are they the primary radii of the
-    mapped ellipsoid; :func:`channel_radii` gives those of any unital
-    channel."""
-    return np.diag(pauli_transfer_matrix(channel))[1:]
-
-
 def chi_from_radii(radii) -> np.ndarray:
-    """Diagonal weights inverting :func:`radii_from_chi`.
+    """Diagonal Pauli weights of three signed radii, inverting
+    R_i = chi_0 + chi_i - chi_j - chi_k (:func:`pauli_radii`).
 
     The result is returned raw: entries may be negative when the radii are
     not completely positive, which is exactly what the CP check inspects.
-    Use :func:`pauli_channel_from_radii` to get a validated channel.
+    :class:`PauliChannel` of the result is a validated channel; it names a
+    negative weight (and clips one within ``CP_TOL`` of zero).
     """
     r = _finite("radii", radii, (3,), dtype=float)
     return _frozen(0.25 * (_WALSH @ np.concatenate(([1.0], r))))
-
-
-def pauli_channel_from_radii(radii) -> PauliChannel:
-    """Pauli channel of the weights :func:`chi_from_radii` gives. Radii off
-    the completely positive tetrahedron give a negative weight, which
-    :class:`PauliChannel` names (it clips one within ``CP_TOL`` of zero)."""
-    return PauliChannel(chi_from_radii(radii))
 
 
 # (i, j, k) of the tetrahedron inequalities |R_i +- R_j| <= |1 +- R_k|.
@@ -257,22 +202,16 @@ def is_completely_positive(radii, tol: float = CP_TOL) -> bool:
 
 
 def pauli_transfer_matrix(channel) -> np.ndarray:
-    """Real 4x4 Pauli-transfer matrix R_ij = Tr(sigma_i Phi(sigma_j)) / 2.
-
-    The one function that reads how a channel is described: a Pauli channel
-    gives diag(1, R1, R2, R3), a unital channel 1 (+) O_u diag(R) O_v with
-    the SO(3) images of its rotations, and a process matrix ``chi`` (or the
-    four diagonal weights of one) the fixed basis change
-    R_ij = (1/2) sum_ab chi_ab Tr(sigma_i sigma_a sigma_j sigma_b).
+    """Real 4x4 Pauli-transfer matrix R_ij = Tr(sigma_i Phi(sigma_j)) / 2,
+    built once by the channel: diag(1, R1, R2, R3) for a Pauli channel,
+    1 (+) O_u diag(R) O_v with the SO(3) images of its rotations for a
+    unital one. Anything else is not a channel.
     """
     if isinstance(channel, (PauliChannel, UnitalChannel)):
         return channel._ptm
-    chi = np.asarray(channel, dtype=complex)
-    if chi.shape == (4,):
-        chi = np.diag(chi)
-    if chi.shape != (4, 4):
-        raise ValueError(f"unsupported channel representation: {type(channel).__name__}")
-    return _frozen((_CHI_TO_PTM @ chi.reshape(16)).real.reshape(4, 4))
+    raise ConfigError(
+        f"channel: expected a PauliChannel or UnitalChannel, got {type(channel).__name__}"
+    )
 
 
 def pauli_ptm(chi_diag) -> np.ndarray:
@@ -292,24 +231,6 @@ def pauli_radii(chi_diag) -> np.ndarray:
 def _chi_diag(channel) -> np.ndarray:
     """Diagonal Pauli weights chi_ii of a channel, from the PTM diagonal."""
     return _frozen(0.25 * (_WALSH @ np.diag(pauli_transfer_matrix(channel))))
-
-
-def kraus_operators(channel) -> list[np.ndarray]:
-    """Kraus operators sqrt(w) sum_m v_m sigma_m, one per eigenpair (w, v) of
-    the process matrix recovered from the PTM, keeping w > 1e-14."""
-    chi = (_PTM_TO_CHI @ pauli_transfer_matrix(channel).reshape(16)).reshape(4, 4)
-    w, vecs = np.linalg.eigh(chi)
-    return [
-        np.sqrt(w[a]) * (vecs[:, a] @ _PAULI_ROWS).reshape(2, 2) for a in range(4) if w[a] > 1e-14
-    ]
-
-
-def apply(channel, rho) -> np.ndarray:
-    """Act with a single-qubit channel on a single-qubit density matrix: the
-    PTM maps its Pauli components r_i = Tr(sigma_i rho)."""
-    m = _shaped("rho", rho, (2, 2))
-    r = pauli_transfer_matrix(channel) @ (_PAULI_ROWS.conj() @ m.reshape(4))
-    return _frozen((0.5 * r @ _PAULI_ROWS).reshape(2, 2))
 
 
 def apply_ptm(r, rho, targets) -> np.ndarray:
@@ -348,31 +269,20 @@ def compose(first, second):
     """Channel equivalent to applying ``first`` and then ``second``.
 
     The PTMs multiply, and for unital channels R_second R_first is
-    1 (+) M_second M_first, the product of their Bloch maps (a non-unital
-    input is rejected by :func:`bloch_affine_map`). Two Pauli channels
+    1 (+) M_second M_first, the product of their Bloch maps. Two Pauli channels
     compose to a Pauli channel (the radii multiply component-wise); anything
     else is re-decomposed by :func:`decompose_unital`.
     """
     m = bloch_affine_map(second) @ bloch_affine_map(first)
     if isinstance(first, PauliChannel) and isinstance(second, PauliChannel):
-        return pauli_channel_from_radii(np.diag(m))
+        return PauliChannel(chi_from_radii(np.diag(m)))
     return decompose_unital(m)
 
 
 def bloch_affine_map(channel) -> np.ndarray:
     """3x3 matrix M with bloch(channel(rho)) = M bloch(rho): the PTM's
-    lower-right block.
-
-    Only defined for unital channels: a PTM whose first column carries a
-    translation (the channel moves the maximally mixed state) is rejected.
-    """
-    r = pauli_transfer_matrix(channel)
-    translation = r[1:, 0]
-    if not translation @ translation <= 1e-20:
-        raise ValueError(
-            f"channel is not unital: image of I/2 has Bloch vector {translation.tolist()}"
-        )
-    return r[1:, 1:]
+    lower-right block (a unital channel's PTM carries no translation)."""
+    return pauli_transfer_matrix(channel)[1:, 1:]
 
 
 def decompose_unital(m) -> UnitalChannel:

@@ -27,9 +27,9 @@ from .channels import (
     _chi_diag,
     apply_one_sided,
     bloch_affine_map,
+    channel_for,
     channel_radii,
     compose,
-    dephasing_channel,
     family_weights,
     pauli_radii,
 )
@@ -166,7 +166,7 @@ def lambda_two_sided(channel) -> np.ndarray:
     """Closed-form spin-flip spectrum for two-sided Pauli noise on a Bell pair.
 
     Returned in the labeled order (l0, l1, l2, l3); l0 is always maximal.
-    ``channel`` is a Pauli channel or its four diagonal weights.
+    ``channel`` is a Pauli channel.
     """
     c0, c1, c2, c3 = _chi_diag(channel)
     return _frozen(
@@ -306,4 +306,4 @@ def make_initial(spec: InitialStateSpec, noisy_qubit: int = 1) -> np.ndarray:
     if spec.kind == "pure_pes":
         return dm(pure_pes_ket(spec.delta, spec.phi))
     pure = dm(pure_pes_ket(spec.delta, 0.0))
-    return apply_one_sided(dephasing_channel(spec.dephasing), pure, target=noisy_qubit)
+    return apply_one_sided(channel_for("dephasing", spec.dephasing), pure, target=noisy_qubit)

@@ -11,9 +11,9 @@ All constructors return read-only arrays; every function is pure, so values
 can be shared freely between threads or tasks.
 
 Every module checks its arguments with the checks defined here: the array
-checks, each built on the one before: :func:`_shaped`, :func:`_finite`,
-:func:`_hermitian` and :func:`_physical` (unit trace, PSD), and the scalar
-rules ``_check_*`` (the count bound sits by ``MAX_COUNT`` in tomography).
+checks, each built on the one before: :func:`_shaped`, :func:`_finite` and
+:func:`_hermitian`, and the scalar rules ``_check_*`` (the count bound sits
+by ``MAX_COUNT`` in tomography).
 Validating constructors check shape and finiteness, operations only the
 shape; a failure is a :class:`ConfigError` ``<argument>: <rule>``, e.g.
 ``rho: expected shape (4, 4), got (2, 2)`` or ``p: value 1.5 outside [0, 1]``.
@@ -22,10 +22,6 @@ shape; a failure is a :class:`ConfigError` ``<argument>: <rule>``, e.g.
 from __future__ import annotations
 
 import numpy as np
-
-DENSITY_TOL = 1e-12  # Hermitian and unit-trace tolerance of density_matrix
-PSD_TOL = 1e-10
-NORM_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -67,48 +63,37 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _shaped(name: str, value, *shapes, dtype=complex) -> np.ndarray:
-    """``value`` as an array of one of ``shapes``, else a ValueError naming
+def _shaped(name: str, value, shape=None, dtype=complex) -> np.ndarray:
+    """``value`` as an array of ``shape``, else a ConfigError naming
     ``name``. A vector shape ``(n,)`` takes any array of n entries, which it
-    flattens; no shape at all takes any square matrix."""
+    flattens; no shape takes any square matrix."""
     m = np.asarray(value, dtype=dtype)
-    for shape in shapes:
+    if shape is None:
+        if m.ndim == 2 and m.shape[0] == m.shape[1]:
+            return m
+        expected = "a square matrix"
+    else:
         if m.shape == shape:
             return m
         if len(shape) == 1 and m.size == shape[0]:
             return m.reshape(shape)
-    if not shapes and m.ndim == 2 and m.shape[0] == m.shape[1]:
-        return m
-    expected = f"shape {' or '.join(map(str, shapes))}" if shapes else "a square matrix"
+        expected = f"shape {shape}"
     raise ConfigError(f"{name}: expected {expected}, got {m.shape}")
 
 
-def _finite(name: str, value, *shapes, dtype=complex) -> np.ndarray:
+def _finite(name: str, value, shape=None, dtype=complex) -> np.ndarray:
     """:func:`_shaped`, and every entry finite."""
-    m = _shaped(name, value, *shapes, dtype=dtype)
+    m = _shaped(name, value, shape, dtype=dtype)
     if np.count_nonzero(np.isfinite(m)) < m.size:
         raise ConfigError(f"{name}: entries must be finite")
     return m
 
 
-def _hermitian(name: str, value, *shapes, tol: float) -> np.ndarray:
+def _hermitian(name: str, value, shape, tol: float) -> np.ndarray:
     """:func:`_finite`, and no entry of m - m^dag larger than ``tol``."""
-    m = _finite(name, value, *shapes)
+    m = _finite(name, value, shape)
     if np.abs(m - m.conj().T).max() > tol:
         raise ConfigError(f"{name}: matrix is not Hermitian")
-    return m
-
-
-def _physical(name: str, value, *shapes, tol: float, psd_tol: float) -> np.ndarray:
-    """:func:`_hermitian`, of unit trace to ``tol`` and with no eigenvalue
-    below ``-psd_tol``: the rules of a density or process matrix."""
-    m = _hermitian(name, value, *shapes, tol=tol)
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > tol:
-        raise ConfigError(f"{name}: trace is {trace!r}, expected 1")
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -psd_tol:
-        raise ConfigError(f"{name}: matrix is not positive semidefinite: min eigenvalue {min_eig!r}")
     return m
 
 
@@ -138,15 +123,6 @@ BELL_KETS = {
 }
 
 
-def ket(amplitudes) -> np.ndarray:
-    """Validate a pure-state vector (dim 2 or 4, unit norm) and freeze it."""
-    v = _finite("amplitudes", amplitudes, (2,), (4,))
-    norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ConfigError(f"amplitudes: ket is not normalized: |psi|^2 = {norm_sq!r}")
-    return _frozen(v.copy())
-
-
 def dm(psi) -> np.ndarray:
     """Outer product |psi><psi| of a ket (not re-validated)."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -167,53 +143,6 @@ def bell_key(name, path: str = "bell") -> str:
 def bell_state(name: str) -> np.ndarray:
     """Density matrix of the Bell state ``name`` (see :func:`bell_key`)."""
     return dm(BELL_KETS[bell_key(name)])
-
-
-def density_matrix(matrix) -> np.ndarray:
-    """Validate a density matrix (Hermitian, unit trace, PSD) and freeze it.
-
-    The smallest eigenvalue may fall below zero by ``PSD_TOL``.
-    """
-    m = _physical("matrix", matrix, (2, 2), (4, 4), tol=DENSITY_TOL, psd_tol=PSD_TOL)
-    return _frozen(m.copy())
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two single-qubit operators (first factor = qubit 0)."""
-    return _frozen(np.kron(_shaped("a", a, (2, 2)), _shaped("b", b, (2, 2))))
-
-
-def partial_trace(rho, keep: int) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator, keeping qubit ``keep`` (0 or 1)."""
-    m = _shaped("rho", rho, (4, 4))
-    _check_choice(keep, (0, 1), "keep")
-    t = m.reshape(2, 2, 2, 2)  # indices: row0, row1, col0, col1
-    if keep == 0:
-        out = np.einsum("ijkj->ik", t)
-    else:
-        out = np.einsum("ijil->jl", t)
-    return _frozen(out)
-
-
-def bloch_vector(rho) -> np.ndarray:
-    """Bloch components (Tr(rho sigma_1), Tr(rho sigma_2), Tr(rho sigma_3))."""
-    m = _shaped("rho", rho, (2, 2))
-    return _frozen(np.array([float(np.trace(m @ s).real) for s in PAULIS[1:]]))
-
-
-def density_from_bloch(vec) -> np.ndarray:
-    """Inverse Bloch map: rho = (sigma_0 + x sigma_1 + y sigma_2 + z sigma_3)/2."""
-    v = _finite("vec", vec, (3,), dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm > 1.0 + PSD_TOL:
-        raise ConfigError(f"vec: Bloch vector has norm {norm!r} > 1")
-    out = 0.5 * (SIGMA_0 + v[0] * SIGMA_1 + v[1] * SIGMA_2 + v[2] * SIGMA_3)
-    return _frozen(out)
-
-
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix (to 1e-10), sorted descending."""
-    return _frozen(np.linalg.eigvalsh(_hermitian("matrix", matrix, tol=1e-10))[::-1].copy())
 
 
 def psd_sqrt(matrix) -> np.ndarray:
@@ -245,12 +174,6 @@ def fidelity(rho, sigma) -> float:
     b = np.asarray(sigma, dtype=complex)
     singular = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
     return float(np.sum(singular) ** 2)
-
-
-def trace_distance(rho, sigma) -> float:
-    """T(rho, sigma) = (1/2) sum |eigenvalues of rho - sigma|."""
-    d = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(d))))
 
 
 def matrix_to_json(matrix) -> dict:

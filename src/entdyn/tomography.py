@@ -10,8 +10,9 @@ Reconstruction parameterizes the state as T^dag T / Tr(T^dag T) with a
 lower-triangular complex T, so the estimate is physical by construction, and
 minimizes a Poisson likelihood (Gaussian approximation by default, exact
 form behind a switch) by one projected-Newton search on its exact Hessian
-(:func:`_fit`). Error bars come from a parametric bootstrap on arrays: a
-(trials, S) array of counts resampled Poisson around the observed ones, a
+(:func:`_fit`). Error bars come from a bootstrap on arrays: a (trials, S)
+array of counts resampled Poisson around the observed counts (not around
+the fitted state's expected counts, as a parametric bootstrap would), a
 refit of each row from one warm start, and one call of a registered
 estimator on the stack of refit states. Every count, simulated or resampled,
 is an exact Poisson draw, by one ``Generator.poisson`` call per random
@@ -150,12 +151,6 @@ class ErrorEstimate:
     unconverged: int = 0
 
 
-def projector(label: str) -> np.ndarray:
-    """Single-qubit projector for one of the labels H, V, D, A, R, L."""
-    _check_choice(label, PROJECTOR_LABELS, "label")
-    return _PROJECTORS[label]
-
-
 #: The 36 settings of :func:`standard_settings`, validated once at import.
 _STANDARD_SETTINGS = tuple(MeasurementSetting(a, b) for a, b in _STANDARD_KEYS)
 
@@ -164,17 +159,6 @@ def standard_settings() -> list[MeasurementSetting]:
     """The overcomplete 36-setting scan: every pairing of H/V/D/A/R/L, as a
     new list of the settings built at import (they are frozen, so shared)."""
     return list(_STANDARD_SETTINGS)
-
-
-def minimal_settings() -> list[MeasurementSetting]:
-    """The minimal informationally complete 16-setting scan."""
-    pairs = [
-        ("H", "H"), ("H", "V"), ("V", "V"), ("V", "H"),
-        ("R", "H"), ("R", "V"), ("D", "V"), ("D", "H"),
-        ("D", "R"), ("D", "D"), ("R", "D"), ("H", "D"),
-        ("V", "D"), ("V", "L"), ("H", "L"), ("R", "L"),
-    ]
-    return [MeasurementSetting(a, b) for a, b in pairs]
 
 
 def born_probability(rho, setting: MeasurementSetting) -> float:

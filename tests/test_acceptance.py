@@ -16,8 +16,6 @@ from entdyn.channels import (
     channel_for,
     chi_from_radii,
     is_completely_positive,
-    isotropic_channel,
-    two_field_channel,
 )
 from entdyn.dynamics import (
     InitialStateSpec,
@@ -131,7 +129,7 @@ def test_criterion_6_mixed_pes_law():
         p_iso = rng.uniform(0.0, 1.0)
         sigma = make_initial(InitialStateSpec(kind="pure_pes", delta=delta))
         prep = channel_for("dephasing", p_deph)
-        channel = isotropic_channel(p_iso)
+        channel = channel_for("isotropic", p_iso)
         rho_mixed = apply_one_sided(prep, sigma, target=1)
         direct = concurrence(apply_one_sided(channel, rho_mixed, target=1)).c
         worst = max(worst, abs(mixed_evolution_prediction(sigma, prep, channel) - direct))
@@ -219,8 +217,8 @@ def test_criterion_9_process_tomography_curves():
     worst = 0.0
     for p in grid:
         for channel, theory in (
-            (two_field_channel(p), [1 - p, p / 2, p / 2, 0.0]),
-            (isotropic_channel(p), [1 - p, p / 3, p / 3, p / 3]),
+            (channel_for("two-field", p), [1 - p, p / 2, p / 2, 0.0]),
+            (channel_for("isotropic", p), [1 - p, p / 3, p / 3, p / 3]),
         ):
             chi = process_tomography_single_qubit(simulate_probe_outputs(channel))
             eigs = np.sort(np.linalg.eigvalsh(chi))[::-1]

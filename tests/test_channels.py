@@ -4,9 +4,9 @@ import pytest
 import entdyn.channels
 from entdyn.channels import (
     _SU2_TO_SO3,
+    PAULI_FAMILIES,
     PauliChannel,
     UnitalChannel,
-    apply,
     apply_one_sided,
     apply_ptm,
     apply_two_sided,
@@ -18,33 +18,31 @@ from entdyn.channels import (
     chi_from_radii,
     compose,
     decompose_unital,
-    dephasing_channel,
     family_weights,
-    hwp_angle_to_p,
     is_completely_positive,
-    isotropic_channel,
-    kraus_operators,
-    noise_probability,
-    pauli_channel_from_radii,
     pauli_ptm,
     pauli_radii,
     pauli_transfer_matrix,
-    process_matrix,
-    radii_from_chi,
     rotation_from_su2,
     su2_from_rotation,
-    two_field_channel,
 )
 from entdyn.dynamics import concurrence, predict_one_sided
 from entdyn.sampling import (
     random_cp_radii,
-    random_density_matrix,
     random_pauli_channel,
     random_pure_ket,
     random_unital_channel,
+)
+from entdyn.states import PAULIS, bell_state, dm, KET_H
+from oracles import (
+    bloch_vector,
+    density_from_bloch,
+    kraus_apply,
+    kraus_operators,
+    partial_trace,
+    random_density_matrix,
     random_unitary,
 )
-from entdyn.states import PAULIS, bell_state, bloch_vector, density_from_bloch, dm, KET_H, partial_trace
 
 
 def kraus_sum_oracle(chi, rho, lift=None):
@@ -64,32 +62,20 @@ def kraus_sum_oracle(chi, rho, lift=None):
     return out
 
 
-def amplitude_damping_chi(gamma):
-    """Process matrix of a non-unital (but trace-preserving) channel, for the
-    unitality error paths."""
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    chi = np.zeros((4, 4), dtype=complex)
-    for k in (k0, k1):
-        coeffs = np.array([np.trace(PAULIS[m] @ k) / 2.0 for m in range(4)])
-        chi += np.outer(coeffs, coeffs.conj())
-    return chi
-
-
 class TestApply:
     def test_identity_channel(self):
         rng = np.random.default_rng(20)
         identity = PauliChannel([1, 0, 0, 0])
         rho = random_density_matrix(rng, 2)
-        assert np.allclose(apply(identity, rho), rho, atol=1e-15)
+        assert np.allclose(kraus_apply(identity, rho), rho, atol=1e-15)
 
     def test_isotropic_three_quarters_fully_depolarizes(self):
-        out = apply(isotropic_channel(0.75), dm(KET_H))
+        out = kraus_apply(channel_for("isotropic", 0.75), dm(KET_H))
         assert np.allclose(out, np.eye(2) / 2, atol=1e-15)
 
     def test_two_field_shrinks_z(self):
         for p in (0.0, 0.3, 0.8, 1.0):
-            out = apply(two_field_channel(p), dm(KET_H))
+            out = kraus_apply(channel_for("two-field", p), dm(KET_H))
             assert np.allclose(bloch_vector(out), (0, 0, 1 - 2 * p), atol=1e-12)
 
     def test_matches_kraus_sum_oracle(self):
@@ -98,29 +84,23 @@ class TestApply:
             pc = random_pauli_channel(rng)
             rho = random_density_matrix(rng, 2)
             assert np.allclose(
-                apply(pc, rho), kraus_sum_oracle(np.diag(pc.chi_diag), rho), atol=1e-13
+                kraus_apply(pc, rho), kraus_sum_oracle(np.diag(pc.chi_diag), rho), atol=1e-13
             )
-
-    def test_process_matrix_apply_matches_oracle(self):
-        rng = np.random.default_rng(22)
-        chi = process_matrix(amplitude_damping_chi(0.3))
-        rho = random_density_matrix(rng, 2)
-        assert np.allclose(apply(chi, rho), kraus_sum_oracle(np.asarray(chi), rho), atol=1e-13)
 
     def test_unitality_and_trace(self):
         rng = np.random.default_rng(23)
         mixed = np.eye(2, dtype=complex) / 2
         channels = [
-            two_field_channel(0.4),
-            isotropic_channel(0.7),
-            dephasing_channel(0.2),
+            channel_for("two-field", 0.4),
+            channel_for("isotropic", 0.7),
+            channel_for("dephasing", 0.2),
             random_pauli_channel(rng),
             random_unital_channel(rng),
         ]
         for ch in channels:
-            assert np.allclose(apply(ch, mixed), mixed, atol=1e-12)
+            assert np.allclose(kraus_apply(ch, mixed), mixed, atol=1e-12)
             rho = random_density_matrix(rng, 2)
-            assert np.trace(apply(ch, rho)).real == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(kraus_apply(ch, rho)).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOneTwoSided:
@@ -132,7 +112,7 @@ class TestOneTwoSided:
     def test_isotropic_concurrence_law(self):
         bell = bell_state("phi+")
         for p in (0.1, 0.3, 0.5, 0.8):
-            out = apply_one_sided(isotropic_channel(p), bell, target=1)
+            out = apply_one_sided(channel_for("isotropic", p), bell, target=1)
             assert concurrence(out).c == pytest.approx(max(1 - 2 * p, 0.0), abs=1e-12)
 
     def test_matches_lifted_kraus_oracle(self):
@@ -179,30 +159,30 @@ class TestOneTwoSided:
                     assert np.max(np.abs(out - single)) < 1e-14
 
     def test_two_field_breaking_point(self):
-        out = apply_two_sided(two_field_channel(1.0 / 3.0), bell_state("phi+"))
+        out = apply_two_sided(channel_for("two-field", 1.0 / 3.0), bell_state("phi+"))
         assert concurrence(out).c == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
-            apply_one_sided(two_field_channel(0.1), bell_state("phi+"), target=2)
+            apply_one_sided(channel_for("two-field", 0.1), bell_state("phi+"), target=2)
 
 
 class TestRadii:
     def test_identity_radii(self):
-        assert np.allclose(radii_from_chi(PauliChannel([1, 0, 0, 0])), (1, 1, 1))
+        assert np.allclose(pauli_radii(PauliChannel([1, 0, 0, 0]).chi_diag), (1, 1, 1))
 
     def test_two_field_radii(self):
         for p in (0.0, 0.25, 0.6, 1.0):
-            r = radii_from_chi(two_field_channel(p))
+            r = pauli_radii(channel_for("two-field", p).chi_diag)
             assert np.allclose(r, (1 - p, 1 - p, 1 - 2 * p), atol=1e-14)
 
     def test_isotropic_radii(self):
         for p in (0.0, 0.3, 0.9):
-            r = radii_from_chi(isotropic_channel(p))
+            r = pauli_radii(channel_for("isotropic", p).chi_diag)
             assert np.allclose(r, np.full(3, 1 - 4 * p / 3), atol=1e-14)
 
     def test_dephasing_radii(self):
-        r = radii_from_chi(dephasing_channel(0.5))
+        r = pauli_radii(channel_for("dephasing", 0.5).chi_diag)
         assert np.allclose(r, (0, 0, 1), atol=1e-14)
 
     def test_chi_from_radii_trivials(self):
@@ -213,19 +193,19 @@ class TestRadii:
         rng = np.random.default_rng(27)
         for _ in range(100):
             r = random_cp_radii(rng)
-            assert np.max(np.abs(radii_from_chi(pauli_channel_from_radii(r)) - r)) < 1e-14
+            assert np.max(np.abs(pauli_radii(PauliChannel(chi_from_radii(r)).chi_diag) - r)) < 1e-14
             ch = random_pauli_channel(rng)
-            assert np.max(np.abs(chi_from_radii(radii_from_chi(ch)) - ch.chi_diag)) < 1e-14
+            assert np.max(np.abs(chi_from_radii(pauli_radii(ch.chi_diag)) - ch.chi_diag)) < 1e-14
 
     def test_rotated_channel_gives_its_pauli_twirl_radii(self):
-        # radii_from_chi reads the PTM diagonal: the radii of the Pauli twirl
+        # the PTM diagonal holds the radii of the Pauli twirl
         # (1/4) sum_k sigma_k Phi(sigma_k rho sigma_k) sigma_k, which maps Bloch
         # axis i to R_i times itself, not those of the channel's own ellipsoid
         ch = random_unital_channel(np.random.default_rng(3))
-        r = radii_from_chi(ch)
+        r = np.diag(pauli_transfer_matrix(ch))[1:]
         for i, axis in enumerate(np.eye(3)):
             rho = density_from_bloch(axis)
-            twirled = sum(s @ apply(ch, s @ rho @ s) @ s for s in PAULIS) / 4
+            twirled = sum(s @ kraus_apply(ch, s @ rho @ s) @ s for s in PAULIS) / 4
             assert np.allclose(bloch_vector(twirled), r[i] * axis, atol=1e-12)
         assert np.allclose(r, (-0.0882, 0.1184, -0.0420), atol=1e-4)
         assert np.allclose(channel_radii(ch), (0.7834, 0.4032, 0.3720), atol=1e-4)
@@ -236,7 +216,7 @@ class TestRadii:
 
     def test_non_cp_radii_rejected_with_diagnostic(self):
         with pytest.raises(ValueError, match="chi_"):
-            pauli_channel_from_radii((1.0, 1.0, -1.0))
+            PauliChannel(chi_from_radii((1.0, 1.0, -1.0)))
 
 
 class TestCompletePositivity:
@@ -255,39 +235,30 @@ class TestCompletePositivity:
 
 
 class TestFamilies:
-    def test_noise_probability(self):
-        assert noise_probability(PauliChannel([1, 0, 0, 0])) == 0.0
-        assert noise_probability(two_field_channel(0.3)) == pytest.approx(0.3)
-        assert noise_probability(PauliChannel([0.25] * 4)) == pytest.approx(0.75)
-
     def test_two_field_values(self):
-        assert np.allclose(two_field_channel(0.0).chi_diag, (1, 0, 0, 0))
-        assert np.allclose(radii_from_chi(two_field_channel(0.5)), (0.5, 0.5, 0.0))
-        assert np.allclose(two_field_channel(1.0).chi_diag, (0, 0.5, 0.5, 0))
+        assert np.allclose(channel_for("two-field", 0.0).chi_diag, (1, 0, 0, 0))
+        assert np.allclose(pauli_radii(channel_for("two-field", 0.5).chi_diag), (0.5, 0.5, 0.0))
+        assert np.allclose(channel_for("two-field", 1.0).chi_diag, (0, 0.5, 0.5, 0))
 
     def test_isotropic_values(self):
-        assert np.allclose(isotropic_channel(0.0).chi_diag, (1, 0, 0, 0))
+        assert np.allclose(channel_for("isotropic", 0.0).chi_diag, (1, 0, 0, 0))
         p_star = (3 - np.sqrt(3)) / 4
-        assert np.allclose(
-            radii_from_chi(isotropic_channel(p_star)), np.full(3, np.sqrt(1 / 3)), atol=1e-14
-        )
-        assert np.allclose(radii_from_chi(isotropic_channel(0.75)), (0, 0, 0), atol=1e-14)
+        r = pauli_radii(channel_for("isotropic", p_star).chi_diag)
+        assert np.allclose(r, np.full(3, np.sqrt(1 / 3)), atol=1e-14)
+        r = pauli_radii(channel_for("isotropic", 0.75).chi_diag)
+        assert np.allclose(r, (0, 0, 0), atol=1e-14)
 
     def test_dephasing_values(self):
-        assert np.allclose(dephasing_channel(0.0).chi_diag, (1, 0, 0, 0))
-        assert np.allclose(radii_from_chi(dephasing_channel(0.5)), (0, 0, 1), atol=1e-14)
+        assert np.allclose(channel_for("dephasing", 0.0).chi_diag, (1, 0, 0, 0))
+        r = pauli_radii(channel_for("dephasing", 0.5).chi_diag)
+        assert np.allclose(r, (0, 0, 1), atol=1e-14)
 
     def test_out_of_range_rejected(self):
-        for factory in (two_field_channel, isotropic_channel, dephasing_channel):
+        for family in PAULI_FAMILIES:
             with pytest.raises(ValueError):
-                factory(-0.1)
+                channel_for(family, -0.1)
             with pytest.raises(ValueError):
-                factory(1.1)
-
-    def test_hwp_angle(self):
-        assert hwp_angle_to_p(0.0) == pytest.approx(0.0)
-        assert hwp_angle_to_p(np.pi / 4) == pytest.approx(1.0)
-        assert hwp_angle_to_p(np.pi / 8) == pytest.approx(0.5)
+                channel_for(family, 1.1)
 
     def test_channel_for_unknown_family(self):
         with pytest.raises(ValueError):
@@ -301,7 +272,7 @@ class TestFamilies:
             for row, w, r in zip(p, pauli_ptm(weights), pauli_radii(weights)):
                 channel = channel_for(family, row)
                 assert np.array_equal(w, pauli_transfer_matrix(channel))
-                assert np.array_equal(r, radii_from_chi(channel))
+                assert np.array_equal(r, np.diag(pauli_transfer_matrix(channel))[1:])
         with pytest.raises(ValueError, match="family: expected"):
             family_weights("amplitude-damping", p)
 
@@ -314,9 +285,9 @@ class TestCompose:
 
     def test_dephasing_radii_multiply(self):
         p, q = 0.2, 0.35
-        out = compose(dephasing_channel(p), dephasing_channel(q))
+        out = compose(channel_for("dephasing", p), channel_for("dephasing", q))
         expected = ((1 - 2 * p) * (1 - 2 * q),) * 2 + (1.0,)
-        assert np.allclose(radii_from_chi(out), expected, atol=1e-14)
+        assert np.allclose(pauli_radii(out.chi_diag), expected, atol=1e-14)
 
     def test_application_oracle(self):
         rng = np.random.default_rng(29)
@@ -324,7 +295,8 @@ class TestCompose:
         composed = compose(a, b)
         for _ in range(100):
             rho = random_density_matrix(rng, 2)
-            assert np.allclose(apply(composed, rho), apply(b, apply(a, rho)), atol=1e-12)
+            assert np.allclose(kraus_apply(composed, rho), kraus_apply(b, kraus_apply(a, rho)),
+                               atol=1e-12)
 
     def test_associativity_at_application_level(self):
         rng = np.random.default_rng(30)
@@ -333,7 +305,7 @@ class TestCompose:
         right = compose(a, compose(b, c))
         for _ in range(20):
             rho = random_density_matrix(rng, 2)
-            assert np.allclose(apply(left, rho), apply(right, rho), atol=1e-12)
+            assert np.allclose(kraus_apply(left, rho), kraus_apply(right, rho), atol=1e-12)
 
     def test_rotated_channels_compose_through_bloch_maps(self):
         rng = np.random.default_rng(31)
@@ -342,7 +314,8 @@ class TestCompose:
         composed = compose(a, b)
         for _ in range(20):
             rho = random_density_matrix(rng, 2)
-            assert np.allclose(apply(composed, rho), apply(b, apply(a, rho)), atol=1e-10)
+            assert np.allclose(kraus_apply(composed, rho), kraus_apply(b, kraus_apply(a, rho)),
+                               atol=1e-10)
 
 
 class TestBlochAffineMap:
@@ -351,24 +324,16 @@ class TestBlochAffineMap:
 
     def test_two_field_diagonal(self):
         p = 0.3
-        m = bloch_affine_map(two_field_channel(p))
+        m = bloch_affine_map(channel_for("two-field", p))
         assert np.allclose(m, np.diag([1 - p, 1 - p, 1 - 2 * p]), atol=1e-14)
 
     def test_reproduces_apply_on_cardinal_states(self):
         rng = np.random.default_rng(32)
         ch = random_unital_channel(rng)
         m = bloch_affine_map(ch)
-        from entdyn.states import density_from_bloch
-
         for axis in np.vstack([np.eye(3), -np.eye(3)]):
-            direct = bloch_vector(apply(ch, density_from_bloch(axis)))
+            direct = bloch_vector(kraus_apply(ch, density_from_bloch(axis)))
             assert np.allclose(m @ axis, direct, atol=1e-10)
-
-    def test_non_unital_rejected(self):
-        chi = process_matrix(amplitude_damping_chi(0.4))
-        with pytest.raises(ValueError, match="unital"):
-            bloch_affine_map(chi)
-
 
 class TestDecomposeUnital:
     def test_already_diagonal(self):
@@ -520,26 +485,16 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError, match="radii: entries must be finite"):
             UnitalChannel(np.eye(2), np.eye(2), (nan, 0, 0))
         with pytest.raises(ValueError, match="radii: entries must be finite"):
-            pauli_channel_from_radii((nan, 0, 0))
+            PauliChannel(chi_from_radii((nan, 0, 0)))
         with pytest.raises(ValueError, match="pre_rotation: entries must be finite"):
             UnitalChannel(np.full((2, 2), nan), np.eye(2), (1, 1, 1))
-        with pytest.raises(ValueError, match="chi: entries must be finite"):
-            process_matrix(np.diag([nan, 0, 0, 0]))
         assert not is_completely_positive((nan, 0, 0))
 
-    def test_process_matrix_invariants(self):
-        with pytest.raises(ValueError, match="chi: matrix is not positive semidefinite"):
-            process_matrix(np.diag([1.5, -0.5, 0, 0]).astype(complex))
-        with pytest.raises(ValueError, match=r"^chi: trace is \(0\.5\+0j\), expected 1$"):
-            process_matrix(np.diag([0.5, 0, 0, 0]).astype(complex))
-        chi = process_matrix(np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex))
-        assert chi.shape == (4, 4)
-
     def test_named_family_round_trip(self):
-        obj = channel_to_json(isotropic_channel(0.3))
+        obj = channel_to_json(channel_for("isotropic", 0.3))
         assert obj == {"family": "isotropic", "p": 0.3}
         back = channel_from_json(obj)
-        assert np.allclose(back.chi_diag, isotropic_channel(0.3).chi_diag)
+        assert np.allclose(back.chi_diag, channel_for("isotropic", 0.3).chi_diag)
 
     def test_pauli_round_trip(self):
         rng = np.random.default_rng(36)

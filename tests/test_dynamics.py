@@ -6,14 +6,12 @@ import pytest
 
 import entdyn.dynamics
 from entdyn.channels import (
+    PauliChannel,
     apply_one_sided,
     apply_two_sided,
-    dephasing_channel,
+    channel_for,
     family_weights,
-    isotropic_channel,
     pauli_radii,
-    radii_from_chi,
-    two_field_channel,
 )
 from entdyn.dynamics import (
     InitialStateSpec,
@@ -29,14 +27,16 @@ from entdyn.dynamics import (
     pure_pes_ket,
 )
 from entdyn.harness import run_breaking_points
-from entdyn.sampling import (
-    random_density_matrix,
-    random_pauli_channel,
-    random_pure_ket,
-    random_rotated_bell,
-    random_unital_channel,
-)
-from entdyn.states import SIGMA_2, bell_state, dm
+from entdyn.sampling import random_pauli_channel, random_pure_ket, random_unital_channel
+from entdyn.states import BELL_KETS, SIGMA_2, bell_state, dm
+from oracles import random_density_matrix, random_unitary
+
+
+def random_rotated_bell(rng):
+    """Ket (u x v)|phi+> for Haar-random u, v: a random maximally entangled state."""
+    u = random_unitary(rng)
+    v = random_unitary(rng)
+    return np.kron(u, v) @ BELL_KETS["phi_plus"]
 
 
 def lambda_oracle(rho):
@@ -68,7 +68,7 @@ class TestConcurrence:
     def test_one_sided_isotropic_law(self):
         bell = bell_state("phi+")
         for p in np.linspace(0.0, 1.0, 11):
-            rho = apply_one_sided(isotropic_channel(p), bell, target=1)
+            rho = apply_one_sided(channel_for("isotropic", p), bell, target=1)
             assert concurrence(rho).c == pytest.approx(max(1 - 2 * p, 0.0), abs=1e-12)
 
     def test_result_structure(self):
@@ -89,10 +89,10 @@ class TestConcurrence:
 
 class TestClosedFormLambdas:
     def test_identity(self):
-        assert np.allclose(lambda_two_sided([1, 0, 0, 0]), [1, 0, 0, 0])
+        assert np.allclose(lambda_two_sided(PauliChannel([1, 0, 0, 0])), [1, 0, 0, 0])
 
     def test_fully_depolarizing_all_equal(self):
-        lam = lambda_two_sided([0.25, 0.25, 0.25, 0.25])
+        lam = lambda_two_sided(PauliChannel([0.25, 0.25, 0.25, 0.25]))
         assert np.allclose(lam, [1 / 16] * 4, atol=1e-15)
         roots = np.sqrt(lam)
         assert roots[0] - roots[1:].sum() <= 0  # separable as required
@@ -116,7 +116,7 @@ class TestClosedFormLambdas:
 class TestPredictors:
     def test_one_sided_trivials(self):
         assert predict_one_sided((1, 1, 1)) == pytest.approx(1.0)
-        assert predict_one_sided(radii_from_chi(two_field_channel(0.5))) == 0.0
+        assert predict_one_sided(pauli_radii(channel_for("two-field", 0.5).chi_diag)) == 0.0
 
     def test_one_sided_matches_simulation(self):
         rng = np.random.default_rng(45)
@@ -124,7 +124,7 @@ class TestPredictors:
         for _ in range(50):
             ch = random_pauli_channel(rng)
             direct = concurrence(apply_one_sided(ch, bell, target=1)).c
-            assert abs(predict_one_sided(radii_from_chi(ch)) - direct) < 1e-10
+            assert abs(predict_one_sided(pauli_radii(ch.chi_diag)) - direct) < 1e-10
 
     def test_one_sided_any_maximally_entangled(self):
         rng = np.random.default_rng(46)
@@ -132,7 +132,7 @@ class TestPredictors:
             ch = random_pauli_channel(rng)
             psi = random_rotated_bell(rng)
             direct = concurrence(apply_one_sided(ch, np.outer(psi, psi.conj()), target=1)).c
-            assert abs(predict_one_sided(radii_from_chi(ch)) - direct) < 1e-10
+            assert abs(predict_one_sided(pauli_radii(ch.chi_diag)) - direct) < 1e-10
 
     def test_one_sided_qubit_choice_irrelevant_for_bell(self):
         rng = np.random.default_rng(47)
@@ -146,10 +146,10 @@ class TestPredictors:
     def test_two_sided_trivials(self):
         assert predict_two_sided((1, 1, 1)) == pytest.approx(1.0)
         p_star = (3 - math.sqrt(3)) / 4
-        assert predict_two_sided(radii_from_chi(isotropic_channel(p_star))) == pytest.approx(
+        assert predict_two_sided(pauli_radii(channel_for("isotropic", p_star).chi_diag)) == pytest.approx(
             0.0, abs=1e-12
         )
-        assert predict_two_sided(radii_from_chi(two_field_channel(1 / 3))) == pytest.approx(
+        assert predict_two_sided(pauli_radii(channel_for("two-field", 1 / 3).chi_diag)) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -159,7 +159,7 @@ class TestPredictors:
         for _ in range(50):
             ch = random_pauli_channel(rng)
             direct = concurrence(apply_two_sided(ch, bell)).c
-            assert abs(predict_two_sided(radii_from_chi(ch)) - direct) < 1e-10
+            assert abs(predict_two_sided(pauli_radii(ch.chi_diag)) - direct) < 1e-10
 
     def test_consistent_with_closed_form_lambdas(self):
         rng = np.random.default_rng(49)
@@ -167,12 +167,12 @@ class TestPredictors:
             ch = random_pauli_channel(rng)
             roots = np.sqrt(np.sort(lambda_two_sided(ch))[::-1])
             via_wootters = max(0.0, roots[0] - roots[1:].sum())
-            assert predict_two_sided(radii_from_chi(ch)) == pytest.approx(via_wootters, abs=1e-12)
+            assert predict_two_sided(pauli_radii(ch.chi_diag)) == pytest.approx(via_wootters, abs=1e-12)
 
     def test_one_sided_linear_before_breaking(self):
-        for family in (two_field_channel, isotropic_channel):
+        for family in ("two-field", "isotropic"):
             grid = np.linspace(0.0, 0.4, 9)
-            values = [predict_one_sided(radii_from_chi(family(p))) for p in grid]
+            values = [predict_one_sided(pauli_radii(channel_for(family, p).chi_diag)) for p in grid]
             second_diff = np.diff(values, 2)
             assert np.max(np.abs(second_diff)) < 1e-12
 
@@ -263,15 +263,15 @@ class TestBreakingPoints:
 
 class TestFactorization:
     def test_bell_input_reduces_to_one_sided_law(self):
-        ch = isotropic_channel(0.3)
+        ch = channel_for("isotropic", 0.3)
         pred = factorization_prediction(bell_state("phi+"), ch)
-        assert pred == pytest.approx(predict_one_sided(radii_from_chi(ch)), abs=1e-12)
+        assert pred == pytest.approx(predict_one_sided(pauli_radii(ch.chi_diag)), abs=1e-12)
 
     def test_half_concurrence_pes(self):
         delta = math.asin(0.5) / 4  # sin(4 delta) = 1/2
         rho = dm(pure_pes_ket(delta, 0.0))
         for p in (0.1, 0.3, 0.45):
-            pred = factorization_prediction(rho, isotropic_channel(p))
+            pred = factorization_prediction(rho, channel_for("isotropic", p))
             assert pred == pytest.approx(0.5 * max(1 - 2 * p, 0.0), abs=1e-9)
 
     def test_random_pairs_match_direct_simulation(self):
@@ -285,7 +285,7 @@ class TestFactorization:
 
     def test_mixed_input_rejected(self):
         with pytest.raises(ValueError, match="mixed"):
-            factorization_prediction(np.eye(4) / 4, isotropic_channel(0.2))
+            factorization_prediction(np.eye(4) / 4, channel_for("isotropic", 0.2))
 
 
 class TestMixedEvolution:
@@ -293,20 +293,20 @@ class TestMixedEvolution:
         rng = np.random.default_rng(51)
         psi = random_pure_ket(rng, 4)
         sigma = np.outer(psi, psi.conj())
-        ch = isotropic_channel(0.25)
-        identity_prep = dephasing_channel(0.0)
+        ch = channel_for("isotropic", 0.25)
+        identity_prep = channel_for("dephasing", 0.0)
         assert mixed_evolution_prediction(sigma, identity_prep, ch) == pytest.approx(
             factorization_prediction(sigma, ch), abs=1e-12
         )
 
     def test_dephased_state_breaks_earlier(self):
         sigma = bell_state("phi+")
-        prep = dephasing_channel(0.25)  # initial concurrence 0.5
+        prep = channel_for("dephasing", 0.25)  # initial concurrence 0.5
         # pure PES with the same concurrence loses entanglement at P = 0.5
         zeros = [
             p
             for p in np.linspace(0.0, 0.5, 51)
-            if mixed_evolution_prediction(sigma, prep, isotropic_channel(p)) <= 1e-12
+            if mixed_evolution_prediction(sigma, prep, channel_for("isotropic", p)) <= 1e-12
         ]
         assert zeros and zeros[0] < 0.5 - 0.05
 
@@ -378,11 +378,11 @@ class TestUpperBound:
         rng = np.random.default_rng(55)
         for _ in range(50):
             p = rng.uniform(0.0, 1.0)
-            ch = isotropic_channel(p)
+            ch = channel_for("isotropic", p)
             psi = random_rotated_bell(rng)
             c = concurrence(apply_two_sided(ch, np.outer(psi, psi.conj()))).c
             assert c == pytest.approx(
-                predict_two_sided(radii_from_chi(ch)), abs=1e-9
+                predict_two_sided(pauli_radii(ch.chi_diag)), abs=1e-9
             )
 
 
@@ -404,9 +404,9 @@ class TestTwoSidedUnitalLaw:
             ch = random_pauli_channel(rng)
             for name in ("phi_plus", "phi_minus", "psi_plus", "psi_minus"):
                 assert predict_two_sided_unital(ch, name) == pytest.approx(
-                    predict_two_sided(radii_from_chi(ch)), abs=1e-12)
+                    predict_two_sided(pauli_radii(ch.chi_diag)), abs=1e-12)
 
     def test_unknown_bell_state_rejected(self):
         bells = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
         with pytest.raises(ValueError, match=f"bell: {bells}, got 'omega'"):
-            predict_two_sided_unital(isotropic_channel(0.1), "omega")
+            predict_two_sided_unital(channel_for("isotropic", 0.1), "omega")

@@ -13,8 +13,7 @@ from entdyn.channels import (
     apply_one_sided,
     apply_two_sided,
     channel_for,
-    dephasing_channel,
-    radii_from_chi,
+    pauli_radii,
 )
 from entdyn.cli import main
 from entdyn.dynamics import (
@@ -231,14 +230,14 @@ def reference_rows(config, spec):
     def law(channel):
         if config.mode == "two_sided":
             if spec.kind == "bell":
-                return predict_two_sided(radii_from_chi(channel))
+                return predict_two_sided(pauli_radii(channel.chi_diag))
             return simulated(channel)
         if spec.kind == "bell":
-            return predict_one_sided(radii_from_chi(channel))
+            return predict_one_sided(pauli_radii(channel.chi_diag))
         if spec.kind == "pure_pes":
             return factorization_prediction(rho0, channel)
         sigma = dm(pure_pes_ket(spec.delta))
-        return mixed_evolution_prediction(sigma, dephasing_channel(spec.dephasing), channel)
+        return mixed_evolution_prediction(sigma, channel_for("dephasing", spec.dephasing), channel)
 
     rows = []
     for p in config.p_grid:
@@ -595,3 +594,16 @@ def test_selftest_passes():
     # the factorization check draws 10 (state, channel) pairs
     detail = {name: detail for name, _, detail in results}["factorization law"]
     assert detail.endswith(" over 10 pairs"), detail
+
+
+def test_selftest_fails_a_breaking_point_off_by_1e5(monkeypatch, capsys):
+    def shifted():
+        first, *rest = run_breaking_points()
+        return [first._replace(p_star=first.p_star + 1e-5), *rest]
+
+    monkeypatch.setattr(entdyn.harness, "run_breaking_points", shifted)
+    passed = {name: ok for name, ok, _ in run_selftest(fast=True)}
+    assert passed["breaking points"] is False
+    assert sum(passed.values()) == len(passed) - 1
+    assert main(["selftest"]) == 2
+    assert "FAIL  breaking points" in capsys.readouterr().out

@@ -11,7 +11,6 @@ import entdyn.states
 from entdyn.channels import (
     PauliChannel,
     UnitalChannel,
-    apply,
     apply_one_sided,
     apply_two_sided,
     channel_for,
@@ -19,8 +18,7 @@ from entdyn.channels import (
     chi_from_radii,
     decompose_unital,
     family_weights,
-    isotropic_channel,
-    process_matrix,
+    pauli_transfer_matrix,
     su2_from_rotation,
 )
 from entdyn.cli import build_parser
@@ -33,16 +31,7 @@ from entdyn.harness import (
     render_mesh,
     sweep_config_from_dict,
 )
-from entdyn.states import (
-    bell_state,
-    bloch_vector,
-    density_from_bloch,
-    density_matrix,
-    hermitian_eigenvalues,
-    ket,
-    partial_trace,
-    tensor_product,
-)
+from entdyn.states import bell_state, matrix_to_json
 from entdyn.tomography import (
     CountRecord,
     MeasurementSetting,
@@ -50,7 +39,6 @@ from entdyn.tomography import (
     ellipsoid_mesh,
     monte_carlo_errors,
     probe_outputs,
-    projector,
     reconstruct_state_mle,
     simulate_counts,
     simulate_probe_outputs,
@@ -59,7 +47,7 @@ from entdyn.tomography import (
 
 _BELLS = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
 _RECORDS = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=0)
-_CHANNEL = isotropic_channel(0.2)
+_CHANNEL = channel_for("isotropic", 0.2)
 
 
 def _base(rho_hat):
@@ -69,11 +57,6 @@ def _base(rho_hat):
 
 # (argument name, call taking the argument, a valid value, a wrong shape)
 VALIDATORS = {
-    "ket": ("amplitudes", ket, [1.0, 0.0], (3,)),
-    "density_matrix": ("matrix", density_matrix, np.eye(2) / 2, (3, 3)),
-    "density_from_bloch": ("vec", density_from_bloch, [0.0, 0.0, 0.0], (2,)),
-    "hermitian_eigenvalues": ("matrix", hermitian_eigenvalues, np.eye(2), (2, 3)),
-    "process_matrix": ("chi", process_matrix, np.diag([1.0, 0, 0, 0]), (2, 2)),
     "PauliChannel": ("chi_diag", PauliChannel, [1.0, 0, 0, 0], (3,)),
     "UnitalChannel.pre_rotation": (
         "pre_rotation", lambda v: UnitalChannel(v, np.eye(2), (1, 1, 1)), np.eye(2), (3, 3)),
@@ -95,14 +78,9 @@ VALIDATORS = {
 
 # (argument name, call taking the argument, a wrong shape)
 OPERATIONS = {
-    "apply": ("rho", lambda m: apply(_CHANNEL, m), (4, 4)),
     "apply_one_sided": ("rho", lambda m: apply_one_sided(_CHANNEL, m), (2, 2)),
     "apply_two_sided": ("rho", lambda m: apply_two_sided(_CHANNEL, m), (2, 2)),
     "concurrence": ("rho", concurrence, (2, 2)),
-    "partial_trace": ("rho", lambda m: partial_trace(m, 0), (2, 2)),
-    "bloch_vector": ("rho", bloch_vector, (4, 4)),
-    "tensor_product.a": ("a", lambda m: tensor_product(m, np.eye(2)), (4, 4)),
-    "tensor_product.b": ("b", lambda m: tensor_product(np.eye(2), m), (2,)),
 }
 
 
@@ -138,10 +116,8 @@ def test_valid_values_pass():
 def test_shape_message_names_argument_shape_and_expected_shapes():
     with pytest.raises(ValueError, match=r"^rho: expected shape \(4, 4\), got \(2, 2\)$"):
         apply_two_sided(_CHANNEL, np.eye(2) / 2)
-    with pytest.raises(ValueError, match=r"^amplitudes: expected shape \(2,\) or \(4,\), got \(3,\)$"):
-        ket([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"^matrix: expected a square matrix, got \(2, 3\)$"):
-        hermitian_eigenvalues(np.zeros((2, 3)))
+        matrix_to_json(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"^rho: expected shape \(4, 4\), got \(2, 2\)$"):
         simulate_counts(np.eye(2) / 2, standard_settings(), 100, seed=0)
     with pytest.raises(ValueError, match=r"^rho: entries must be finite$"):
@@ -149,8 +125,6 @@ def test_shape_message_names_argument_shape_and_expected_shapes():
 
 
 def test_vector_shape_takes_any_array_of_that_many_entries():
-    assert ket([[1.0], [0.0]]).shape == (2,)
-    assert ket(np.eye(2) / np.sqrt(2)).shape == (4,)
     assert PauliChannel([[1.0, 0.0], [0.0, 0.0]]).chi_diag.shape == (4,)
     assert chi_from_radii([[1.0, 1.0, 1.0]]).shape == (4,)
 
@@ -192,7 +166,7 @@ SCALAR_CASES = {
     "probe_outputs": (lambda: probe_outputs(np.eye(4)[None], n_per_projector=0, seeds=[0]),
                       "n_per_projector: must be >= 1, got 0"),
     "simulate_probe_outputs": (
-        lambda: simulate_probe_outputs(isotropic_channel(0.2), n_per_projector=-1, seed=0),
+        lambda: simulate_probe_outputs(_CHANNEL, n_per_projector=-1, seed=0),
         "n_per_projector: must be >= 1, got -1"),
     "CountRecord.count.low": (lambda: CountRecord(_HH, -1, 1.0), "count: must be >= 0, got -1"),
     "CountRecord.count.high": (lambda: CountRecord(_HH, 2 * 10**18 + 1, 1.0),
@@ -272,11 +246,13 @@ SCALAR_CASES = {
                                   "proj_a: expected 'H', 'V', 'D', 'A', 'R' or 'L', got 'Q'"),
     "MeasurementSetting.proj_b": (lambda: MeasurementSetting("H", "Q"),
                                   "proj_b: expected 'H', 'V', 'D', 'A', 'R' or 'L', got 'Q'"),
-    "projector.label": (lambda: projector("Q"),
-                        "label: expected 'H', 'V', 'D', 'A', 'R' or 'L', got 'Q'"),
+    "pauli_transfer_matrix.channel": (
+        lambda: pauli_transfer_matrix(np.eye(4)),
+        "channel: expected a PauliChannel or UnitalChannel, got ndarray"),
+    "apply_two_sided.channel": (lambda: apply_two_sided([1.0, 0.0, 0.0, 0.0], _RHO),
+                                "channel: expected a PauliChannel or UnitalChannel, got list"),
     "apply_one_sided.target": (lambda: apply_one_sided(_CHANNEL, _RHO, target=2),
                                "target: expected 0 or 1, got 2"),
-    "partial_trace.keep": (lambda: partial_trace(_RHO, 2), "keep: expected 0 or 1, got 2"),
     "config.noisy_qubit": (lambda: sweep_config_from_dict({"noisy_qubit": 2}),
                            "noisy_qubit: expected 0 or 1, got 2"),
     "render.format": (lambda: render([SweepRow(0.0, 1.0, None, 1.0)], "x"),
@@ -286,9 +262,6 @@ SCALAR_CASES = {
     "read_rows.format": (lambda: read_rows("rows.txt", "x"),
                          "format: expected 'csv' or 'json', got 'x'"),
     # the value rules of the validating constructors
-    "ket.norm": (lambda: ket([1.0, 1.0]), "amplitudes: ket is not normalized"),
-    "density_from_bloch.norm": (lambda: density_from_bloch([1.0, 1.0, 0.0]),
-                                "vec: Bloch vector has norm"),
     "PauliChannel.negative": (lambda: PauliChannel([1.1, -0.1, 0.0, 0.0]),
                               "chi_diag: must be non-negative, got chi_1 = -0.1"),
     "PauliChannel.sum": (lambda: PauliChannel([0.5, 0.0, 0.0, 0.0]),

