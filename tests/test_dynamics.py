@@ -410,3 +410,14 @@ class TestTwoSidedUnitalLaw:
         bells = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
         with pytest.raises(ValueError, match=f"bell: {bells}, got 'omega'"):
             predict_two_sided_unital(channel_for("isotropic", 0.1), "omega")
+
+
+@pytest.mark.parametrize("name", list(BELL_KETS))
+def test_locally_rotated_bell_is_maximally_entangled(name):
+    # concurrence is invariant under local unitaries u (x) v
+    rng = np.random.default_rng(65)
+    for _ in range(10):
+        w = np.kron(random_unitary(rng), random_unitary(rng))
+        psi = w @ BELL_KETS[name]
+        assert concurrence(dm(psi)).c == pytest.approx(1.0, abs=1e-10)
+        assert concurrence(w @ np.eye(4) @ w.conj().T / 4).c == 0.0

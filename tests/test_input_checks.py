@@ -99,6 +99,10 @@ CASES = [
       for key, (name, call, _, shape) in VALIDATORS.items()],
     *[pytest.param(name, call, np.zeros(shape), "expected ", id=f"{key}-shape")
       for key, (name, call, shape) in OPERATIONS.items()],
+    *[pytest.param(name, call, np.triu(np.ones((4, 4))) / 4, "matrix is not Hermitian",
+                   id=f"{key}-hermitian")
+      for key in ("reconstruct_state_mle.initial", "monte_carlo_errors.base")
+      for name, call, _, _ in [VALIDATORS[key]]],
 ]
 
 
