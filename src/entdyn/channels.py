@@ -347,11 +347,9 @@ def su2_from_rotation(o) -> np.ndarray:
 
 
 def channel_to_json(channel) -> dict:
-    """Serialize a channel to its description object (one parameterization)."""
-    if isinstance(channel, PauliChannel):
-        if channel.family in PAULI_FAMILIES and channel.p is not None:
-            return {"family": channel.family, "p": float(channel.p)}
-        return {"family": "pauli", "chi": [float(x) for x in channel.chi_diag]}
+    """Serialize a channel to its description object (one parameterization);
+    anything else is refused by :func:`pauli_transfer_matrix`."""
+    pauli_transfer_matrix(channel)
     if isinstance(channel, UnitalChannel):
         return {
             "family": "unital",
@@ -359,7 +357,9 @@ def channel_to_json(channel) -> dict:
             "u": matrix_to_json(channel.post_rotation),
             "v": matrix_to_json(channel.pre_rotation),
         }
-    raise ValueError(f"unsupported channel representation: {type(channel).__name__}")
+    if channel.family in PAULI_FAMILIES and channel.p is not None:
+        return {"family": channel.family, "p": float(channel.p)}
+    return {"family": "pauli", "chi": [float(x) for x in channel.chi_diag]}
 
 
 def channel_from_json(obj: dict):

@@ -18,7 +18,6 @@ from entdyn.channels import (
     chi_from_radii,
     decompose_unital,
     family_weights,
-    pauli_transfer_matrix,
     su2_from_rotation,
 )
 from entdyn.cli import build_parser
@@ -250,11 +249,6 @@ SCALAR_CASES = {
                                   "proj_a: expected 'H', 'V', 'D', 'A', 'R' or 'L', got 'Q'"),
     "MeasurementSetting.proj_b": (lambda: MeasurementSetting("H", "Q"),
                                   "proj_b: expected 'H', 'V', 'D', 'A', 'R' or 'L', got 'Q'"),
-    "pauli_transfer_matrix.channel": (
-        lambda: pauli_transfer_matrix(np.eye(4)),
-        "channel: expected a PauliChannel or UnitalChannel, got ndarray"),
-    "apply_two_sided.channel": (lambda: apply_two_sided([1.0, 0.0, 0.0, 0.0], _RHO),
-                                "channel: expected a PauliChannel or UnitalChannel, got list"),
     "apply_one_sided.target": (lambda: apply_one_sided(_CHANNEL, _RHO, target=2),
                                "target: expected 0 or 1, got 2"),
     "config.noisy_qubit": (lambda: sweep_config_from_dict({"noisy_qubit": 2}),

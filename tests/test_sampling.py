@@ -11,13 +11,6 @@ from entdyn.sampling import (
 from oracles import random_unitary
 
 
-def test_random_states_valid():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        psi = random_pure_ket(rng, 4)
-        assert np.vdot(psi, psi).real == np.float64(1.0) or abs(np.vdot(psi, psi).real - 1) < 1e-12
-
-
 @pytest.mark.parametrize("dim", [2, 4, 8])
 def test_random_pure_ket_has_the_asked_dimension(dim):
     psi = random_pure_ket(np.random.default_rng(dim), dim)
@@ -36,14 +29,6 @@ def test_deterministic_under_seed(draw):
     a = draw(np.random.default_rng(99))
     assert np.asarray(a).tobytes() == np.asarray(draw(np.random.default_rng(99))).tobytes()
     assert np.asarray(a).tobytes() != np.asarray(draw(np.random.default_rng(100))).tobytes()
-
-
-def test_random_unital_channel_rotations_are_unitary():
-    rng = np.random.default_rng(60)
-    for _ in range(10):
-        ch = random_unital_channel(rng)
-        for u in (ch.pre_rotation, ch.post_rotation):
-            assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_random_pauli_channel_normalized():

@@ -146,16 +146,14 @@ class TestMetrics:
             rotated = fidelity(u @ a @ u.conj().T, u @ b @ u.conj().T)
             assert rotated == pytest.approx(fidelity(a, b), abs=1e-10)
 
-    def test_purity_bounds(self):
+    def test_purity_range(self):
+        assert purity(np.eye(4) / 4) == pytest.approx(0.25)
+        assert purity(bell_state("psi+")) == pytest.approx(1.0)
         rng = np.random.default_rng(50)
         for dim in (2, 4):
             for _ in range(10):
                 assert 1.0 / dim - 1e-12 <= purity(random_density_matrix(rng, dim)) <= 1.0 + 1e-12
             assert purity(dm(random_pure_ket(rng, dim))) == pytest.approx(1.0, abs=1e-12)
-
-    def test_purity_range(self):
-        assert purity(np.eye(4) / 4) == pytest.approx(0.25)
-        assert purity(bell_state("psi+")) == pytest.approx(1.0)
 
 
 class TestSerialization:
@@ -208,12 +206,6 @@ def test_bell_key_rejects_other_names(name):
         bell_state(name)
 
 
-@pytest.mark.parametrize("i, j, k", [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
-def test_pauli_products_are_cyclic(i, j, k):
-    assert np.allclose(PAULIS[i] @ PAULIS[j], 1j * PAULIS[k])
-    assert np.allclose(PAULIS[j] @ PAULIS[i], -1j * PAULIS[k])
-
-
 def test_paulis_are_hermitian_and_traceless_but_sigma_0():
     for i, s in enumerate(PAULIS):
         assert np.array_equal(s, s.conj().T)
@@ -224,3 +216,6 @@ def test_pauli_algebra():
     for i in range(4):
         assert np.allclose(PAULIS[i] @ PAULIS[i], np.eye(2))
     assert np.allclose(PAULIS[1] @ PAULIS[2], 1j * PAULIS[3])
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        assert np.allclose(PAULIS[i] @ PAULIS[j], 1j * PAULIS[k])
+        assert np.allclose(PAULIS[j] @ PAULIS[i], -1j * PAULIS[k])

@@ -217,9 +217,15 @@ class TestReconstruction:
             CountRecord(s, int(rng.integers(0, 500)), 300.0) for s in settings
         ]
         result = reconstruct_state_mle(records)
-        eigs = np.linalg.eigvalsh(result.rho_hat)
+        r = result.rho_hat
+        eigs = np.linalg.eigvalsh(r)
         assert eigs.min() >= -1e-6
-        assert np.trace(result.rho_hat).real == pytest.approx(1.0, abs=1e-9)
+        assert np.trace(r).real == pytest.approx(1.0, abs=1e-9)
+        # a density matrix: finite, Hermitian, unit trace, no eigenvalue below -1e-10
+        assert np.isfinite(r).all()
+        assert np.abs(r - r.conj().T).max() <= 1e-12
+        assert abs(np.trace(r) - 1) <= 1e-12
+        assert eigs[0] >= -1e-10
 
     def test_incomplete_settings_rejected(self):
         rho = bell_state("phi+")
