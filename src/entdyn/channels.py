@@ -188,17 +188,18 @@ def _violated(radii, tol: float):
                 yield i, j, k, label, lhs, rhs
 
 
-def cp_violations(radii, tol: float = CP_TOL) -> list[str]:
+def cp_violations(radii, tol: float) -> list[str]:
     """Every tetrahedron inequality the three radii violate, worded (empty
     if they are completely positive)."""
     return [f"|R{i + 1} {label} R{j + 1}| = {lhs:.6g} > |1 {label} R{k + 1}| = {rhs:.6g}"
             for i, j, k, label, lhs, rhs in _violated(radii, tol)]
 
 
-def is_completely_positive(radii, tol: float = CP_TOL) -> bool:
+def is_completely_positive(radii) -> bool:
     """True iff the three signed radii satisfy every tetrahedron inequality
-    of :func:`cp_violations`; stops at the first violation and words none."""
-    return next(_violated(radii, tol), None) is None
+    of :func:`cp_violations` to ``CP_TOL``; stops at the first violation and
+    words none."""
+    return next(_violated(radii, CP_TOL), None) is None
 
 
 def pauli_transfer_matrix(channel) -> np.ndarray:

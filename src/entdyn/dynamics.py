@@ -34,7 +34,7 @@ from .channels import (
     pauli_radii,
 )
 from .states import (
-    PAULIS, _check_choice, _check_positive, _frozen, _shaped, bell_state, dm, psd_sqrt, purity,
+    PAULIS, _check_choice, _frozen, _shaped, bell_state, dm, psd_sqrt, purity,
 )
 
 MODES = ("one_sided", "two_sided")
@@ -49,6 +49,7 @@ _PURITY_TOL = 1e-8
 # Offsets, in units of one step's finest halving, of the points that
 # breaking_point tests: a step of h halvings tests the first 2**h - 1.
 _STEPS = _frozen(np.arange(1.0, 256.0))
+_BREAKING_TOL = 1e-10  # bracket width at which breaking_point stops halving
 
 
 @dataclass(frozen=True)
@@ -181,24 +182,21 @@ def lambda_two_sided(channel) -> np.ndarray:
     )
 
 
-def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
+def breaking_point(family: str, mode: str) -> float:
     """Smallest noise probability at which the predicted concurrence reaches zero.
 
     Solved by bisection on the analytic law for the given channel family
     ("two-field", "isotropic" or "dephasing"), halving [0, 1] until the
-    bracket is at most ``tol`` wide and returning its midpoint. Each step
+    bracket is at most 1e-10 wide and returning its midpoint. Each step
     takes h <= 8 halvings at once: the law is evaluated once on the
     2**h - 1 dyadic points that cut the bracket into 2**h equal parts, and
     the bracket becomes the pair of neighbouring points those halvings
     would reach. The laws are positive below the breaking point and zero
     above it, so this returns the same bits as halving one point at a time.
-    A ``tol`` below the float spacing at the breaking point ends the search
-    once the bracket stops shrinking.
     Returns ``math.inf`` when the prediction never reaches zero on [0, 1]
     (the channel never breaks entanglement there).
     """
     _check_choice(mode, MODES, "mode")
-    _check_positive(tol, "tol")
     law = predict_one_sided if mode == "one_sided" else predict_two_sided
 
     def c_of(p):
@@ -209,16 +207,13 @@ def breaking_point(family: str, mode: str, tol: float = 1e-10) -> float:
     if c_of(1.0) > 0.0:
         return math.inf
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > _BREAKING_TOL:
         halvings = 1
-        while halvings < 8 and (hi - lo) / 2**halvings > tol:
+        while halvings < 8 and (hi - lo) / 2**halvings > _BREAKING_TOL:
             halvings += 1
         width = (hi - lo) / 2**halvings
         k = int(np.count_nonzero(c_of(lo + width * _STEPS[: 2**halvings - 1]) > 0.0))
-        bracket = lo + k * width, lo + (k + 1) * width
-        if bracket == (lo, hi):
-            break
-        lo, hi = bracket
+        lo, hi = lo + k * width, lo + (k + 1) * width
     return 0.5 * (lo + hi)
 
 

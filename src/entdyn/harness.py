@@ -211,14 +211,14 @@ def _law(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
     return predict_one_sided(noisy) * abs(math.sin(4.0 * spec.delta))
 
 
-def analytic_prediction(config: SweepConfig, p, spec: InitialStateSpec | None = None):
-    """Prediction attached to the sweep row at ``p`` (to each row for an array ``p``).
+def analytic_prediction(config: SweepConfig, p, spec: InitialStateSpec):
+    """Prediction attached to the sweep row of ``spec`` at ``p`` (to each row
+    for an array ``p``).
 
     ``p_scale`` stretches the prediction's noise axis (theory evaluated at
     p / p_scale) for comparison against figures whose measured breaking point
     sits beyond the ideal one; it never touches simulated values.
     """
-    spec = config.initial if spec is None else spec
     p = np.asarray(p, dtype=float)
     return _law(config, spec, p if config.p_scale is None else np.minimum(1.0, p / config.p_scale))
 
@@ -235,8 +235,8 @@ def shot_noise_point(config: SweepConfig, spec: InitialStateSpec, index: int, re
         rho = _evolved_states(config, spec, config.p_grid[index])
         records = simulate_counts(rho, standard_settings(), pl.n_per_setting, seed=(pl.seed, index, 0))
     fit = reconstruct_state_mle(records, likelihood=pl.likelihood)
-    estimate = monte_carlo_errors(records, pl.trials, "concurrence", seed=(pl.seed, index, 1),
-                                  likelihood=pl.likelihood, base=fit)
+    estimate = monte_carlo_errors(records, pl.trials, (pl.seed, index, 1), fit,
+                                  likelihood=pl.likelihood)
     return records, fit, estimate
 
 
@@ -290,7 +290,7 @@ def run_breaking_points() -> list[BreakingPoint]:
 
 def run_channel_characterization(
     family: str,
-    p_grid=DEFAULT_P_GRID,
+    p_grid,
     n_per_probe: int | None = None,
     seed: int = 0,
 ) -> list[CharacterizationRow]:
@@ -616,10 +616,10 @@ def pipeline_from(obj) -> Pipeline:
     return Pipeline(**values)
 
 
-def _check_mapping(obj, path: str = "config") -> None:
-    """A ConfigError naming ``path`` unless ``obj`` is a mapping."""
+def _check_mapping(obj) -> None:
+    """A ConfigError unless the config ``obj`` is a mapping."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
+        raise ConfigError(f"config: expected a mapping, got {type(obj).__name__}")
 
 
 #: The config whose fields a config file's absent fields take (checked once).

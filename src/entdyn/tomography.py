@@ -13,11 +13,11 @@ form behind a switch) by one projected-Newton search on its exact Hessian
 (:func:`_fit`). Error bars come from a bootstrap on arrays: a (trials, S)
 array of counts resampled Poisson around the observed counts (not around
 the fitted state's expected counts, as a parametric bootstrap would), a
-refit of each row from one warm start, and one call of a registered
-estimator on the stack of refit states. Every count, simulated or resampled,
-is an exact Poisson draw, by one ``Generator.poisson`` call per random
-stream: a simulated count around a mean of at most :data:`MAX_COUNT`, a
-resampled one around an observed count of at most twice that.
+refit of each row from the base fit, and one Wootters concurrence of the
+stack of refit states. Every count, simulated or resampled, is an exact
+Poisson draw, by one ``Generator.poisson`` call per random stream: a
+simulated count around a mean of at most :data:`MAX_COUNT`, a resampled
+one around an observed count of at most twice that.
 
 Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
@@ -28,7 +28,6 @@ inversion; the single-channel functions are thin calls into these two.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import math
@@ -137,13 +136,12 @@ class ReconstructionResult:
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """Bootstrap mean and spread of a derived quantity over MLE re-runs.
+    """Bootstrap mean and spread of the concurrence over MLE re-runs.
 
     ``dropped`` trials are left out of the spread; ``unconverged`` trials are
     kept in it and only counted.
     """
 
-    quantity: str
     mean: float
     std_dev: float
     trials: int
@@ -331,7 +329,7 @@ def _objective(likelihood: str, design: _Design, counts, exposures):
 
 #: Trial steps per line search; each shrinks the step at least twofold.
 _BACKTRACKS = 30
-_MAX_EVALS = 100_000  # likelihood evaluations of a fit unless the caller caps them
+_MAX_EVALS = 100_000  # likelihood evaluations of every fit
 
 
 def minimize(fun, t: np.ndarray, max_evals: int):
@@ -410,97 +408,56 @@ def _cubic_step(step, f0, slope0, f1, slope1) -> float:
     return 0.5 * step
 
 
-def _fit(likelihood: str, design: _Design, counts, exposures, t0, max_evals: int):
+def _fit(likelihood: str, design: _Design, counts, exposures, t0):
     """Likelihood fit of count arrays from T-parameters ``t0``: base fits and refits."""
     fun = _objective(likelihood, design, counts, exposures)
-    t, f, evals, steps, converged = minimize(fun, t0, max_evals)
+    t, f, evals, steps, converged = minimize(fun, t0, _MAX_EVALS)
     return ReconstructionResult(rho_hat=_frozen(_rho_from_params(t)), log_likelihood=-f,
                                 iterations=evals, converged=converged, rounds=steps)
 
 
-def reconstruct_state_mle(
-    records,
-    likelihood: str = "gaussian",
-    max_evals: int = _MAX_EVALS,
-    initial=None,
-) -> ReconstructionResult:
+def reconstruct_state_mle(records, likelihood: str = "gaussian") -> ReconstructionResult:
     """Maximum-likelihood two-qubit state from coincidence counts.
 
     The state is parameterized as T^dag T / Tr(T^dag T) (physical by
     construction) and the likelihood is maximized by one projected-Newton
-    search on its exact Hessian (:func:`minimize`), which stops when the
-    Newton decrement falls to a relative 1e-12. ``max_evals`` caps the
-    likelihood evaluations (``iterations``); a fit that reaches the cap is
-    returned with ``converged=False``. ``initial`` warm-starts the search
-    from a given density matrix, which must be a finite Hermitian 4x4
-    matrix, instead of the linear-inversion seed.
+    search on its exact Hessian (:func:`minimize`) from the linear-inversion
+    seed, which stops when the Newton decrement falls to a relative 1e-12.
+    A fit that spends the budget of 100,000 likelihood evaluations
+    (``iterations``) first is returned with ``converged=False``.
     """
-    _check_at_least(max_evals, 1, "max_evals")
     design, counts, exposures = _arrays(records)
-    seed_rho = (_linear_inversion(design, counts, exposures) if initial is None
-                else _hermitian("initial", initial, (4, 4), tol=1e-10))
-    return _fit(likelihood, design, counts, exposures, _params_from_rho(seed_rho), max_evals)
+    seed_rho = _linear_inversion(design, counts, exposures)
+    return _fit(likelihood, design, counts, exposures, _params_from_rho(seed_rho))
 
 
-#: Registered estimators of a (trials, 4, 4) stack; purity rounds as ``purity`` does.
-_ESTIMATORS = {
-    "concurrence": lambda states: np.maximum(wootters(states)[0], 0.0),
-    "purity": lambda states: np.trace(states @ states, axis1=1, axis2=2).real,
-}
-
-
-def _each(fun, states) -> np.ndarray:
-    """``fun`` of each state, NaN where it raises ValueError or ArithmeticError."""
-    values = np.full(len(states), math.nan)
-    for i, rho in enumerate(states):
-        with contextlib.suppress(ValueError, ArithmeticError):
-            values[i] = float(fun(rho))
-    return values
-
-
-def monte_carlo_errors(
-    records,
-    trials: int,
-    estimator,
-    seed,
-    likelihood: str = "gaussian",
-    base: ReconstructionResult | None = None,
-) -> ErrorEstimate:
-    """Bootstrap error bar for a quantity derived from a reconstruction.
+def monte_carlo_errors(records, trials: int, seed, base: ReconstructionResult,
+                       likelihood: str = "gaussian") -> ErrorEstimate:
+    """Bootstrap error bar for the concurrence of a reconstruction.
 
     Trial i resamples every count as Poisson around the observed value, by
     one ``np.random.default_rng([*seed, i]).poisson`` call, so each trial
     owns a private stream and the outcome does not depend on execution
     order. Each row of the (trials, S) array of draws is re-fitted from one
-    warm start, the T-parameters of ``base`` (a finite Hermitian estimate;
-    a fit of the records when unset). A registered estimator
-    ("concurrence", "purity") runs once on the (trials, 4, 4) stack of refit
-    states, any other callable on each refit state in trial order. Trials
-    where the estimator raises or returns a non-finite value are dropped and
+    warm start, the T-parameters of ``base`` (the fit of the records; its
+    estimate must be a finite Hermitian 4x4 matrix), and one batched
+    Wootters call takes the concurrence of the (trials, 4, 4) stack of
+    refit states. Trials whose concurrence is not finite are dropped and
     counted. Refits that end with ``converged=False`` stay in the spread and
     are counted as ``unconverged``.
     """
     _check_at_least(trials, 2, "trials")
-    if isinstance(estimator, str):
-        _check_choice(estimator, tuple(_ESTIMATORS), "estimator")
-        name, evaluate = estimator, _ESTIMATORS[estimator]
-    else:
-        name, evaluate = getattr(estimator, "__name__", "custom"), functools.partial(_each, estimator)
-
     design, observed, exposures = _arrays(records)
-    if base is None:  # the fit reconstruct_state_mle makes, on the arrays already converted
-        seed_rho = _linear_inversion(design, observed, exposures)
-        base = _fit(likelihood, design, observed, exposures, _params_from_rho(seed_rho), _MAX_EVALS)
     t0 = _params_from_rho(_hermitian("base.rho_hat", base.rho_hat, (4, 4), tol=1e-10))
     seed_parts = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     draws = np.array([np.random.default_rng([*seed_parts, trial]).poisson(observed)
                       for trial in range(trials)], dtype=float)
-    fits = [_fit(likelihood, design, counts, exposures, t0, _MAX_EVALS) for counts in draws]
-    values = evaluate(_frozen(np.array([fit.rho_hat for fit in fits])))
+    fits = [_fit(likelihood, design, counts, exposures, t0) for counts in draws]
+    values = np.maximum(wootters(_frozen(np.array([fit.rho_hat for fit in fits])))[0], 0.0)
     values = values[np.isfinite(values)]
     if len(values) < 2:
         raise ValueError(f"only {len(values)} usable trials out of {trials}")
-    return ErrorEstimate(quantity=name, mean=float(values.mean()), std_dev=float(values.std(ddof=1)),
+    return ErrorEstimate(mean=float(values.mean()), std_dev=float(values.std(ddof=1)),
                          trials=len(values), dropped=trials - len(values),
                          unconverged=sum(not fit.converged for fit in fits))
 
@@ -562,9 +519,10 @@ def process_tomography_single_qubit(probe_results) -> np.ndarray:
     return _frozen(process_matrices(rho_in, [rho_out], stacklevel=3)[0])
 
 
-def probe_outputs(ptm, probe_labels=DEFAULT_PROBE_LABELS, n_per_projector=None, seeds=None):
-    """Output states (N, k, 2, 2) of the k probe inputs under each of a
-    (N, 4, 4) stack of single-qubit Pauli-transfer matrices.
+def probe_outputs(ptm, n_per_projector=None, seeds=None):
+    """Output states (N, 4, 2, 2) of the probe inputs
+    :data:`DEFAULT_PROBE_LABELS` under each of a (N, 4, 4) stack of
+    single-qubit Pauli-transfer matrices.
 
     With ``n_per_projector`` unset the outputs are exact: each PTM maps the
     Pauli components of the probe inputs. Otherwise ``seeds`` holds one seed
@@ -576,7 +534,7 @@ def probe_outputs(ptm, probe_labels=DEFAULT_PROBE_LABELS, n_per_projector=None, 
     """
     if n_per_projector is not None:
         _check_count(n_per_projector, "n_per_projector")
-    rho_in = np.array([dm(BASIS_KETS[label]) for label in probe_labels])
+    rho_in = np.array([dm(BASIS_KETS[label]) for label in DEFAULT_PROBE_LABELS])
     components = np.einsum("iab,kba->ki", _PAULI_STACK, rho_in)  # Tr(sigma_i rho)
     mapped = np.einsum("nij,kj->nki", np.asarray(ptm), components)
     rho_out = np.einsum("nki,iab->nkab", 0.5 * mapped, _PAULI_STACK)
@@ -592,22 +550,17 @@ def probe_outputs(ptm, probe_labels=DEFAULT_PROBE_LABELS, n_per_projector=None, 
     return 0.5 * (_PAULI_STACK[0] + np.einsum("nki,iab->nkab", vec, _PAULI_STACK[1:]))
 
 
-def simulate_probe_outputs(
-    channel,
-    probe_labels=DEFAULT_PROBE_LABELS,
-    n_per_projector: int | None = None,
-    seed=None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(input ket, output state) pairs for process tomography of a channel.
+def simulate_probe_outputs(channel, n_per_projector: int | None = None,
+                           seed=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(input ket, output state) pairs of the probes :data:`DEFAULT_PROBE_LABELS`
+    for process tomography of a channel.
 
     One channel through :func:`probe_outputs`: exact outputs with
     ``n_per_projector`` unset, else estimates from Poissonian counts on the
     six polarization projectors drawn from ``np.random.default_rng(seed)``.
     """
-    outputs = probe_outputs(
-        pauli_transfer_matrix(channel)[None], probe_labels, n_per_projector, [seed]
-    )[0]
-    return [(BASIS_KETS[label], _frozen(rho)) for label, rho in zip(probe_labels, outputs)]
+    outputs = probe_outputs(pauli_transfer_matrix(channel)[None], n_per_projector, [seed])[0]
+    return [(BASIS_KETS[label], _frozen(rho)) for label, rho in zip(DEFAULT_PROBE_LABELS, outputs)]
 
 
 def ellipsoid_mesh(channel, n_theta: int = 25, n_phi: int = 50) -> np.ndarray:

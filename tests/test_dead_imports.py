@@ -105,6 +105,27 @@ class Census:
         visit(tree, frozenset())
         return found - {None}
 
+    def calls(self, module: str, tree: ast.Module, modules=None) -> list:
+        """``(definition, call)`` for each call in ``module`` of a name that
+        no enclosing scope binds itself, or of an attribute of a library
+        module, with ``modules`` mapping a local dotted name to that module."""
+        found = []
+
+        def visit(node, local):
+            if isinstance(node, _SCOPES):
+                local = local | _bound(node)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id not in local:
+                    found.append((self.home(module, func.id), node))
+                elif isinstance(func, ast.Attribute) and (owner := _dotted(func.value)) in (modules or {}):
+                    found.append((self.home(modules[owner], func.attr), node))
+            for child in ast.iter_child_nodes(node):
+                visit(child, local)
+
+        visit(tree, frozenset())
+        return [(home, call) for home, call in found if home is not None]
+
 
 def _bound(scope) -> set[str]:
     """Names a function, lambda or comprehension binds other than by import."""
@@ -132,26 +153,35 @@ def _dotted(node) -> str | None:
     return None
 
 
+def _module_aliases(tree: ast.Module, census: Census) -> dict:
+    """Local dotted name -> library module, for each entdyn module a
+    benchmark file imports whole (``import entdyn.cli``, ``from entdyn
+    import channels``)."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("entdyn."):
+                    modules[alias.asname or alias.name] = alias.name.removeprefix("entdyn.")
+        elif isinstance(node, ast.ImportFrom) and _entdyn_module(node, False):
+            for alias in node.names:
+                if alias.name in census.definitions:
+                    modules[alias.asname or alias.name] = alias.name
+    return modules
+
+
 def perfbench_reach(census: Census) -> set:
     """Definitions the benchmark reaches: a name it imports from entdyn, one
     it reads as an attribute of an entdyn module, and each traced name."""
     reached = set()
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text())
-        modules = {}  # local dotted name -> library module
+        modules = _module_aliases(tree, census)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith("entdyn."):
-                        modules[alias.asname or alias.name] = alias.name.removeprefix("entdyn.")
-            elif isinstance(node, ast.ImportFrom) and (source := _entdyn_module(node, False)):
-                for alias in node.names:
-                    if alias.name in census.definitions:  # from entdyn import channels
-                        modules[alias.asname or alias.name] = alias.name
-                    else:
-                        reached.add(census.home(source, alias.name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and _dotted(node.value) in modules:
+            if isinstance(node, ast.ImportFrom) and (source := _entdyn_module(node, False)):
+                reached.update(census.home(source, alias.name) for alias in node.names
+                               if alias.name not in census.definitions)
+            elif isinstance(node, ast.Attribute) and _dotted(node.value) in modules:
                 reached.add(census.home(modules[_dotted(node.value)], node.attr))
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -194,3 +224,72 @@ def test_guard_finds_an_unread_definition():
                        "def f(shadowed):\n    return used(), shadowed, [ket for ket in ()]\n"),
     }
     assert unread_definitions(trees, {("a", "Traced")}) == ["a.ket", "a.shadowed", "b.f"]
+
+
+# ---------------------------------------------------------------------------
+# Dead parameters. A default that every call leaves in place is a constant:
+# each defaulted parameter of a function that the library or the benchmark
+# calls is passed by one of those calls. Calls from tests do not count, and a
+# function that only tests or the tracer reach is left out.
+
+
+def _defaulted(function: ast.FunctionDef) -> list:
+    """(position, or None if keyword-only; name) of each parameter with a default."""
+    positional = function.args.posonlyargs + function.args.args
+    first = len(positional) - len(function.args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(function.args.kwonlyargs, function.args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call: ast.Call, position, name: str) -> bool:
+    """Whether ``call`` passes the parameter: by position, by keyword, or
+    possibly through ``*args`` or ``**kwargs``."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and position < len(call.args):
+        return True
+    return any(k.arg in (name, None) for k in call.keywords)
+
+
+def dead_parameters(trees: dict[str, ast.Module], callers=None) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    top-level function of ``trees`` that the calls made in ``trees`` and in
+    ``callers`` (benchmark files, which reach the library through absolute
+    imports) never pass, for the functions those calls reach at all."""
+    callers = callers or {}
+    census = Census({**trees, **callers})
+    calls = {}  # (module, function) -> its calls
+    for module, tree in trees.items():
+        for home, call in census.calls(module, tree):
+            calls.setdefault(home, []).append(call)
+    for module, tree in callers.items():
+        for home, call in census.calls(module, tree, _module_aliases(tree, census)):
+            calls.setdefault(home, []).append(call)
+    return sorted(
+        f"{module}.{node.name}({name})"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (module, node.name) in calls
+        for position, name in _defaulted(node)
+        if not any(_passes(call, position, name) for call in calls[module, node.name])
+    )
+
+
+PERFBENCH_TREES = {f"perfbench.{p.stem}": ast.parse(p.read_text())
+                   for p in sorted(PERFBENCH.glob("*.py"))}
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert dead_parameters(TREES, PERFBENCH_TREES) == []
+
+
+def test_guard_finds_a_dead_parameter():
+    trees = {
+        "a": ast.parse("def f(x, y=1, *, z=2, w=3):\n    pass\n\ndef g(v=0):\n    pass\n\n"
+                       "def h(u=0):\n    pass\n"),
+        "b": ast.parse("from .a import f, g\n\ndef k(g):\n    return f(0, 5), f(0, w=1), g(1)\n"),
+    }
+    bench = {"bench": ast.parse("import entdyn.a\nfrom entdyn import a as lib\n\n"
+                                "entdyn.a.h()\nlib.f(0, z=4)\n")}
+    assert dead_parameters(trees) == ["a.f(z)"]
+    assert dead_parameters(trees, bench) == ["a.h(u)"]

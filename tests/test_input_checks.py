@@ -66,10 +66,8 @@ VALIDATORS = {
     "chi_from_radii": ("radii", chi_from_radii, [1.0, 1.0, 1.0], (2,)),
     "decompose_unital": ("m", decompose_unital, np.eye(3), (2, 2)),
     "su2_from_rotation": ("o", su2_from_rotation, np.eye(3), (3, 2)),
-    "reconstruct_state_mle.initial": (
-        "initial", lambda m: reconstruct_state_mle(_RECORDS, initial=m), np.eye(4) / 4, (2, 2)),
     "monte_carlo_errors.base": (
-        "base.rho_hat", lambda m: monte_carlo_errors(_RECORDS, 2, "purity", 0, base=_base(m)),
+        "base.rho_hat", lambda m: monte_carlo_errors(_RECORDS, 2, 0, _base(m)),
         np.eye(4) / 4, (3, 3)),
     "simulate_counts": (
         "rho", lambda m: simulate_counts(m, standard_settings(), 100, seed=0), np.eye(4) / 4, (2, 2)),
@@ -98,10 +96,9 @@ CASES = [
       for key, (name, call, _, shape) in VALIDATORS.items()],
     *[pytest.param(name, call, np.zeros(shape), "expected ", id=f"{key}-shape")
       for key, (name, call, shape) in OPERATIONS.items()],
-    *[pytest.param(name, call, np.triu(np.ones((4, 4))) / 4, "matrix is not Hermitian",
-                   id=f"{key}-hermitian")
-      for key in ("reconstruct_state_mle.initial", "monte_carlo_errors.base")
-      for name, call, _, _ in [VALIDATORS[key]]],
+    pytest.param("base.rho_hat", VALIDATORS["monte_carlo_errors.base"][1],
+                 np.triu(np.ones((4, 4))) / 4, "matrix is not Hermitian",
+                 id="monte_carlo_errors.base-hermitian"),
 ]
 
 
@@ -181,9 +178,7 @@ SCALAR_CASES = {
     "flag.tomo_sim_counts": (_flag("tomo-sim", "--counts", str(10**19)),
                              f"pipeline.n_per_setting: must be <= 1e18, got {10**19}"),
     # must be >= k
-    "reconstruct_state_mle.max_evals": (lambda: reconstruct_state_mle(_RECORDS, max_evals=0),
-                                        "max_evals: must be >= 1, got 0"),
-    "monte_carlo_errors.trials": (lambda: monte_carlo_errors(_RECORDS, 1, "purity", 0),
+    "monte_carlo_errors.trials": (lambda: monte_carlo_errors(_RECORDS, 1, 0, _base(_RHO)),
                                   "trials: must be >= 2, got 1"),
     "ellipsoid_mesh.n_theta": (lambda: ellipsoid_mesh(_CHANNEL, n_theta=1),
                                "n_theta: must be >= 2, got 1"),
@@ -199,8 +194,6 @@ SCALAR_CASES = {
     "flag.characterize_seed": (_flag("characterize", "--family", "isotropic", "--seed", "-1"),
                                "seed: must be >= 0, got -1"),
     # positive and finite
-    "breaking_point.tol": (lambda: breaking_point("isotropic", "one_sided", 0.0),
-                           "tol: must be positive and finite, got 0.0"),
     "CountRecord.exposure": (lambda: CountRecord(_HH, 5, float("nan")),
                              "exposure: must be positive and finite, got nan"),
     "config.p_scale": (lambda: sweep_config_from_dict({"p_scale": "inf"}),
@@ -234,8 +227,6 @@ SCALAR_CASES = {
     "config.pipeline_kind": (lambda: sweep_config_from_dict({"pipeline": "x"}),
                              "pipeline.kind: expected 'analytic', 'exact_simulation' or 'shot_noise', "
                              "got 'x'"),
-    "monte_carlo_errors.estimator": (lambda: monte_carlo_errors(_RECORDS, 2, "x", 0),
-                                     "estimator: expected 'concurrence' or 'purity', got 'x'"),
     "InitialStateSpec.kind": (lambda: InitialStateSpec(kind="x"),
                               "kind: expected 'bell', 'pure_pes' or 'mixed_pes', got 'x'"),
     "config.initial_kind": (lambda: sweep_config_from_dict({"initial": {"kind": "x"}}),

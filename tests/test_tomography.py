@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from entdyn.channels import PauliChannel, apply_one_sided, channel_for
 from entdyn.dynamics import concurrence
-from entdyn.states import BASIS_KETS, bell_state, dm, fidelity, purity
+from entdyn.states import BASIS_KETS, bell_state, dm, fidelity
 import entdyn.tomography
 from entdyn.cli import main
 from entdyn.tomography import (
@@ -19,6 +19,7 @@ from entdyn.tomography import (
     CountRecord,
     MeasurementSetting,
     _arrays,
+    _fit,
     _objective,
     _params_from_rho,
     born_probability,
@@ -235,9 +236,9 @@ class TestReconstruction:
 
     def test_non_convergence_flagged(self):
         records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=3)
-        result = reconstruct_state_mle(records, max_evals=2)
-        assert not result.converged
-        assert result.iterations == 2
+        _, _, evals, _, converged = minimize(*_seeded_objective(records), 2)
+        assert not converged
+        assert evals == 2
 
     def test_error_decreases_with_counts(self):
         rho = bell_state("phi+")
@@ -259,34 +260,9 @@ class TestReconstruction:
         full = reconstruct_state_mle(records)
         assert full.converged
         for max_evals in range(1, full.iterations + 1):
-            result = reconstruct_state_mle(records, max_evals=max_evals)
-            assert result.iterations == max_evals
-            assert not result.converged
-
-    def test_budget_must_allow_one_evaluation(self):
-        records = exact_records(bell_state("phi+"), 1000)
-        with pytest.raises(ValueError, match="max_evals"):
-            reconstruct_state_mle(records, max_evals=0)
-
-    @pytest.mark.parametrize(
-        "initial, message",
-        [(np.eye(2) / 2, "shape"),
-         (np.full((4, 4), np.nan), "finite"),
-         (np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-9), 1), "Hermitian")],
-        ids=["shape", "nan", "non_hermitian"],
-    )
-    def test_bad_initial_rejected_by_name(self, initial, message):
-        records = exact_records(bell_state("phi+"), 1000)
-        with pytest.raises(ValueError, match=f"^initial: .*{message}"):
-            reconstruct_state_mle(records, initial=initial)
-        base = replace(reconstruct_state_mle(records), rho_hat=initial)
-        with pytest.raises(ValueError, match=f"^base.rho_hat: .*{message}"):
-            monte_carlo_errors(records, trials=2, estimator="purity", seed=1, base=base)
-
-    def test_initial_within_the_hermitian_tolerance_accepted(self):
-        records = exact_records(bell_state("phi+"), 1000)
-        skewed = np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-11), 1)
-        assert reconstruct_state_mle(records, initial=skewed).converged
+            _, _, evals, _, converged = minimize(*_seeded_objective(records), max_evals)
+            assert evals == max_evals
+            assert not converged
 
     def test_linear_inversion_recovers_exact(self):
         rng = np.random.default_rng(71)
@@ -320,7 +296,7 @@ class TestProcessTomography:
             assert np.max(np.abs(eigs - expected)) < 1e-10
 
     def test_rank_deficient_probes_rejected(self):
-        pairs = simulate_probe_outputs(channel_for("isotropic", 0.2), probe_labels=("H", "V"))
+        pairs = simulate_probe_outputs(channel_for("isotropic", 0.2))[:2]  # H and V only
         with pytest.raises(ValueError, match="rank deficient"):
             process_tomography_single_qubit(pairs)
 
@@ -355,7 +331,7 @@ class TestMonteCarlo:
         sigmas = []
         for n, seed in ((10**3, 11), (10**4, 12), (10**5, 13)):
             records = simulate_counts(rho, standard_settings(), n, seed=seed)
-            est = monte_carlo_errors(records, trials=10, estimator="concurrence", seed=(seed, 1))
+            est = monte_carlo_errors(records, 10, (seed, 1), reconstruct_state_mle(records))
             sigmas.append(est.std_dev)
         for i in range(2):
             ratio = sigmas[i] / sigmas[i + 1]
@@ -365,75 +341,77 @@ class TestMonteCarlo:
         # at C = 1 the physicality constraint clips fluctuations quadratically,
         # so the spread sits well below the interior 1/sqrt(N) scale
         records = legacy_counts(bell_state("phi+"), 10**4, seed=12)
-        est = monte_carlo_errors(records, trials=10, estimator="concurrence", seed=(12, 1))
+        est = monte_carlo_errors(records, 10, (12, 1), reconstruct_state_mle(records))
         assert est.std_dev < 0.002
 
     def test_two_trials_degenerate(self):
         records = exact_records(bell_state("phi+"), 500)
-        est = monte_carlo_errors(records, trials=2, estimator="purity", seed=5)
+        est = monte_carlo_errors(records, 2, 5, reconstruct_state_mle(records))
         assert est.std_dev >= 0.0
         assert est.trials == 2
 
-    def test_dropped_trials_counted(self):
+    def test_dropped_trials_counted(self, monkeypatch):
         records = exact_records(bell_state("phi+"), 500)
-        calls = {"n": 0}
+        base = reconstruct_state_mle(records)
+        original = entdyn.tomography.wootters
 
-        def flaky(rho):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise ValueError("undefined on this resample")
-            return concurrence(rho).c
+        def first_trial_nan(states):
+            q, roots = original(states)
+            return np.where(np.arange(len(q)) == 0, math.nan, q), roots
 
-        est = monte_carlo_errors(records, trials=4, estimator=flaky, seed=6)
+        monkeypatch.setattr(entdyn.tomography, "wootters", first_trial_nan)
+        est = monte_carlo_errors(records, 4, 6, base)
         assert est.dropped == 1
         assert est.trials == 3
 
-    def test_unknown_estimator_name(self):
-        records = exact_records(bell_state("phi+"), 500)
-        with pytest.raises(ValueError, match="estimator: expected"):
-            monte_carlo_errors(records, trials=2, estimator="negativity", seed=1)
-
     def test_too_few_trials(self):
-        with pytest.raises(ValueError):
-            monte_carlo_errors([], trials=1, estimator="purity", seed=1)
+        records = exact_records(bell_state("phi+"), 500)
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_errors(records, 1, 1, reconstruct_state_mle(records))
 
-    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
-    def test_own_base_fit_is_the_public_fit(self, likelihood):
-        records = simulate_counts(bell_state("psi+"), standard_settings(), 1000, seed=7)
-        base = reconstruct_state_mle(records, likelihood=likelihood)
-        own = monte_carlo_errors(records, 4, "concurrence", (7, 1), likelihood=likelihood)
-        given = monte_carlo_errors(records, 4, "concurrence", (7, 1), likelihood=likelihood,
-                                   base=base)
-        assert own == given
+    @pytest.mark.parametrize(
+        "rho_hat, message",
+        [(np.eye(2) / 2, "shape"),
+         (np.full((4, 4), np.nan), "finite"),
+         (np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-9), 1), "Hermitian")],
+        ids=["shape", "nan", "non_hermitian"],
+    )
+    def test_bad_base_rejected_by_name(self, rho_hat, message):
+        records = exact_records(bell_state("phi+"), 1000)
+        base = replace(reconstruct_state_mle(records), rho_hat=rho_hat)
+        with pytest.raises(ValueError, match=f"^base.rho_hat: .*{message}"):
+            monte_carlo_errors(records, 2, 1, base)
 
-    @pytest.mark.parametrize("with_base", [False, True], ids=["own_base", "given_base"])
-    def test_converts_records_to_arrays_once(self, monkeypatch, with_base):
+    def test_base_within_the_hermitian_tolerance_accepted(self):
+        records = exact_records(bell_state("phi+"), 1000)
+        skewed = np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-11), 1)
+        base = replace(reconstruct_state_mle(records), rho_hat=skewed)
+        assert monte_carlo_errors(records, 2, 1, base).trials == 2
+
+    def test_converts_records_to_arrays_once(self, monkeypatch):
         records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=8)
-        base = reconstruct_state_mle(records) if with_base else None
+        base = reconstruct_state_mle(records)
         calls = []
         original = entdyn.tomography._arrays
         monkeypatch.setattr(entdyn.tomography, "_arrays",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
-        monte_carlo_errors(records, 2, "purity", 8, base=base)
+        monte_carlo_errors(records, 2, 8, base)
         assert len(calls) == 1
 
 
-def per_trial_bootstrap(records, trials, estimator, seed, likelihood, base):
-    """The per-trial bootstrap loop that the array bootstrap replaced, from
-    public names only: a resampled record list and a warm-started public fit
-    per trial, the estimator applied to each refit state."""
-    fun = {"concurrence": lambda rho: concurrence(rho).c, "purity": purity}.get(estimator, estimator)
+def per_trial_bootstrap(records, trials, seed, likelihood, base):
+    """The per-trial bootstrap loop that the array bootstrap replaced: a
+    resampled record list and a fit warm-started from the base per trial,
+    the concurrence of each refit state."""
     observed = np.array([r.count for r in records], dtype=float)
+    t0 = _params_from_rho(base.rho_hat)
     values, dropped, unconverged = [], 0, 0
     for trial in range(trials):
         counts = np.random.default_rng([*seed, trial]).poisson(observed).tolist()
         resampled = [CountRecord(r.setting, c, r.exposure) for r, c in zip(records, counts)]
-        fit = reconstruct_state_mle(resampled, likelihood=likelihood, initial=base.rho_hat)
+        fit = _fit(likelihood, *_arrays(resampled), t0)
         unconverged += not fit.converged
-        try:
-            value = float(fun(fit.rho_hat))
-        except (ValueError, ArithmeticError):
-            value = math.nan
+        value = concurrence(fit.rho_hat).c
         if math.isfinite(value):
             values.append(value)
         else:
@@ -444,27 +422,27 @@ def per_trial_bootstrap(records, trials, estimator, seed, likelihood, base):
 
 class TestArrayBootstrap:
     @pytest.mark.parametrize("likelihood", LIKELIHOODS)
-    @pytest.mark.parametrize("estimator", ["concurrence", "purity", "callable"])
-    def test_matches_the_per_trial_loop(self, estimator, likelihood):
+    def test_matches_the_per_trial_loop(self, likelihood):
         rho = apply_one_sided(channel_for("isotropic", 0.3), bell_state("phi+"), target=1)
         records = simulate_counts(rho, standard_settings(), 1000, seed=41)
         base = reconstruct_state_mle(records, likelihood=likelihood)
-        if estimator == "callable":
-            # raises (math domain error) on every refit less pure than the base
-            def estimator(state):
-                return math.log(purity(state) - purity(base.rho_hat))
-
-        est = monte_carlo_errors(records, 12, estimator, (41, 1), likelihood=likelihood, base=base)
+        est = monte_carlo_errors(records, 12, (41, 1), base, likelihood=likelihood)
         mean, std_dev, trials, dropped, unconverged = per_trial_bootstrap(
-            records, 12, estimator, (41, 1), likelihood, base
+            records, 12, (41, 1), likelihood, base
         )
         assert est.mean == mean and est.std_dev == std_dev
         assert (est.trials, est.dropped, est.unconverged) == (trials, dropped, unconverged)
-        assert est.trials >= 2 and (est.dropped > 0) == callable(estimator)
+        assert est.trials >= 2 and est.dropped == 0
 
 
 def _fit_objective(records, likelihood):
     return _objective(likelihood, *_arrays(records))
+
+
+def _seeded_objective(records):
+    """The Gaussian objective of the records and the T-parameters of their
+    linear-inversion seed: the search the public fit runs."""
+    return _fit_objective(records, "gaussian"), _params_from_rho(linear_inversion_state(records))
 
 
 def _derivative_point(likelihood, point):
@@ -538,7 +516,7 @@ class TestGradientFit:
         records = legacy_counts(rho, 10_000, seed=0)
         assert np.linalg.eigvalsh(linear_inversion_state(records))[0] < 1e-12
         fit = reconstruct_state_mle(records)
-        interior = reconstruct_state_mle(records, initial=np.eye(4) / 4)
+        interior = _fit("gaussian", *_arrays(records), _params_from_rho(np.eye(4) / 4))
         assert fit.converged and interior.converged
         scale = 1 + abs(interior.log_likelihood)
         assert fit.log_likelihood == pytest.approx(interior.log_likelihood, abs=1e-6 * scale)
@@ -557,18 +535,19 @@ class TestGradientFit:
         assert f_hat - f_more < 1e-9 * (1 + abs(f_hat))
 
     def test_unconverged_refits_counted_and_kept(self, monkeypatch):
-        # the base fit and every refit run the fit core; call 2 is the first refit
+        # every refit runs the fit core; call 1 is the first refit
         records = exact_records(bell_state("phi+"), 500)
+        base = reconstruct_state_mle(records)
         fit = entdyn.tomography._fit
         calls = {"n": 0}
 
         def first_refit_unconverged(*args, **kwargs):
             result = fit(*args, **kwargs)
             calls["n"] += 1
-            return replace(result, converged=False) if calls["n"] == 2 else result
+            return replace(result, converged=False) if calls["n"] == 1 else result
 
         monkeypatch.setattr(entdyn.tomography, "_fit", first_refit_unconverged)
-        est = monte_carlo_errors(records, trials=3, estimator="purity", seed=6)
+        est = monte_carlo_errors(records, 3, 6, base)
         assert est.unconverged == 1
         assert est.trials == 3 and est.dropped == 0
 
@@ -728,26 +707,42 @@ class TestNewtonFit:
         assert (steps == 0) == (start == 0)
 
     def test_budget_spent_off_a_saddle_is_not_converged(self):
-        # f = -s^2 + 10 s^4 with s = t1 / |t|: at e0 the gradient vanishes, so
-        # the stop rule is met, but the curvature along t1 is negative, and
-        # the first step along it overshoots to f = 2. A budget spent there
-        # has not reached the minimum f = -1/40 at s^2 = 1/20.
-        def quartic(t):
-            a, b = t
-            r2 = float(t @ t)
-            u = b * b / r2
-            du = np.array([-2 * a * b * b, 2 * a * a * b]) / r2**2
-            d2u = np.array([[6 * a * a * b * b - 2 * b**4, 4 * a * b**3 - 4 * a**3 * b],
-                            [4 * a * b**3 - 4 * a**3 * b, 2 * a**4 - 6 * a * a * b * b]]) / r2**3
-            slope = 20 * u - 1
-            return -u + 10 * u * u, slope * du, 20 * np.outer(du, du) + slope * d2u, 1.0
-
+        # at e0 the gradient vanishes, so the stop rule is met, but the
+        # curvature along t1 is negative, and the first step along it
+        # overshoots to f = 2. A budget spent there has not reached the
+        # minimum f = -1/40 at s^2 = 1/20.
         e0 = np.array([1.0, 0.0])
-        t, f, evals, steps, converged = minimize(quartic, e0, 2)
+        t, f, evals, steps, converged = minimize(saddle_quartic(1.0), e0, 2)
         assert (t.tolist(), f, evals, steps, converged) == ([1.0, 0.0], 0.0, 2, 0, False)
-        t, f, evals, steps, converged = minimize(quartic, e0, 50)
+        t, f, evals, steps, converged = minimize(saddle_quartic(1.0), e0, 50)
         assert converged
         assert f == pytest.approx(-0.025, abs=1e-12)
+
+    def test_saddle_left_when_its_curvature_is_above_the_floor(self):
+        # a size of 5e11 puts the eigenvalue floor at 1e-12 * size = 0.5,
+        # against the saddle's lowest eigenvalue of -2: below minus the
+        # floor, so the search leaves e0 and reaches the minimum
+        t, f, evals, steps, converged = minimize(saddle_quartic(5e11), np.array([1.0, 0.0]), 50)
+        assert converged and steps > 0
+        assert f == pytest.approx(-0.025, abs=1e-12)
+
+
+def saddle_quartic(size):
+    """f = -s^2 + 10 s^4 with s = t1 / |t|, its gradient and Hessian, and
+    the given rounding size: a saddle at e0, where the curvature along t1
+    is -2, and minima f = -1/40 at s^2 = 1/20."""
+
+    def quartic(t):
+        a, b = t
+        r2 = float(t @ t)
+        u = b * b / r2
+        du = np.array([-2 * a * b * b, 2 * a * a * b]) / r2**2
+        d2u = np.array([[6 * a * a * b * b - 2 * b**4, 4 * a * b**3 - 4 * a**3 * b],
+                        [4 * a * b**3 - 4 * a**3 * b, 2 * a**4 - 6 * a * a * b * b]]) / r2**3
+        slope = 20 * u - 1
+        return -u + 10 * u * u, slope * du, 20 * np.outer(du, du) + slope * d2u, size
+
+    return quartic
 
 
 def _counted(monkeypatch, name):
@@ -783,8 +778,8 @@ class TestScanConstants:
         for settings in (standard_settings(), minimal_settings()):
             for seed in range(3):
                 records = simulate_counts(bell_state("psi-"), settings, 1000, seed)
-                monte_carlo_errors(records, 2, "purity", seed)
-                reconstruct_state_mle(records, likelihood="poisson")
+                base = reconstruct_state_mle(records, likelihood="poisson")
+                monte_carlo_errors(records, 2, seed, base)
         assert calls == ["pinv", "pinv"]
 
     def test_standard_settings_is_a_new_list_each_call(self):
