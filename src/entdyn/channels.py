@@ -189,8 +189,8 @@ def _violated(radii, tol: float):
 
 
 def cp_violations(radii, tol: float) -> list[str]:
-    """Every tetrahedron inequality the three radii violate, worded (empty
-    if they are completely positive)."""
+    """Every tetrahedron inequality the three radii violate by more than
+    ``tol``, worded (empty if they are completely positive)."""
     return [f"|R{i + 1} {label} R{j + 1}| = {lhs:.6g} > |1 {label} R{k + 1}| = {rhs:.6g}"
             for i, j, k, label, lhs, rhs in _violated(radii, tol)]
 

@@ -1,7 +1,9 @@
 """No library module imports a name it never uses (``__init__.py``, which
-imports names to re-export them, is left out), and no library function or
+imports names to re-export them, is left out), no library function or
 class, exported or not, goes unread: each is read by a library module that
-defines or imports it, or reached by the benchmark (``perfbench/``)."""
+defines or imports it, or reached by the benchmark (``perfbench/``), and no
+function that those modules call has a default that every call leaves in
+place."""
 
 import ast
 import importlib.util
