@@ -4,6 +4,7 @@ import pytest
 import entdyn.channels
 from entdyn.channels import (
     _SU2_TO_SO3,
+    CP_TOL,
     PAULI_FAMILIES,
     PauliChannel,
     UnitalChannel,
@@ -232,6 +233,32 @@ class TestCompletePositivity:
         samples = rng.uniform(-1, 1, size=(2000, 3))
         for r in samples:
             assert is_completely_positive(r) == (chi_from_radii(r).min() >= -1e-12)
+
+    # The tetrahedron's vertices (the unitaries 1, X, Y, Z) and, for each,
+    # the face opposite it, v . R = -1: the point -(1/3 + e) v lies a
+    # distance set by e beyond that face's centroid, and breaks the face's
+    # inequality |R_i + R_j| <= |1 + R_k| by 3e.
+    VERTICES = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+
+    @pytest.mark.parametrize("vertex", VERTICES)
+    def test_face_held_to_cp_tol(self, vertex):
+        def beyond(e):
+            return -(1 / 3 + e) * np.array(vertex, dtype=float)
+
+        assert is_completely_positive(beyond(0.0))
+        assert is_completely_positive(beyond(CP_TOL / 6))  # breaks it by CP_TOL / 2
+        assert not is_completely_positive(beyond(CP_TOL))  # by 3 CP_TOL
+
+    @pytest.mark.parametrize("vertex", VERTICES)
+    def test_unital_channel_holds_a_face_to_1e_10(self, vertex):
+        def beyond(e):
+            return -(1 / 3 + e) * np.array(vertex, dtype=float)
+
+        inside = UnitalChannel(np.eye(2), np.eye(2), beyond(1e-10 / 6))
+        assert inside.radii.tolist() == beyond(1e-10 / 6).tolist()
+        assert not is_completely_positive(inside.radii)  # beyond CP_TOL, within 1e-10
+        with pytest.raises(ValueError, match="^radii: not completely positive: "):
+            UnitalChannel(np.eye(2), np.eye(2), beyond(1e-10))
 
 
 class TestFamilies:

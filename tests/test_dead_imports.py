@@ -295,3 +295,20 @@ def test_guard_finds_a_dead_parameter():
                                 "entdyn.a.h()\nlib.f(0, z=4)\n")}
     assert dead_parameters(trees) == ["a.f(z)"]
     assert dead_parameters(trees, bench) == ["a.h(u)"]
+
+
+@pytest.mark.parametrize("definition, call, found", [
+    pytest.param("def f(x, y=1):\n    pass\n", "f(0, 2)", [], id="by_position"),
+    pytest.param("def f(x, y=1):\n    pass\n", "f(0, y=2)", [], id="by_keyword"),
+    pytest.param("def f(x, y=1):\n    pass\n", "f(*args)", [], id="through_args"),
+    pytest.param("def f(x, y=1):\n    pass\n", "f(0, **kw)", [], id="through_kwargs"),
+    pytest.param("def f(x, y=1):\n    pass\n", "f(0, x=2)", ["a.f(y)"], id="other_keyword"),
+    pytest.param("def f(x, *, y=1):\n    pass\n", "f(0, 2)", ["a.f(y)"], id="keyword_only_by_position"),
+    pytest.param("def f(x, y=1):\n    pass\n", "[f(0) for f in args]", [], id="shadowed_name_unreached"),
+    pytest.param("def f(x, y=1):\n    pass\n", "(lambda f: f(0))(kw)", [], id="lambda_name_unreached"),
+])
+def test_guard_rule(definition, call, found):
+    # each case is one call in b of the one function a defines
+    trees = {"a": ast.parse(definition),
+             "b": ast.parse(f"from .a import f\n\ndef k(args, kw):\n    return {call}\n")}
+    assert dead_parameters(trees) == found

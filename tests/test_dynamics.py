@@ -176,8 +176,8 @@ class TestPredictors:
             assert np.max(np.abs(second_diff)) < 1e-12
 
 
-def scalar_bisection(family, mode):
-    """One halving per step, the law evaluated on one point at a time, to 1e-10."""
+def scalar_bisection(family, mode, tol):
+    """One halving per step, the law evaluated on one point at a time."""
     law = predict_one_sided if mode == "one_sided" else predict_two_sided
 
     def c_of(p):
@@ -188,7 +188,7 @@ def scalar_bisection(family, mode):
     if c_of(1.0) > 0.0:
         return math.inf
     lo, hi = 0.0, 1.0
-    while hi - lo > 1e-10:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if c_of(mid) > 0.0:
             lo = mid
@@ -200,8 +200,15 @@ def scalar_bisection(family, mode):
 class TestBreakingPoints:
     @pytest.mark.parametrize("family", ["two-field", "isotropic", "dephasing"])
     @pytest.mark.parametrize("mode", ["one_sided", "two_sided"])
-    def test_bit_identical_to_scalar_bisection(self, family, mode):
-        got, want = breaking_point(family, mode), scalar_bisection(family, mode)
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.3, 1e-14])
+    def test_bit_identical_to_scalar_bisection(self, monkeypatch, family, mode, tol):
+        # the bracket width is the module constant, 1e-10; the other widths
+        # end on a shorter last step (0.3: one step of 2 halvings; 1e-6: 8 + 8
+        # + 4; 1e-14: 5 steps of 8 and one of 7), each cut where the width
+        # check stops it
+        if tol != 1e-10:
+            monkeypatch.setattr(entdyn.dynamics, "_BREAKING_TOL", tol)
+        got, want = breaking_point(family, mode), scalar_bisection(family, mode, tol)
         assert float.hex(got) == float.hex(want)
 
     def test_law_points_per_run(self, monkeypatch):

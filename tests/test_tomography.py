@@ -9,10 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 from entdyn.channels import PauliChannel, apply_one_sided, channel_for
 from entdyn.dynamics import concurrence
+from entdyn.sampling import random_unital_channel
 from entdyn.states import BASIS_KETS, bell_state, dm, fidelity
 import entdyn.tomography
 from entdyn.cli import main
 from entdyn.tomography import (
+    DEFAULT_PROBE_LABELS,
     LIKELIHOODS,
     MAX_COUNT,
     _T_BASIS,
@@ -35,7 +37,7 @@ from entdyn.tomography import (
     standard_settings,
     write_counts_csv,
 )
-from oracles import random_density_matrix, trace_distance
+from oracles import kraus_apply, random_density_matrix, trace_distance
 
 
 def minimal_settings():
@@ -295,6 +297,16 @@ class TestProcessTomography:
             expected = np.sort([1 - p, p / 3, p / 3, p / 3])[::-1]
             assert np.max(np.abs(eigs - expected)) < 1e-10
 
+    @pytest.mark.parametrize("k, label", list(enumerate(DEFAULT_PROBE_LABELS)))
+    def test_probe_pair_is_the_labelled_input_and_its_image(self, k, label):
+        # a rotated channel, so that each probe's image moves off its axis
+        channel = random_unital_channel(np.random.default_rng(60))
+        pairs = simulate_probe_outputs(channel)
+        assert len(pairs) == len(DEFAULT_PROBE_LABELS)
+        ket, out = pairs[k]
+        assert ket is BASIS_KETS[label]
+        assert np.allclose(out, kraus_apply(channel, dm(ket)), atol=1e-13)
+
     def test_rank_deficient_probes_rejected(self):
         pairs = simulate_probe_outputs(channel_for("isotropic", 0.2))[:2]  # H and V only
         with pytest.raises(ValueError, match="rank deficient"):
@@ -369,6 +381,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trials"):
             monte_carlo_errors(records, 1, 1, reconstruct_state_mle(records))
 
+    def test_too_few_usable_trials(self, monkeypatch):
+        # every refit but the last has no concurrence: one value is left
+        records = exact_records(bell_state("phi+"), 500)
+        base = reconstruct_state_mle(records)
+        original = entdyn.tomography.wootters
+
+        def last_trial_only(states):
+            q, roots = original(states)
+            return np.where(np.arange(len(q)) == len(q) - 1, q, math.nan), roots
+
+        monkeypatch.setattr(entdyn.tomography, "wootters", last_trial_only)
+        with pytest.raises(ValueError, match="^only 1 usable trials out of 3$"):
+            monte_carlo_errors(records, 3, 6, base)
+
     @pytest.mark.parametrize(
         "rho_hat, message",
         [(np.eye(2) / 2, "shape"),
@@ -420,10 +446,22 @@ def per_trial_bootstrap(records, trials, seed, likelihood, base):
     return arr.mean(), arr.std(ddof=1), len(values), dropped, unconverged
 
 
+BOOTSTRAP_STATES = {
+    # interior: full rank, concurrence well above zero
+    "entangled": lambda: apply_one_sided(channel_for("isotropic", 0.3), bell_state("phi+"), target=1),
+    # past the breaking point (1/2): each refit's Wootters q is below zero,
+    # so each value is the clip to zero
+    "separable": lambda: apply_one_sided(channel_for("isotropic", 0.6), bell_state("phi+"), target=1),
+    # rank 1: every refit sits on the boundary of the state space
+    "pure": lambda: bell_state("psi-"),
+}
+
+
 class TestArrayBootstrap:
     @pytest.mark.parametrize("likelihood", LIKELIHOODS)
-    def test_matches_the_per_trial_loop(self, likelihood):
-        rho = apply_one_sided(channel_for("isotropic", 0.3), bell_state("phi+"), target=1)
+    @pytest.mark.parametrize("state", list(BOOTSTRAP_STATES))
+    def test_matches_the_per_trial_loop(self, state, likelihood):
+        rho = BOOTSTRAP_STATES[state]()
         records = simulate_counts(rho, standard_settings(), 1000, seed=41)
         base = reconstruct_state_mle(records, likelihood=likelihood)
         est = monte_carlo_errors(records, 12, (41, 1), base, likelihood=likelihood)
