@@ -82,14 +82,20 @@ class PauliChannel:
     _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        chi = _finite("chi_diag", self.chi_diag, (4,), dtype=float)
-        if chi.min() < -CP_TOL:
-            raise ConfigError(
-                f"chi_diag: must be non-negative, got chi_{int(chi.argmin())} = {float(chi.min())!r}"
-            )
-        if abs(chi.sum() - 1.0) > 1e-12:
+        chi = _shaped("chi_diag", self.chi_diag, (4,), dtype=float)
+        # One pass over the four weights as Python floats; their left-to-right
+        # sum is numpy's (4 < 8 terms: no pairwise split). A non-finite
+        # weight makes the sum non-finite, so every bad input fails here and
+        # is worded below, in the order finite, non-negative, sum to 1.
+        c0, c1, c2, c3 = chi.tolist()
+        if not (min(c0, c1, c2, c3) >= -CP_TOL and abs(c0 + c1 + c2 + c3 - 1.0) <= 1e-12):
+            _finite("chi_diag", chi, (4,), dtype=float)
+            if chi.min() < -CP_TOL:
+                raise ConfigError(f"chi_diag: must be non-negative, got "
+                                  f"chi_{int(chi.argmin())} = {float(chi.min())!r}")
             raise ConfigError(f"chi_diag: must sum to 1, got {float(chi.sum())!r}")
-        object.__setattr__(self, "chi_diag", _frozen(np.clip(chi, 0.0, None)))
+        # np.clip(chi, 0.0, None) is this maximum; it is also the one copy
+        object.__setattr__(self, "chi_diag", _frozen(np.maximum(chi, 0.0)))
         object.__setattr__(self, "_ptm", _frozen(pauli_ptm(self.chi_diag)))
 
 
@@ -98,9 +104,11 @@ class UnitalChannel:
     """General unital channel: rotate by ``pre_rotation``, shrink the Bloch
     ball along the axes by the signed ``radii``, rotate by ``post_rotation``.
 
-    Construction validates the parameters (unitary rotations, finite and
-    completely positive radii) and then builds the channel's read-only PTM
-    1 (+) O_u diag(R) O_v once; :func:`pauli_transfer_matrix` returns it.
+    Construction copies the rotations once into one (2, 2, 2) stack, whose
+    read-only rows they become, validates the parameters (unitary
+    rotations, finite and completely positive radii) and then builds the
+    channel's read-only PTM 1 (+) O_u diag(R) O_v once;
+    :func:`pauli_transfer_matrix` returns it.
     """
 
     pre_rotation: np.ndarray
@@ -109,26 +117,48 @@ class UnitalChannel:
     _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = _finite("pre_rotation", self.pre_rotation, (2, 2))
-        u = _finite("post_rotation", self.post_rotation, (2, 2))
-        vu = np.stack((v, u))
-        deviation = np.max(np.abs(vu @ vu.conj().swapaxes(1, 2) - SIGMA_0), axis=(1, 2))
-        for name, d in zip(("pre_rotation", "post_rotation"), deviation.tolist()):
-            if not d <= UNITARY_TOL:
-                raise ConfigError(f"{name}: matrix is not unitary")
-        r = _finite("radii", self.radii, (3,), dtype=float)
+        vu = _frozen(_rotation_pair(self.pre_rotation, self.post_rotation))
+        r = _shaped("radii", self.radii, (3,), dtype=float).copy()
         # 1e-10 of slack: radii read off an SVD (decompose_unital, compose)
-        # carry rounding, so a map on the tetrahedron's faces still constructs
+        # carry rounding, so a map on the tetrahedron's faces still constructs.
+        # A non-finite radius breaks an inequality, so it is caught here too.
         violations = cp_violations(r, tol=1e-10)
         if violations:
+            _finite("radii", r, (3,), dtype=float)
             raise ConfigError("radii: not completely positive: " + "; ".join(violations))
-        object.__setattr__(self, "pre_rotation", _frozen(v.copy()))
-        object.__setattr__(self, "post_rotation", _frozen(u.copy()))
-        object.__setattr__(self, "radii", _frozen(r.copy()))
+        object.__setattr__(self, "pre_rotation", vu[0])
+        object.__setattr__(self, "post_rotation", vu[1])
+        object.__setattr__(self, "radii", _frozen(r))
         o_v, o_u = rotation_from_su2(vu)
         ptm = np.eye(4)
         ptm[1:, 1:] = o_u * r @ o_v
         object.__setattr__(self, "_ptm", _frozen(ptm))
+
+
+def _rotation_pair(pre_rotation, post_rotation) -> np.ndarray:
+    """The two rotations of a :class:`UnitalChannel` as one new (2, 2, 2)
+    complex stack, checked together: shape, finiteness and unitarity.
+    Only a failed check words its failure, naming the field: each
+    rotation's shape and finiteness in turn, then its unitarity."""
+    try:
+        vu = np.array((pre_rotation, post_rotation), dtype=complex)
+        if (vu.shape == (2, 2, 2) and np.count_nonzero(np.isfinite(vu)) == 8
+                and np.count_nonzero(_unitarity_deviation(vu) <= UNITARY_TOL) == 8):
+            return vu
+    except (TypeError, ValueError):  # a ragged pair: each field is read on its own below
+        pass
+    vu = np.stack((_finite("pre_rotation", pre_rotation, (2, 2)),
+                   _finite("post_rotation", post_rotation, (2, 2))))
+    for name, d in zip(("pre_rotation", "post_rotation"),
+                       _unitarity_deviation(vu).max(axis=(1, 2)).tolist()):
+        if not d <= UNITARY_TOL:
+            raise ConfigError(f"{name}: matrix is not unitary")
+    return vu
+
+
+def _unitarity_deviation(u) -> np.ndarray:
+    """|u u^dag - 1| entry by entry, for each matrix of a (..., 2, 2) stack."""
+    return np.abs(u @ u.conj().swapaxes(-1, -2) - SIGMA_0)
 
 
 def family_weights(family: str, p) -> np.ndarray:
@@ -176,11 +206,11 @@ def chi_from_radii(radii) -> np.ndarray:
 _CP_TRIPLES = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
-def _violated(radii, tol: float):
+def _violated(r: list, tol: float):
     """The tetrahedron inequalities |R_i +- R_j| <= |1 +- R_k| + tol that
-    three signed radii break, lazily and in a fixed order, as ``(i, j, k,
-    "+" or "-", lhs, rhs)``. A non-finite radius breaks every inequality it enters."""
-    r = np.asarray(radii, dtype=float).reshape(3).tolist()
+    three signed radii, given as Python floats, break, lazily and in a fixed
+    order, as ``(i, j, k, "+" or "-", lhs, rhs)``. A non-finite radius
+    breaks every inequality it enters."""
     for i, j, k in _CP_TRIPLES:
         for sign, label in ((1.0, "+"), (-1.0, "-")):
             lhs, rhs = abs(r[i] + sign * r[j]), abs(1.0 + sign * r[k])
@@ -192,14 +222,19 @@ def cp_violations(radii, tol: float) -> list[str]:
     """Every tetrahedron inequality the three radii violate by more than
     ``tol``, worded (empty if they are completely positive)."""
     return [f"|R{i + 1} {label} R{j + 1}| = {lhs:.6g} > |1 {label} R{k + 1}| = {rhs:.6g}"
-            for i, j, k, label, lhs, rhs in _violated(radii, tol)]
+            for i, j, k, label, lhs, rhs in _violated(_floats(radii), tol)]
 
 
 def is_completely_positive(radii) -> bool:
     """True iff the three signed radii satisfy every tetrahedron inequality
     of :func:`cp_violations` to ``CP_TOL``; stops at the first violation and
     words none."""
-    return next(_violated(radii, CP_TOL), None) is None
+    return next(_violated(_floats(radii), CP_TOL), None) is None
+
+
+def _floats(radii) -> list:
+    """Three radii as Python floats, for :func:`_violated`."""
+    return np.asarray(radii, dtype=float).reshape(3).tolist()
 
 
 def pauli_transfer_matrix(channel) -> np.ndarray:
@@ -219,7 +254,7 @@ def pauli_ptm(chi_diag) -> np.ndarray:
     """PTMs diag(1, R1, R2, R3) of Pauli weights: (..., 4) -> (..., 4, 4)."""
     d = np.asarray(chi_diag, dtype=float) @ _WALSH
     r = np.zeros(d.shape + (4,))
-    r[..., range(4), range(4)] = d
+    r.reshape(d.shape[:-1] + (16,))[..., ::5] = d  # the diagonal of each 4x4
     return r
 
 
@@ -246,10 +281,12 @@ def apply_ptm(r, rho, targets) -> np.ndarray:
     """
     m = np.asarray(rho, dtype=complex)
     t = (m.reshape(m.shape[:-2] + (16,)) @ _TWO_QUBIT_PAULIS_H).reshape(m.shape)
+    # a product with a real r casts it to complex first; cast it once
+    r = np.asarray(r, dtype=complex)
     if 0 in targets:
         t = r @ t
     if 1 in targets:
-        t = t @ np.swapaxes(r, -1, -2)
+        t = t @ r.swapaxes(-1, -2)
     return (0.25 * t.reshape(t.shape[:-2] + (16,)) @ _TWO_QUBIT_PAULIS).reshape(t.shape)
 
 

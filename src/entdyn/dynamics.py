@@ -41,8 +41,10 @@ MODES = ("one_sided", "two_sided")
 
 # (sy x sy) A (sy x sy) = _FLIP_SIGNS * A[::-1, ::-1]: sy x sy is the
 # anti-diagonal (-1, 1, 1, -1), so the flip reverses rows and columns and
-# signs entry (i, j) by s_i s_j.
-_FLIP_SIGNS = _frozen(np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0]))
+# signs entry (i, j) by s_i s_j. The signs are stored complex: numpy casts
+# a real factor to complex before a complex product anyway, so this only
+# saves the cast.
+_FLIP_SIGNS = _frozen(np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0]).astype(complex))
 
 _PURITY_TOL = 1e-8
 
@@ -81,7 +83,7 @@ def wootters(rho) -> tuple[np.ndarray, np.ndarray]:
     sq = psd_sqrt(rho)
     sq_flipped = sq[..., ::-1, ::-1].conj() * _FLIP_SIGNS
     roots = np.linalg.svd(sq_flipped @ sq, compute_uv=False)
-    return roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], roots
+    return np.subtract.reduce(roots, axis=-1), roots  # ((r0 - r1) - r2) - r3
 
 
 def concurrence(rho) -> ConcurrenceResult:

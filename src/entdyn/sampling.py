@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import PauliChannel, UnitalChannel, is_completely_positive
+from .channels import CP_TOL, PauliChannel, UnitalChannel, _violated
 from .states import _frozen
 
 
@@ -23,11 +23,14 @@ def random_pauli_channel(rng: np.random.Generator) -> PauliChannel:
 
 
 def random_cp_radii(rng: np.random.Generator) -> np.ndarray:
-    # The CP tetrahedron fills 1/3 of the cube, so rejection is cheap.
+    # The CP tetrahedron fills 1/3 of the cube, so rejection is cheap. Each
+    # draw is rng.uniform(-1.0, 1.0, 3), which is -1 + 2u for u = rng.random(3):
+    # the same stream and bits, read as Python floats so that a rejected
+    # draw builds no array.
     while True:
-        r = rng.uniform(-1.0, 1.0, size=3)
-        if is_completely_positive(r):
-            return _frozen(r)
+        r = [2.0 * u - 1.0 for u in rng.random(3).tolist()]
+        if next(_violated(r, CP_TOL), None) is None:
+            return _frozen(np.array(r))
 
 
 def random_unital_channel(rng: np.random.Generator) -> UnitalChannel:
@@ -38,6 +41,6 @@ def random_unital_channel(rng: np.random.Generator) -> UnitalChannel:
     R-diagonal phases move into Q."""
     g = rng.normal(size=(2, 2, 2, 2))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    v, u = q * (d / np.abs(d))[:, None, :]
+    d = r.diagonal(axis1=1, axis2=2)
+    v, u = q * (d / abs(d))[:, None, :]
     return UnitalChannel(pre_rotation=v, post_rotation=u, radii=random_cp_radii(rng))

@@ -66,8 +66,13 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 def _shaped(name: str, value, shape=None, dtype=complex) -> np.ndarray:
     """``value`` as an array of ``shape``, else a ConfigError naming
     ``name``. A vector shape ``(n,)`` takes any array of n entries, which it
-    flattens; no shape takes any square matrix."""
-    m = np.asarray(value, dtype=dtype)
+    flattens; no shape takes any square matrix. A value numpy cannot read
+    as one array of numbers (a ragged nesting, a string) is named too."""
+    try:
+        m = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        expected = "a square matrix" if shape is None else f"shape {shape}"
+        raise ConfigError(f"{name}: expected {expected} of numbers, got {type(value).__name__}") from exc
     if shape is None:
         if m.ndim == 2 and m.shape[0] == m.shape[1]:
             return m
@@ -154,11 +159,10 @@ def psd_sqrt(matrix) -> np.ndarray:
     root: sqrt would amplify that noise to 1e-7, which is what limits
     concurrence and fidelity accuracy on rank-deficient states.
     """
-    m = np.asarray(matrix, dtype=complex)
-    w, v = np.linalg.eigh(m)
-    w = np.maximum(w, 0.0)
+    w, v = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+    np.maximum(w, 0.0, out=w)
     w[w < 1e-14 * w[..., -1:]] = 0.0
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return (v * np.sqrt(w, out=w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def purity(rho) -> float:

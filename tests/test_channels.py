@@ -159,6 +159,27 @@ class TestOneTwoSided:
                         single = apply_one_sided(ch, rho, target=targets[0])
                     assert np.max(np.abs(out - single)) < 1e-14
 
+    def test_single_channel_has_the_bits_of_its_row_in_a_stack(self):
+        # apply_one_sided/apply_two_sided are apply_ptm on one PTM and one
+        # state: on the Bell states that the random-channel checks evolve,
+        # the same bits as that pair's row of a stacked call. (On a dense
+        # state they differ in the last bit: BLAS takes a vector-matrix
+        # product for one state and a matrix product for a stack.)
+        rng = np.random.default_rng(30)
+        channels = [random_unital_channel(rng) for _ in range(12)]
+        channels += [random_pauli_channel(rng) for _ in range(4)]
+        stack = np.stack([pauli_transfer_matrix(ch) for ch in channels])
+        bells = [bell_state(name) for name in ("phi+", "phi-", "psi+", "psi-")]
+        states = np.stack([bells[i % 4] for i in range(len(channels))])
+        for targets in ((0,), (1,), (0, 1)):
+            by_pair = apply_ptm(stack, states, targets)
+            for ch, rho, out in zip(channels, states, by_pair):
+                if targets == (0, 1):
+                    single = apply_two_sided(ch, rho)
+                else:
+                    single = apply_one_sided(ch, rho, target=targets[0])
+                assert single.tobytes() == out.tobytes()
+
     def test_two_field_breaking_point(self):
         out = apply_two_sided(channel_for("two-field", 1.0 / 3.0), bell_state("phi+"))
         assert concurrence(out).c == pytest.approx(0.0, abs=1e-12)
@@ -481,6 +502,42 @@ class TestUnitalChannel:
             decompose_unital(np.diag([1.0, 1.0, -1.0]))
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("v, u, message", [
+        # the pair is read as one stack; a pair that does not stack is read
+        # field by field, so each failure still names its own field
+        (np.eye(2), np.eye(3), r"post_rotation: expected shape \(2, 2\), got \(3, 3\)"),
+        (np.eye(3), np.eye(2), r"pre_rotation: expected shape \(2, 2\), got \(3, 3\)"),
+        (np.eye(3), np.eye(3), r"pre_rotation: expected shape \(2, 2\), got \(3, 3\)"),
+        (np.eye(2), np.eye(2)[:, :1], r"post_rotation: expected shape \(2, 2\), got \(2, 1\)"),
+        (np.eye(2), [[1, 0], [0]], r"post_rotation: expected shape \(2, 2\) of numbers, got list"),
+        ([[1, 0], [0]], np.eye(3), r"pre_rotation: expected shape \(2, 2\) of numbers, got list"),
+        (np.eye(2), {"re": 1}, r"post_rotation: expected shape \(2, 2\) of numbers, got dict"),
+        (np.eye(2), [[1, 0], [0, np.nan]], "post_rotation: entries must be finite"),
+        (np.eye(2), [[np.inf, 0], [0, 1]], "post_rotation: entries must be finite"),
+        # finiteness of both comes before unitarity of either
+        (2 * np.eye(2), [[1, 0], [0, np.nan]], "post_rotation: entries must be finite"),
+        ([[np.nan, 0], [0, 1]], 2 * np.eye(2), "pre_rotation: entries must be finite"),
+        (np.eye(2), 2 * np.eye(2), "post_rotation: matrix is not unitary"),
+        (2 * np.eye(2), 2 * np.eye(2), "pre_rotation: matrix is not unitary"),
+    ])
+    def test_rotation_pair_errors_name_their_field_in_order(self, v, u, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as caught:
+            UnitalChannel(v, u, (1, 1, 1))
+        assert "inhomogeneous" not in str(caught.value)
+
+    @pytest.mark.parametrize("radii, message", [
+        ((np.nan, 0, 0), "radii: entries must be finite"),
+        ((np.inf, 1, 1), "radii: entries must be finite"),
+        ((1, 1), r"radii: expected shape \(3,\), got \(2,\)"),
+        ([[1, 1], [1]], r"radii: expected shape \(3,\) of numbers, got list"),
+        ((1, 1, -1), r"radii: not completely positive: \|R1 \+ R2\| = 2 > \|1 \+ R3\| = 0; "),
+    ])
+    def test_radii_are_checked_after_the_rotations(self, radii, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            UnitalChannel(np.eye(2), np.eye(2), radii)
+        with pytest.raises(ValueError, match="^pre_rotation: matrix is not unitary$"):
+            UnitalChannel(2 * np.eye(2), np.eye(2), radii)
+
     def test_rotation_errors_name_the_rotation(self):
         bad = np.array([[1.0, 0.0], [0.0, 1.1]])
         with pytest.raises(ValueError, match="^pre_rotation: matrix is not unitary$"):
@@ -491,6 +548,48 @@ class TestUnitalChannel:
             UnitalChannel(np.eye(2), np.eye(3), (1, 1, 1))
 
 
+class TestCopyOnce:
+    """A channel copies what it is built from once, and every array it
+    holds is read-only: changing the caller's arrays changes nothing."""
+
+    def test_unital_channel_keeps_its_own_read_only_copies(self):
+        rng = np.random.default_rng(44)
+        reference = random_unital_channel(rng)
+        v, u = np.array(reference.pre_rotation), np.array(reference.post_rotation)
+        r = np.array(reference.radii).reshape(1, 3)  # a vector field takes any 3 entries
+        ch = UnitalChannel(v, u, r)
+        held = [ch.pre_rotation, ch.post_rotation, ch.radii, pauli_transfer_matrix(ch)]
+        before = [a.tobytes() for a in held]
+        assert before == [a.tobytes() for a in (reference.pre_rotation, reference.post_rotation,
+                                                reference.radii, pauli_transfer_matrix(reference))]
+        v[:] = 0.0
+        u[:] = np.nan
+        r[:] = 5.0
+        assert [a.tobytes() for a in held] == before
+        for a in held:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_pauli_channel_keeps_its_own_read_only_copies(self):
+        for chi in (np.array([0.7, 0.1, 0.1, 0.1]), np.array([[0.5, 0.5], [0.0, 0.0]])):
+            ch = PauliChannel(chi)
+            held = [ch.chi_diag, pauli_transfer_matrix(ch)]
+            before = [a.tobytes() for a in held]
+            chi[...] = -1.0
+            assert [a.tobytes() for a in held] == before
+            for a in held:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+
+    def test_pauli_weights_clip_to_plus_zero(self):
+        # weights within CP_TOL below zero, and -0.0, are stored as +0.0
+        ch = PauliChannel([1.0 + 5e-13, -5e-13, -0.0, 0.0])
+        assert ch.chi_diag.tolist() == [1.0 + 5e-13, 0.0, 0.0, 0.0]
+        assert not np.signbit(ch.chi_diag).any()
+
+
 class TestValidationAndSerialization:
     def test_pauli_channel_invariants(self):
         # values are quoted as Python numbers, not numpy scalar reprs
@@ -498,6 +597,16 @@ class TestValidationAndSerialization:
             PauliChannel([1.1, -0.1, 0, 0])
         with pytest.raises(ValueError, match=r"^chi_diag: must sum to 1, got 0\.5$"):
             PauliChannel([0.25, 0.125, 0.0625, 0.0625])
+        # finite before non-negative before the sum, whichever entry fails
+        with pytest.raises(ValueError, match=r"^chi_diag: entries must be finite$"):
+            PauliChannel([1.5, -0.5, np.inf, 0])
+        with pytest.raises(ValueError, match=r"^chi_diag: must be non-negative, got chi_2 = -0\.5$"):
+            PauliChannel([0.25, 0.25, -0.5, 0.25])
+        with pytest.raises(ValueError, match=r"^chi_diag: must sum to 1, got 1\.000000000002$"):
+            PauliChannel([1.000000000002, 0.0, 0.0, 0.0])
+        PauliChannel([1.0 + 1e-12, -1e-12, 0.0, 0.0])  # both rules hold at their bound
+        with pytest.raises(ValueError, match=r"^chi_diag: expected shape \(4,\), got \(3,\)$"):
+            PauliChannel([1.0, 0.0, 0.0])
 
     def test_unital_channel_invariants(self):
         with pytest.raises(ValueError, match="unitary"):

@@ -710,6 +710,7 @@ def _matrix(re):
 
 
 _EYE = _matrix([1, 0, 0, 1])
+_EYE3 = {"dim": 3, "re": [1, 0, 0, 0, 1, 0, 0, 0, 1], "im": [0] * 9}
 
 
 @pytest.mark.parametrize(
@@ -733,6 +734,11 @@ _EYE = _matrix([1, 0, 0, 1])
      ({"family": "unital", "radii": [1, 1, 1], "u": _matrix([1, 0, 0, float("inf")]), "v": _EYE},
       "u: entries must be finite\n"),
      ({"family": "unital", "radii": [1, 1, -1], "u": _EYE, "v": _EYE}, "radii: not completely positive: "),
+     # a pair of rotations that does not stack still names the one at fault
+     ({"family": "unital", "radii": [1, 1, 1], "u": _EYE3, "v": _EYE},
+      "u: expected shape (2, 2), got (3, 3)\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": _EYE3, "v": _EYE3},
+      "v: expected shape (2, 2), got (3, 3)\n"),
      ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'")],
 )
 def test_ellipsoid_channel_file_errors_name_file_and_field(tmp_path, capsys, channel, message):

@@ -24,6 +24,7 @@ from entdyn.dynamics import (
     predict_two_sided,
     predict_two_sided_unital,
     pure_pes_ket,
+    wootters,
 )
 from entdyn.harness import run_breaking_points
 from entdyn.sampling import random_pauli_channel, random_pure_ket, random_unital_channel
@@ -78,6 +79,19 @@ class TestConcurrence:
         assert 0.0 <= res.c <= 1.0 + 1e-12
         with pytest.raises(ValueError, match=r"^rho: expected shape \(4, 4\), got \(2, 2\)$"):
             concurrence(np.eye(2) / 2)
+
+    def test_single_state_has_the_bits_of_its_row_in_a_stack(self):
+        # concurrence is wootters on a one-state stack: no separate path
+        rng = np.random.default_rng(43)
+        states = [random_density_matrix(rng, 4, rank=1 + i % 4) for i in range(12)]
+        states += [apply_two_sided(random_unital_channel(rng), bell_state(name))
+                   for name in BELL_KETS]
+        q, roots = wootters(np.stack(states))
+        for i, rho in enumerate(states):
+            single = concurrence(rho)
+            assert np.float64(single.q).tobytes() == q[i].tobytes()
+            assert single.lambdas.tobytes() == (roots[i] ** 2).tobytes()
+            assert not single.lambdas.flags.writeable
 
     def test_lambdas_match_nonhermitian_oracle(self):
         rng = np.random.default_rng(42)

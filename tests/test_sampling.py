@@ -74,3 +74,19 @@ def test_one_qr_per_unital_channel(monkeypatch):
     for _ in range(5):
         random_unital_channel(rng)
     assert calls == [(2, 2, 2)] * 5
+
+
+def test_cp_radii_are_the_first_uniform_draw_in_the_tetrahedron():
+    # the rejection loop reads rng.random(3) as -1 + 2u: the stream and the
+    # bits of rng.uniform(-1.0, 1.0, 3), and the generator ends where that
+    # loop leaves it
+    for seed in range(50):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        r = random_cp_radii(rng)
+        while True:
+            reference = reference_rng.uniform(-1.0, 1.0, size=3)
+            if is_completely_positive(reference):
+                break
+        assert r.tobytes() == reference.tobytes()
+        assert not r.flags.writeable
+        assert rng.random() == reference_rng.random()
