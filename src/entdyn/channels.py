@@ -82,17 +82,11 @@ class PauliChannel:
     _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        chi = _shaped("chi_diag", self.chi_diag, (4,), dtype=float)
-        # One pass over the four weights as Python floats; their left-to-right
-        # sum is numpy's (4 < 8 terms: no pairwise split). A non-finite
-        # weight makes the sum non-finite, so every bad input fails here and
-        # is worded below, in the order finite, non-negative, sum to 1.
-        c0, c1, c2, c3 = chi.tolist()
-        if not (min(c0, c1, c2, c3) >= -CP_TOL and abs(c0 + c1 + c2 + c3 - 1.0) <= 1e-12):
-            _finite("chi_diag", chi, (4,), dtype=float)
-            if chi.min() < -CP_TOL:
-                raise ConfigError(f"chi_diag: must be non-negative, got "
-                                  f"chi_{int(chi.argmin())} = {float(chi.min())!r}")
+        chi = _finite("chi_diag", self.chi_diag, (4,), dtype=float)
+        if chi.min() < -CP_TOL:
+            raise ConfigError(f"chi_diag: must be non-negative, got "
+                              f"chi_{int(chi.argmin())} = {float(chi.min())!r}")
+        if abs(chi.sum() - 1.0) > 1e-12:
             raise ConfigError(f"chi_diag: must sum to 1, got {float(chi.sum())!r}")
         # np.clip(chi, 0.0, None) is this maximum; it is also the one copy
         object.__setattr__(self, "chi_diag", _frozen(np.maximum(chi, 0.0)))
@@ -264,11 +258,6 @@ def pauli_radii(chi_diag) -> np.ndarray:
     return (np.asarray(chi_diag, dtype=float) @ _WALSH)[..., 1:]
 
 
-def _chi_diag(channel) -> np.ndarray:
-    """Diagonal Pauli weights chi_ii of a channel, from the PTM diagonal."""
-    return _frozen(0.25 * (_WALSH @ np.diag(pauli_transfer_matrix(channel))))
-
-
 def apply_ptm(r, rho, targets) -> np.ndarray:
     """Act with Pauli-transfer matrices on the qubits ``targets`` (a subset
     of (0, 1)) of two-qubit operators.
@@ -292,14 +281,18 @@ def apply_ptm(r, rho, targets) -> np.ndarray:
 
 def apply_one_sided(channel, rho, target: int = 1) -> np.ndarray:
     """Act with a single-qubit channel on one qubit of a two-qubit state:
-    T -> R T on qubit 0, T R^T on qubit 1 (see :func:`apply_ptm`)."""
+    T -> R T on qubit 0, T R^T on qubit 1 (see :func:`apply_ptm`). The result
+    can differ in the last bit from the state's row of a stacked apply_ptm
+    call (a BLAS vector product against a matrix product); on Bell states
+    they agree."""
     m = _shaped("rho", rho, (4, 4))
     _check_choice(target, (0, 1), "target")
     return _frozen(apply_ptm(pauli_transfer_matrix(channel), m, (target,)))
 
 
 def apply_two_sided(channel, rho) -> np.ndarray:
-    """Act with the same channel independently on both qubits: T -> R T R^T."""
+    """Act with the same channel independently on both qubits: T -> R T R^T
+    (last bit of a stacked call as in :func:`apply_one_sided`)."""
     return _frozen(apply_ptm(pauli_transfer_matrix(channel), _shaped("rho", rho, (4, 4)), (0, 1)))
 
 
@@ -422,16 +415,15 @@ def channel_from_json(obj: dict):
     if family == "pauli":
         if params != {"chi"}:
             raise ValueError(f"family 'pauli' takes exactly the parameter 'chi', got {sorted(params)}")
-        return parameter("chi", lambda chi: PauliChannel(np.asarray(chi, dtype=float)))
+        return parameter("chi", PauliChannel)
     if family == "unital":
         if params != {"radii", "u", "v"}:
             raise ValueError(
                 f"family 'unital' takes exactly the parameters radii/u/v, got {sorted(params)}"
             )
         v, u = parameter("v", matrix_from_json), parameter("u", matrix_from_json)
-        radii = parameter("radii", lambda radii: np.asarray(radii, dtype=float))
         try:
-            return UnitalChannel(pre_rotation=v, post_rotation=u, radii=radii)
+            return UnitalChannel(pre_rotation=v, post_rotation=u, radii=obj["radii"])
         except ConfigError as exc:  # "<field>: <rule>", with the field renamed to its key
             field_name, rule = str(exc).split(": ", 1)
             key = {"pre_rotation": "v", "post_rotation": "u"}.get(field_name, field_name)

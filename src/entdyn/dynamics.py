@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    _chi_diag,
+    PauliChannel,
     apply_one_sided,
     bloch_affine_map,
     channel_for,
@@ -34,7 +34,7 @@ from .channels import (
     pauli_radii,
 )
 from .states import (
-    PAULIS, _check_choice, _frozen, _shaped, bell_state, dm, psd_sqrt, purity,
+    PAULIS, ConfigError, _check_choice, _frozen, _shaped, bell_state, dm, psd_sqrt, purity,
 )
 
 MODES = ("one_sided", "two_sided")
@@ -169,9 +169,11 @@ def lambda_two_sided(channel) -> np.ndarray:
     """Closed-form spin-flip spectrum for two-sided Pauli noise on a Bell pair.
 
     Returned in the labeled order (l0, l1, l2, l3); l0 is always maximal.
-    ``channel`` is a Pauli channel.
+    ``channel`` is a PauliChannel, read by its weights; any other raises ConfigError.
     """
-    c0, c1, c2, c3 = _chi_diag(channel)
+    if not isinstance(channel, PauliChannel):
+        raise ConfigError(f"channel: expected a PauliChannel, got {type(channel).__name__}")
+    c0, c1, c2, c3 = channel.chi_diag
     return _frozen(
         np.array(
             [

@@ -55,11 +55,10 @@ from .dynamics import (
     wootters,
 )
 from .states import (
-    BASIS_KETS, ConfigError, _check_at_least, _check_choice, _check_finite, _check_positive,
-    _check_probability, bell_key, dm,
+    ConfigError, _check_at_least, _check_choice, _check_finite, _check_positive,
+    _check_probability, bell_key,
 )
 from .tomography import (
-    DEFAULT_PROBE_LABELS,
     LIKELIHOODS,
     _check_count,
     monte_carlo_errors,
@@ -314,8 +313,7 @@ def run_channel_characterization(
     weights = np.clip(family_weights(family, p), 0.0, None)  # as PauliChannel stores them
     seeds = None if n_per_probe is None else [(seed, i) for i in range(p.size)]
     outputs = probe_outputs(pauli_ptm(weights), n_per_projector=n_per_probe, seeds=seeds)
-    rho_in = [dm(BASIS_KETS[label]) for label in DEFAULT_PROBE_LABELS]
-    chi = process_matrices(rho_in, outputs)
+    chi = process_matrices(outputs)
     diagonals = np.diagonal(chi, axis1=1, axis2=2).real
     return [
         CharacterizationRow(p=x, chi=tuple(d), theory=tuple(t))

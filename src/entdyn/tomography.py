@@ -68,6 +68,7 @@ def _check_count(n, path: str, low: int = 1, scale: int = 1) -> None:
 _PROJECTORS = {label: dm(ket) for label, ket in BASIS_KETS.items()}
 
 _PAULI_STACK = _frozen(np.array(PAULIS))
+_PROBE_INPUTS = _frozen(np.array([_PROJECTORS[label] for label in DEFAULT_PROBE_LABELS]))
 _PROJECTOR_STACK = _frozen(np.array([_PROJECTORS[label] for label in PROJECTOR_LABELS]))
 # Bloch x, y, z are the count contrasts of the projector pairs D/A, R/L, H/V.
 _PLUS = [PROJECTOR_LABELS.index(label) for label in "DRH"]
@@ -462,15 +463,15 @@ def monte_carlo_errors(records, trials: int, seed, base: ReconstructionResult,
                          unconverged=sum(not fit.converged for fit in fits))
 
 
-def process_matrices(rho_in, rho_out, *, stacklevel: int = 2) -> np.ndarray:
+def process_matrices(rho_out, rho_in=_PROBE_INPUTS, *, stacklevel: int = 2) -> np.ndarray:
     """Process matrices (Pauli basis) of a stack of channels from probe data.
 
-    ``rho_in`` holds the k probe input states (k, 2, 2) and ``rho_out`` each
-    channel's k output states (N, k, 2, 2). Linear inversion: each probe
-    contributes the four complex entries of its output, vec(sum_mn chi_mn
-    sigma_m rho sigma_n), to an overdetermined system in the 16 chi
-    coefficients. The design matrix depends on the inputs only, so it is
-    built once; its rank and pseudo-inverse come from one SVD and all N
+    ``rho_out`` holds each channel's outputs (N, k, 2, 2) of the k probe
+    inputs ``rho_in`` (k, 2, 2), by default those of :func:`probe_outputs`.
+    Linear inversion: each probe contributes the four complex entries of its
+    output, vec(sum_mn chi_mn sigma_m rho sigma_n), to an overdetermined
+    system in the 16 chi coefficients. The design matrix depends on the
+    inputs only; its rank and pseudo-inverse come from one SVD and all N
     solutions from one product, followed by one batched ``eigh``. An
     estimate with an eigenvalue below -1e-6 is projected to the nearest PSD
     unit-trace matrix (eigenvalue clipping), with one warning per projected
@@ -511,12 +512,9 @@ def process_tomography_single_qubit(probe_results) -> np.ndarray:
     pairs = list(probe_results)
     if not pairs:
         raise ValueError("no probe results given")
-    rho_in, rho_out = [], []
-    for probe_in, probe_out in pairs:
-        vin = np.asarray(probe_in, dtype=complex)
-        rho_in.append(np.outer(vin, vin.conj()) if vin.ndim == 1 else vin)
-        rho_out.append(np.asarray(probe_out, dtype=complex).reshape(2, 2))
-    return _frozen(process_matrices(rho_in, [rho_out], stacklevel=3)[0])
+    rho_in = [dm(_finite("probe_in", probe_in, (2,))) for probe_in, _ in pairs]
+    rho_out = [np.asarray(probe_out, dtype=complex).reshape(2, 2) for _, probe_out in pairs]
+    return _frozen(process_matrices([rho_out], rho_in, stacklevel=3)[0])
 
 
 def probe_outputs(ptm, n_per_projector=None, seeds=None):
@@ -534,8 +532,7 @@ def probe_outputs(ptm, n_per_projector=None, seeds=None):
     """
     if n_per_projector is not None:
         _check_count(n_per_projector, "n_per_projector")
-    rho_in = np.array([dm(BASIS_KETS[label]) for label in DEFAULT_PROBE_LABELS])
-    components = np.einsum("iab,kba->ki", _PAULI_STACK, rho_in)  # Tr(sigma_i rho)
+    components = np.einsum("iab,kba->ki", _PAULI_STACK, _PROBE_INPUTS)  # Tr(sigma_i rho)
     mapped = np.einsum("nij,kj->nki", np.asarray(ptm), components)
     rho_out = np.einsum("nki,iab->nkab", 0.5 * mapped, _PAULI_STACK)
     if n_per_projector is None:

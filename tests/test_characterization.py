@@ -132,7 +132,8 @@ def test_stack_equals_single_channels():
         rho_in = [dm(BASIS_KETS[label]) for label in DEFAULT_PROBE_LABELS]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            chi = process_matrices(rho_in, stacked)
+            chi = process_matrices(stacked, rho_in)
+            assert np.array_equal(process_matrices(stacked), chi)  # the default probe inputs
             for i, channel in enumerate(channels):
                 pairs = simulate_probe_outputs(channel, n_per_projector=counts, seed=seeds[i])
                 assert np.max(np.abs(np.array([rho for _, rho in pairs]) - stacked[i])) < 1e-15

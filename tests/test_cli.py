@@ -718,7 +718,8 @@ _EYE3 = {"dim": 3, "re": [1, 0, 0, 0, 1, 0, 0, 0, 1], "im": [0] * 9}
     [({"family": "isotropic", "p": None}, "p: float() argument must be"),
      ({"family": "isotropic", "p": "x"}, "p: could not convert string to float: 'x'"),
      ({"family": "isotropic", "p": 1.5}, "p: value 1.5 outside [0, 1]"),
-     ({"family": "pauli", "chi": "abc"}, "chi: could not convert string to float: 'abc'"),
+     # chi and radii reach the constructors as read, which word a value numpy cannot read
+     ({"family": "pauli", "chi": "abc"}, "chi: chi_diag: expected shape (4,) of numbers, got str\n"),
      ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: chi_diag: entries must be finite"),
      ({"family": "pauli", "chi": [1.5, 0, 0, -0.5]},
       "chi: chi_diag: must be non-negative, got chi_3 = -0.5\n"),
@@ -739,7 +740,13 @@ _EYE3 = {"dim": 3, "re": [1, 0, 0, 0, 1, 0, 0, 0, 1], "im": [0] * 9}
       "u: expected shape (2, 2), got (3, 3)\n"),
      ({"family": "unital", "radii": [1, 1, 1], "u": _EYE3, "v": _EYE3},
       "v: expected shape (2, 2), got (3, 3)\n"),
-     ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'")],
+     ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'"),
+     ({"family": "pauli", "chi": [[0.5, 0.5], [0]]},
+      "chi: chi_diag: expected shape (4,) of numbers, got list\n"),
+     ({"family": "pauli", "chi": [0.5, "x", 0.5, 0]},
+      "chi: chi_diag: expected shape (4,) of numbers, got list\n"),
+     ({"family": "unital", "radii": [[1, 1], [1]], "u": _EYE, "v": _EYE},
+      "radii: expected shape (3,) of numbers, got list\n")],
 )
 def test_ellipsoid_channel_file_errors_name_file_and_field(tmp_path, capsys, channel, message):
     path = tmp_path / "channel.json"

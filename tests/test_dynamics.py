@@ -28,7 +28,7 @@ from entdyn.dynamics import (
 )
 from entdyn.harness import run_breaking_points
 from entdyn.sampling import random_pauli_channel, random_pure_ket, random_unital_channel
-from entdyn.states import BELL_KETS, SIGMA_2, bell_state, dm
+from entdyn.states import BELL_KETS, SIGMA_2, ConfigError, bell_state, dm
 from oracles import random_density_matrix, random_unitary
 
 
@@ -118,6 +118,20 @@ class TestClosedFormLambdas:
             lam = np.sort(lambda_two_sided(ch))[::-1]
             num = concurrence(apply_two_sided(ch, bell)).lambdas
             assert np.max(np.abs(lam - num)) < 1e-10
+
+    def test_refuses_a_unital_channel(self):
+        # The closed form holds for Pauli weights only: a rotated unital channel's
+        # Bell output has another spectrum than the one of its Pauli twirl.
+        channel = random_unital_channel(np.random.default_rng(1))
+        with pytest.raises(ConfigError, match=r"^channel: expected a PauliChannel, got UnitalChannel$"):
+            lambda_two_sided(channel)
+        with pytest.raises(ConfigError, match=r"^channel: expected a PauliChannel, got ndarray$"):
+            lambda_two_sided(np.eye(4))
+
+    def test_reads_the_stored_weights(self):
+        ch = random_pauli_channel(np.random.default_rng(45))
+        c0, c1, c2, c3 = ch.chi_diag
+        assert lambda_two_sided(ch)[1] == 4.0 * (c1 * c2 + c3 * c0) ** 2
 
     def test_first_eigenvalue_is_maximal(self):
         rng = np.random.default_rng(44)

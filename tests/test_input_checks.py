@@ -38,6 +38,7 @@ from entdyn.tomography import (
     ellipsoid_mesh,
     monte_carlo_errors,
     probe_outputs,
+    process_tomography_single_qubit,
     reconstruct_state_mle,
     simulate_counts,
     simulate_probe_outputs,
@@ -47,6 +48,7 @@ from entdyn.tomography import (
 _BELLS = "expected 'phi_plus', 'phi_minus', 'psi_plus' or 'psi_minus'"
 _RECORDS = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=0)
 _CHANNEL = channel_for("isotropic", 0.2)
+_PROBES = simulate_probe_outputs(_CHANNEL)
 
 
 def _base(rho_hat):
@@ -71,6 +73,10 @@ VALIDATORS = {
         np.eye(4) / 4, (3, 3)),
     "simulate_counts": (
         "rho", lambda m: simulate_counts(m, standard_settings(), 100, seed=0), np.eye(4) / 4, (2, 2)),
+    # a probe input is a ket; a density matrix is refused by name
+    "process_tomography_single_qubit": (
+        "probe_in", lambda k: process_tomography_single_qubit([(k, _PROBES[0][1]), *_PROBES[1:]]),
+        [1.0, 0.0], (2, 2)),
 }
 
 # (argument name, call taking the argument, a wrong shape)
