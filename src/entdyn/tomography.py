@@ -23,7 +23,9 @@ Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
 samples the outputs, one random stream per channel), and
 :func:`process_matrices` reconstructs all N process matrices by one linear
-inversion; the single-channel functions are thin calls into these two.
+inversion; the single-channel functions are thin calls into these two. The
+default probes' design is a constant: its pseudo-inverse is built once per
+process, on first use, and their Pauli components at import.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ _PROJECTORS = {label: dm(ket) for label, ket in BASIS_KETS.items()}
 
 _PAULI_STACK = _frozen(np.array(PAULIS))
 _PROBE_INPUTS = _frozen(np.array([_PROJECTORS[label] for label in DEFAULT_PROBE_LABELS]))
+# Pauli components Tr(sigma_i rho) of each probe input, row k for probe k.
+_PROBE_COMPONENTS = _frozen(np.einsum("iab,kba->ki", _PAULI_STACK, _PROBE_INPUTS))
 _PROJECTOR_STACK = _frozen(np.array([_PROJECTORS[label] for label in PROJECTOR_LABELS]))
 # Bloch x, y, z are the count contrasts of the projector pairs D/A, R/L, H/V.
 _PLUS = [PROJECTOR_LABELS.index(label) for label in "DRH"]
@@ -463,22 +467,13 @@ def monte_carlo_errors(records, trials: int, seed, base: ReconstructionResult,
                          unconverged=sum(not fit.converged for fit in fits))
 
 
-def process_matrices(rho_out, rho_in=_PROBE_INPUTS, *, stacklevel: int = 2) -> np.ndarray:
-    """Process matrices (Pauli basis) of a stack of channels from probe data.
-
-    ``rho_out`` holds each channel's outputs (N, k, 2, 2) of the k probe
-    inputs ``rho_in`` (k, 2, 2), by default those of :func:`probe_outputs`.
-    Linear inversion: each probe contributes the four complex entries of its
-    output, vec(sum_mn chi_mn sigma_m rho sigma_n), to an overdetermined
-    system in the 16 chi coefficients. The design matrix depends on the
-    inputs only; its rank and pseudo-inverse come from one SVD and all N
-    solutions from one product, followed by one batched ``eigh``. An
-    estimate with an eigenvalue below -1e-6 is projected to the nearest PSD
-    unit-trace matrix (eigenvalue clipping), with one warning per projected
-    channel (``stacklevel`` as in :func:`warnings.warn`).
-    """
+def _probe_pinv(rho_in) -> np.ndarray:
+    """Pseudo-inverse (16, 4k) of the linear-inversion design of the probe
+    inputs ``rho_in`` (k, 2, 2): row block k of the design holds
+    vec(sigma_m rho_k sigma_n) in column 4m + n. Its rank and pseudo-inverse
+    come from one SVD; raises if the inputs do not span the single-qubit
+    operator space."""
     rho_in = np.asarray(rho_in, dtype=complex)
-    rho_out = np.asarray(rho_out, dtype=complex)
     a = np.einsum("mab,kbc,ncd->kadmn", _PAULI_STACK, rho_in, _PAULI_STACK).reshape(-1, 16)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps))  # as matrix_rank
@@ -487,7 +482,32 @@ def process_matrices(rho_out, rho_in=_PROBE_INPUTS, *, stacklevel: int = 2) -> n
             f"probe set is rank deficient (rank {rank} < 16); "
             "inputs must span the single-qubit operator space"
         )
-    pinv = (vh.conj().T / s) @ u.conj().T
+    return _frozen((vh.conj().T / s) @ u.conj().T)
+
+
+@functools.cache
+def _default_probe_pinv() -> np.ndarray:
+    """:func:`_probe_pinv` of the default probe inputs, built once per process."""
+    return _probe_pinv(_PROBE_INPUTS)
+
+
+def process_matrices(rho_out, rho_in=None, *, stacklevel: int = 2) -> np.ndarray:
+    """Process matrices (Pauli basis) of a stack of channels from probe data.
+
+    ``rho_out`` holds each channel's outputs (N, k, 2, 2) of the k probe
+    inputs ``rho_in`` (k, 2, 2), by default those of :func:`probe_outputs`.
+    Linear inversion: each probe contributes the four complex entries of its
+    output, vec(sum_mn chi_mn sigma_m rho sigma_n), to an overdetermined
+    system in the 16 chi coefficients. The design matrix depends on the
+    inputs only, and its rank and pseudo-inverse come from one SVD: for the
+    default inputs once per process, for a given ``rho_in`` on every call.
+    All N solutions come from one product with it, followed by one batched
+    ``eigh``. An estimate with an eigenvalue below -1e-6 is projected to the
+    nearest PSD unit-trace matrix (eigenvalue clipping), with one warning
+    per projected channel (``stacklevel`` as in :func:`warnings.warn`).
+    """
+    pinv = _default_probe_pinv() if rho_in is None else _probe_pinv(rho_in)
+    rho_out = np.asarray(rho_out, dtype=complex)
     chi = (rho_out.reshape(rho_out.shape[0], -1) @ pinv.T).reshape(-1, 4, 4)
     chi = 0.5 * (chi + np.swapaxes(chi, -1, -2).conj())
     w, v = np.linalg.eigh(chi)
@@ -507,13 +527,15 @@ def process_tomography_single_qubit(probe_results) -> np.ndarray:
 
     One channel through :func:`process_matrices`: linear inversion over the
     probes, projected to the nearest physical process matrix with a warning
-    if the solution has an eigenvalue below -1e-6.
+    if the solution has an eigenvalue below -1e-6. Each input must be a
+    finite ket of 2 entries and each output a finite 2x2 matrix; the
+    inputs' design is rebuilt, by one SVD, on every call.
     """
     pairs = list(probe_results)
     if not pairs:
         raise ValueError("no probe results given")
     rho_in = [dm(_finite("probe_in", probe_in, (2,))) for probe_in, _ in pairs]
-    rho_out = [np.asarray(probe_out, dtype=complex).reshape(2, 2) for _, probe_out in pairs]
+    rho_out = [_finite("probe_out", probe_out, (2, 2)) for _, probe_out in pairs]
     return _frozen(process_matrices([rho_out], rho_in, stacklevel=3)[0])
 
 
@@ -523,17 +545,19 @@ def probe_outputs(ptm, n_per_projector=None, seeds=None):
     single-qubit Pauli-transfer matrices.
 
     With ``n_per_projector`` unset the outputs are exact: each PTM maps the
-    Pauli components of the probe inputs. Otherwise ``seeds`` holds one seed
-    per channel, and channel i draws by one ``np.random.default_rng(seeds[i])
-    .poisson`` call a Poisson count on each of the six polarization
-    projectors (H, V, D, A, R, L) of each probe, probes in label order; the
-    Bloch components are the normalized count differences, and a vector
-    longer than 1 is scaled back into the ball.
+    Pauli components of the probe inputs, a constant computed at import.
+    Otherwise ``seeds`` holds one seed per channel, and channel i draws by
+    one ``np.random.default_rng(seeds[i]).poisson`` call a Poisson count on
+    each of the six polarization projectors (H, V, D, A, R, L) of each
+    probe, probes in label order; the Bloch components are the normalized
+    count differences, and a vector longer than 1 is scaled back into the
+    ball. The design of these probes, which :func:`process_matrices`
+    inverts, is built once per process; a custom probe set pays its SVD on
+    every call.
     """
     if n_per_projector is not None:
         _check_count(n_per_projector, "n_per_projector")
-    components = np.einsum("iab,kba->ki", _PAULI_STACK, _PROBE_INPUTS)  # Tr(sigma_i rho)
-    mapped = np.einsum("nij,kj->nki", np.asarray(ptm), components)
+    mapped = np.einsum("nij,kj->nki", np.asarray(ptm), _PROBE_COMPONENTS)
     rho_out = np.einsum("nki,iab->nkab", 0.5 * mapped, _PAULI_STACK)
     if n_per_projector is None:
         return rho_out

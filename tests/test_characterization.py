@@ -142,6 +142,41 @@ def test_stack_equals_single_channels():
                 assert np.max(np.abs(single - reference_solve(pairs)[0])) < 1e-12
 
 
+def test_default_probe_design_is_built_once(monkeypatch):
+    """Characterization inverts the default probes' design without an SVD
+    once it is built; a custom probe set pays one SVD per call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    run_channel_characterization("isotropic", GRID)  # builds the design if no test has yet
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_channel_characterization("two-field", GRID)
+    run_recorded("dephasing", GRID, n_per_probe=1000, seed=3)
+    run_recorded("isotropic", GRID, n_per_probe=100, seed=0)
+    assert calls == []
+    channel = channel_for("isotropic", 0.2)
+    pairs = [(BASIS_KETS[label], kraus_apply(channel, dm(BASIS_KETS[label])))
+             for label in ("H", "D", "R", "L", "A")]
+    for expected in (1, 2):
+        process_tomography_single_qubit(pairs)
+        assert calls == [(20, 16)] * expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_probe_process_matrices_within_1e_15(family):
+    """Every entry of the exact-probe process matrix is diag(weights) to
+    1e-15 on a 101-point grid (largest error measured: 5.0e-16)."""
+    channels = [channel_for(family, p) for p in np.linspace(0.0, 1.0, 101)]
+    ptm = np.array([pauli_transfer_matrix(c) for c in channels])
+    chi = process_matrices(probe_outputs(ptm))
+    want = np.array([np.diag(c.chi_diag) for c in channels])
+    assert np.max(np.abs(chi - want)) < 1e-15
+
+
 @pytest.mark.parametrize("labels, rank", [(("H", "V"), 8), (("H", "V", "D", "A"), 12),
                                           (("H", "D", "R", "L", "A"), 16)])
 def test_probe_rank(labels, rank):

@@ -77,6 +77,9 @@ VALIDATORS = {
     "process_tomography_single_qubit": (
         "probe_in", lambda k: process_tomography_single_qubit([(k, _PROBES[0][1]), *_PROBES[1:]]),
         [1.0, 0.0], (2, 2)),
+    "process_tomography_single_qubit.probe_out": (
+        "probe_out", lambda m: process_tomography_single_qubit([(_PROBES[0][0], m), *_PROBES[1:]]),
+        _PROBES[0][1].real, (3, 3)),
 }
 
 # (argument name, call taking the argument, a wrong shape)
