@@ -195,10 +195,11 @@ def breaking_point(family: str, mode: str) -> float:
     takes h <= 8 halvings at once: the law is evaluated once on the
     2**h - 1 dyadic points that cut the bracket into 2**h equal parts, and
     the bracket becomes the pair of neighbouring points those halvings
-    would reach. The laws are positive below the breaking point and zero
-    above it, so this returns the same bits as halving one point at a time.
-    Returns ``math.inf`` when the prediction never reaches zero on [0, 1]
-    (the channel never breaks entanglement there).
+    would reach. A law that is zero at p = 1 is positive below the breaking
+    point and zero above it, so this returns the same bits as halving one
+    point at a time. Returns 0.0 when the law is already zero at p = 0, and
+    ``math.inf`` when it is still positive at p = 1: dephasing in both
+    modes, whose law touches zero only at p = 1/2 and grows again.
     """
     _check_choice(mode, MODES, "mode")
     law = predict_one_sided if mode == "one_sided" else predict_two_sided

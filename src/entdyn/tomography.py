@@ -22,10 +22,9 @@ one around an observed count of at most twice that.
 Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
 samples the outputs, one random stream per channel), and
-:func:`process_matrices` reconstructs all N process matrices by one linear
-inversion; the single-channel functions are thin calls into these two. The
-default probes' design is a constant: its pseudo-inverse is built once per
-process, on first use, and their Pauli components at import.
+:func:`process_matrices` estimates each one's Pauli-transfer matrix by least
+squares on the probes' Pauli components and maps it to its process matrix;
+the single-channel functions are thin calls into these two.
 """
 
 from __future__ import annotations
@@ -73,6 +72,9 @@ _PAULI_STACK = _frozen(np.array(PAULIS))
 _PROBE_INPUTS = _frozen(np.array([_PROJECTORS[label] for label in DEFAULT_PROBE_LABELS]))
 # Pauli components Tr(sigma_i rho) of each probe input, row k for probe k.
 _PROBE_COMPONENTS = _frozen(np.einsum("iab,kba->ki", _PAULI_STACK, _PROBE_INPUTS))
+# chi = _CHI_OF_PTM @ vec(R) inverts R_ij = sum_mn chi_mn Tr(s_i s_m s_j s_n) / 2 (= B vec(chi),
+# B^dag B = 4 I): entry (4m + n, 4i + j) is Tr(s_n s_j s_m s_i) / 8, s the Pauli matrices.
+_CHI_OF_PTM = _frozen(np.einsum("nab,jbc,mcd,ida->mnij", *[_PAULI_STACK] * 4).reshape(16, 16) / 8)
 _PROJECTOR_STACK = _frozen(np.array([_PROJECTORS[label] for label in PROJECTOR_LABELS]))
 # Bloch x, y, z are the count contrasts of the projector pairs D/A, R/L, H/V.
 _PLUS = [PROJECTOR_LABELS.index(label) for label in "DRH"]
@@ -265,13 +267,17 @@ def linear_inversion_state(records) -> np.ndarray:
 
 def _linear_inversion(design: _Design, counts, exposures) -> np.ndarray:
     """:func:`linear_inversion_state` of count arrays."""
-    x = design.pinv @ (counts / exposures)
-    rho = x.reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    w, v = np.linalg.eigh(rho)
+    rho = (design.pinv @ (counts / exposures)).reshape(4, 4)
+    return _physical(*np.linalg.eigh(0.5 * (rho + rho.conj().T)))
+
+
+def _physical(w, v) -> np.ndarray:
+    """The PSD unit-trace matrix nearest v diag(w) v^dag (eigenvalue
+    clipping): the eigenvalues clipped at 0 and renormalized, or I / d when
+    none is left positive. States and process matrices share it."""
     w = np.clip(w, 0.0, None)
     if w.sum() <= 0.0:
-        return np.eye(4, dtype=complex) / 4.0
+        return np.eye(w.size, dtype=complex) / w.size
     return (v * (w / w.sum())) @ v.conj().T
 
 
@@ -467,76 +473,67 @@ def monte_carlo_errors(records, trials: int, seed, base: ReconstructionResult,
                          unconverged=sum(not fit.converged for fit in fits))
 
 
-def _probe_pinv(rho_in) -> np.ndarray:
-    """Pseudo-inverse (16, 4k) of the linear-inversion design of the probe
-    inputs ``rho_in`` (k, 2, 2): row block k of the design holds
-    vec(sigma_m rho_k sigma_n) in column 4m + n. Its rank and pseudo-inverse
-    come from one SVD; raises if the inputs do not span the single-qubit
-    operator space."""
-    rho_in = np.asarray(rho_in, dtype=complex)
-    a = np.einsum("mab,kbc,ncd->kadmn", _PAULI_STACK, rho_in, _PAULI_STACK).reshape(-1, 16)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(a.shape) * np.finfo(float).eps))  # as matrix_rank
+def _probe_map(rho_in) -> np.ndarray:
+    """Map (4k, 16) from the flattened outputs of the probe inputs ``rho_in``
+    (k, 2, 2) to the flattened process matrix. Outputs' Pauli components are
+    R times the inputs', so R-hat is theirs times the pseudo-inverse of the
+    inputs' (4, k) components, and chi is :data:`_CHI_OF_PTM` of R-hat.
+    Raises unless the inputs span the single-qubit operator space."""
+    components = np.einsum("iab,kba->ik", _PAULI_STACK, np.asarray(rho_in, dtype=complex))
+    rank = 4 * int(np.linalg.matrix_rank(components))
     if rank < 16:
         raise ValueError(
             f"probe set is rank deficient (rank {rank} < 16); "
             "inputs must span the single-qubit operator space"
         )
-    return _frozen((vh.conj().T / s) @ u.conj().T)
+    # entry (k, a, b, i, j): d R_ij / d rho_k[a, b] = sigma_i[b, a] pinv[k, j]
+    ptm_map = np.einsum("iba,kj->kabij", _PAULI_STACK, np.linalg.pinv(components))
+    return _frozen(ptm_map.reshape(-1, 16) @ _CHI_OF_PTM.T)
 
 
-@functools.cache
-def _default_probe_pinv() -> np.ndarray:
-    """:func:`_probe_pinv` of the default probe inputs, built once per process."""
-    return _probe_pinv(_PROBE_INPUTS)
+_DEFAULT_PROBE_MAP = _probe_map(_PROBE_INPUTS)
 
 
-def process_matrices(rho_out, rho_in=None, *, stacklevel: int = 2) -> np.ndarray:
+def process_matrices(rho_out, rho_in=None) -> np.ndarray:
     """Process matrices (Pauli basis) of a stack of channels from probe data.
 
     ``rho_out`` holds each channel's outputs (N, k, 2, 2) of the k probe
     inputs ``rho_in`` (k, 2, 2), by default those of :func:`probe_outputs`.
-    Linear inversion: each probe contributes the four complex entries of its
-    output, vec(sum_mn chi_mn sigma_m rho sigma_n), to an overdetermined
-    system in the 16 chi coefficients. The design matrix depends on the
-    inputs only, and its rank and pseudo-inverse come from one SVD: for the
-    default inputs once per process, for a given ``rho_in`` on every call.
-    All N solutions come from one product with it, followed by one batched
-    ``eigh``. An estimate with an eigenvalue below -1e-6 is projected to the
-    nearest PSD unit-trace matrix (eigenvalue clipping), with one warning
-    per projected channel (``stacklevel`` as in :func:`warnings.warn`).
+    All N estimates come from one product with :func:`_probe_map` (built at
+    import for the default inputs) and one batched ``eigh``. An estimate
+    with an eigenvalue below -1e-6 is projected (:func:`_physical`), with one
+    warning per projected channel naming the caller of the public function.
     """
-    pinv = _default_probe_pinv() if rho_in is None else _probe_pinv(rho_in)
+    probe_map = _DEFAULT_PROBE_MAP if rho_in is None else _probe_map(rho_in)
     rho_out = np.asarray(rho_out, dtype=complex)
-    chi = (rho_out.reshape(rho_out.shape[0], -1) @ pinv.T).reshape(-1, 4, 4)
+    chi = (rho_out.reshape(rho_out.shape[0], -1) @ probe_map).reshape(-1, 4, 4)
     chi = 0.5 * (chi + np.swapaxes(chi, -1, -2).conj())
     w, v = np.linalg.eigh(chi)
     for i in np.flatnonzero(w[:, 0] < -1e-6):
         warnings.warn(
             f"reconstructed process matrix has eigenvalue {w[i, 0]:.3g}; "
             "projecting to the nearest physical process matrix",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
-        wi = np.clip(w[i], 0.0, None)
-        chi[i] = (v[i] * (wi / wi.sum())) @ v[i].conj().T
+        chi[i] = _physical(w[i], v[i])
     return chi
 
 
 def process_tomography_single_qubit(probe_results) -> np.ndarray:
     """Process matrix (Pauli basis) from (input ket, output state) probe pairs.
 
-    One channel through :func:`process_matrices`: linear inversion over the
-    probes, projected to the nearest physical process matrix with a warning
-    if the solution has an eigenvalue below -1e-6. Each input must be a
-    finite ket of 2 entries and each output a finite 2x2 matrix; the
-    inputs' design is rebuilt, by one SVD, on every call.
+    One channel through :func:`process_matrices`: least squares for the
+    Pauli-transfer matrix over the probes, mapped to the process matrix and
+    projected to the nearest physical one with a warning if it has an
+    eigenvalue below -1e-6. Each input must be a finite ket of 2 entries
+    and each output a finite 2x2 matrix.
     """
     pairs = list(probe_results)
     if not pairs:
         raise ValueError("no probe results given")
     rho_in = [dm(_finite("probe_in", probe_in, (2,))) for probe_in, _ in pairs]
     rho_out = [_finite("probe_out", probe_out, (2, 2)) for _, probe_out in pairs]
-    return _frozen(process_matrices([rho_out], rho_in, stacklevel=3)[0])
+    return _frozen(process_matrices([rho_out], rho_in)[0])
 
 
 def probe_outputs(ptm, n_per_projector=None, seeds=None):
@@ -551,9 +548,7 @@ def probe_outputs(ptm, n_per_projector=None, seeds=None):
     each of the six polarization projectors (H, V, D, A, R, L) of each
     probe, probes in label order; the Bloch components are the normalized
     count differences, and a vector longer than 1 is scaled back into the
-    ball. The design of these probes, which :func:`process_matrices`
-    inverts, is built once per process; a custom probe set pays its SVD on
-    every call.
+    ball.
     """
     if n_per_projector is not None:
         _check_count(n_per_projector, "n_per_projector")

@@ -266,9 +266,11 @@ class TestBreakingPoints:
         b = breaking_point("isotropic", "two_sided")
         assert a == b
 
-    def test_dephasing_never_breaks(self):
-        # the equatorial radii re-grow after p = 1/2, so the zero is never crossed
-        assert math.isinf(breaking_point("dephasing", "one_sided"))
+    @pytest.mark.parametrize("mode", ["one_sided", "two_sided"])
+    def test_dephasing_never_breaks(self, mode):
+        # the equatorial radii re-grow after p = 1/2: the law touches 0 there
+        # and is positive again at p = 1, so no breaking point is reported
+        assert math.isinf(breaking_point("dephasing", mode))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

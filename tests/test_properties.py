@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,11 +30,14 @@ from entdyn.channels import (
     UnitalChannel,
     apply_one_sided,
     bloch_affine_map,
+    channel_for,
     chi_from_radii,
     compose,
     cp_violations,
     decompose_unital,
+    family_weights,
     is_completely_positive,
+    pauli_radii,
     pauli_transfer_matrix,
     rotation_from_su2,
 )
@@ -59,6 +62,17 @@ from entdyn.states import PAULIS, psd_sqrt
 from oracles import kraus_apply, kraus_operators
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+# Known edges, pinned as examples so that covering them does not depend on
+# what the derandomized draws reach: the noiseless and the fully noisy
+# channel of a family (p = 0 and 1), the product and the maximally
+# entangled PES (delta = 0 and pi / 8), and one point inside each face of
+# the complete-positivity tetrahedron (Pauli weight k exactly 0, the others
+# 1/2, 1/4, 1/4, so that the radii are exact).
+NOISELESS = pauli_radii(family_weights("isotropic", 0.0))
+FULLY_NOISY = {family: pauli_radii(family_weights(family, 1.0)) for family in PAULI_FAMILIES}
+FACES = [pauli_radii(np.roll([0.0, 0.5, 0.25, 0.25], k)) for k in range(4)]
+BELL = dm(pure_pes_ket(math.pi / 8))
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -122,6 +136,9 @@ def _ptm_of_kraus(ops):
 
 @PROPERTY
 @given(unital_channels(), psd_unit_trace(4))
+@example(channel_for("isotropic", 0.0), BELL)
+@example(channel_for("two-field", 1.0), BELL)
+@example(channel_for("dephasing", 1.0), BELL)
 def test_apply_matches_kraus_sum_oracle(channel, rho):
     for target in (0, 1):
         direct = apply_one_sided(channel, rho, target=target)
@@ -145,6 +162,10 @@ def test_kraus_operators_complete_and_faithful(channel):
 
 @PROPERTY
 @given(unitaries(), cp_radii, unitaries())
+@example(np.eye(2), FACES[0], np.eye(2))
+@example(np.eye(2), FACES[1], np.eye(2))
+@example(np.eye(2), FACES[2], np.eye(2))
+@example(np.eye(2), FACES[3], np.eye(2))
 def test_decompose_unital_round_trips(u, radii, v):
     m = rotation_from_su2(u) @ np.diag(radii) @ rotation_from_su2(v)
     assert np.max(np.abs(bloch_affine_map(decompose_unital(m)) - m)) < 1e-12
@@ -201,6 +222,10 @@ def non_finite_radii(draw):
     ),
     st.sampled_from([CP_TOL, 1e-10]),
 )
+@example(FACES[0], CP_TOL)
+@example(FACES[1], CP_TOL)
+@example(FACES[2], 1e-10)
+@example(FACES[3], 1e-10)
 def test_cp_test_is_the_chi_oracle(radii, tol):
     """On the cube |R_i| <= 1, |R_i +- R_j| <= |1 +- R_k| + tol reads
     4 chi >= -tol for the two weights it involves, so the test agrees with
@@ -286,6 +311,10 @@ angles = st.floats(-math.pi, math.pi)
 
 @PROPERTY
 @given(near_unitary_radii(), near_unitary_radii(), angles, angles)
+@example(NOISELESS, FULLY_NOISY["two-field"], 0.0, 0.0)
+@example(NOISELESS, FULLY_NOISY["isotropic"], math.pi / 8, 0.0)
+@example(FULLY_NOISY["dephasing"], NOISELESS, math.pi / 8, 0.0)
+@example(FULLY_NOISY["two-field"], FULLY_NOISY["dephasing"], 0.0, 0.0)
 def test_x_state_law_matches_evolution(radii_0, radii_1, delta, phi):
     """Any Pauli channel on each qubit, R1 != R2 included (the families never
     draw that), against the Wootters concurrence of the evolved state."""
@@ -305,6 +334,12 @@ partially_entangled = st.one_of(
 @PROPERTY
 @given(st.sampled_from(PAULI_FAMILIES), st.sampled_from(MODES), st.sampled_from((0, 1)),
        partially_entangled)
+@example("two-field", "one_sided", 0, InitialStateSpec(kind="pure_pes", delta=0.0))
+@example("isotropic", "one_sided", 1, InitialStateSpec(kind="pure_pes", delta=math.pi / 8))
+@example("dephasing", "two_sided", 0, InitialStateSpec(kind="pure_pes", delta=math.pi / 8))
+@example("isotropic", "two_sided", 0, InitialStateSpec(kind="mixed_pes", delta=math.pi / 8))
+@example("two-field", "one_sided", 0,
+         InitialStateSpec(kind="mixed_pes", delta=math.pi / 8, dephasing=1.0))
 def test_analytic_rows_match_exact_evolution(family, mode, noisy_qubit, spec):
     """Analytic sweep rows on a partially entangled state, one- or two-sided,
     against the exact pipeline's simulation on the 21-point default grid."""

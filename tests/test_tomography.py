@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -325,6 +326,16 @@ class TestProcessTomography:
             chi = process_tomography_single_qubit(pairs)
         assert np.linalg.eigvalsh(chi).min() >= -1e-12
         assert np.trace(chi).real == pytest.approx(1.0, abs=1e-9)
+
+    def test_projection_without_a_positive_eigenvalue_is_the_maximally_mixed_map(self):
+        # every probe mapped to -1: chi = -I / 2, which clipping empties
+        pairs = [(BASIS_KETS[label], -np.eye(2)) for label in DEFAULT_PROBE_LABELS]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chi = process_tomography_single_qubit(pairs)
+        assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+        assert "projecting" in str(caught[0].message)
+        assert np.array_equal(chi, np.eye(4) / 4)
 
     def test_shot_noise_probes_approximate_theory(self):
         chi = process_tomography_single_qubit(
