@@ -1,19 +1,26 @@
 """Seeded random states and channels for property tests and self-checks.
 
-Unitaries are Haar-distributed via QR orthogonalization of complex Gaussian
-matrices. Everything takes an explicit ``numpy.random.Generator`` so
-sampling stays reproducible.
+Unitaries are Haar-distributed: the Q factor of a complex Gaussian matrix's
+QR decomposition whose R has a positive real diagonal (Mezzadri, Notices
+AMS 54, 592, 2007), which for 2x2 matrices has a closed form. Everything
+takes an explicit ``numpy.random.Generator`` so sampling stays reproducible.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .channels import CP_TOL, PauliChannel, UnitalChannel, _violated
-from .states import _frozen
+from .states import ConfigError, _check_at_least, _frozen
 
 
 def random_pure_ket(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+        raise ConfigError(f"dim: expected int, got {dim!r}")
+    _check_at_least(dim, 1, "dim")
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return _frozen(v / np.linalg.norm(v))
 
@@ -37,10 +44,23 @@ def random_unital_channel(rng: np.random.Generator) -> UnitalChannel:
     """Haar-random pre- and post-rotations and CP radii, drawn in that
     order: the stream is that of two single-unitary draws and then
     :func:`random_cp_radii`, with both unitaries from one normal draw (each
-    matrix's real part, then its imaginary part) and one stacked QR whose
-    R-diagonal phases move into Q."""
-    g = rng.normal(size=(2, 2, 2, 2))
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
-    d = r.diagonal(axis1=1, axis2=2)
-    v, u = q * (d / abs(d))[:, None, :]
+    matrix's real part, then its imaginary part).
+
+    Each unitary is the Q of the matrix z = (a, b) whose R has a positive
+    real diagonal, in closed form: its first column is q = a / |a|, and its
+    second is c / |c| times (-conj q_1, conj q_0), a unit vector
+    orthogonal to q, with c = q_0 b_1 - q_1 b_0 the component of b along
+    it. So each column has a real positive overlap with z's matching column.
+    The scale of z (the Gaussian's 1/sqrt(2)) cancels, and the rotations
+    agree with a LAPACK QR with its R-diagonal phases moved into Q to
+    rounding."""
+    rotations = []
+    for re, im in rng.normal(size=(2, 2, 2, 2)).tolist():
+        q0, q1 = complex(re[0][0], im[0][0]), complex(re[1][0], im[1][0])
+        norm = math.hypot(re[0][0], im[0][0], re[1][0], im[1][0])
+        q0, q1 = q0 / norm, q1 / norm
+        c = q0 * complex(re[1][1], im[1][1]) - q1 * complex(re[0][1], im[0][1])
+        c /= abs(c)
+        rotations.append([[q0, -c * q1.conjugate()], [q1, c * q0.conjugate()]])
+    v, u = np.array(rotations)
     return UnitalChannel(pre_rotation=v, post_rotation=u, radii=random_cp_radii(rng))

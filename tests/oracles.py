@@ -32,7 +32,9 @@ def kraus_apply(channel, rho, lift=None) -> np.ndarray:
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     """Haar unitary: QR of a complex Gaussian matrix (real part drawn, then
-    imaginary part) with the phases of R's diagonal moved into Q."""
+    imaginary part) with the phases of R's diagonal moved into Q. This is
+    LAPACK's Householder route, kept independent of the closed form that
+    :func:`entdyn.sampling.random_unital_channel` builds from the same draw."""
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

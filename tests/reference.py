@@ -12,6 +12,9 @@ Phi(rho) = sum_mn chi_mn sigma_m rho sigma_n, is
   its radii (the Walsh signs s) and b_k the Pauli components
   Tr(sigma_m U sigma_k V) / 2 of its k-th Kraus direction.
 
+:func:`haar_unitary` is the other reference: the phase-fixed Q factor of a
+Haar draw's complex Gaussian matrix, for the sampler's rotations.
+
 Every float parameter is read exactly, and the arithmetic runs at 40
 significant digits, so a reference is exact to far below double rounding.
 """
@@ -64,3 +67,18 @@ def max_abs_error(estimate, reference) -> float:
     estimate = np.asarray(estimate)
     return max(float(abs(MP.mpc(complex(estimate[m, n])) - reference[m, n]))
                for m in range(estimate.shape[0]) for n in range(estimate.shape[1]))
+
+
+def haar_unitary(z) -> "mpmath.matrix":
+    """The Q of the complex 2x2 ``z`` whose R has a positive real diagonal,
+    at 40 digits: classical Gram-Schmidt on z's columns, so that R's
+    diagonal holds their residual norms."""
+    z = _matrix(z)
+    q = MP.matrix(2, 2)
+    for j in range(2):
+        residual = [z[i, j] - MP.fsum(q[i, k] * MP.fsum(MP.conj(q[m, k]) * z[m, j] for m in range(2))
+                                       for k in range(j)) for i in range(2)]
+        norm = MP.sqrt(MP.fsum(abs(x) ** 2 for x in residual))
+        for i in range(2):
+            q[i, j] = residual[i] / norm
+    return q

@@ -30,6 +30,7 @@ from entdyn.harness import (
     render_mesh,
     sweep_config_from_dict,
 )
+from entdyn.sampling import random_pure_ket
 from entdyn.states import bell_state, matrix_to_json
 from entdyn.tomography import (
     CountRecord,
@@ -193,6 +194,10 @@ SCALAR_CASES = {
                                "n_theta: must be >= 2, got 1"),
     "ellipsoid_mesh.n_phi": (lambda: ellipsoid_mesh(_CHANNEL, n_phi=0),
                              "n_phi: must be >= 1, got 0"),
+    "random_pure_ket.dim": (lambda: random_pure_ket(np.random.default_rng(0), 0),
+                            "dim: must be >= 1, got 0"),
+    "random_pure_ket.dim_negative": (lambda: random_pure_ket(np.random.default_rng(0), -1),
+                                     "dim: must be >= 1, got -1"),
     "config.trials": (lambda: sweep_config_from_dict({"pipeline": {"trials": 1}}),
                       "pipeline.trials: must be >= 2, got 1"),
     "config.seed": (lambda: sweep_config_from_dict({"pipeline": {"seed": -1}}),
@@ -259,6 +264,9 @@ SCALAR_CASES = {
                            "format: expected 'csv' or 'json', got 'x'"),
     "read_rows.format": (lambda: read_rows("rows.txt", "x"),
                          "format: expected 'csv' or 'json', got 'x'"),
+    # an integer
+    "random_pure_ket.dim_fraction": (lambda: random_pure_ket(np.random.default_rng(0), 2.5),
+                                     "dim: expected int, got 2.5"),
     # the value rules of the validating constructors
     "PauliChannel.negative": (lambda: PauliChannel([1.1, -0.1, 0.0, 0.0]),
                               "chi_diag: must be non-negative, got chi_1 = -0.1"),
