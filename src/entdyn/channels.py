@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
-    PAULIS, SIGMA_0, ConfigError, _check_choice, _check_probability, _finite, _frozen, _shaped,
-    matrix_from_json, matrix_to_json,
+    PAULIS, SIGMA_0, ConfigError, _check_choice, _check_mapping, _check_probability, _field,
+    _finite, _frozen, _known, _read, _shaped, matrix_from_json, matrix_to_json,
 )
 
 CP_TOL = 1e-12
@@ -393,42 +393,35 @@ def channel_to_json(channel) -> dict:
     return {"family": "pauli", "chi": [float(x) for x in channel.chi_diag]}
 
 
+#: The parameters of each family in a channel description.
+_CHANNEL_PARAMETERS = {**dict.fromkeys(PAULI_FAMILIES, ("p",)),
+                       "pauli": ("chi",), "unital": ("radii", "u", "v")}
+
+
 def channel_from_json(obj: dict):
-    """Parse a channel description object, enforcing exactly one
-    parameterization; a parameter that fails is named by its key (``p: ...``,
-    ``v: ...``)."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ValueError("channel object must be a mapping with a 'family' key")
-    family = obj["family"]
-    params = set(obj) - {"family"}
-
-    def parameter(name, build):
-        try:
-            return build(obj[name])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
-
-    if family in PAULI_FAMILIES:
-        if params != {"p"}:
-            raise ValueError(f"family {family!r} takes exactly the parameter 'p', got {sorted(params)}")
-        return channel_for(family, parameter("p", float))
-    if family == "pauli":
-        if params != {"chi"}:
-            raise ValueError(f"family 'pauli' takes exactly the parameter 'chi', got {sorted(params)}")
-        return parameter("chi", PauliChannel)
-    if family == "unital":
-        if params != {"radii", "u", "v"}:
-            raise ValueError(
-                f"family 'unital' takes exactly the parameters radii/u/v, got {sorted(params)}"
-            )
-        v, u = parameter("v", matrix_from_json), parameter("u", matrix_from_json)
-        try:
-            return UnitalChannel(pre_rotation=v, post_rotation=u, radii=obj["radii"])
-        except ConfigError as exc:  # "<field>: <rule>", with the field renamed to its key
-            field_name, rule = str(exc).split(": ", 1)
-            key = {"pre_rotation": "v", "post_rotation": "u"}.get(field_name, field_name)
-            raise ConfigError(f"{key}: {rule}") from exc
-    _check_choice(family, (*PAULI_FAMILIES, "pauli", "unital"), "family")  # raises: none of them
+    """Parse a channel description object: a family and exactly its
+    parameters, each read by the config reader's rules (``p: expected float,
+    got True``, ``v.dim: expected int, got 2.5``, ``chi: unknown field``); a
+    constructor's rule is named by the key (``v: matrix is not unitary``)."""
+    _check_mapping(obj, "channel")
+    family = _read(obj, "family", str, "")
+    _check_choice(family, tuple(_CHANNEL_PARAMETERS), "family")
+    _known(obj, ("family", *_CHANNEL_PARAMETERS[family]), "")
+    for name in _CHANNEL_PARAMETERS[family]:
+        if name not in obj:
+            raise ConfigError(f"{name}: missing")
+    try:
+        if family == "pauli":
+            return PauliChannel(_field(obj["chi"], list, "chi"))
+        if family == "unital":
+            return UnitalChannel(pre_rotation=matrix_from_json(obj["v"], "v"),
+                                 post_rotation=matrix_from_json(obj["u"], "u"),
+                                 radii=_field(obj["radii"], list, "radii"))
+        return channel_for(family, _field(obj["p"], float, "p"))
+    except ConfigError as exc:  # "<field>: <rule>", with a constructor's field renamed to its key
+        field_name, rule = str(exc).split(": ", 1)
+        key = {"chi_diag": "chi", "pre_rotation": "v", "post_rotation": "u"}.get(field_name, field_name)
+        raise ConfigError(f"{key}: {rule}") from exc
 
 
 def channel_radii(channel) -> np.ndarray:

@@ -31,7 +31,6 @@ from .harness import (
     PIPELINES,
     ConfigError,
     NumericalError,
-    _check_mapping,
     analytic_prediction,
     p_grid_from,
     render,
@@ -45,7 +44,7 @@ from .harness import (
     shot_noise_point,
     sweep_config_from_dict,
 )
-from .states import _check_probability, matrix_to_json, purity
+from .states import _check_mapping, _check_probability, matrix_to_json, purity
 from .tomography import LIKELIHOODS, _check_count, ellipsoid_mesh, read_counts_csv, write_counts_csv
 
 
@@ -73,7 +72,7 @@ def _read_json(path: str, name: str):
 
 def _load_config_file(path: str | None) -> dict:
     obj = {} if path is None else _read_json(path, "config")
-    _check_mapping(obj)
+    _check_mapping(obj, "config")
     return obj
 
 
@@ -155,7 +154,7 @@ def _cmd_ellipsoid(args) -> int:
         obj = _read_json(args.channel, "channel")
         try:
             channel = channel_from_json(obj)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{args.channel}: {exc}") from exc
     else:
         if args.p is None:

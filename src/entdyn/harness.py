@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from itertools import chain
@@ -55,8 +54,8 @@ from .dynamics import (
     wootters,
 )
 from .states import (
-    ConfigError, _check_at_least, _check_choice, _check_finite, _check_positive,
-    _check_probability, bell_key,
+    _REQUIRED, ConfigError, _check_at_least, _check_choice, _check_finite, _check_mapping,
+    _check_positive, _check_probability, _field, _known, _read, bell_key,
 )
 from .tomography import (
     LIKELIHOODS,
@@ -492,18 +491,26 @@ def render_mesh(points, format: str = "csv") -> str:
 
 def read_rows(path, format: str = "json") -> list[SweepRow]:
     """Read sweep rows back from a file of :func:`render` text; a JSON
-    ``null`` or an empty CSV cell in the ``error`` column reads as ``None``."""
+    ``null`` or an empty CSV cell in the ``error`` column reads as ``None``.
+    Cells are read by the config reader's rules; a malformed table is a
+    ConfigError naming the file, data row and cell (``t.json: data row 2: error: missing``)."""
     if format == "json":
         with open(path) as fh:
             records, null = json.load(fh), None
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ConfigError(f"{path}: expected a list of row objects")
     elif format == "csv":
         with open(path, newline="") as fh:
             records, null = list(csv.DictReader(fh)), ""
     else:
         _check_choice(format, ("csv", "json"), "format")  # raises: it is neither
-    return [SweepRow(float(r["p"]), float(r["concurrence"]),
-                     None if r["error"] == null else float(r["error"]), float(r["predicted"]))
-            for r in records]
+    rows = []
+    for i, r in enumerate(records, start=1):
+        prefix = f"{path}: data row {i}: "
+        cells = (None if name == "error" and name in r and r[name] == null else _read(r, name, float, prefix)
+                 for name in SweepRow._fields)
+        rows.append(SweepRow._make(cells))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +519,6 @@ def read_rows(path, format: str = "json") -> list[SweepRow]:
 
 #: Fields of each initial-state kind in compact-string order, with their
 #: defaults (``_REQUIRED`` marks a field that has none).
-_REQUIRED = object()
 _INITIAL_FIELDS = {
     "bell": {"bell": "phi_plus"},
     "pure_pes": {"delta": _REQUIRED, "phi": 0.0},
@@ -521,38 +527,6 @@ _INITIAL_FIELDS = {
 _INITIAL_ALIASES = {"pes": "pure_pes", "mixed": "mixed_pes"}
 _PIPELINE_ALIASES = {"exact": "exact_simulation", "shot-noise": "shot_noise"}
 _MODE_ALIASES = {"one-sided": "one_sided", "two-sided": "two_sided"}
-
-
-def _field(value, kind, path: str):
-    """``value`` as a ``kind`` (str, int or float), or a ConfigError naming
-    ``path``. A number may be spelled as a string (a compact string's
-    fields, a flag's text); an int takes an integral float but no fraction;
-    bools, None, lists and mappings are never numbers."""
-    if isinstance(value, str if kind is str else (str, numbers.Real)) and not isinstance(value, bool):
-        try:
-            out = kind(value)
-        except (ValueError, OverflowError):
-            out = None
-        if out is not None and (kind is not int or isinstance(value, str) or out == value):
-            return out
-    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-
-
-def _read(obj: dict, name: str, kind, prefix: str, default):
-    """Field ``name`` of the mapping ``obj`` as a ``kind``, named
-    ``prefix + name`` in errors; ``default`` when absent."""
-    if name not in obj:
-        if default is _REQUIRED:
-            raise ConfigError(f"{prefix}{name}: missing")
-        return default
-    return _field(obj[name], kind, prefix + name)
-
-
-def _known(obj: dict, names, prefix: str) -> None:
-    """ConfigError naming the first field of ``obj`` not among ``names``."""
-    unknown = set(obj) - set(names)
-    if unknown:
-        raise ConfigError(f"{prefix}{min(map(str, unknown))}: unknown field")
 
 
 def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
@@ -585,8 +559,8 @@ def p_grid_from(obj) -> tuple:
     points}`` range; errors name the field (``p_grid[2]``, ``p_grid.points``)."""
     if isinstance(obj, dict):
         _known(obj, ("start", "stop", "points"), "p_grid.")
-        start, stop = (_read(obj, name, float, "p_grid.", _REQUIRED) for name in ("start", "stop"))
-        points = _read(obj, "points", int, "p_grid.", _REQUIRED)
+        start, stop = (_read(obj, name, float, "p_grid.") for name in ("start", "stop"))
+        points = _read(obj, "points", int, "p_grid.")
         _check_finite(start, "p_grid.start")
         _check_finite(stop, "p_grid.stop")
         try:
@@ -594,7 +568,7 @@ def p_grid_from(obj) -> tuple:
         except (ValueError, MemoryError) as exc:
             raise ConfigError(f"p_grid.points: cannot make {points} points ({exc})") from None
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return tuple(_field(x, float, f"p_grid[{i}]") for i, x in enumerate(obj))
+        return tuple(_field(obj, list, "p_grid"))
     raise ConfigError(f"p_grid: expected a list or a {{start, stop, points}} range, got {obj!r}")
 
 
@@ -614,19 +588,13 @@ def pipeline_from(obj) -> Pipeline:
     return Pipeline(**values)
 
 
-def _check_mapping(obj) -> None:
-    """A ConfigError unless the config ``obj`` is a mapping."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config: expected a mapping, got {type(obj).__name__}")
-
-
 #: The config whose fields a config file's absent fields take (checked once).
 _DEFAULTS = SweepConfig()
 
 
 def sweep_config_from_dict(obj: dict) -> SweepConfig:
     """Build and validate a sweep configuration from a JSON-style mapping."""
-    _check_mapping(obj)
+    _check_mapping(obj, "config")
     _known(obj, [f.name for f in dataclass_fields(SweepConfig)], "")
     initials = obj.get("initials")
     if initials is not None and not isinstance(initials, (list, tuple)):

@@ -13,13 +13,16 @@ can be shared freely between threads or tasks.
 Every module checks its arguments with the checks defined here: the array
 checks, each built on the one before: :func:`_shaped`, :func:`_finite` and
 :func:`_hermitian`, and the scalar rules ``_check_*`` (the count bound sits
-by ``MAX_COUNT`` in tomography).
+by ``MAX_COUNT`` in tomography). Every file and flag value is read by
+:func:`_field` (and :func:`_read` and :func:`_known` for mappings).
 Validating constructors check shape and finiteness, operations only the
 shape; a failure is a :class:`ConfigError` ``<argument>: <rule>``, e.g.
 ``rho: expected shape (4, 4), got (2, 2)`` or ``p: value 1.5 outside [0, 1]``.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -56,6 +59,49 @@ def _check_choice(value, choices: tuple, path: str) -> None:
     if value not in choices:
         *rest, last = map(repr, choices)
         raise ConfigError(f"{path}: expected {', '.join(rest)} or {last}, got {value!r}")
+
+
+_REQUIRED = object()  # the default of _read for a field that has none
+
+
+def _field(value, kind, path: str):
+    """``value`` as a ``kind`` (str, int, float, or ``list``: of floats, entry i
+    named ``path[i]``), or a ConfigError naming ``path``. A number may be text
+    (a compact string's field, a flag, a CSV cell); an int takes an integral
+    float but no fraction; bools, None, lists and mappings are never numbers."""
+    if kind is list:
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return [_field(x, float, f"{path}[{i}]") for i, x in enumerate(value)]
+    elif isinstance(value, str if kind is str else (str, numbers.Real)) and not isinstance(value, bool):
+        try:
+            out = kind(value)
+        except (ValueError, OverflowError):
+            out = None
+        if out is not None and (kind is not int or isinstance(value, str) or out == value):
+            return out
+    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+
+
+def _read(obj: dict, name: str, kind, prefix: str, default=_REQUIRED):
+    """``obj[name]`` by :func:`_field`, named ``prefix + name``; if absent, ``default`` or missing."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"{prefix}{name}: missing")
+        return default
+    return _field(obj[name], kind, prefix + name)
+
+
+def _known(obj: dict, names, prefix: str) -> None:
+    """ConfigError naming the first field of ``obj`` not among ``names``."""
+    unknown = set(obj) - set(names)
+    if unknown:
+        raise ConfigError(f"{prefix}{min(map(str, unknown))}: unknown field")
+
+
+def _check_mapping(obj, path: str) -> None:
+    """A ConfigError unless ``obj`` (a config, a file's object or row) is a mapping."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -190,14 +236,15 @@ def matrix_to_json(matrix) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
+def matrix_from_json(obj: dict, path: str = "matrix") -> np.ndarray:
+    """Inverse of :func:`matrix_to_json`; a malformed object is a ConfigError
+    naming ``path`` and the field, e.g. ``matrix.dim: expected int, got 2.5``."""
+    _check_mapping(obj, path)
+    prefix = f"{path}."
+    _known(obj, ("dim", "re", "im"), prefix)
+    dim = _read(obj, "dim", int, prefix)
+    _check_at_least(dim, 1, prefix + "dim")
+    re, im = (np.array(_read(obj, name, list, prefix)) for name in ("re", "im"))
     if re.size != dim * dim or im.size != dim * dim:
-        raise ValueError(f"matrix object claims dim {dim} but carries {re.size} entries")
+        raise ConfigError(f"{path}: dim {dim} takes {dim * dim} entries, got {re.size} re and {im.size} im")
     return _frozen((re + 1j * im).reshape(dim, dim))

@@ -41,8 +41,8 @@ import numpy as np
 from .channels import bloch_affine_map, pauli_transfer_matrix
 from .dynamics import wootters
 from .states import (
-    BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _finite,
-    _frozen, _hermitian, dm,
+    BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _field,
+    _finite, _frozen, _hermitian, _read, dm,
 )
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -60,7 +60,9 @@ MAX_COUNT = 10**18
 
 
 def _check_count(n, path: str, low: int = 1, scale: int = 1) -> None:
-    """``n`` from ``low`` to ``scale`` * MAX_COUNT: a mean count, or a record's with low=0, scale=2."""
+    """``n``, not a bool, from ``low`` to ``scale`` * MAX_COUNT: a mean count, or a record's."""
+    if isinstance(n, (bool, np.bool_)):
+        raise ConfigError(f"{path}: expected int, got {n!r}")
     if not low <= n <= scale * MAX_COUNT:
         _check_at_least(n, low, path)
         raise ConfigError(f"{path}: must be <= {scale}e18, got {n!r}")
@@ -116,13 +118,16 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """One tomography data point: setting, coincidence count, pairs per setting."""
+    """One tomography data point: setting, coincidence count (read by the config
+    reader's int rule, so stored as an int), pairs per setting."""
 
     setting: MeasurementSetting
     count: int
     exposure: float
 
     def __post_init__(self):
+        if type(self.count) is not int:
+            object.__setattr__(self, "count", _field(self.count, int, "count"))
         _check_count(self.count, "count", low=0, scale=2)
         _check_positive(self.exposure, "exposure")
 
@@ -609,40 +614,28 @@ def write_counts_csv(records, path) -> None:
 def read_counts_csv(path) -> list[CountRecord]:
     """Count records of a data file written by :func:`write_counts_csv`.
 
-    Raises ``ValueError`` naming the file for a malformed row (and its data
-    row), a setting repeated on two data rows, or settings that are not
-    informationally complete (listing the settings of the 36-setting scan
-    the file lacks).
+    Raises ``ConfigError`` naming the file for a malformed row (its data row
+    and cell, read by the config reader's rules), a setting repeated on two
+    data rows, or settings that are not informationally complete (listing
+    the settings of the 36-setting scan the file lacks).
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        rows = {}  # (proj_a, proj_b) -> data row
-        for i, row in enumerate(reader, start=1):
+        rows = {}  # (proj_a, proj_b) -> (data row, record)
+        for i, row in enumerate(csv.DictReader(fh), start=1):
             try:
-                record = CountRecord(
-                    setting=MeasurementSetting(row["proj_a"], row["proj_b"]),
-                    count=int(row["count"]),
-                    exposure=float(row["exposure"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: malformed count record on data row {i} ({exc})"
-                ) from exc
-            key = (record.setting.proj_a, record.setting.proj_b)
-            if key in rows:
-                raise ValueError(
-                    f"{path}: setting {''.join(key)} repeated on data rows {rows[key]} and {i}"
-                )
-            rows[key] = i
-            records.append(record)
-    if not records:
-        raise ValueError(f"no count records in {path}")
+                a, b = (_read(row, name, str, "") for name in ("proj_a", "proj_b"))
+                record = CountRecord(MeasurementSetting(a, b), _read(row, "count", int, ""),
+                                     _read(row, "exposure", float, ""))
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: malformed count record on data row {i} ({exc})") from exc
+            if (a, b) in rows:
+                raise ConfigError(f"{path}: setting {a}{b} repeated on data rows {rows[a, b][0]} and {i}")
+            rows[a, b] = i, record
+    if not rows:
+        raise ConfigError(f"no count records in {path}")
     try:
         _design(tuple(rows))
     except ValueError as exc:
         missing = [a + b for a, b in _STANDARD_KEYS if (a, b) not in rows]
-        raise ValueError(
-            f"{path}: {exc}; of the 36-setting scan it lacks {', '.join(missing)}"
-        ) from exc
-    return records
+        raise ConfigError(f"{path}: {exc}; of the 36-setting scan it lacks {', '.join(missing)}") from exc
+    return [record for _, record in rows.values()]

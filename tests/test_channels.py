@@ -34,7 +34,7 @@ from entdyn.sampling import (
     random_pure_ket,
     random_unital_channel,
 )
-from entdyn.states import PAULIS, bell_state, dm, KET_H
+from entdyn.states import PAULIS, ConfigError, bell_state, dm, KET_H
 from oracles import (
     bloch_vector,
     density_from_bloch,
@@ -645,10 +645,12 @@ class TestValidationAndSerialization:
         assert np.allclose(bloch_affine_map(back), bloch_affine_map(ch), atol=1e-12)
 
     def test_exactly_one_parameterization(self):
-        with pytest.raises(ValueError, match="exactly"):
+        with pytest.raises(ConfigError, match="^chi: unknown field$"):
             channel_from_json({"family": "isotropic", "p": 0.2, "chi": [1, 0, 0, 0]})
-        with pytest.raises(ValueError, match="exactly"):
+        with pytest.raises(ConfigError, match="^p: unknown field$"):
             channel_from_json({"family": "pauli", "p": 0.2})
+        with pytest.raises(ConfigError, match="^chi: missing$"):
+            channel_from_json({"family": "pauli"})
         with pytest.raises(ValueError, match="family: expected"):
             channel_from_json({"family": "squeezing", "p": 0.2})
 

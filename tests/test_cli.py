@@ -259,7 +259,7 @@ def test_ellipsoid_from_channel_file(tmp_path, capsys):
     [({"family": "unital", "radii": [float("nan"), 0.1, 0.1],
        "u": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]},
        "v": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}}, "radii"),
-     ({"family": "pauli", "chi": [float("nan"), 0.5, 0.25, 0.25]}, "chi_diag")],
+     ({"family": "pauli", "chi": [float("nan"), 0.5, 0.25, 0.25]}, "chi")],
 )
 def test_ellipsoid_rejects_non_finite_channel(tmp_path, capsys, channel, field):
     channel_path = tmp_path / "channel.json"
@@ -423,17 +423,33 @@ def test_tomo_sim_converts_records_to_arrays_twice(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
-def test_counts_in_above_the_limit_names_the_row(tmp_path, capsys):
+def _counts_with_data_row_3(tmp_path, count):
+    """A 36-setting counts file whose third data row reads ``H,D,<count>,1000.0``."""
     records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=2)
     path = tmp_path / "counts.csv"
     write_counts_csv(records, path)
     lines = path.read_text().splitlines()
-    lines[3] = f"H,D,{2 * MAX_COUNT + 1},1000.0"
+    lines[3] = f"H,D,{count},1000.0"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_counts_in_above_the_limit_names_the_row(tmp_path, capsys):
+    path = _counts_with_data_row_3(tmp_path, 2 * MAX_COUNT + 1)
     assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"{path}: malformed count record on data row 3" in err
     assert "count: must be <= 2e18" in err
+
+
+@pytest.mark.parametrize("count", ["12.5", "True", ""])
+def test_counts_in_count_that_is_no_int_names_the_row(tmp_path, capsys, count):
+    """A count cell is read by the config reader's int rule."""
+    path = _counts_with_data_row_3(tmp_path, count)
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path)]) == 1
+    err = capsys.readouterr().err
+    message = f"count: expected int, got {count!r}"
+    assert f"{path}: malformed count record on data row 3 ({message})" in err
 
 
 @pytest.mark.parametrize("verb", ["sweep", "pes-sweep"])
@@ -704,6 +720,9 @@ def test_malformed_input_names_the_field(tmp_path, argv, config, message):
     assert not (tmp_path / "out").exists()
 
 
+FILE_FORMATS = Path(__file__).resolve().parents[1] / "docs" / "file_formats.md"
+
+
 def _matrix(re):
     """A 2x2 real matrix in the matrix JSON form of channel descriptions."""
     return {"dim": 2, "re": re, "im": [0, 0, 0, 0]}
@@ -715,16 +734,36 @@ _EYE3 = {"dim": 3, "re": [1, 0, 0, 0, 1, 0, 0, 0, 1], "im": [0] * 9}
 
 @pytest.mark.parametrize(
     "channel, message",
-    [({"family": "isotropic", "p": None}, "p: float() argument must be"),
-     ({"family": "isotropic", "p": "x"}, "p: could not convert string to float: 'x'"),
-     ({"family": "isotropic", "p": 1.5}, "p: value 1.5 outside [0, 1]"),
-     # chi and radii reach the constructors as read, which word a value numpy cannot read
-     ({"family": "pauli", "chi": "abc"}, "chi: chi_diag: expected shape (4,) of numbers, got str\n"),
-     ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: chi_diag: entries must be finite"),
-     ({"family": "pauli", "chi": [1.5, 0, 0, -0.5]},
-      "chi: chi_diag: must be non-negative, got chi_3 = -0.5\n"),
-     ({"family": "unital", "radii": [1, 1, 1], "u": 5,
-       "v": {"dim": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}}, "u: malformed matrix object"),
+    [({"family": "isotropic", "p": None}, "p: expected float, got None\n"),
+     ({"family": "isotropic", "p": True}, "p: expected float, got True\n"),
+     ({"family": "isotropic", "p": "x"}, "p: expected float, got 'x'\n"),
+     ({"family": "isotropic", "p": 1.5}, "p: value 1.5 outside [0, 1]\n"),
+     ({"family": "isotropic"}, "p: missing\n"),
+     ({"family": "pauli", "p": 0.2}, "p: unknown field\n"),
+     ({"family": "squeezing", "p": 0.2},
+      "family: expected 'two-field', 'isotropic', 'dephasing', 'pauli' or 'unital', got 'squeezing'\n"),
+     ([0.2], "channel: expected a mapping, got list\n"),
+     # chi and radii are read as lists of floats, then checked by the constructors
+     ({"family": "pauli", "chi": "abc"}, "chi: expected list, got 'abc'\n"),
+     ({"family": "pauli", "chi": [True, False, False, False]}, "chi[0]: expected float, got True\n"),
+     ({"family": "pauli", "chi": [0.5, "x", 0.5, 0]}, "chi[1]: expected float, got 'x'\n"),
+     ({"family": "pauli", "chi": [[0.5, 0.5], [0]]}, "chi[0]: expected float, got [0.5, 0.5]\n"),
+     ({"family": "pauli", "chi": ["nan", 0.5, 0.25, 0.25]}, "chi: entries must be finite\n"),
+     ({"family": "pauli", "chi": [1.5, 0, 0, -0.5]}, "chi: must be non-negative, got chi_3 = -0.5\n"),
+     ({"family": "unital", "radii": [True, 1, 1], "u": _EYE, "v": _EYE}, "radii[0]: expected float, got True\n"),
+     ({"family": "unital", "radii": [[1, 1], [1]], "u": _EYE, "v": _EYE},
+      "radii[0]: expected float, got [1, 1]\n"),
+     ({"family": "unital", "radii": [1, 1, -1], "u": _EYE, "v": _EYE}, "radii: not completely positive: "),
+     # u and v are matrix objects, each field named under its key
+     ({"family": "unital", "radii": [1, 1, 1], "u": 5, "v": _EYE}, "u: expected a mapping, got int\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": _EYE, "v": {**_EYE, "dim": 2.5}},
+      "v.dim: expected int, got 2.5\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": _EYE, "v": {**_EYE, "dim": True}},
+      "v.dim: expected int, got True\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": _EYE, "v": {**_EYE, "scale": 1}}, "v.scale: unknown field\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": {"dim": 2, "re": [1, 0, 0, 1]}, "v": _EYE}, "u.im: missing\n"),
+     ({"family": "unital", "radii": [1, 1, 1], "u": {**_EYE, "re": [1, 0, 0]}, "v": _EYE},
+      "u: dim 2 takes 4 entries, got 3 re and 4 im\n"),
      # a unital channel's rule names the file's key, not the UnitalChannel field
      ({"family": "unital", "radii": [1, 1, 1], "u": _EYE, "v": _matrix([2, 0, 0, 2])},
       "v: matrix is not unitary\n"),
@@ -734,19 +773,11 @@ _EYE3 = {"dim": 3, "re": [1, 0, 0, 0, 1, 0, 0, 0, 1], "im": [0] * 9}
       "u: matrix is not unitary\n"),
      ({"family": "unital", "radii": [1, 1, 1], "u": _matrix([1, 0, 0, float("inf")]), "v": _EYE},
       "u: entries must be finite\n"),
-     ({"family": "unital", "radii": [1, 1, -1], "u": _EYE, "v": _EYE}, "radii: not completely positive: "),
      # a pair of rotations that does not stack still names the one at fault
      ({"family": "unital", "radii": [1, 1, 1], "u": _EYE3, "v": _EYE},
       "u: expected shape (2, 2), got (3, 3)\n"),
      ({"family": "unital", "radii": [1, 1, 1], "u": _EYE3, "v": _EYE3},
-      "v: expected shape (2, 2), got (3, 3)\n"),
-     ({"family": "pauli", "p": 0.2}, "family 'pauli' takes exactly the parameter 'chi'"),
-     ({"family": "pauli", "chi": [[0.5, 0.5], [0]]},
-      "chi: chi_diag: expected shape (4,) of numbers, got list\n"),
-     ({"family": "pauli", "chi": [0.5, "x", 0.5, 0]},
-      "chi: chi_diag: expected shape (4,) of numbers, got list\n"),
-     ({"family": "unital", "radii": [[1, 1], [1]], "u": _EYE, "v": _EYE},
-      "radii: expected shape (3,) of numbers, got list\n")],
+      "v: expected shape (2, 2), got (3, 3)\n")],
 )
 def test_ellipsoid_channel_file_errors_name_file_and_field(tmp_path, capsys, channel, message):
     path = tmp_path / "channel.json"
@@ -755,6 +786,9 @@ def test_ellipsoid_channel_file_errors_name_file_and_field(tmp_path, capsys, cha
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: {message}")
+    # docs/file_formats.md quotes every message, whole where the row pins it whole
+    quoted = f"`error: ch.json: {message.rstrip(chr(10))}" + ("`" if message.endswith("\n") else "")
+    assert quoted in " ".join(FILE_FORMATS.read_text().split())
 
 
 def test_ellipsoid_channel_file_invalid_json(tmp_path, capsys):

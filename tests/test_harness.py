@@ -394,6 +394,26 @@ class TestEmit:
         for a, b in zip(back, rows):
             assert a.p == b.p and a.concurrence == b.concurrence and a.error == b.error
 
+    @pytest.mark.parametrize("format, text, message", [
+        ("json", '[{"p": 0.0, "concurrence": 1.0, "predicted": 1.0}]', "data row 1: error: missing"),
+        ("json", '[{"p": true, "concurrence": 1.0, "error": null, "predicted": 1.0}]',
+         "data row 1: p: expected float, got True"),
+        ("json", '[{"p": null, "concurrence": 1.0, "error": null, "predicted": 1.0}]',
+         "data row 1: p: expected float, got None"),
+        ("json", '{"p": 0.0}', "expected a list of row objects"),
+        ("json", '[0.5]', "expected a list of row objects"),
+        ("csv", "p,concurrence,predicted\n0.0,1.0,1.0\n", "data row 1: error: missing"),
+        ("csv", "p,concurrence,error,predicted\n0.0,1.0,,1.0\nx,1.0,,1.0\n", "data row 2: p: expected float, got 'x'"),
+        ("csv", "p,concurrence,error,predicted\n0.0,1.0,,\n", "data row 1: predicted: expected float, got ''"),
+        ("csv", "p,concurrence,error,predicted\n0.0,1.0\n", "data row 1: error: expected float, got None"),
+    ])
+    def test_malformed_table_names_file_row_and_cell(self, tmp_path, format, text, message):
+        path = tmp_path / f"rows.{format}"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            read_rows(path, format)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             render([], "csv")

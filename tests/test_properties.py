@@ -13,6 +13,8 @@ partially entangled states, so it is held to exact evolution on arbitrary
 Pauli channels and on every sweep configuration.
 """
 
+import csv
+import json
 import math
 import re
 from dataclasses import replace
@@ -31,6 +33,7 @@ from entdyn.channels import (
     apply_one_sided,
     bloch_affine_map,
     channel_for,
+    channel_from_json,
     chi_from_radii,
     compose,
     cp_violations,
@@ -54,10 +57,12 @@ from entdyn.harness import (
     ConfigError,
     Pipeline,
     SweepConfig,
+    read_rows,
     run_sweep,
     sweep_config_from_dict,
 )
-from entdyn.states import dm
+from entdyn.states import dm, matrix_from_json
+from entdyn.tomography import PROJECTOR_LABELS, read_counts_csv, standard_settings
 from entdyn.states import PAULIS, psd_sqrt
 from oracles import kraus_apply, kraus_operators
 
@@ -406,3 +411,135 @@ def test_malformed_config_fails_naming_a_schema_path(obj):
         sweep_config_from_dict(obj)
     except ConfigError as exc:
         assert SCHEMA_PATH.match(str(exc)), str(exc)
+
+
+# Channel, matrix, count and sweep-table files, each with one value replaced
+# by junk: a non-number, or by chance a valid value. Each case builds the
+# file around the value and returns the call that reads it, the start of the
+# message that must name the value (a key, then optionally .field and [i]),
+# and whether the config reader's rules may read the value at all.
+_EYE = {"dim": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0, 0.0]}
+_UNITAL = {"family": "unital", "radii": [0.9, 0.5, -0.3], "u": _EYE, "v": _EYE}
+_SWEEP_ROW = {"p": 0.0, "concurrence": 1.0, "error": None, "predicted": 1.0}
+
+
+def _reads_as(kind, value) -> bool:
+    """The documented rule: a number is a real, not a bool, or text that
+    ``float`` reads (``int`` for an int field); an int field takes an
+    integral real but no fraction; a list holds such floats; a mapping
+    is a dict. A ``never`` slot (an unknown key) reads nothing."""
+    if kind in ("mapping", "never"):
+        return kind == "mapping" and isinstance(value, dict)
+    if kind == "list":
+        return isinstance(value, list) and all(_reads_as("float", x) for x in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return False
+    if kind == "int" and not isinstance(value, str):
+        return float(value).is_integer()
+    try:
+        (int if kind == "int" else float)(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _object_case(read, build, key, kind):
+    """A case that reads the object ``build(value)`` with ``read``."""
+    return lambda value, tmp: ((lambda: read(build(value))), key, _reads_as(kind, value))
+
+
+def _write_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]))  # None is written as an empty cell
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _cell(value) -> str:
+    """The text a CSV cell holding ``value`` reads back as."""
+    return "" if value is None else str(value)
+
+
+def _count_case(column, kind):
+    def build(value, tmp):
+        assume(kind != "never" or _cell(value) not in PROJECTOR_LABELS)
+        path = tmp / "counts.csv"
+        rows = [{"proj_a": s.proj_a, "proj_b": s.proj_b, "count": 5, "exposure": 100.0}
+                for s in standard_settings()]
+        _write_csv(path, [{**rows[0], column: value}, *rows[1:]])
+        key = f"{path}: malformed count record on data row 1 ({column}"
+        return lambda: read_counts_csv(path), key, _reads_as(kind, _cell(value))
+    return build
+
+
+def _sweep_case(column, format):
+    def build(value, tmp):
+        path = tmp / f"rows.{format}"
+        rows = [_SWEEP_ROW, {**_SWEEP_ROW, column: value}]
+        if format == "json":
+            path.write_text(json.dumps(rows))
+        else:
+            _write_csv(path, rows)
+        seen = value if format == "json" else _cell(value)
+        readable = (column == "error" and seen in (None, "")) or _reads_as("float", seen)
+        return lambda: read_rows(path, format), f"{path}: data row 2: {column}", readable
+    return build
+
+
+READER_CASES = {
+    **{f"channel {name}": _object_case(channel_from_json, build, key, kind) for name, build, key, kind in (
+        ("p", lambda v: {"family": "two-field", "p": v}, "p", "float"),
+        ("chi", lambda v: {"family": "pauli", "chi": v}, "chi", "list"),
+        ("chi entry", lambda v: {"family": "pauli", "chi": [0.7, v, 0.1, 0.1]}, "chi", "float"),
+        ("radii", lambda v: {**_UNITAL, "radii": v}, "radii", "list"),
+        ("radii entry", lambda v: {**_UNITAL, "radii": [0.9, v, -0.3]}, "radii", "float"),
+        ("u", lambda v: {**_UNITAL, "u": v}, "u", "mapping"),
+        ("v", lambda v: {**_UNITAL, "v": v}, "v", "mapping"),
+        ("v.dim", lambda v: {**_UNITAL, "v": {**_EYE, "dim": v}}, "v", "int"),
+        ("u.re", lambda v: {**_UNITAL, "u": {**_EYE, "re": v}}, "u", "list"),
+        ("unknown key", lambda v: {**_UNITAL, "w": v}, "w", "never"),
+    )},
+    **{f"matrix {name}": _object_case(matrix_from_json, lambda v, name=name: {**_EYE, name: v}, "matrix", kind)
+       for name, kind in (("dim", "int"), ("re", "list"), ("im", "list"), ("scale", "never"))},
+    **{f"count cell {column}": _count_case(column, kind)
+       for column, kind in (("proj_a", "never"), ("proj_b", "never"), ("count", "int"), ("exposure", "float"))},
+    **{f"sweep {format} cell {column}": _sweep_case(column, format)
+       for column in _SWEEP_ROW for format in ("json", "csv")},
+}
+# After the key: a matrix field, a list index, or any key of a mapping that has no such field.
+KEY_SUFFIX = r"((\.(dim|re|im))?(\[\d+\])?: |\..*: unknown field$)"
+# Python's and numpy's own wording of a failed conversion or lookup.
+FOREIGN_TEXT = re.compile(r"float\(\)|int\(\)|invalid literal|could not convert|not iterable|"
+                          r"not subscriptable|unhashable|NoneType'")
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(sorted(READER_CASES)), st.one_of(st.booleans(), junk))
+@example("channel p", True)
+@example("channel p", None)
+@example("matrix dim", 2.5)
+@example("channel v.dim", 2.5)
+@example("channel chi entry", True)
+@example("count cell count", 12.5)
+@example("sweep json cell p", True)
+def test_malformed_files_fail_naming_the_key(reader_dir, case, value):
+    """Every reader of an outside file reads each value by the config
+    reader's rules: a value those rules refuse (a bool, null, a list or
+    mapping where a number belongs, text that is no number, a fraction for an
+    int) fails as a ConfigError whose message names its key, never as a
+    TypeError, KeyError or Python's or numpy's own text; a value they take
+    may read or break a constructor's rule, named the same way."""
+    call, key, readable = READER_CASES[case](value, reader_dir)
+    try:
+        call()
+    except ConfigError as exc:
+        message = str(exc)
+        assert re.match(re.escape(key) + KEY_SUFFIX, message, re.DOTALL), message
+        assert not FOREIGN_TEXT.search(message), message
+    else:
+        assert readable, f"{case}: {value!r} was read"

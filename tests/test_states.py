@@ -8,6 +8,7 @@ from entdyn.states import (
     BELL_KETS,
     KET_H,
     PAULIS,
+    ConfigError,
     bell_key,
     bell_state,
     dm,
@@ -181,6 +182,22 @@ class TestSerialization:
             matrix_from_json({"dim": 2, "re": [1, 0, 0], "im": [0, 0, 0, 0]})
         with pytest.raises(ValueError):
             matrix_from_json({"re": [1.0]})
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"dim": 2.5, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}, "matrix.dim: expected int, got 2.5"),
+        ({"dim": True, "re": [1], "im": [0]}, "matrix.dim: expected int, got True"),
+        ({"dim": -1, "re": [1], "im": [0]}, "matrix.dim: must be >= 1, got -1"),
+        ({"dim": 1, "re": [True], "im": [0]}, "matrix.re[0]: expected float, got True"),
+        ({"dim": 1, "re": [1], "im": "0"}, "matrix.im: expected list, got '0'"),
+        ({"dim": 1, "re": [1]}, "matrix.im: missing"),
+        ({"dim": 1, "re": [1], "im": [0], "scale": 2}, "matrix.scale: unknown field"),
+        ({"dim": 2, "re": [1, 0, 0, 1], "im": [0]}, "matrix: dim 2 takes 4 entries, got 4 re and 1 im"),
+        ([1, 0, 0, 1], "matrix: expected a mapping, got list"),
+    ])
+    def test_malformed_fields_are_named(self, obj, message):
+        with pytest.raises(ConfigError) as info:
+            matrix_from_json(obj)
+        assert str(info.value) == message
 
 
 def test_bell_states_are_orthonormal():

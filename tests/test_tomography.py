@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from entdyn.channels import PauliChannel, apply_one_sided, channel_for
 from entdyn.dynamics import concurrence
 from entdyn.sampling import random_unital_channel
-from entdyn.states import BASIS_KETS, bell_state, dm, fidelity
+from entdyn.states import BASIS_KETS, ConfigError, bell_state, dm, fidelity
 import entdyn.tomography
 from entdyn.cli import main
 from entdyn.tomography import (
@@ -869,6 +870,15 @@ class TestCountsCsv:
         back = read_counts_csv(path)
         assert back == records
 
+    def test_float_count_records_round_trip(self, tmp_path):
+        """An integral float count is stored as an int, so the file reads back."""
+        records = [CountRecord(r.setting, float(r.count), r.exposure)
+                   for r in simulate_counts(bell_state("phi+"), standard_settings(), 100, seed=3)]
+        assert all(type(r.count) is int for r in records)
+        path = tmp_path / "counts.csv"
+        write_counts_csv(records, path)
+        assert read_counts_csv(path) == records
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("proj_a,proj_b,count,exposure\n")
@@ -877,7 +887,7 @@ class TestCountsCsv:
 
     @pytest.mark.parametrize(
         "row, problem",
-        [("H,V,12.5,1000.0", "invalid literal"), ("H,V,12,nan", "exposure"),
+        [("H,V,12.5,1000.0", "count: expected int, got '12.5'"), ("H,V,12,nan", "exposure"),
          ("H,V,12,inf", "exposure"), ("H,Q,12,1000.0", "proj_b")],
     )
     def test_bad_row_names_file_and_row(self, tmp_path, row, problem):
@@ -915,3 +925,13 @@ class TestCountsCsv:
                 CountRecord(MeasurementSetting("H", "H"), 5, exposure)
         with pytest.raises(ValueError, match="count"):
             CountRecord(MeasurementSetting("H", "H"), math.nan, 1000.0)
+
+    @pytest.mark.parametrize("count", [True, False, 5.5, "x", None])
+    def test_record_count_is_read_by_the_int_rule(self, count):
+        with pytest.raises(ConfigError, match=f"^count: expected int, got {re.escape(repr(count))}$"):
+            CountRecord(MeasurementSetting("H", "H"), count, 1000.0)
+
+    @pytest.mark.parametrize("n", [True, np.True_])
+    def test_bool_mean_counts_are_refused(self, n):
+        with pytest.raises(ConfigError, match=f"^n_per_setting: expected int, got {re.escape(repr(n))}$"):
+            simulate_counts(bell_state("phi+"), standard_settings(), n, seed=1)
