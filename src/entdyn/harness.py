@@ -55,7 +55,7 @@ from .dynamics import (
 )
 from .states import (
     _REQUIRED, ConfigError, _check_at_least, _check_choice, _check_finite, _check_mapping,
-    _check_positive, _check_probability, _field, _known, _read, bell_key,
+    _check_positive, _check_probability, _csv_rows, _field, _known, _read, bell_key,
 )
 from .tomography import (
     LIKELIHOODS,
@@ -492,16 +492,17 @@ def render_mesh(points, format: str = "csv") -> str:
 def read_rows(path, format: str = "json") -> list[SweepRow]:
     """Read sweep rows back from a file of :func:`render` text; a JSON
     ``null`` or an empty CSV cell in the ``error`` column reads as ``None``.
-    Cells are read by the config reader's rules; a malformed table is a
-    ConfigError naming the file, data row and cell (``t.json: data row 2: error: missing``)."""
+    Cells are read by the config reader's rules (a CSV table by
+    :func:`states._csv_rows`, which refuses a row whose cells do not match
+    the header); a malformed table is a ConfigError naming the file, data
+    row and cell (``t.json: data row 2: error: missing``)."""
     if format == "json":
         with open(path) as fh:
             records, null = json.load(fh), None
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
             raise ConfigError(f"{path}: expected a list of row objects")
     elif format == "csv":
-        with open(path, newline="") as fh:
-            records, null = list(csv.DictReader(fh)), ""
+        records, null = _csv_rows(path), ""
     else:
         _check_choice(format, ("csv", "json"), "format")  # raises: it is neither
     rows = []

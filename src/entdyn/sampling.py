@@ -9,17 +9,16 @@ takes an explicit ``numpy.random.Generator`` so sampling stays reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .channels import CP_TOL, PauliChannel, UnitalChannel, _violated
-from .states import ConfigError, _check_at_least, _frozen
+from .states import _check_at_least, _field, _frozen
 
 
 def random_pure_ket(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
-        raise ConfigError(f"dim: expected int, got {dim!r}")
+    """A random unit ket of ``dim`` entries, read by the config reader's int rule."""
+    dim = _field(dim, int, "dim")
     _check_at_least(dim, 1, "dim")
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return _frozen(v / np.linalg.norm(v))

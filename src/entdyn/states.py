@@ -14,7 +14,8 @@ Every module checks its arguments with the checks defined here: the array
 checks, each built on the one before: :func:`_shaped`, :func:`_finite` and
 :func:`_hermitian`, and the scalar rules ``_check_*`` (the count bound sits
 by ``MAX_COUNT`` in tomography). Every file and flag value is read by
-:func:`_field` (and :func:`_read` and :func:`_known` for mappings).
+:func:`_field` (and :func:`_read` and :func:`_known` for mappings), and
+every CSV table by :func:`_csv_rows`.
 Validating constructors check shape and finiteness, operations only the
 shape; a failure is a :class:`ConfigError` ``<argument>: <rule>``, e.g.
 ``rho: expected shape (4, 4), got (2, 2)`` or ``p: value 1.5 outside [0, 1]``.
@@ -22,6 +23,7 @@ shape; a failure is a :class:`ConfigError` ``<argument>: <rule>``, e.g.
 
 from __future__ import annotations
 
+import csv
 import numbers
 
 import numpy as np
@@ -96,6 +98,28 @@ def _known(obj: dict, names, prefix: str) -> None:
     unknown = set(obj) - set(names)
     if unknown:
         raise ConfigError(f"{prefix}{min(map(str, unknown))}: unknown field")
+
+
+def _csv_rows(path) -> list[dict]:
+    """The data rows of the CSV table in the file ``path``, each a mapping
+    from the header's column names to its cells, to be read by :func:`_read`.
+    Blank lines are skipped. A header that repeats a name, or a data row
+    whose cells do not match the header one for one, is a ConfigError naming
+    the file, e.g. ``c.csv: data row 3: expected 4 cells (the header's), got 6``
+    (data rows count from 1)."""
+    with open(path, newline="") as fh:
+        lines = [cells for cells in csv.reader(fh) if cells]
+    if not lines:
+        return []
+    header, *data = lines
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ConfigError(f"{path}: header repeats column {name!r}")
+    for i, cells in enumerate(data, start=1):
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}: data row {i}: expected {len(header)} cells (the header's), "
+                              f"got {len(cells)}")
+    return [dict(zip(header, cells)) for cells in data]
 
 
 def _check_mapping(obj, path: str) -> None:

@@ -41,8 +41,8 @@ import numpy as np
 from .channels import bloch_affine_map, pauli_transfer_matrix
 from .dynamics import wootters
 from .states import (
-    BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _field,
-    _finite, _frozen, _hermitian, _read, dm,
+    BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _csv_rows,
+    _field, _finite, _frozen, _hermitian, _read, dm,
 )
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -361,6 +361,13 @@ def minimize(fun, t: np.ndarray, max_evals: int):
     rounding), and is an Armijo backtracking line search that interpolates
     a cubic through the values and slopes at both ends.
 
+    Each step is first tried without the eigenvalues (:func:`_certified_step`):
+    a Cholesky test shows that every tangent eigenvalue lies above a floor
+    at least the one above, so none is floored or flipped and the step is
+    one linear solve. Only a step the test refuses, at a Hessian that is
+    indefinite or has an eigenvalue near zero (on a saddle, near the
+    rank-deficient boundary), runs ``np.linalg.eigh``.
+
     The search stops converged when the Newton decrement -g.d / 2 falls to
     1e-12 max(1, |f|) with evaluations to spare and no eigenvalue lies below
     minus the floor. Where one does, t sits near a saddle (a T-row shrunk to
@@ -379,15 +386,19 @@ def minimize(fun, t: np.ndarray, max_evals: int):
     converged = False
     while evals < max_evals:
         proj = eye - t[:, None] * t
-        lam, vec = np.linalg.eigh(proj @ hess @ proj)
-        lowest, highest = float(lam[0]), float(lam[-1])
-        floor = max(1e-8 * max(-lowest, highest), 1e-12 * size)
-        gv = g @ vec
-        d = vec @ (gv / -np.maximum(np.abs(lam), floor))
+        tangent = proj @ hess @ proj
+        d = _certified_step(tangent, t, g, size)
+        certified = d is not None
+        if not certified:
+            lam, vec = np.linalg.eigh(tangent)
+            lowest, highest = float(lam[0]), float(lam[-1])
+            floor = max(1e-8 * max(-lowest, highest), 1e-12 * size)
+            gv = g @ vec
+            d = vec @ (gv / -np.maximum(np.abs(lam), floor))
         slope = float(g @ d)
         rule_met = -0.5 * slope <= 1e-12 * max(1.0, abs(f))
         if rule_met:
-            if lowest >= -floor:
+            if certified or lowest >= -floor:
                 converged = True
                 break
             d = math.copysign(1.0, -gv[0]) * vec[:, 0]
@@ -409,6 +420,30 @@ def minimize(fun, t: np.ndarray, max_evals: int):
         t, f, g, hess, size = t_new, f_new, g_new, hess_new, size_new
         steps += 1
     return t, f, evals, steps, converged
+
+
+def _certified_step(tangent, t, g, size):
+    """The Newton step of :func:`minimize` at the projected Hessian
+    ``tangent`` = P H P, if a Cholesky test certifies it, else None.
+
+    With s = |P H P|_F, which is at least its largest |lambda|, the floor
+    max(1e-8 s, 1e-12 size) is at least the step's eigenvalue floor. The
+    matrix A = P H P + s t t^T has the tangent eigenvalues of P H P and s
+    along t, so a Cholesky factor of A minus the floor exists exactly when
+    every eigenvalue, along t included, lies above the floor. Then none is
+    floored or flipped, and the step is A^-1 (-g): on the tangent space the
+    floored eigenvalue step, and along t a component of g.t / s, which is
+    rounding (f is scale invariant) and which the step's normalization
+    drops.
+    """
+    scale = math.sqrt(float(np.vdot(tangent, tangent)))
+    floor = max(1e-8 * scale, 1e-12 * size)
+    a = tangent + scale * (t[:, None] * t)
+    try:
+        np.linalg.cholesky(a - floor * np.eye(t.size))
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(a, -g)
 
 
 def _cubic_step(step, f0, slope0, f1, slope1) -> float:
@@ -614,23 +649,24 @@ def write_counts_csv(records, path) -> None:
 def read_counts_csv(path) -> list[CountRecord]:
     """Count records of a data file written by :func:`write_counts_csv`.
 
-    Raises ``ConfigError`` naming the file for a malformed row (its data row
-    and cell, read by the config reader's rules), a setting repeated on two
-    data rows, or settings that are not informationally complete (listing
-    the settings of the 36-setting scan the file lacks).
+    The table is read by :func:`states._csv_rows`, which refuses a row whose
+    cells do not match the header. Raises ``ConfigError`` naming the file
+    for a malformed row (its data row and cell, read by the config reader's
+    rules), a setting repeated on two data rows, or settings that are not
+    informationally complete (listing the settings of the 36-setting scan
+    the file lacks).
     """
-    with open(path, newline="") as fh:
-        rows = {}  # (proj_a, proj_b) -> (data row, record)
-        for i, row in enumerate(csv.DictReader(fh), start=1):
-            try:
-                a, b = (_read(row, name, str, "") for name in ("proj_a", "proj_b"))
-                record = CountRecord(MeasurementSetting(a, b), _read(row, "count", int, ""),
-                                     _read(row, "exposure", float, ""))
-            except ConfigError as exc:
-                raise ConfigError(f"{path}: malformed count record on data row {i} ({exc})") from exc
-            if (a, b) in rows:
-                raise ConfigError(f"{path}: setting {a}{b} repeated on data rows {rows[a, b][0]} and {i}")
-            rows[a, b] = i, record
+    rows = {}  # (proj_a, proj_b) -> (data row, record)
+    for i, row in enumerate(_csv_rows(path), start=1):
+        try:
+            a, b = (_read(row, name, str, "") for name in ("proj_a", "proj_b"))
+            record = CountRecord(MeasurementSetting(a, b), _read(row, "count", int, ""),
+                                 _read(row, "exposure", float, ""))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: malformed count record on data row {i} ({exc})") from exc
+        if (a, b) in rows:
+            raise ConfigError(f"{path}: setting {a}{b} repeated on data rows {rows[a, b][0]} and {i}")
+        rows[a, b] = i, record
     if not rows:
         raise ConfigError(f"no count records in {path}")
     try:

@@ -452,6 +452,12 @@ def test_counts_in_count_that_is_no_int_names_the_row(tmp_path, capsys, count):
     assert f"{path}: malformed count record on data row 3 ({message})" in err
 
 
+def test_counts_in_row_with_extra_cells_names_the_row(tmp_path, capsys):
+    path = _counts_with_data_row_3(tmp_path, "501,junk")  # H,D,501,junk,1000.0
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path)]) == 1
+    assert f"{path}: data row 3: expected 4 cells (the header's), got 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["sweep", "pes-sweep"])
 @pytest.mark.parametrize("pipeline", ["analytic", "exact"])
 def test_unknown_bell_state_exit_1(tmp_path, capsys, verb, pipeline):

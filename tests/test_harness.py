@@ -405,7 +405,10 @@ class TestEmit:
         ("csv", "p,concurrence,predicted\n0.0,1.0,1.0\n", "data row 1: error: missing"),
         ("csv", "p,concurrence,error,predicted\n0.0,1.0,,1.0\nx,1.0,,1.0\n", "data row 2: p: expected float, got 'x'"),
         ("csv", "p,concurrence,error,predicted\n0.0,1.0,,\n", "data row 1: predicted: expected float, got ''"),
-        ("csv", "p,concurrence,error,predicted\n0.0,1.0\n", "data row 1: error: expected float, got None"),
+        ("csv", "p,concurrence,error,predicted\n0.0,1.0\n", "data row 1: expected 4 cells (the header's), got 2"),
+        ("csv", "p,concurrence,error,predicted\n0.0,1.0,,1.0\n0.0,1.0,,1.0,9,9\n",
+         "data row 2: expected 4 cells (the header's), got 6"),
+        ("csv", "p,concurrence,error,p\n0.0,1.0,,1.0\n", "header repeats column 'p'"),
     ])
     def test_malformed_table_names_file_row_and_cell(self, tmp_path, format, text, message):
         path = tmp_path / f"rows.{format}"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from entdyn.sampling import (
     random_pure_ket,
     random_unital_channel,
 )
-from entdyn.states import PAULIS
+from entdyn.states import PAULIS, ConfigError
 from oracles import random_unitary
 from reference import haar_unitary, max_abs_error
 
@@ -19,6 +21,25 @@ def test_random_pure_ket_has_the_asked_dimension(dim):
     assert psi.shape == (dim,)
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
     assert not psi.flags.writeable
+
+
+def test_random_pure_ket_reads_dim_by_the_int_rule():
+    # an integral float is the int it equals, as for every file and flag integer:
+    # the same draw from the same stream
+    assert random_pure_ket(np.random.default_rng(5), 4.0).tobytes() == \
+        random_pure_ket(np.random.default_rng(5), 4).tobytes()
+
+
+@pytest.mark.parametrize("dim, message", [
+    (2.5, "dim: expected int, got 2.5"),
+    (True, "dim: expected int, got True"),
+    (None, "dim: expected int, got None"),
+    (0, "dim: must be >= 1, got 0"),
+    (-1.0, "dim: must be >= 1, got -1"),
+])
+def test_random_pure_ket_refuses_a_dim_that_is_no_positive_int(dim, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        random_pure_ket(np.random.default_rng(0), dim)
 
 
 @pytest.mark.parametrize("draw", [

@@ -23,6 +23,7 @@ from entdyn.tomography import (
     CountRecord,
     MeasurementSetting,
     _arrays,
+    _certified_step,
     _fit,
     _objective,
     _params_from_rho,
@@ -39,6 +40,7 @@ from entdyn.tomography import (
     standard_settings,
     write_counts_csv,
 )
+from fit_counts import schedule_fits
 from oracles import kraus_apply, random_density_matrix, trace_distance
 
 
@@ -776,6 +778,57 @@ class TestNewtonFit:
         assert converged and steps > 0
         assert f == pytest.approx(-0.025, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_certified_step_is_the_floored_eigenvalue_step(self, seed):
+        t, tangent, g = tangent_problem(seed, np.random.default_rng([seed, 31]).uniform(1.0, 100.0, 15))
+        lam, vec = np.linalg.eigh(tangent)
+        floor = max(1e-8 * max(-lam[0], lam[-1]), 1e-12)
+        floored = vec @ ((g @ vec) / -np.maximum(np.abs(lam), floor))
+        # along t the two steps differ by rounding over their floors, which
+        # the step's normalization drops; on the tangent space they agree
+        proj = np.eye(16) - np.outer(t, t)
+        certified = proj @ _certified_step(tangent, t, g, 1.0)
+        assert np.linalg.norm(certified - proj @ floored) <= 1e-12 * np.linalg.norm(floored)
+
+    @pytest.mark.parametrize("lowest, size", [(-1.0, 1.0), (-1e-9, 1.0), (1e-7, 1.0), (1.0, 1e13)],
+                             ids=["indefinite", "nearly-flat", "below-relative-floor", "below-size-floor"])
+    def test_step_needing_the_floor_is_not_certified(self, lowest, size):
+        # the eigenvalue step floors or flips ``lowest`` (the relative floor is
+        # 1e-8 * 100, the size floor 1e-12 * size): only eigh takes that step
+        for seed in range(5):
+            levels = np.random.default_rng([seed, 32]).uniform(1.0, 100.0, 15)
+            levels[:2] = lowest, 100.0
+            t, tangent, g = tangent_problem(seed, levels)
+            assert _certified_step(tangent, t, g, size) is None
+
+    def test_schedule_fits_keep_their_counts_and_mostly_skip_eigh(self, tmp_path, monkeypatch):
+        fits = schedule_fits(0, tmp_path, monkeypatch)
+        assert [fit[:3] for fit in fits] == [(evals, steps, True) for evals, steps in SEED0_FITS]
+        # one Cholesky test per step check; eigh only where it fails
+        assert sum(fit.checks for fit in fits) == 224
+        assert sum(fit.eigh for fit in fits) == 14
+
+
+#: (evaluations, Newton steps) of the 48 fits of the seed-0 ``tomo_bootstrap``
+#: schedule, in call order (each op's base fit, then its two refits); all converge.
+SEED0_FITS = [
+    (5, 4), (3, 2), (3, 2), (6, 5), (6, 4), (7, 5), (6, 5), (6, 4), (7, 5), (4, 3), (5, 4), (5, 4),
+    (2, 1), (3, 2), (3, 2), (6, 5), (8, 6), (7, 6), (3, 2), (4, 3), (4, 3), (8, 6), (7, 5), (8, 5),
+    (4, 3), (3, 2), (3, 2), (4, 3), (4, 3), (4, 3), (4, 3), (4, 3), (4, 3), (4, 3), (6, 5), (5, 4),
+    (2, 1), (3, 2), (3, 2), (5, 4), (8, 7), (6, 5), (3, 2), (4, 3), (4, 3), (10, 8), (5, 4), (6, 5),
+]
+
+
+def tangent_problem(seed, levels):
+    """A unit t, a projected Hessian whose tangent eigenvalues are the 15
+    ``levels`` (and 0 along t), and a tangent gradient, drawn from ``seed``."""
+    rng = np.random.default_rng([seed, 30])
+    t = rng.normal(size=16)
+    t /= np.linalg.norm(t)
+    proj = np.eye(16) - np.outer(t, t)
+    basis, _ = np.linalg.qr(proj @ rng.normal(size=(16, 15)))
+    return t, (basis * levels) @ basis.T, proj @ rng.normal(size=16)
+
 
 def saddle_quartic(size):
     """f = -s^2 + 10 s^4 with s = t1 / |t|, its gradient and Hessian, and
@@ -894,6 +947,20 @@ class TestCountsCsv:
         path = tmp_path / "counts.csv"
         path.write_text(f"proj_a,proj_b,count,exposure\nH,H,500,1000.0\n{row}\n")
         with pytest.raises(ValueError, match=rf"counts\.csv: .*data row 2 .*{problem}"):
+            read_counts_csv(path)
+
+    @pytest.mark.parametrize("row, cells", [("H,V,12,1000.0,junk,more", 6), ("H,V,12", 3)])
+    def test_row_of_other_width_names_file_row_and_cell_count(self, tmp_path, row, cells):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"proj_a,proj_b,count,exposure\nH,H,501,1000.0\n{row}\n")
+        message = f"{path}: data row 2: expected 4 cells (the header's), got {cells}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            read_counts_csv(path)
+
+    def test_repeated_header_column_names_file_and_column(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("proj_a,proj_b,count,count\nH,H,501,1000.0\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: header repeats column 'count'$"):
             read_counts_csv(path)
 
     def test_repeated_setting_names_file_and_both_rows(self, tmp_path):
