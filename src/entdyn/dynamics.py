@@ -1,19 +1,19 @@
 """Concurrence and its closed-form evolution laws under unital noise.
 
-For a Pauli channel with signed ellipsoid radii (R1, R2, R3) applied to a
-maximally entangled pair, the output concurrence is
+Local unital channels with Bloch maps M_A, M_B leave a Bell pair Bell-diagonal
+up to local rotations (R. & M. Horodecki, PRA 54, 1838, 1996), with the
+correlation matrix T = M_A S_b M_B^T (S_b: the state's <s_i x s_i>) and the
+concurrence max{0, (s1 + s2 + s3 sign(-det T) - 1)/2}, s1 >= s2 >= s3 being
+T's singular values. For a Pauli channel with signed radii (R1, R2, R3) it is
 
-* one-sided:  max{(|R1| + |R2| + |R3| - 1)/2, 0}
-* two-sided:  max{(R1^2 + R2^2 + R3^2 - 1)/2, 0}
+* one-sided:  max{(|R1| + |R2| + |R3| - 1)/2, 0}, as for any unital channel;
+* two-sided:  max{(R1^2 + R2^2 + R3^2 - 1)/2, 0}, as for any unital channel on the singlet.
 
-The two-sided expression is exact for Pauli channels on Bell states and for
-any unital channel on the singlet; for general unital channels on the other
-Bell states it is only an upper bound, and :func:`predict_two_sided_unital`
-gives the exact law. Pure partially entangled states follow the
-factorization law under one-sided noise (prediction scales with the initial
-concurrence), and dephasing-prepared mixed states reduce to it through
-channel composition; under two-sided Pauli noise both stay X-shaped and
-follow :func:`predict_x_state`.
+Pure partially entangled states follow the factorization law under one-sided
+noise (the Bell-pair law times the initial concurrence), and a dephasing-
+prepared mixed state is its pure state under the product of the two Bloch
+maps; under two-sided Pauli noise both stay X-shaped and follow
+:func:`predict_x_state`.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from .channels import (
     apply_one_sided,
     bloch_affine_map,
     channel_for,
-    channel_radii,
-    compose,
     family_weights,
     pauli_radii,
 )
 from .states import (
-    PAULIS, ConfigError, _check_choice, _frozen, _shaped, bell_state, dm, psd_sqrt, purity,
+    BELL_KETS, PAULIS, ConfigError, _check_choice, _frozen, _hermitian, _shaped, bell_key, bell_state,
+    dm, psd_sqrt, purity,
 )
 
 MODES = ("one_sided", "two_sided")
@@ -47,6 +46,11 @@ MODES = ("one_sided", "two_sided")
 _FLIP_SIGNS = _frozen(np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0]).astype(complex))
 
 _PURITY_TOL = 1e-8
+
+# Each Bell state's S_b, its <s_i x s_i> for i = 1, 2, 3: each is +-1, and
+# rint drops the 2e-16 that the kets' 1/sqrt(2) entries leave.
+_BELL_CORRELATIONS = {b: _frozen(np.rint([(k.conj() @ np.kron(s, s) @ k).real for s in PAULIS[1:]]))
+                      for b, k in BELL_KETS.items()}
 
 # Offsets, in units of one step's finest halving, of the points that
 # breaking_point tests: a step of h halvings tests the first 2**h - 1.
@@ -143,26 +147,24 @@ def predict_x_state(radii_0, radii_1, delta: float, phi: float = 0.0):
     return np.maximum(2.0 * q, 0.0)
 
 
+def _bell_q(t):
+    """Unclipped Wootters q of a Bell pair that local unital channels have
+    left the correlation matrix ``t`` (3x3, or a (..., 3, 3) stack; q has the
+    leading shape): twice its largest Bell weight (1 + <t, S_b>)/4, less 1,
+    once local rotations make ``t`` a signed diagonal; every det S_b = -1."""
+    s = np.linalg.svd(t, compute_uv=False)
+    return (s[..., 0] + s[..., 1] + s[..., 2] * np.sign(-np.linalg.det(t)) - 1.0) / 2.0
+
+
 def predict_two_sided_unital(channel, bell: str = "phi_plus") -> float:
     """Concurrence after the same unital channel on both qubits of the Bell
-    state ``bell`` (see :func:`~entdyn.states.bell_key`).
-
-    With M the channel's Bloch map (:func:`~entdyn.channels.bloch_affine_map`),
-    C = max{0, (||M S_b D M^T||_* - 1)/2}, where ||.||_* is the sum of
-    singular values, D = diag(1, -1, 1) is the transpose on the Bloch ball
-    and S_b is diag(1, 1, 1), (-1, -1, 1), (1, -1, -1) or (-1, 1, -1) for
-    phi+, phi-, psi+ or psi-. Since (A x 1)|phi+> = (1 x A^T)|phi+>,
-    two-sided noise is one-sided noise by the map M S_b D M^T, which then
-    follows the one-sided law. S_b D is the diagonal of the Bell state's
-    correlations <s_i x s_i>, read off the state here; for the singlet it
-    is -I, and the law is :func:`predict_two_sided` on the radii.
+    state ``bell`` (see :func:`~entdyn.states.bell_key`): the Bell-pair law
+    at T = M S_b M^T, with M the channel's Bloch map
+    (:func:`~entdyn.channels.bloch_affine_map`). For the singlet S_b = -I,
+    and the law is :func:`predict_two_sided` on the radii.
     """
-    rho = bell_state(bell)
-    # each is +-1; rint drops the 2e-16 that the kets' 1/sqrt(2) entries leave
-    correlations = np.rint([np.trace(rho @ np.kron(s, s)).real for s in PAULIS[1:]])
     m = bloch_affine_map(channel)
-    nuclear = np.linalg.svd(m * correlations @ m.T, compute_uv=False).sum()
-    return max(0.0, (float(nuclear) - 1.0) / 2.0)
+    return max(0.0, float(_bell_q(m * _BELL_CORRELATIONS[bell_key(bell)] @ m.T)))
 
 
 def lambda_two_sided(channel) -> np.ndarray:
@@ -224,8 +226,11 @@ def breaking_point(family: str, mode: str) -> float:
 
 def pure_state_concurrence(state, name: str = "state") -> float:
     """Concurrence of a pure two-qubit state: the factor by which the PES laws
-    scale the Bell-pair law. A mixed ``state`` raises ``ValueError``."""
-    m = np.asarray(state, dtype=complex)
+    scale the Bell-pair law. ``state`` is read as a Hermitian unit-trace 4x4
+    matrix named ``name``; a mixed one raises ``ValueError``."""
+    m = _hermitian(name, state, (4, 4), tol=1e-10)
+    if not abs(np.trace(m).real - 1.0) <= _PURITY_TOL:
+        raise ConfigError(f"{name}: trace must be 1, got {float(np.trace(m).real)!r}")
     if purity(m) < 1.0 - _PURITY_TOL:
         raise ValueError(
             f"{name} is mixed (purity {purity(m)!r}); the PES laws take a pure state, and a "
@@ -235,29 +240,20 @@ def pure_state_concurrence(state, name: str = "state") -> float:
 
 
 def factorization_prediction(initial, channel) -> float:
-    """Concurrence of a pure two-qubit state after one-sided noise.
-
-    The prediction factorizes into the initial concurrence times the
-    concurrence a Bell pair would retain under the same channel. Exact for
-    pure initial states; mixed inputs are rejected (use
-    :func:`mixed_evolution_prediction`).
-    """
-    return predict_one_sided(channel_radii(channel)) * pure_state_concurrence(
-        initial, "initial state"
-    )
+    """Concurrence of a pure two-qubit state after one-sided noise: its initial
+    concurrence times the concurrence a Bell pair keeps under the channel, the
+    Bell-pair law at T = M S_phi+. A mixed ``initial`` is refused (see
+    :func:`mixed_evolution_prediction`)."""
+    t = bloch_affine_map(channel) * _BELL_CORRELATIONS["phi_plus"]
+    return max(0.0, float(_bell_q(t))) * pure_state_concurrence(initial, "initial state")
 
 
 def mixed_evolution_prediction(sigma, prep, channel) -> float:
-    """Concurrence prediction for a mixed state prepared as one-sided noise on
-    a pure state ``sigma``.
-
-    The preparation channel ``prep`` acts first, the swept channel second;
-    both compose into a single channel whose Bell-pair concurrence scales the
-    concurrence of ``sigma``.
-    """
-    return predict_one_sided(channel_radii(compose(prep, channel))) * pure_state_concurrence(
-        sigma, "sigma"
-    )
+    """Concurrence of a mixed state prepared as one-sided noise ``prep`` on a
+    pure state ``sigma`` and then swept by ``channel`` on the same qubit: the
+    concurrence of ``sigma`` times the Bell-pair law at T = M_channel M_prep S_phi+."""
+    t = bloch_affine_map(channel) @ bloch_affine_map(prep) * _BELL_CORRELATIONS["phi_plus"]
+    return max(0.0, float(_bell_q(t))) * pure_state_concurrence(sigma, "sigma")
 
 
 @dataclass(frozen=True)

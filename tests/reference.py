@@ -12,6 +12,8 @@ Phi(rho) = sum_mn chi_mn sigma_m rho sigma_n, is
   its radii (the Walsh signs s) and b_k the Pauli components
   Tr(sigma_m U sigma_k V) / 2 of its k-th Kraus direction.
 
+:func:`bell_q` evolves a Bell state by two such process matrices, one on
+each qubit, and returns Wootters q of the result, for the Bell-pair law.
 :func:`haar_unitary` is the other reference: the phase-fixed Q factor of a
 Haar draw's complex Gaussian matrix, for the sampler's rotations.
 
@@ -60,6 +62,36 @@ def chi(channel) -> "mpmath.matrix":
             for n in range(4):
                 out[m, n] += weight * b[m] * MP.conj(b[n])
     return out
+
+
+def _kron(a, b) -> "mpmath.matrix":
+    return MP.matrix([[a[i // 2, j // 2] * b[i % 2, j % 2] for j in range(4)] for i in range(4)])
+
+
+def _on_qubit(chi_matrix, rho, qubit: int) -> "mpmath.matrix":
+    """sum_mn chi_mn s_m rho s_n (s the Pauli on ``qubit``) of a 4x4 ``rho``."""
+    ops = [_kron(s, _PAULIS[0]) if qubit == 0 else _kron(_PAULIS[0], s) for s in _PAULIS]
+    out = MP.matrix(4, 4)
+    for m in range(4):
+        for n in range(4):
+            out += chi_matrix[m, n] * (ops[m] * rho * ops[n])
+    return out
+
+
+def bell_q(chi_0, chi_1, ket) -> "mpmath.mpf":
+    """Wootters q = r0 - r1 - r2 - r3 of the Bell state ``ket`` after the
+    process matrices ``chi_0`` on qubit 0 and ``chi_1`` on qubit 1 (from
+    :func:`chi`), at 40 digits. The ket is rebuilt from its entries' signs
+    and normalized at 40 digits; the r are the square roots, largest first,
+    of the eigenvalues of rho (sy x sy) rho* (sy x sy)."""
+    v = [MP.mpf(int(np.sign(x.real))) / MP.sqrt(2) for x in np.asarray(ket)]
+    rho = MP.matrix([[a * b for b in v] for a in v])
+    rho = _on_qubit(chi_1, _on_qubit(chi_0, rho, 0), 1)
+    flip = _kron(_PAULIS[2], _PAULIS[2])
+    product = rho * flip * rho.apply(MP.conj) * flip
+    roots = sorted((MP.sqrt(max(MP.re(x), 0)) for x in MP.eig(product, left=False, right=False)),
+                   reverse=True)
+    return roots[0] - roots[1] - roots[2] - roots[3]
 
 
 def max_abs_error(estimate, reference) -> float:

@@ -21,7 +21,13 @@ from entdyn.channels import (
     su2_from_rotation,
 )
 from entdyn.cli import build_parser
-from entdyn.dynamics import InitialStateSpec, breaking_point, concurrence
+from entdyn.dynamics import (
+    InitialStateSpec,
+    breaking_point,
+    concurrence,
+    factorization_prediction,
+    mixed_evolution_prediction,
+)
 from entdyn.harness import (
     ConfigError,
     SweepRow,
@@ -81,6 +87,12 @@ VALIDATORS = {
     "process_tomography_single_qubit.probe_out": (
         "probe_out", lambda m: process_tomography_single_qubit([(_PROBES[0][0], m), *_PROBES[1:]]),
         _PROBES[0][1].real, (3, 3)),
+    # the pure state a PES law scales by its concurrence
+    "factorization_prediction": (
+        "initial state", lambda m: factorization_prediction(m, _CHANNEL), np.diag([1.0, 0, 0, 0]), (2, 2)),
+    "mixed_evolution_prediction": (
+        "sigma", lambda m: mixed_evolution_prediction(m, _CHANNEL, _CHANNEL), np.diag([1.0, 0, 0, 0]),
+        (2, 2)),
 }
 
 # (argument name, call taking the argument, a wrong shape)
@@ -109,6 +121,11 @@ CASES = [
     pytest.param("base.rho_hat", VALIDATORS["monte_carlo_errors.base"][1],
                  np.triu(np.ones((4, 4))) / 4, "matrix is not Hermitian",
                  id="monte_carlo_errors.base-hermitian"),
+    *[pytest.param(VALIDATORS[key][0], VALIDATORS[key][1], value, rule, id=f"{key}-{label}")
+      for key in ("factorization_prediction", "mixed_evolution_prediction")
+      for label, value, rule in (
+          ("hermitian", np.outer([1.0, 0, 0, 0], [1.0, 1, 0, 0]), "matrix is not Hermitian"),
+          ("trace", np.diag([2.0, 0, 0, 0]), r"trace must be 1, got 2\.0$"))],
 ]
 
 
