@@ -26,6 +26,10 @@ array of noise probabilities, and :func:`apply_ptm` evolves two-qubit states
 through a whole (..., 4, 4) stack of PTMs, so a sweep needs no channel object
 per point.
 
+A value is validated once, where it enters: by the constructors, which
+:func:`channel_from_json` and :func:`decompose_unital` build through. The
+library's own builders make valid values and skip the checks (:func:`_trusted`).
+
 All functions are pure.
 """
 
@@ -71,9 +75,10 @@ class PauliChannel:
     """Channel applying sigma_i with probability chi_diag[i] (i=0 is identity).
 
     ``family`` and ``p`` are optional construction metadata kept so named
-    channels serialize back to their one-parameter form. Construction
-    validates the weights and then builds the channel's read-only PTM
-    diag(1, R1, R2, R3) once; :func:`pauli_transfer_matrix` returns it.
+    channels serialize back to their one-parameter form. The constructor
+    validates the weights, then its fill step copies them once and builds
+    the read-only PTM diag(1, R1, R2, R3) (:func:`pauli_transfer_matrix`
+    returns it); the library's own builders run the fill step alone.
     """
 
     chi_diag: np.ndarray
@@ -88,9 +93,12 @@ class PauliChannel:
                               f"chi_{int(chi.argmin())} = {float(chi.min())!r}")
         if abs(chi.sum() - 1.0) > 1e-12:
             raise ConfigError(f"chi_diag: must sum to 1, got {float(chi.sum())!r}")
+        self._fill(chi, self.family, self.p)
+
+    def _fill(self, chi_diag, family=None, p=None):
         # np.clip(chi, 0.0, None) is this maximum; it is also the one copy
-        object.__setattr__(self, "chi_diag", _frozen(np.maximum(chi, 0.0)))
-        object.__setattr__(self, "_ptm", _frozen(pauli_ptm(self.chi_diag)))
+        chi = _frozen(np.maximum(chi_diag, 0.0))
+        vars(self).update(chi_diag=chi, family=family, p=p, _ptm=_frozen(pauli_ptm(chi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +106,11 @@ class UnitalChannel:
     """General unital channel: rotate by ``pre_rotation``, shrink the Bloch
     ball along the axes by the signed ``radii``, rotate by ``post_rotation``.
 
-    Construction copies the rotations once into one (2, 2, 2) stack, whose
-    read-only rows they become, validates the parameters (unitary
-    rotations, finite and completely positive radii) and then builds the
-    channel's read-only PTM 1 (+) O_u diag(R) O_v once;
-    :func:`pauli_transfer_matrix` returns it.
+    The constructor checks each rotation's shape and finiteness, then their
+    unitarity, then finite, completely positive radii. Its fill step copies
+    the rotations once into one (2, 2, 2) stack, whose read-only rows they
+    become, and builds the read-only PTM 1 (+) O_u diag(R) O_v once
+    (:func:`pauli_transfer_matrix`); the sampler runs the fill step alone.
     """
 
     pre_rotation: np.ndarray
@@ -111,48 +119,34 @@ class UnitalChannel:
     _ptm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vu = _frozen(_rotation_pair(self.pre_rotation, self.post_rotation))
-        r = _shaped("radii", self.radii, (3,), dtype=float).copy()
+        v = _finite("pre_rotation", self.pre_rotation, (2, 2))
+        u = _finite("post_rotation", self.post_rotation, (2, 2))
+        for name, m in (("pre_rotation", v), ("post_rotation", u)):
+            if not np.abs(m @ m.conj().T - SIGMA_0).max() <= UNITARY_TOL:
+                raise ConfigError(f"{name}: matrix is not unitary")
+        r = _finite("radii", self.radii, (3,), dtype=float)
         # 1e-10 of slack: radii read off an SVD (decompose_unital, compose)
         # carry rounding, so a map on the tetrahedron's faces still constructs.
-        # A non-finite radius breaks an inequality, so it is caught here too.
         violations = cp_violations(r, tol=1e-10)
         if violations:
-            _finite("radii", r, (3,), dtype=float)
             raise ConfigError("radii: not completely positive: " + "; ".join(violations))
-        object.__setattr__(self, "pre_rotation", vu[0])
-        object.__setattr__(self, "post_rotation", vu[1])
-        object.__setattr__(self, "radii", _frozen(r))
+        self._fill(v, u, r)
+
+    def _fill(self, pre_rotation, post_rotation, radii):
+        vu = _frozen(np.array((pre_rotation, post_rotation), dtype=complex))
+        r = _frozen(np.array(radii, dtype=float))
         o_v, o_u = rotation_from_su2(vu)
         ptm = np.eye(4)
         ptm[1:, 1:] = o_u * r @ o_v
-        object.__setattr__(self, "_ptm", _frozen(ptm))
+        vars(self).update(pre_rotation=vu[0], post_rotation=vu[1], radii=r, _ptm=_frozen(ptm))
 
 
-def _rotation_pair(pre_rotation, post_rotation) -> np.ndarray:
-    """The two rotations of a :class:`UnitalChannel` as one new (2, 2, 2)
-    complex stack, checked together: shape, finiteness and unitarity.
-    Only a failed check words its failure, naming the field: each
-    rotation's shape and finiteness in turn, then its unitarity."""
-    try:
-        vu = np.array((pre_rotation, post_rotation), dtype=complex)
-        if (vu.shape == (2, 2, 2) and np.count_nonzero(np.isfinite(vu)) == 8
-                and np.count_nonzero(_unitarity_deviation(vu) <= UNITARY_TOL) == 8):
-            return vu
-    except (TypeError, ValueError):  # a ragged pair: each field is read on its own below
-        pass
-    vu = np.stack((_finite("pre_rotation", pre_rotation, (2, 2)),
-                   _finite("post_rotation", post_rotation, (2, 2))))
-    for name, d in zip(("pre_rotation", "post_rotation"),
-                       _unitarity_deviation(vu).max(axis=(1, 2)).tolist()):
-        if not d <= UNITARY_TOL:
-            raise ConfigError(f"{name}: matrix is not unitary")
-    return vu
-
-
-def _unitarity_deviation(u) -> np.ndarray:
-    """|u u^dag - 1| entry by entry, for each matrix of a (..., 2, 2) stack."""
-    return np.abs(u @ u.conj().swapaxes(-1, -2) - SIGMA_0)
+def _trusted(cls, **fields):
+    """A ``cls`` channel of fields valid by construction, built by its fill
+    step alone: for the library's own builders (:func:`channel_for`, the samplers)."""
+    channel = object.__new__(cls)
+    channel._fill(**fields)
+    return channel
 
 
 def family_weights(family: str, p) -> np.ndarray:
@@ -177,10 +171,12 @@ def family_weights(family: str, p) -> np.ndarray:
 
 def channel_for(family: str, p: float) -> PauliChannel:
     """Channel of a named family at noise probability p (weights from
-    :func:`family_weights`), validated and tagged for serialization."""
-    weights = family_weights(family, p)
+    :func:`family_weights`), tagged for serialization. Only the family and
+    ``p`` (by the config reader's float rule) are checked: their weights are valid."""
+    _check_choice(family, PAULI_FAMILIES, "family")
+    p = _field(p, float, "p")
     _check_probability(p, "p")
-    return PauliChannel(weights, family=family, p=float(p))
+    return _trusted(PauliChannel, chi_diag=family_weights(family, p), family=family, p=p)
 
 
 def chi_from_radii(radii) -> np.ndarray:
@@ -417,7 +413,7 @@ def channel_from_json(obj: dict):
             return UnitalChannel(pre_rotation=matrix_from_json(obj["v"], "v"),
                                  post_rotation=matrix_from_json(obj["u"], "u"),
                                  radii=_field(obj["radii"], list, "radii"))
-        return channel_for(family, _field(obj["p"], float, "p"))
+        return channel_for(family, obj["p"])
     except ConfigError as exc:  # "<field>: <rule>", with a constructor's field renamed to its key
         field_name, rule = str(exc).split(": ", 1)
         key = {"chi_diag": "chi", "pre_rotation": "v", "post_rotation": "u"}.get(field_name, field_name)

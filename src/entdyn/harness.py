@@ -495,7 +495,7 @@ def read_rows(path, format: str = "json") -> list[SweepRow]:
     Cells are read by the config reader's rules (a CSV table by
     :func:`states._csv_rows`, which refuses a row whose cells do not match
     the header); a malformed table is a ConfigError naming the file, data
-    row and cell (``t.json: data row 2: error: missing``)."""
+    row and cell (``t.json: data row 2: error: missing``, ``junk: unknown field``)."""
     if format == "json":
         with open(path) as fh:
             records, null = json.load(fh), None
@@ -508,6 +508,7 @@ def read_rows(path, format: str = "json") -> list[SweepRow]:
     rows = []
     for i, r in enumerate(records, start=1):
         prefix = f"{path}: data row {i}: "
+        _known(r, SweepRow._fields, prefix)
         cells = (None if name == "error" and name in r and r[name] == null else _read(r, name, float, prefix)
                  for name in SweepRow._fields)
         rows.append(SweepRow._make(cells))

@@ -4,6 +4,7 @@ Unitaries are Haar-distributed: the Q factor of a complex Gaussian matrix's
 QR decomposition whose R has a positive real diagonal (Mezzadri, Notices
 AMS 54, 592, 2007), which for 2x2 matrices has a closed form. Everything
 takes an explicit ``numpy.random.Generator`` so sampling stays reproducible.
+A channel is drawn valid, so it is built without the constructor's checks.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .channels import CP_TOL, PauliChannel, UnitalChannel, _violated
+from .channels import CP_TOL, PauliChannel, UnitalChannel, _trusted, _violated
 from .states import _check_at_least, _field, _frozen
 
 
@@ -25,7 +26,7 @@ def random_pure_ket(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
 
 
 def random_pauli_channel(rng: np.random.Generator) -> PauliChannel:
-    return PauliChannel(rng.dirichlet(np.ones(4)))
+    return _trusted(PauliChannel, chi_diag=rng.dirichlet(np.ones(4)))
 
 
 def random_cp_radii(rng: np.random.Generator) -> np.ndarray:
@@ -62,4 +63,4 @@ def random_unital_channel(rng: np.random.Generator) -> UnitalChannel:
         c /= abs(c)
         rotations.append([[q0, -c * q1.conjugate()], [q1, c * q0.conjugate()]])
     v, u = np.array(rotations)
-    return UnitalChannel(pre_rotation=v, post_rotation=u, radii=random_cp_radii(rng))
+    return _trusted(UnitalChannel, pre_rotation=v, post_rotation=u, radii=random_cp_radii(rng))

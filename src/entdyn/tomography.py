@@ -42,7 +42,7 @@ from .channels import bloch_affine_map, pauli_transfer_matrix
 from .dynamics import wootters
 from .states import (
     BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _csv_rows,
-    _field, _finite, _frozen, _hermitian, _read, dm,
+    _field, _finite, _frozen, _hermitian, _known, _read, dm,
 )
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -652,13 +652,14 @@ def read_counts_csv(path) -> list[CountRecord]:
     The table is read by :func:`states._csv_rows`, which refuses a row whose
     cells do not match the header. Raises ``ConfigError`` naming the file
     for a malformed row (its data row and cell, read by the config reader's
-    rules), a setting repeated on two data rows, or settings that are not
-    informationally complete (listing the settings of the 36-setting scan
-    the file lacks).
+    rules, or an unknown column), a setting repeated on two data rows, or
+    settings that are not informationally complete (listing the settings of
+    the 36-setting scan the file lacks).
     """
     rows = {}  # (proj_a, proj_b) -> (data row, record)
     for i, row in enumerate(_csv_rows(path), start=1):
         try:
+            _known(row, ("proj_a", "proj_b", "count", "exposure"), "")
             a, b = (_read(row, name, str, "") for name in ("proj_a", "proj_b"))
             record = CountRecord(MeasurementSetting(a, b), _read(row, "count", int, ""),
                                  _read(row, "exposure", float, ""))

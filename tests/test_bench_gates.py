@@ -4,7 +4,8 @@ benchmark's own gates (perfbench/checks.py): CLI ops run through
 the benchmark's runner makes. A writer, channel, breaking-point, batching or
 likelihood-fit regression fails here before it shows up as failed benchmark
 ops. The two workloads that draw counts, ``tomo_bootstrap`` and
-``channel_tomo``, run on seeds 1-3; ``law_sweep`` draws none and runs seed 1."""
+``channel_tomo``, run on seeds 1-3; ``law_sweep`` draws none and runs seed 1.
+One pass of each schedule also counts the channels its ops validate."""
 
 import importlib.util
 import io
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entdyn.channels import apply_two_sided
+from entdyn.channels import PauliChannel, UnitalChannel, apply_two_sided
 from entdyn.cli import main
 from entdyn.dynamics import concurrence, predict_two_sided
 from entdyn.sampling import random_unital_channel
@@ -114,3 +115,28 @@ def test_tomo_bootstrap_schedule_passes_the_gates(tmp_path, monkeypatch, seed):
     # back to a first-order search (905 here) fails without a timing
     assert len(summaries) == len(ops)
     assert sum(s["iterations"] for s in summaries.values()) <= 200
+
+
+@pytest.mark.parametrize("seed", [0, 401])
+@pytest.mark.parametrize("workload, validations", [("law_sweep", 0), ("tomo_bootstrap", 0),
+                                                   ("channel_tomo", 2)])
+def test_channels_are_validated_only_where_a_file_is_read(tmp_path, monkeypatch, workload, validations,
+                                                          seed):
+    """The library's own channels (named families, random draws) skip the
+    constructors' checks: one pass of a schedule validates a channel only
+    in the ops that read one from a file, ``ellipsoid --channel``, once each."""
+    ops = workloads.schedule(workload, seed)  # its channel files are drawn before the count starts
+    monkeypatch.setattr(workloads, "schedule", lambda *_: ops)
+    validated = []
+    for cls in (PauliChannel, UnitalChannel):
+        def counted(self, check=cls.__post_init__):
+            validated.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    per_op, seen = {}, 0
+    for index, op, code, _, _, _ in _play(workload, tmp_path, monkeypatch, seed):
+        assert code in (0, None), op
+        if len(validated) > seen:
+            per_op[index], seen = len(validated) - seen, len(validated)
+    assert per_op == {i: 1 for i, op in enumerate(ops) if "--channel" in op.get("argv", ())}
+    assert len(validated) == validations

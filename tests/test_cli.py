@@ -458,6 +458,17 @@ def test_counts_in_row_with_extra_cells_names_the_row(tmp_path, capsys):
     assert f"{path}: data row 3: expected 4 cells (the header's), got 5" in capsys.readouterr().err
 
 
+def test_counts_in_with_an_unknown_column_names_the_first_row(tmp_path, capsys):
+    records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=2)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(records, path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header + ",extra", *(row + ",1" for row in rows)]) + "\n")
+    assert main(["tomo-sim", "--trials", "2", "--counts-in", str(path)]) == 1
+    message = f"{path}: malformed count record on data row 1 (extra: unknown field)"
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["sweep", "pes-sweep"])
 @pytest.mark.parametrize("pipeline", ["analytic", "exact"])
 def test_unknown_bell_state_exit_1(tmp_path, capsys, verb, pipeline):

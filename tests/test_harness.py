@@ -409,6 +409,9 @@ class TestEmit:
         ("csv", "p,concurrence,error,predicted\n0.0,1.0,,1.0\n0.0,1.0,,1.0,9,9\n",
          "data row 2: expected 4 cells (the header's), got 6"),
         ("csv", "p,concurrence,error,p\n0.0,1.0,,1.0\n", "header repeats column 'p'"),
+        ("json", '[{"p": 0.0, "concurrence": 1.0, "error": null, "predicted": 1.0, "junk": 1}]',
+         "data row 1: junk: unknown field"),
+        ("csv", "p,concurrence,error,predicted,notes\n0.0,1.0,,1.0,x\n", "data row 1: notes: unknown field"),
     ])
     def test_malformed_table_names_file_row_and_cell(self, tmp_path, format, text, message):
         path = tmp_path / f"rows.{format}"

@@ -177,6 +177,12 @@ _MESH = ("ellipsoid", "--family", "isotropic", "--p", "0.2")
 SCALAR_CASES = {
     # p in [0, 1]
     "channel_for.p": (lambda: channel_for("isotropic", 1.5), "p: value 1.5 outside [0, 1]"),
+    # p read by the config reader's float rule before its range
+    "channel_for.p_none": (lambda: channel_for("isotropic", None), "p: expected float, got None"),
+    "channel_for.p_text": (lambda: channel_for("isotropic", "abc"), "p: expected float, got 'abc'"),
+    "channel_for.p_list": (lambda: channel_for("isotropic", [0.1, 0.2]),
+                           "p: expected float, got [0.1, 0.2]"),
+    "channel_for.p_bool": (lambda: channel_for("isotropic", True), "p: expected float, got True"),
     "channel_from_json.p": (lambda: channel_from_json({"family": "dephasing", "p": -0.5}),
                             "p: value -0.5 outside [0, 1]"),
     "config.p_grid": (lambda: sweep_config_from_dict({"p_grid": [0.0, 1.5]}),

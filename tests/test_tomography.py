@@ -957,6 +957,13 @@ class TestCountsCsv:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             read_counts_csv(path)
 
+    def test_unknown_column_names_file_row_and_column(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("proj_a,proj_b,count,exposure,extra\nH,H,501,1000.0,x\n")
+        message = f"{path}: malformed count record on data row 1 (extra: unknown field)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            read_counts_csv(path)
+
     def test_repeated_header_column_names_file_and_column(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("proj_a,proj_b,count,count\nH,H,501,1000.0\n")
