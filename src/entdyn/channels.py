@@ -47,7 +47,12 @@ from .states import (
 CP_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
-PAULI_FAMILIES = ("two-field", "isotropic", "dephasing")
+# chi_1..chi_3 of a named family are p / d: it is (1 - p) id + p E, where E
+# is its p = 1 channel, and p / inf is the +0.0 of a weight E lacks.
+_FAMILY_DIVISORS = {name: _frozen(np.array(d)) for name, d in (
+    ("two-field", (2.0, 2.0, np.inf)), ("isotropic", (3.0, 3.0, 3.0)),
+    ("dephasing", (np.inf, np.inf, 1.0)))}
+PAULI_FAMILIES = tuple(_FAMILY_DIVISORS)
 
 # Row 4i + j is sigma_i (x) sigma_j flattened: the two-qubit Pauli basis.
 _TWO_QUBIT_PAULIS = _frozen(np.einsum("iac,jbd->ijabcd", PAULIS, PAULIS).reshape(16, 16))
@@ -150,23 +155,14 @@ def _trusted(cls, **fields):
 
 
 def family_weights(family: str, p) -> np.ndarray:
-    """Diagonal Pauli weights (chi_0, chi_1, chi_2, chi_3) of a named family.
-
-    ``p`` is a noise probability or an array of them; the weights stack on a
-    new last axis. The range of ``p`` is checked by the callers that take it
-    from outside (:func:`channel_for`, sweep configurations).
+    """Diagonal Pauli weights (chi_0, chi_1, chi_2, chi_3) = (1 - p, p / d) of a
+    named family, d its ``_FAMILY_DIVISORS``, on a new last axis of ``p`` (a
+    noise probability or an array of them). The range of ``p`` is checked by
+    the callers that take it from outside (:func:`channel_for`, sweep configurations).
     """
-    p = np.asarray(p, dtype=float)
-    zero = np.zeros_like(p)
-    if family == "two-field":
-        weights = (1.0 - p, p / 2.0, p / 2.0, zero)
-    elif family == "isotropic":
-        weights = (1.0 - p, p / 3.0, p / 3.0, p / 3.0)
-    elif family == "dephasing":
-        weights = (1.0 - p, zero, zero, p)
-    else:
-        _check_choice(family, PAULI_FAMILIES, "family")  # raises: it is none of them
-    return np.stack(weights, axis=-1)
+    _check_choice(family, PAULI_FAMILIES, "family")
+    p = np.asarray(p, dtype=float)[..., None] + 0.0  # -0.0 -> +0.0, as channels store it
+    return np.concatenate((1.0 - p, p / _FAMILY_DIVISORS[family]), axis=-1)
 
 
 def channel_for(family: str, p: float) -> PauliChannel:

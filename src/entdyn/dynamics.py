@@ -32,8 +32,8 @@ from .channels import (
     pauli_radii,
 )
 from .states import (
-    BELL_KETS, PAULIS, ConfigError, _check_choice, _frozen, _hermitian, _shaped, bell_key, bell_state,
-    dm, psd_sqrt, purity,
+    BELL_KETS, PAULIS, ConfigError, _check_choice, _check_finite, _frozen, _hermitian, _shaped,
+    bell_key, bell_state, dm, psd_sqrt, purity,
 )
 
 MODES = ("one_sided", "two_sided")
@@ -284,7 +284,9 @@ class InitialStateSpec:
 
 
 def pure_pes_ket(delta: float, phi: float = 0.0) -> np.ndarray:
-    """cos(2 delta)|hh> + sin(2 delta) e^{i phi}|vv>; concurrence |sin(4 delta)|."""
+    """cos(2 delta)|hh> + sin(2 delta) e^{i phi}|vv>, angles finite; concurrence |sin(4 delta)|."""
+    _check_finite(delta, "delta")
+    _check_finite(phi, "phi")
     v = np.zeros(4, dtype=complex)
     v[0] = np.cos(2.0 * delta)
     v[3] = np.sin(2.0 * delta) * np.exp(1j * phi)

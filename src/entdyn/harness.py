@@ -309,7 +309,7 @@ def run_channel_characterization(
     p_grid = list(p_grid)
     _check_grid(p_grid)
     p = np.asarray(p_grid, dtype=float)
-    weights = np.clip(family_weights(family, p), 0.0, None)  # as PauliChannel stores them
+    weights = family_weights(family, p)
     seeds = None if n_per_probe is None else [(seed, i) for i in range(p.size)]
     outputs = probe_outputs(pauli_ptm(weights), n_per_projector=n_per_probe, seeds=seeds)
     chi = process_matrices(outputs)

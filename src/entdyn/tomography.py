@@ -622,19 +622,21 @@ def simulate_probe_outputs(channel, n_per_projector: int | None = None,
 def ellipsoid_mesh(channel, n_theta: int = 25, n_phi: int = 50) -> np.ndarray:
     """Image of a regular Bloch-sphere grid under a unital channel.
 
-    Returns an (n_theta * n_phi, 3) array of Cartesian points; for a
-    completely positive unital channel every point stays inside the ball.
+    Returns an (n_theta * n_phi, 3) array of Cartesian points, in the ball for a
+    completely positive unital channel; a size numpy cannot make is a ConfigError.
     """
     _check_at_least(n_theta, 2, "n_theta")
     _check_at_least(n_phi, 1, "n_phi")
     m = bloch_affine_map(channel)
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    sphere = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    ).reshape(-1, 3)
-    return _frozen(sphere @ np.asarray(m).T)
+    try:
+        theta = np.linspace(0.0, np.pi, n_theta)
+        phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+        tt, pp = np.meshgrid(theta, phi, indexing="ij")
+        sphere = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)],
+                          axis=-1).reshape(-1, 3)
+        return _frozen(sphere @ np.asarray(m).T)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"n_theta, n_phi: cannot make {n_theta} x {n_phi} points ({exc})") from None
 
 
 def write_counts_csv(records, path) -> None:

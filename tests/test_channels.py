@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,37 @@ class TestFamilies:
                 assert np.array_equal(r, np.diag(pauli_transfer_matrix(channel))[1:])
         with pytest.raises(ValueError, match="family: expected"):
             family_weights("amplitude-damping", p)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.3, 1 / 3, np.float64(0.7), np.array(0.2),
+                                   np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 255),
+                                   np.random.default_rng(7).random((7, 5))],
+                             ids=["0", "1", "0.3", "third", "float64", "0-d", "101", "255", "2-d"])
+    def test_family_weights_are_the_written_out_formulas(self, p):
+        # byte for byte, with +0.0 where a family has no weight
+        a = np.asarray(p, dtype=float)
+        zero = np.zeros_like(a)
+        formulas = {"two-field": (1.0 - a, a / 2.0, a / 2.0, zero),
+                    "isotropic": (1.0 - a, a / 3.0, a / 3.0, a / 3.0),
+                    "dephasing": (1.0 - a, zero, zero, a)}
+        for family, weights in formulas.items():
+            expected, got = np.stack(weights, axis=-1), family_weights(family, p)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes(), family
+
+    def test_family_weights_at_negative_zero_are_the_stored_weights(self):
+        # -0.0 passes the [0, 1] check; its weights are those a channel stores
+        for family in PAULI_FAMILIES:
+            assert family_weights(family, -0.0).tobytes() == family_weights(family, 0.0).tobytes()
+            assert family_weights(family, -0.0).tobytes() == channel_for(family, -0.0).chi_diag.tobytes()
+
+    @pytest.mark.parametrize("family", ["x", None, ["two-field"]], ids=["text", "none", "list"])
+    def test_family_weights_unknown_family_is_named(self, family):
+        message = f"family: expected 'two-field', 'isotropic' or 'dephasing', got {family!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            family_weights(family, 0.5)
+
+    def test_pauli_families_keep_their_order(self):
+        assert PAULI_FAMILIES == ("two-field", "isotropic", "dephasing")
 
 
 class TestCompose:

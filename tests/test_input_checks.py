@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import entdyn.states
+import entdyn.tomography
 from entdyn.channels import (
     PauliChannel,
     UnitalChannel,
@@ -20,13 +21,15 @@ from entdyn.channels import (
     family_weights,
     su2_from_rotation,
 )
-from entdyn.cli import build_parser
+from entdyn.cli import build_parser, main
 from entdyn.dynamics import (
     InitialStateSpec,
     breaking_point,
     concurrence,
     factorization_prediction,
+    make_initial,
     mixed_evolution_prediction,
+    predict_x_state,
 )
 from entdyn.harness import (
     ConfigError,
@@ -225,6 +228,11 @@ SCALAR_CASES = {
                       "pipeline.trials: must be >= 2, got 1"),
     "config.seed": (lambda: sweep_config_from_dict({"pipeline": {"seed": -1}}),
                     "pipeline.seed: must be >= 0, got -1"),
+    # a mesh numpy refuses to size (2**62 points) before it allocates anything
+    "ellipsoid_mesh.too_big": (lambda: ellipsoid_mesh(_CHANNEL, n_theta=2, n_phi=2**62),
+                               f"n_theta, n_phi: cannot make 2 x {2**62} points (array is too big"),
+    "flag.n_phi_too_big": (_flag(*_MESH, "--n-theta", "2", "--n-phi", str(2**62)),
+                           f"n_theta, n_phi: cannot make 2 x {2**62} points (array is too big"),
     "flag.n_theta": (_flag(*_MESH, "--n-theta", "1"), "n_theta: must be >= 2, got 1"),
     "flag.n_phi": (_flag(*_MESH, "--n-phi", "0"), "n_phi: must be >= 1, got 0"),
     "flag.trials": (_flag("tomo-sim", "--trials", "0"), "pipeline.trials: must be >= 2, got 0"),
@@ -243,6 +251,18 @@ SCALAR_CASES = {
     "config.p_grid_start": (
         lambda: sweep_config_from_dict({"p_grid": {"start": "inf", "stop": 1, "points": 3}}),
         "p_grid.start: must be finite, got inf"),
+    # the recipe angles, worded as the config reader words them, without its path
+    "make_initial.pure_delta": (
+        lambda: make_initial(InitialStateSpec(kind="pure_pes", delta=float("nan"))),
+        "delta: must be finite, got nan"),
+    "make_initial.pure_phi": (
+        lambda: make_initial(InitialStateSpec(kind="pure_pes", delta=0.1, phi=float("inf"))),
+        "phi: must be finite, got inf"),
+    "make_initial.mixed_delta": (
+        lambda: make_initial(InitialStateSpec(kind="mixed_pes", delta=float("inf"), dephasing=0.1)),
+        "delta: must be finite, got inf"),
+    "predict_x_state.delta": (lambda: predict_x_state((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), float("nan")),
+                              "delta: must be finite, got nan"),
     # one of a vocabulary
     "family_weights.family": (lambda: family_weights("x", 0.5),
                               "family: expected 'two-field', 'isotropic' or 'dephasing', got 'x'"),
@@ -313,3 +333,16 @@ def test_bad_scalar_argument_is_named(call, message):
 def test_config_error_is_the_shared_one():
     assert ConfigError is entdyn.states.ConfigError
     assert issubclass(ConfigError, ValueError)
+
+
+def test_mesh_that_cannot_be_allocated_is_a_field_error(monkeypatch, capsys):
+    # the allocator refuses as numpy does when memory runs out; nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(entdyn.tomography.np, "linspace", out_of_memory)
+    message = "n_theta, n_phi: cannot make 2 x 100000000000 points (Unable to allocate 745. GiB)"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ellipsoid_mesh(_CHANNEL, n_theta=2, n_phi=10**11)
+    assert main([*_MESH, "--n-theta", "2", "--n-phi", str(10**11)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
