@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import PAULI_FAMILIES, channel_for, channel_from_json
-from .dynamics import MODES, concurrence
+from .dynamics import MODES
 from .harness import (
     _MODE_ALIASES,
     _PIPELINE_ALIASES,
@@ -45,7 +45,10 @@ from .harness import (
     sweep_config_from_dict,
 )
 from .states import _check_mapping, _check_probability, matrix_to_json, purity
-from .tomography import LIKELIHOODS, _check_count, ellipsoid_mesh, read_counts_csv, write_counts_csv
+from .tomography import (
+    LIKELIHOODS, _check_count, _records, ellipsoid_mesh, read_counts_csv, standard_settings,
+    write_counts_csv,
+)
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -187,11 +190,11 @@ def _cmd_tomo_sim(args) -> int:
     if args.counts_in:
         records = read_counts_csv(args.counts_in)
         n_per_setting = _exposure(records, args.counts, args.counts_in)
-    records, fit, estimate = shot_noise_point(config, spec, 0, records)
+    counts, fit, c, estimate = shot_noise_point(config, spec, 0, records)
     if args.counts_out:
         counts_out = _resolve_out(args.counts_out)
         counts_out.parent.mkdir(parents=True, exist_ok=True)
-        write_counts_csv(records, counts_out)
+        write_counts_csv(records or _records(standard_settings(), counts, n_per_setting), counts_out)
     summary = {
         "family": config.family,
         "mode": config.mode,
@@ -200,7 +203,7 @@ def _cmd_tomo_sim(args) -> int:
         "n_per_setting": n_per_setting,
         "trials": pipeline.trials,
         "seed": pipeline.seed,
-        "concurrence": concurrence(fit.rho_hat).c,
+        "concurrence": c,
         "error": estimate.std_dev,
         "predicted": analytic_prediction(config, args.p, spec),
         "purity": purity(fit.rho_hat),

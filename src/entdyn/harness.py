@@ -59,12 +59,15 @@ from .states import (
 )
 from .tomography import (
     LIKELIHOODS,
+    _arrays,
+    _bootstrap,
     _check_count,
-    monte_carlo_errors,
+    _draw,
+    _fit,
+    _scan_arrays,
     probe_outputs,
     process_matrices,
     reconstruct_state_mle,
-    simulate_counts,
     standard_settings,
 )
 
@@ -222,20 +225,32 @@ def analytic_prediction(config: SweepConfig, p, spec: InitialStateSpec):
 
 
 def shot_noise_point(config: SweepConfig, spec: InitialStateSpec, index: int, records=None):
-    """The shot-noise pipeline at grid point ``index``: Poisson counts of the
-    evolved state on the 36-setting scan, drawn from stream ``(seed, index,
-    0)`` unless ``records`` are given, their maximum-likelihood fit, and the
-    bootstrap spread of its concurrence from stream ``(seed, index, 1)``.
-    Returns ``(records, fit, estimate)``; the caller judges ``fit.converged``.
+    """The shot-noise pipeline at grid point ``index``, in one array pass.
+
+    The evolved state's Poisson counts on the 36-setting scan are drawn from
+    stream ``(seed, index, 0)`` straight into one integer array, unless
+    ``records`` are given, which are converted to arrays once. Those arrays
+    are fitted from the linear-inversion seed and resampled from stream
+    ``(seed, index, 1)``, by the cores of
+    :func:`~entdyn.tomography.reconstruct_state_mle` and
+    :func:`~entdyn.tomography.monte_carlo_errors`, and one Wootters call on
+    the stack of the fit and its refits gives the fit's concurrence with the
+    bootstrap values. No record is built. Returns ``(counts, fit,
+    concurrence, estimate)``, with ``counts`` the drawn integer array in the
+    scan's order, or None when ``records`` are given; the caller judges
+    ``fit.converged``.
     """
     pl = config.pipeline
+    counts = None
     if records is None:
         rho = _evolved_states(config, spec, config.p_grid[index])
-        records = simulate_counts(rho, standard_settings(), pl.n_per_setting, seed=(pl.seed, index, 0))
-    fit = reconstruct_state_mle(records, likelihood=pl.likelihood)
-    estimate = monte_carlo_errors(records, pl.trials, (pl.seed, index, 1), fit,
-                                  likelihood=pl.likelihood)
-    return records, fit, estimate
+        counts = _draw(rho, pl.n_per_setting, (pl.seed, index, 0))
+        arrays = _scan_arrays(counts, pl.n_per_setting)
+    else:
+        arrays = _arrays(records)
+    fit = _fit(pl.likelihood, *arrays)
+    c, estimate = _bootstrap(pl.likelihood, *arrays, fit.rho_hat, pl.trials, (pl.seed, index, 1))
+    return counts, fit, c, estimate
 
 
 def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
@@ -249,11 +264,11 @@ def _sweep_rows(config: SweepConfig, spec: InitialStateSpec) -> list[SweepRow]:
     else:
         values = []
         for i in range(p.size):
-            _, fit, estimate = shot_noise_point(config, spec, i)
+            _, fit, c, estimate = shot_noise_point(config, spec, i)
             if not fit.converged:
                 raise NumericalError(f"p_grid[{i}]: likelihood fit did not converge "
                                      f"({fit.iterations} evaluations, {fit.rounds} Newton steps)")
-            values.append(concurrence(fit.rho_hat).c)
+            values.append(c)
             errors[i] = estimate.std_dev
     reuse = pl.kind == "analytic" and config.p_scale is None
     predicted = values if reuse else analytic_prediction(config, p, spec)
@@ -702,8 +717,8 @@ def run_selftest(fast: bool = True) -> list[tuple[str, bool, str]]:
         CountRecord(s, int(round(n_counts * born_probability(bell, s))), float(n_counts))
         for s in standard_settings()
     ]
-    fit = reconstruct_state_mle(records)
-    fid = fidelity(fit.rho_hat, bell)
+    fid = min(fidelity(reconstruct_state_mle(records, likelihood).rho_hat, bell)
+              for likelihood in LIKELIHOODS)
     check("tomography reconstruction", fid > 0.999, f"noiseless fidelity {fid:.6f}")
 
     return results

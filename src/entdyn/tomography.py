@@ -5,7 +5,14 @@ two-qubit projective setting (one polarization projector per arm, drawn from
 H/V/D/A/R/L), the recorded coincidence count is Poisson distributed around
 exposure * Born probability. :class:`CountRecord` lists carry count data at
 the public API and in count files only; inside, a count set is the cached
-design of its settings plus count and exposure vectors (:func:`_arrays`).
+design of its settings plus count and exposure vectors. One core does each
+step on those arrays: :func:`_draw` draws the counts, :func:`_fit` fits them
+and :func:`_bootstrap` resamples and refits them. The public
+:func:`simulate_counts`, :func:`reconstruct_state_mle` and
+:func:`monte_carlo_errors` check their arguments, convert records to arrays
+once (:func:`_arrays`) and call the cores, which take their arguments as
+checked; a shot-noise point (``harness.shot_noise_point``) runs them from
+draw to bootstrap in one array pass, with no record built.
 Reconstruction parameterizes the state as T^dag T / Tr(T^dag T) with a
 lower-triangular complex T, so the estimate is physical by construction, and
 minimizes a Poisson likelihood (Gaussian approximation by default, exact
@@ -13,11 +20,13 @@ form behind a switch) by one projected-Newton search on its exact Hessian
 (:func:`_fit`). Error bars come from a bootstrap on arrays: a (trials, S)
 array of counts resampled Poisson around the observed counts (not around
 the fitted state's expected counts, as a parametric bootstrap would), a
-refit of each row from the base fit, and one Wootters concurrence of the
-stack of refit states. Every count, simulated or resampled, is an exact
-Poisson draw, by one ``Generator.poisson`` call per random stream: a
-simulated count around a mean of at most :data:`MAX_COUNT`, a resampled
-one around an observed count of at most twice that.
+refit of each row from the base fit, and one Wootters call on the stack of
+the base state and the refit states, which gives the base state's
+concurrence with the bootstrap values. Every count, simulated or
+resampled, is an exact Poisson draw, by one ``Generator.poisson`` call per
+random stream: a simulated count around a mean of at most
+:data:`MAX_COUNT`, a resampled one around an observed count of at most
+twice that.
 
 Single-qubit process tomography works on stacks: :func:`probe_outputs` maps
 the probe inputs through a (N, 4, 4) stack of Pauli-transfer matrices (or
@@ -177,22 +186,43 @@ def born_probability(rho, setting: MeasurementSetting) -> float:
 
 def simulate_counts(rho, settings, n_per_setting: int, seed) -> list[CountRecord]:
     """Draw one Poisson coincidence count per setting, with mean
-    ``n_per_setting`` times its Born probability.
-
-    All Born probabilities come from one product with the setting operators,
-    rows of the stack of the 36 built at import (a probability rounded below
-    0 counts as 0), and all counts from one
-    ``np.random.default_rng(seed).poisson`` call, in setting order. Any
+    ``n_per_setting`` times its Born probability (:func:`_draw`). Any
     sequence of settings is drawn, informationally complete or not. ``seed``
-    may be an int or a sequence of ints.
+    is an int >= 0 or a sequence of them (:func:`_seed`).
     """
     _check_count(n_per_setting, "n_per_setting")
     rho = _finite("rho", rho, (4, 4))
+    seed = _seed(seed)
     settings = list(settings)
     operators = _OPERATOR_STACK[[_SETTING_INDEX[(s.proj_a, s.proj_b)] for s in settings]]
+    return _records(settings, _draw(rho, n_per_setting, seed, operators), n_per_setting)
+
+
+def _seed(seed, path: str = "seed"):
+    """``seed`` read as an int >= 0 by the config reader's int rule (a
+    numeric string reads as its number), or a list, entry i named
+    ``seed[i]``, of such ints read from a list, tuple or array."""
+    if isinstance(seed, (list, tuple, np.ndarray)):
+        return [_seed(s, f"{path}[{i}]") for i, s in enumerate(seed)]
+    seed = _field(seed, int, path)
+    _check_at_least(seed, 0, path)
+    return seed
+
+
+def _draw(rho, n_per_setting: int, seed, operators=_OPERATOR_STACK) -> np.ndarray:
+    """Integer Poisson counts of ``rho`` on the (S, 4, 4) setting
+    ``operators``, the 36-setting scan by default: all Born probabilities
+    from one product with the operators (a probability rounded below 0
+    counts as 0) and all counts from one ``np.random.default_rng(seed).poisson``
+    call, in setting order. The arguments are taken as checked."""
     means = n_per_setting * np.maximum(np.einsum("sab,ba->s", operators, rho).real, 0.0)
-    counts = np.random.default_rng(seed).poisson(means).tolist()
-    return [CountRecord(s, c, float(n_per_setting)) for s, c in zip(settings, counts)]
+    return np.random.default_rng(seed).poisson(means)
+
+
+def _records(settings, counts: np.ndarray, exposure) -> list[CountRecord]:
+    """Count records of an integer count array drawn on ``settings`` at one exposure."""
+    exposure = float(exposure)
+    return [CountRecord(s, c, exposure) for s, c in zip(settings, counts.tolist())]
 
 
 class _Design(NamedTuple):
@@ -235,6 +265,12 @@ def _arrays(records) -> tuple[_Design, np.ndarray, np.ndarray]:
     counts = np.array([float(r.count) for r in records])
     exposures = np.array([float(r.exposure) for r in records])
     return design, counts, exposures
+
+
+def _scan_arrays(counts: np.ndarray, n_per_setting) -> tuple[_Design, np.ndarray, np.ndarray]:
+    """The arrays of :func:`_arrays` for integer counts drawn on the
+    36-setting scan at ``n_per_setting`` pairs each, without records."""
+    return _design(_STANDARD_KEYS), counts.astype(float), np.full(counts.size, float(n_per_setting))
 
 
 def _rho_from_params(t: np.ndarray) -> np.ndarray:
@@ -346,6 +382,15 @@ def _objective(likelihood: str, design: _Design, counts, exposures):
 #: Trial steps per line search; each shrinks the step at least twofold.
 _BACKTRACKS = 30
 _MAX_EVALS = 100_000  # likelihood evaluations of every fit
+#: Cholesky tests refused in a row after which a search stops taking them
+#: until its eigenvalues show that one would pass (:func:`minimize`).
+_FAILED_TESTS = 8
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per size for the steps of every search."""
+    return _frozen(np.eye(n))
 
 
 def minimize(fun, t: np.ndarray, max_evals: int):
@@ -366,7 +411,13 @@ def minimize(fun, t: np.ndarray, max_evals: int):
     at least the one above, so none is floored or flipped and the step is
     one linear solve. Only a step the test refuses, at a Hessian that is
     indefinite or has an eigenvalue near zero (on a saddle, near the
-    rank-deficient boundary), runs ``np.linalg.eigh``.
+    rank-deficient boundary), runs ``np.linalg.eigh``. After
+    :data:`_FAILED_TESTS` refusals in a row (a search that stays near the
+    boundary) the test is skipped, and taken again only at a step whose
+    eigenvalues show that it would pass: all but the lowest, which belongs
+    to t or lies below it, above the eigenvalue floor, which is at most the
+    test's. So the search takes the steps it would take with the test on
+    every step, and pays for one decomposition a step, not two.
 
     The search stops converged when the Newton decrement -g.d / 2 falls to
     1e-12 max(1, |f|) with evaluations to spare and no eigenvalue lies below
@@ -379,20 +430,26 @@ def minimize(fun, t: np.ndarray, max_evals: int):
     unit vector and f never above its start.
     """
     t = t / np.linalg.norm(t)
-    eye = np.eye(t.size)
+    eye = _identity(t.size)
     f, g, hess, size = fun(t)
     evals = 1
     steps = 0
+    failed = 0  # Cholesky tests refused in a row
     converged = False
     while evals < max_evals:
         proj = eye - t[:, None] * t
         tangent = proj @ hess @ proj
-        d = _certified_step(tangent, t, g, size)
-        certified = d is not None
-        if not certified:
+        tested = failed < _FAILED_TESTS
+        d = _certified_step(tangent, t, g, size) if tested else None
+        if d is None:
             lam, vec = np.linalg.eigh(tangent)
             lowest, highest = float(lam[0]), float(lam[-1])
             floor = max(1e-8 * max(-lowest, highest), 1e-12 * size)
+            if not tested and (lam[1:] > floor).all():
+                d = _certified_step(tangent, t, g, size)
+        certified = d is not None
+        failed = 0 if certified else failed + 1
+        if not certified:
             gv = g @ vec
             d = vec @ (gv / -np.maximum(np.abs(lam), floor))
         slope = float(g @ d)
@@ -440,7 +497,7 @@ def _certified_step(tangent, t, g, size):
     floor = max(1e-8 * scale, 1e-12 * size)
     a = tangent + scale * (t[:, None] * t)
     try:
-        np.linalg.cholesky(a - floor * np.eye(t.size))
+        np.linalg.cholesky(a - floor * _identity(t.size))
     except np.linalg.LinAlgError:
         return None
     return np.linalg.solve(a, -g)
@@ -459,8 +516,12 @@ def _cubic_step(step, f0, slope0, f1, slope1) -> float:
     return 0.5 * step
 
 
-def _fit(likelihood: str, design: _Design, counts, exposures, t0):
-    """Likelihood fit of count arrays from T-parameters ``t0``: base fits and refits."""
+def _fit(likelihood: str, design: _Design, counts, exposures, t0=None):
+    """Likelihood fit of count arrays from T-parameters ``t0``, by default
+    those of the linear-inversion seed: the one fit core, of base fits and
+    refits alike."""
+    if t0 is None:
+        t0 = _params_from_rho(_linear_inversion(design, counts, exposures))
     fun = _objective(likelihood, design, counts, exposures)
     t, f, evals, steps, converged = minimize(fun, t0, _MAX_EVALS)
     return ReconstructionResult(rho_hat=_frozen(_rho_from_params(t)), log_likelihood=-f,
@@ -475,42 +536,61 @@ def reconstruct_state_mle(records, likelihood: str = "gaussian") -> Reconstructi
     search on its exact Hessian (:func:`minimize`) from the linear-inversion
     seed, which stops when the Newton decrement falls to a relative 1e-12.
     A fit that spends the budget of 100,000 likelihood evaluations
-    (``iterations``) first is returned with ``converged=False``.
+    (``iterations``) first is returned with ``converged=False``. The records
+    are converted to arrays once and fitted by :func:`_fit`.
     """
-    design, counts, exposures = _arrays(records)
-    seed_rho = _linear_inversion(design, counts, exposures)
-    return _fit(likelihood, design, counts, exposures, _params_from_rho(seed_rho))
+    return _fit(likelihood, *_arrays(records))
 
 
 def monte_carlo_errors(records, trials: int, seed, base: ReconstructionResult,
                        likelihood: str = "gaussian") -> ErrorEstimate:
     """Bootstrap error bar for the concurrence of a reconstruction.
 
-    Trial i resamples every count as Poisson around the observed value, by
-    one ``np.random.default_rng([*seed, i]).poisson`` call, so each trial
-    owns a private stream and the outcome does not depend on execution
-    order. Each row of the (trials, S) array of draws is re-fitted from one
-    warm start, the T-parameters of ``base`` (the fit of the records; its
-    estimate must be a finite Hermitian 4x4 matrix), and one batched
-    Wootters call takes the concurrence of the (trials, 4, 4) stack of
-    refit states. Trials whose concurrence is not finite are dropped and
-    counted. Refits that end with ``converged=False`` stay in the spread and
-    are counted as ``unconverged``.
+    ``trials`` is read by the config reader's int rule and must be at least
+    2; ``seed`` is an int >= 0 or a sequence of them (:func:`_seed`), and
+    ``base`` is the fit of the records, whose estimate must be a finite
+    Hermitian 4x4 matrix. The records are converted to arrays once and
+    resampled by :func:`_bootstrap`, the core that ``tomo-sim`` and every
+    shot-noise sweep row run on their count arrays.
     """
+    trials = _field(trials, int, "trials")
     _check_at_least(trials, 2, "trials")
+    seed = _seed(seed)
     design, observed, exposures = _arrays(records)
-    t0 = _params_from_rho(_hermitian("base.rho_hat", base.rho_hat, (4, 4), tol=1e-10))
-    seed_parts = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    base_rho = _hermitian("base.rho_hat", base.rho_hat, (4, 4), tol=1e-10)
+    seed_parts = seed if isinstance(seed, list) else [seed]
+    return _bootstrap(likelihood, design, observed, exposures, base_rho, trials, seed_parts)[1]
+
+
+def _bootstrap(likelihood: str, design: _Design, observed, exposures, base_rho, trials: int,
+               seed_parts) -> tuple[float, ErrorEstimate]:
+    """The concurrence of ``base_rho`` and the bootstrap spread of its refits.
+
+    Trial i resamples every count as Poisson around the observed value, by
+    one ``np.random.default_rng([*seed_parts, i]).poisson`` call, so each
+    trial owns a private stream and the outcome does not depend on execution
+    order. Each row of the (trials, S) array of draws is re-fitted (:func:`_fit`)
+    from one warm start, the T-parameters of ``base_rho``, and one batched
+    Wootters call takes the concurrence of the (1 + trials, 4, 4) stack of
+    the base state and the refit states: its first row is the base state's
+    concurrence, bit for bit that of :func:`~entdyn.dynamics.concurrence`.
+    Trials whose concurrence is not finite are dropped and counted. Refits
+    that end with ``converged=False`` stay in the spread and are counted as
+    ``unconverged``. The arguments are taken as checked.
+    """
+    t0 = _params_from_rho(base_rho)
     draws = np.array([np.random.default_rng([*seed_parts, trial]).poisson(observed)
                       for trial in range(trials)], dtype=float)
     fits = [_fit(likelihood, design, counts, exposures, t0) for counts in draws]
-    values = np.maximum(wootters(_frozen(np.array([fit.rho_hat for fit in fits])))[0], 0.0)
+    q = wootters(np.array([base_rho, *(fit.rho_hat for fit in fits)]))[0]
+    values = np.maximum(q[1:], 0.0)
     values = values[np.isfinite(values)]
     if len(values) < 2:
         raise ValueError(f"only {len(values)} usable trials out of {trials}")
-    return ErrorEstimate(mean=float(values.mean()), std_dev=float(values.std(ddof=1)),
-                         trials=len(values), dropped=trials - len(values),
-                         unconverged=sum(not fit.converged for fit in fits))
+    estimate = ErrorEstimate(mean=float(values.mean()), std_dev=float(values.std(ddof=1)),
+                             trials=len(values), dropped=trials - len(values),
+                             unconverged=sum(not fit.converged for fit in fits))
+    return max(0.0, float(q[0])), estimate
 
 
 def _probe_map(rho_in) -> np.ndarray:

@@ -5,9 +5,10 @@
 Replays each seed's schedule (0, 1 and 401 by default) through ``cli.main``,
 as ``tests/test_bench_gates.py`` does, and prints one table row per seed: the
 fits (``tomography.minimize`` calls), their likelihood evaluations and Newton
-steps, their step checks, the checks that fell back to ``np.linalg.eigh``, and
-the fits that ended unconverged. Every number is a count, so it repeats from
-run to run and from machine to machine with the same numpy build.
+steps, their step checks, the checks whose step came from ``np.linalg.eigh``
+rather than the Cholesky-certified solve, and the fits that ended
+unconverged. Every number is a count, so it repeats from run to run and from
+machine to machine with the same numpy build.
 """
 
 import sys
@@ -28,7 +29,7 @@ SEEDS = (0, 1, 401)
 
 class FitCount(NamedTuple):
     """One fit: evaluations, Newton steps and ``converged`` as ``minimize``
-    returned them, and the ``np.linalg`` calls it made for its step checks."""
+    returned them, its step checks, and those whose step came from eigh."""
 
     evals: int
     steps: int
@@ -39,34 +40,43 @@ class FitCount(NamedTuple):
 
 def schedule_fits(seed: int, tmp_path: Path, monkeypatch) -> list[FitCount]:
     """Every fit of the ``tomo_bootstrap`` schedule at ``seed``, in call
-    order. Each step check runs one ``cholesky`` test and, when that fails,
-    one ``eigh``; a search without the test runs one ``eigh`` per check, so
-    a check count is the larger of the two."""
+    order. A step check runs the Cholesky test (``_certified_step``), an
+    ``eigh``, or both, on the projected Hessian of its step; the calls on one
+    matrix are one check, and a check whose test certified no step fell back
+    to its ``eigh``."""
     fits = []
-    calls = None  # {"cholesky": n, "eigh": n} while a minimize call runs
+    events = None  # [(projected Hessian bytes, certified)] while a minimize call runs
 
-    def counting(name, function):
-        def call(*args, **kwargs):
-            if calls is not None:
-                calls[name] += 1
-            return function(*args, **kwargs)
-        return call
+    def certified_step(tangent, *args):
+        step = certify(tangent, *args)
+        if events is not None:
+            events.append((tangent.tobytes(), step is not None))
+        return step
+
+    def counted_eigh(matrix, *args, **kwargs):
+        if events is not None:
+            events.append((np.asarray(matrix).tobytes(), False))
+        return eigh(matrix, *args, **kwargs)
 
     def counted_minimize(*args, **kwargs):
-        nonlocal calls
-        calls = {"cholesky": 0, "eigh": 0}
+        nonlocal events
+        events = []
         try:
             out = minimize(*args, **kwargs)
         finally:
-            made, calls = calls, None
+            made, events = events, None
+        checks = {}  # projected Hessian -> certified; a dict keeps the checks in order
+        for key, certified in made:
+            checks[key] = checks.get(key, False) or certified
         _, _, evals, steps, converged = out
-        fits.append(FitCount(evals, steps, converged, max(made.values()), made["eigh"]))
+        fits.append(FitCount(evals, steps, converged, len(checks),
+                             sum(not certified for certified in checks.values())))
         return out
 
-    minimize = tomography.minimize
+    minimize, certify, eigh = tomography.minimize, tomography._certified_step, np.linalg.eigh
     monkeypatch.setattr(tomography, "minimize", counted_minimize)
-    for name in ("cholesky", "eigh"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(tomography, "_certified_step", certified_step)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     for _, op, code, *_ in _play("tomo_bootstrap", tmp_path, monkeypatch, seed):
         assert code == 0, op["argv"]
     return fits

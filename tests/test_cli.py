@@ -133,12 +133,13 @@ def test_numerical_error_exit_code(monkeypatch):
 
 
 def test_unconverged_shot_noise_sweep_exit_code(monkeypatch, capsys, tmp_path):
-    fit = entdyn.harness.reconstruct_state_mle
+    # the harness fits each point's count arrays by the fit core
+    fit = entdyn.harness._fit
 
     def unconverged(*args, **kwargs):
         return dataclasses.replace(fit(*args, **kwargs), converged=False)
 
-    monkeypatch.setattr(entdyn.harness, "reconstruct_state_mle", unconverged)
+    monkeypatch.setattr(entdyn.harness, "_fit", unconverged)
     out = tmp_path / "rows.csv"
     argv = ["sweep", "--pipeline", "shot-noise", "--p-grid", "0.2,0.4", "--counts", "500",
             "--trials", "2", "--out", str(out)]
@@ -404,22 +405,25 @@ def test_counts_above_the_limit_exit_1(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("counts_in", [False, True], ids=["simulated", "counts_in"])
-def test_tomo_sim_converts_records_to_arrays_twice(tmp_path, monkeypatch, capsys, counts_in):
-    # one conversion for the fit and its linear-inversion seed, one for the
-    # bootstrap; a counts file's completeness check reads the keys it collected
+def test_tomo_sim_converts_only_read_records_to_arrays(tmp_path, monkeypatch, capsys, counts_in):
+    # simulated counts are drawn into an array and never become records; a
+    # counts file's records are converted once, for the fit and the
+    # bootstrap alike, and its completeness check reads the keys it collected
     path = tmp_path / "counts.csv"
     argv = ["tomo-sim", "--p", "0.3", "--trials", "2", "--counts", "1000", "--seed", "3"]
     assert main([*argv, "--counts-out", str(path)]) == 0
     calls = []
 
-    def counted(name):
-        fn = getattr(entdyn.tomography, name)
+    def counted(name, fn):
         return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
     for name in ("_arrays", "linear_inversion_state"):
-        monkeypatch.setattr(entdyn.tomography, name, counted(name))
+        fn = getattr(entdyn.tomography, name)
+        for module in (entdyn.tomography, entdyn.harness, entdyn.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, fn))
     assert main([*argv, *(["--counts-in", str(path)] if counts_in else [])]) == 0
-    assert calls == ["_arrays", "_arrays"]
+    assert calls == (["_arrays"] if counts_in else [])
     capsys.readouterr()
 
 

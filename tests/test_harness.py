@@ -46,7 +46,14 @@ from entdyn.harness import (
     sweep_config_from_dict,
 )
 from entdyn.states import dm
-from entdyn.tomography import MAX_COUNT, simulate_counts, standard_settings
+from entdyn.tomography import (
+    MAX_COUNT,
+    CountRecord,
+    monte_carlo_errors,
+    reconstruct_state_mle,
+    simulate_counts,
+    standard_settings,
+)
 
 BELL = InitialStateSpec(kind="bell", bell="phi_plus")
 
@@ -117,23 +124,38 @@ class TestRunSweep:
     def test_shot_noise_point_streams(self):
         pipeline = Pipeline(kind="shot_noise", n_per_setting=500, trials=3, seed=4)
         config = analytic_config(p_grid=(0.1, 0.3), pipeline=pipeline)
-        records, fit, estimate = shot_noise_point(config, BELL, 1)
+        counts, fit, c, estimate = shot_noise_point(config, BELL, 1)
         rho = apply_one_sided(channel_for("two-field", 0.3), make_initial(BELL), target=1)
         expected = simulate_counts(rho, standard_settings(), 500, seed=(4, 1, 0))
-        assert [r.count for r in records] == [r.count for r in expected]
+        assert counts.tolist() == [r.count for r in expected]
         # given records are fitted as they are, with the same bootstrap stream
         again = shot_noise_point(config, BELL, 1, records=expected)
-        assert again[0] is expected
-        assert np.array_equal(again[1].rho_hat, fit.rho_hat) and again[2] == estimate
+        assert again[0] is None
+        assert np.array_equal(again[1].rho_hat, fit.rho_hat) and again[2:] == (c, estimate)
         assert estimate.trials == 3
         rows = run_sweep(config)
-        assert rows[1].concurrence == concurrence(fit.rho_hat).c
+        assert rows[1].concurrence == c == concurrence(fit.rho_hat).c
         assert rows[1].error == estimate.std_dev
 
+    @pytest.mark.parametrize("likelihood", ["gaussian", "poisson"])
+    def test_shot_noise_point_is_the_public_functions_bit_for_bit(self, likelihood):
+        pipeline = Pipeline(kind="shot_noise", n_per_setting=2000, trials=4, seed=9,
+                            likelihood=likelihood)
+        config = analytic_config(p_grid=(0.2, 0.6), pipeline=pipeline)
+        for index in range(2):
+            counts, *point = shot_noise_point(config, BELL, index)
+            records = [CountRecord(s, n, 2000.0) for s, n in zip(standard_settings(), counts.tolist())]
+            fit = reconstruct_state_mle(records, likelihood)
+            estimate = monte_carlo_errors(records, 4, (9, index, 1), fit, likelihood)
+            for given in (point, shot_noise_point(config, BELL, index, records)[1:]):
+                assert np.array_equal(given[0].rho_hat, fit.rho_hat)
+                assert replace(given[0], rho_hat=None) == replace(fit, rho_hat=None)
+                assert tuple(given[1:]) == (concurrence(fit.rho_hat).c, estimate)
+
     def test_unconverged_shot_noise_fit_names_the_point(self, monkeypatch):
-        # the harness fits each point's counts once; the refits run inside
-        # the bootstrap
-        fit = entdyn.harness.reconstruct_state_mle
+        # the harness fits each point's count arrays once, by the fit core;
+        # the refits run inside the bootstrap core
+        fit = entdyn.harness._fit
         calls = []
 
         def second_fit_unconverged(*args, **kwargs):
@@ -141,7 +163,7 @@ class TestRunSweep:
             result = fit(*args, **kwargs)
             return replace(result, converged=False) if len(calls) == 2 else result
 
-        monkeypatch.setattr(entdyn.harness, "reconstruct_state_mle", second_fit_unconverged)
+        monkeypatch.setattr(entdyn.harness, "_fit", second_fit_unconverged)
         config = analytic_config(
             p_grid=(0.1, 0.3, 0.5),
             pipeline=Pipeline(kind="shot_noise", n_per_setting=500, trials=2, seed=4),

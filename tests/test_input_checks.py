@@ -216,6 +216,28 @@ SCALAR_CASES = {
     # must be >= k
     "monte_carlo_errors.trials": (lambda: monte_carlo_errors(_RECORDS, 1, 0, _base(_RHO)),
                                   "trials: must be >= 2, got 1"),
+    # trials read by the config reader's int rule; a seed is an int >= 0 or a
+    # sequence of them, entry i named seed[i]
+    "monte_carlo_errors.trials_fraction": (lambda: monte_carlo_errors(_RECORDS, 2.5, 0, _base(_RHO)),
+                                           "trials: expected int, got 2.5"),
+    "monte_carlo_errors.trials_none": (lambda: monte_carlo_errors(_RECORDS, None, 0, _base(_RHO)),
+                                       "trials: expected int, got None"),
+    "monte_carlo_errors.seed_fraction": (lambda: monte_carlo_errors(_RECORDS, 2, 1.5, _base(_RHO)),
+                                         "seed: expected int, got 1.5"),
+    "monte_carlo_errors.seed_none": (lambda: monte_carlo_errors(_RECORDS, 2, None, _base(_RHO)),
+                                     "seed: expected int, got None"),
+    "monte_carlo_errors.seed_text": (lambda: monte_carlo_errors(_RECORDS, 2, "x1", _base(_RHO)),
+                                     "seed: expected int, got 'x1'"),
+    "monte_carlo_errors.seed_negative": (lambda: monte_carlo_errors(_RECORDS, 2, -1, _base(_RHO)),
+                                         "seed: must be >= 0, got -1"),
+    "monte_carlo_errors.seed_entry": (lambda: monte_carlo_errors(_RECORDS, 2, (4, 0.5), _base(_RHO)),
+                                      "seed[1]: expected int, got 0.5"),
+    "simulate_counts.seed_fraction": (lambda: simulate_counts(_RHO, [_HH], 100, seed=1.5),
+                                      "seed: expected int, got 1.5"),
+    "simulate_counts.seed_bool": (lambda: simulate_counts(_RHO, [_HH], 100, seed=True),
+                                  "seed: expected int, got True"),
+    "simulate_counts.seed_entry": (lambda: simulate_counts(_RHO, [_HH], 100, seed=[0, -2]),
+                                   "seed[1]: must be >= 0, got -2"),
     "ellipsoid_mesh.n_theta": (lambda: ellipsoid_mesh(_CHANNEL, n_theta=1),
                                "n_theta: must be >= 2, got 1"),
     "ellipsoid_mesh.n_phi": (lambda: ellipsoid_mesh(_CHANNEL, n_phi=0),
@@ -346,3 +368,24 @@ def test_mesh_that_cannot_be_allocated_is_a_field_error(monkeypatch, capsys):
         ellipsoid_mesh(_CHANNEL, n_theta=2, n_phi=10**11)
     assert main([*_MESH, "--n-theta", "2", "--n-phi", str(10**11)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_seeds_and_trials_read_as_their_numbers_draw_the_same_streams():
+    # a numeric string reads as its number, as every flag and file reader
+    # reads it, not as a sequence of its characters; numpy integers, tuples
+    # (the harness's (seed, index, k)) and arrays draw as they always did
+    base = reconstruct_state_mle(_RECORDS)
+    want = monte_carlo_errors(_RECORDS, 3, 12, base)
+    for seed in ("12", 12.0, np.int64(12), [12]):
+        assert monte_carlo_errors(_RECORDS, 3, seed, base) == want
+    for trials in ("3", 3.0, np.int64(3)):
+        assert monte_carlo_errors(_RECORDS, trials, 12, base) == want
+    want = monte_carlo_errors(_RECORDS, 2, (4, 1, 1), base)
+    for seed in ([4, 1, 1], np.array([4, 1, 1]), ("4", np.int64(1), 1.0)):
+        assert monte_carlo_errors(_RECORDS, 2, seed, base) == want
+    counts = [r.count for r in simulate_counts(_RHO, standard_settings(), 100, seed=(4, 1, 0))]
+    for seed in ([4, 1, 0], np.array([4, 1, 0]), ("4", np.uint8(1), 0)):
+        assert [r.count for r in simulate_counts(_RHO, standard_settings(), 100, seed)] == counts
+    counts = [r.count for r in simulate_counts(_RHO, standard_settings(), 100, seed=7)]
+    for seed in ("7", 7.0, np.int64(7)):
+        assert [r.count for r in simulate_counts(_RHO, standard_settings(), 100, seed)] == counts

@@ -261,14 +261,17 @@ def low_rank_states(draw):
 
 
 @PROPERTY
-@given(st.lists(low_rank_states(), min_size=1, max_size=6))
+@given(st.lists(low_rank_states(), min_size=1, max_size=8))
 def test_batched_wootters_matches_concurrence(states):
+    """Each row of a stack has the bits of its state's own concurrence, as a
+    shot-noise point reads its fit's concurrence off the stack of the fit
+    and its refits."""
     q, roots = wootters(np.stack(states))
     assert q.shape == (len(states),) and roots.shape == (len(states), 4)
     for i, rho in enumerate(states):
         single = concurrence(rho)
-        assert abs(q[i] - single.q) < 1e-13
-        assert np.max(np.abs(roots[i] ** 2 - single.lambdas)) < 1e-13
+        assert np.float64(single.q).tobytes() == q[i].tobytes()
+        assert single.lambdas.tobytes() == (roots[i] ** 2).tobytes()
 
 
 SPIN_FLIP = np.kron(PAULIS[2], PAULIS[2]).real

@@ -381,9 +381,9 @@ class TestMonteCarlo:
         base = reconstruct_state_mle(records)
         original = entdyn.tomography.wootters
 
-        def first_trial_nan(states):
+        def first_trial_nan(states):  # row 0 is the base state, row 1 the first refit
             q, roots = original(states)
-            return np.where(np.arange(len(q)) == 0, math.nan, q), roots
+            return np.where(np.arange(len(q)) == 1, math.nan, q), roots
 
         monkeypatch.setattr(entdyn.tomography, "wootters", first_trial_nan)
         est = monte_carlo_errors(records, 4, 6, base)
@@ -824,6 +824,34 @@ class TestNewtonFit:
         # one Cholesky test per step check; eigh only where it fails
         assert sum(fit.checks for fit in fits) == 224
         assert sum(fit.eigh for fit in fits) == 14
+
+    def test_skipped_cholesky_tests_leave_every_step_as_it_was(self, monkeypatch):
+        # this fit's first 11 tests are refused: the search skips the test
+        # after 8 and takes it again at step check 12, whose spectrum clears
+        # the floor, so it steps as a search that tests every step
+        rho = apply_one_sided(channel_for("two-field", 0.3), bell_state("phi+"), target=1)
+        records = simulate_counts(rho, standard_settings(), 1000, seed=2)
+        fun = _objective("gaussian", *_arrays(records))
+        t0 = _params_from_rho(linear_inversion_state(records))
+        calls = _counted(monkeypatch, "cholesky")
+        skipping = minimize(fun, t0, 1000)
+        skipping_tests = len(calls)
+        monkeypatch.setattr(entdyn.tomography, "_FAILED_TESTS", 10**9)
+        every = minimize(fun, t0, 1000)
+        assert np.array_equal(skipping[0], every[0]) and skipping[1:] == every[1:]
+        assert every[2:] == (16, 14, True)
+        assert (skipping_tests, len(calls) - skipping_tests) == (12, 15)
+
+    def test_boundary_fit_stops_repeating_a_failing_cholesky_test(self, monkeypatch):
+        # |HH> at 10^9 pairs stays near the rank-deficient boundary: every
+        # step check refuses the test, so the search stops taking it after
+        # 8, and ends where it ended with the test on all 2,373 checks
+        records = simulate_counts(dm(np.kron(BASIS_KETS["H"], BASIS_KETS["H"])),
+                                  standard_settings(), 10**9, seed=1)
+        calls = _counted(monkeypatch, "cholesky")
+        fit = reconstruct_state_mle(records)
+        assert (fit.iterations, fit.rounds, fit.converged) == (2403, 2372, False)
+        assert len(calls) <= 10  # the seed's factor and the tests
 
 
 #: (evaluations, Newton steps) of the 48 fits of the seed-0 ``tomo_bootstrap``
