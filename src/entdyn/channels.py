@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (
-    PAULIS, SIGMA_0, ConfigError, _check_choice, _check_mapping, _check_probability, _field,
-    _finite, _frozen, _known, _read, _shaped, matrix_from_json, matrix_to_json,
+    PAULIS, SIGMA_0, ConfigError, _check_choice, _check_mapping, _check_probability, _checked,
+    _field, _finite, _frozen, _known, _read, _shaped, matrix_from_json, matrix_to_json,
 )
 
 CP_TOL = 1e-12
@@ -170,8 +170,7 @@ def channel_for(family: str, p: float) -> PauliChannel:
     :func:`family_weights`), tagged for serialization. Only the family and
     ``p`` (by the config reader's float rule) are checked: their weights are valid."""
     _check_choice(family, PAULI_FAMILIES, "family")
-    p = _field(p, float, "p")
-    _check_probability(p, "p")
+    p = _checked(p, float, "p", _check_probability)
     return _trusted(PauliChannel, chi_diag=family_weights(family, p), family=family, p=p)
 
 

@@ -32,8 +32,8 @@ from .channels import (
     pauli_radii,
 )
 from .states import (
-    BELL_KETS, PAULIS, ConfigError, _check_choice, _check_finite, _frozen, _hermitian, _shaped,
-    bell_key, bell_state, dm, psd_sqrt, purity,
+    BELL_KETS, PAULIS, ConfigError, _check_choice, _check_finite, _check_probability, _checked, _frozen,
+    _hermitian, _shaped, bell_key, bell_state, dm, psd_sqrt, purity,
 )
 
 MODES = ("one_sided", "two_sided")
@@ -304,4 +304,5 @@ def make_initial(spec: InitialStateSpec, noisy_qubit: int = 1) -> np.ndarray:
     if spec.kind == "pure_pes":
         return dm(pure_pes_ket(spec.delta, spec.phi))
     pure = dm(pure_pes_ket(spec.delta, 0.0))
-    return apply_one_sided(channel_for("dephasing", spec.dephasing), pure, target=noisy_qubit)
+    dephasing = _checked(spec.dephasing, float, "dephasing", _check_probability)
+    return apply_one_sided(channel_for("dephasing", dephasing), pure, target=noisy_qubit)

@@ -25,8 +25,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -55,7 +54,7 @@ from .dynamics import (
 )
 from .states import (
     _REQUIRED, ConfigError, _check_at_least, _check_choice, _check_finite, _check_mapping,
-    _check_positive, _check_probability, _csv_rows, _field, _known, _read, bell_key,
+    _check_positive, _check_probability, _checked, _csv_rows, _field, _known, _read, bell_key,
 )
 from .tomography import (
     LIKELIHOODS,
@@ -83,15 +82,6 @@ DEFAULT_P_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed to converge or produce a usable result."""
-
-
-@dataclass(frozen=True)
-class Pipeline:
-    kind: str = "analytic"
-    n_per_setting: int = 10_000
-    trials: int = 50
-    seed: int = 0
-    likelihood: str = "gaussian"
 
 
 class SweepRow(NamedTuple):
@@ -124,61 +114,15 @@ class CharacterizationRow(NamedTuple):
     theory: tuple
 
 
-def _check_grid(p_grid, increasing: bool = False) -> None:
-    """A non-empty list of probabilities, strictly increasing if ``increasing``."""
+def _check_grid(p_grid, increasing: bool = False):
+    """A non-empty list of probabilities, strictly increasing if ``increasing``; returns it."""
     if not p_grid:
         raise ConfigError("p_grid: must not be empty")
     for i, p in enumerate(p_grid):
         _check_probability(p, "p_grid", i)
         if increasing and i > 0 and p <= p_grid[i - 1]:
             raise ConfigError(f"p_grid[{i}]: values must be strictly increasing")
-
-
-def _check_initial(spec, path: str) -> None:
-    if not isinstance(spec, InitialStateSpec):
-        raise ConfigError(f"{path}: expected an InitialStateSpec, got {type(spec).__name__}")
-    if spec.kind == "bell":
-        bell_key(spec.bell, f"{path}.bell")
-    _check_finite(spec.delta, f"{path}.delta")
-    _check_finite(spec.phi, f"{path}.phi")
-    if spec.kind == "mixed_pes":
-        _check_probability(spec.dephasing, f"{path}.dephasing")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A sweep's settings, checked once, when the config is built: a
-    :class:`ConfigError` names the first bad field (``initials[1].delta``)."""
-
-    family: str = "isotropic"
-    mode: str = "one_sided"
-    initial: InitialStateSpec = field(default_factory=lambda: InitialStateSpec(kind="bell"))
-    p_grid: tuple = DEFAULT_P_GRID
-    pipeline: Pipeline = field(default_factory=Pipeline)
-    noisy_qubit: int = 1
-    p_scale: float | None = None
-    initials: tuple | None = None  # extra initial states for PES sweeps
-
-    def __post_init__(self):
-        _check_choice(self.family, PAULI_FAMILIES, "family")
-        _check_choice(self.mode, MODES, "mode")
-        _check_choice(self.noisy_qubit, NOISY_QUBITS, "noisy_qubit")
-        _check_grid(self.p_grid, increasing=True)
-        pl = self.pipeline
-        _check_choice(pl.kind, PIPELINES, "pipeline.kind")
-        _check_count(pl.n_per_setting, "pipeline.n_per_setting")
-        _check_at_least(pl.trials, 2, "pipeline.trials")
-        _check_at_least(pl.seed, 0, "pipeline.seed")
-        _check_choice(pl.likelihood, LIKELIHOODS, "pipeline.likelihood")
-        if self.p_scale is not None:
-            _check_positive(self.p_scale, "p_scale")
-        _check_initial(self.initial, "initial")
-        labels = {}  # PES tables are keyed by label, so no two initials may share one
-        for i, spec in enumerate(self.initials or ()):
-            _check_initial(spec, f"initials[{i}]")
-            first = labels.setdefault(spec.label(), i)
-            if first != i:
-                raise ConfigError(f"initials[{i}]: label {spec.label()!r} repeats initials[{first}]")
+    return p_grid
 
 
 def _evolved_states(config: SweepConfig, spec: InitialStateSpec, p) -> np.ndarray:
@@ -316,14 +260,12 @@ def run_channel_characterization(
     (:func:`~entdyn.tomography.process_matrices`), warning once per
     projected estimate. Probe outputs are exact unless ``n_per_probe``
     switches on shot noise; grid point i then draws its counts from stream
-    ``(seed, i)``. For these channels the process matrix is diagonal in the
-    Pauli basis, so the diagonal entries are its eigenvalue curves.
+    ``(seed, i)``, ``seed`` an int by the config reader's rule. For these channels
+    the process matrix is diagonal in the Pauli basis: its eigenvalue curves.
     """
     _check_choice(family, PAULI_FAMILIES, "family")
-    _check_at_least(seed, 0, "seed")
-    p_grid = list(p_grid)
-    _check_grid(p_grid)
-    p = np.asarray(p_grid, dtype=float)
+    seed = _checked(seed, int, "seed", _check_at_least, 0)
+    p = np.asarray(_check_grid(list(p_grid)), dtype=float)
     weights = family_weights(family, p)
     seeds = None if n_per_probe is None else [(seed, i) for i in range(p.size)]
     outputs = probe_outputs(pauli_ptm(weights), n_per_projector=n_per_probe, seeds=seeds)
@@ -531,7 +473,7 @@ def read_rows(path, format: str = "json") -> list[SweepRow]:
 
 
 # ---------------------------------------------------------------------------
-# Configuration parsing (JSON file / CLI)
+# Configuration: one path for config files, flags and library calls
 
 
 #: Fields of each initial-state kind in compact-string order, with their
@@ -546,33 +488,94 @@ _PIPELINE_ALIASES = {"exact": "exact_simulation", "shot-noise": "shot_noise"}
 _MODE_ALIASES = {"one-sided": "one_sided", "two-sided": "two_sided"}
 
 
+def _word(value, path: str, choices: tuple, aliases: dict) -> str:
+    """A str of ``choices``, or a shorthand for one in ``aliases``."""
+    word = _field(value, str, path)
+    return _checked(aliases.get(word, word), str, path, _check_choice, choices)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """How a sweep computes its concurrence column, each field read and checked when
+    built by the config file's rule for it (``pipeline.trials: expected int, got 2.5``)."""
+
+    kind: str = "analytic"
+    n_per_setting: int = 10_000
+    trials: int = 50
+    seed: int = 0
+    likelihood: str = "gaussian"
+
+    def __post_init__(self):
+        vars(self).update(
+            kind=_word(self.kind, "pipeline.kind", PIPELINES, _PIPELINE_ALIASES),
+            n_per_setting=_checked(self.n_per_setting, int, "pipeline.n_per_setting", _check_count),
+            trials=_checked(self.trials, int, "pipeline.trials", _check_at_least, 2),
+            seed=_checked(self.seed, int, "pipeline.seed", _check_at_least, 0),
+            likelihood=_checked(self.likelihood, str, "pipeline.likelihood", _check_choice, LIKELIHOODS))
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A sweep's settings, each field read and checked when the config is built
+    (directly, by ``dataclasses.replace`` or by :func:`sweep_config_from_dict`)
+    by the config file's rule for it, so it takes a file's shapes (``initial="bell:phi+"``,
+    ``pipeline="exact"``). A ConfigError names the first bad field (``initials[1].delta``)."""
+
+    family: str = "isotropic"
+    mode: str = "one_sided"
+    initial: InitialStateSpec = InitialStateSpec(kind="bell")
+    p_grid: tuple = DEFAULT_P_GRID
+    pipeline: Pipeline = Pipeline()
+    noisy_qubit: int = 1
+    p_scale: float | None = None
+    initials: tuple | None = None  # extra initial states for PES sweeps
+
+    def __post_init__(self):
+        scale = self.p_scale
+        vars(self).update(
+            family=_checked(self.family, str, "family", _check_choice, PAULI_FAMILIES),
+            mode=_word(self.mode, "mode", MODES, _MODE_ALIASES),
+            initial=initial_spec_from(self.initial),
+            p_grid=_check_grid(p_grid_from(self.p_grid), increasing=True),
+            pipeline=pipeline_from(self.pipeline),
+            noisy_qubit=_checked(self.noisy_qubit, int, "noisy_qubit", _check_choice, NOISY_QUBITS),
+            p_scale=None if scale is None else _checked(scale, float, "p_scale", _check_positive),
+            initials=_initials(self.initials))
+
+
 def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
-    """Parse an initial-state recipe from a mapping, or from a compact string
-    read as the mapping of its fields: ``bell:phi+``, ``pes:<delta>[:<phi>]``
-    or ``mixed:<delta>:<p>`` (angles in radians). Errors name ``path``."""
-    if isinstance(obj, InitialStateSpec):
-        return obj
+    """A given :class:`InitialStateSpec`, or one built from a mapping of its fields or a compact
+    string read as that mapping (``bell:phi+``, ``pes:<delta>[:<phi>]``, ``mixed:<delta>:<p>``),
+    checked either way: a Bell name, finite angles, a dephasing in [0, 1]. Errors name ``path``."""
+    prefix = f"{path}."
     if isinstance(obj, str):
         kind, *values = obj.split(":")
         kind = _INITIAL_ALIASES.get(kind, kind)
         if kind in _INITIAL_FIELDS and len(values) > len(_INITIAL_FIELDS[kind]):
             raise ConfigError(f"{path}: too many fields in {obj!r}")
         obj = {"kind": kind, **dict(zip(_INITIAL_FIELDS.get(kind, ()), values))}
-    if not isinstance(obj, dict):
+    if isinstance(obj, dict):
+        kind = obj.get("kind")
+        _check_choice(kind, tuple(_INITIAL_FIELDS), prefix + "kind")
+        _known(obj, ("kind", *_INITIAL_FIELDS[kind]), prefix)
+        if kind == "bell":
+            obj = InitialStateSpec(kind="bell", bell=bell_key(obj.get("bell", "phi_plus"), prefix + "bell"))
+        else:
+            obj = InitialStateSpec(kind=kind, **{name: _read(obj, name, float, prefix, default)
+                                                 for name, default in _INITIAL_FIELDS[kind].items()})
+    elif not isinstance(obj, InitialStateSpec):
         raise ConfigError(f"{path}: expected a mapping or string, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    _check_choice(kind, tuple(_INITIAL_FIELDS), f"{path}.kind")
-    prefix = f"{path}."
-    _known(obj, ("kind", *_INITIAL_FIELDS[kind]), prefix)
-    if kind == "bell":
-        bell = bell_key(obj.get("bell", "phi_plus"), prefix + "bell")
-        return InitialStateSpec(kind="bell", bell=bell)
-    return InitialStateSpec(kind=kind, **{name: _read(obj, name, float, prefix, default)
-                                          for name, default in _INITIAL_FIELDS[kind].items()})
+    elif obj.kind == "bell":  # a built spec's name is a key already
+        bell_key(obj.bell, prefix + "bell")
+    _check_finite(obj.delta, prefix + "delta")
+    _check_finite(obj.phi, prefix + "phi")
+    if obj.kind == "mixed_pes":
+        _check_probability(obj.dephasing, prefix + "dephasing")
+    return obj
 
 
 def p_grid_from(obj) -> tuple:
-    """A noise grid as floats, from a list of values or a ``{start, stop,
+    """A noise grid as floats, from a list (tuple, array) of values or a ``{start, stop,
     points}`` range; errors name the field (``p_grid[2]``, ``p_grid.points``)."""
     if isinstance(obj, dict):
         _known(obj, ("start", "stop", "points"), "p_grid.")
@@ -590,45 +593,37 @@ def p_grid_from(obj) -> tuple:
 
 
 def pipeline_from(obj) -> Pipeline:
-    """A pipeline from a mapping of :class:`Pipeline` fields or a kind string,
-    with the kind shorthands ``exact`` and ``shot-noise`` resolved."""
+    """A :class:`Pipeline` as given, or built from a mapping of its fields or
+    a kind string (``"exact"``)."""
     if isinstance(obj, Pipeline):
         return obj
     if isinstance(obj, str):
         obj = {"kind": obj}
     if not isinstance(obj, dict):
         raise ConfigError(f"pipeline: expected a mapping or string, got {type(obj).__name__}")
-    defaults = {f.name: f.default for f in dataclass_fields(Pipeline)}
-    _known(obj, defaults, "pipeline.")
-    values = {name: _read(obj, name, type(d), "pipeline.", d) for name, d in defaults.items()}
-    values["kind"] = _PIPELINE_ALIASES.get(values["kind"], values["kind"])
-    return Pipeline(**values)
+    _known(obj, Pipeline.__dataclass_fields__, "pipeline.")
+    return Pipeline(**obj)
 
 
-#: The config whose fields a config file's absent fields take (checked once).
-_DEFAULTS = SweepConfig()
+def _initials(obj) -> tuple | None:
+    """Initial states, None if none, whose labels differ: PES tables are keyed by label."""
+    if obj is None:
+        return None
+    if not isinstance(obj, (list, tuple)):
+        raise ConfigError(f"initials: expected a list, got {obj!r}")
+    specs = tuple(initial_spec_from(x, f"initials[{i}]") for i, x in enumerate(obj))
+    labels = [spec.label() for spec in specs]
+    for i, label in enumerate(labels):
+        if labels.index(label) < i:
+            raise ConfigError(f"initials[{i}]: label {label!r} repeats initials[{labels.index(label)}]")
+    return specs or None
 
 
 def sweep_config_from_dict(obj: dict) -> SweepConfig:
-    """Build and validate a sweep configuration from a JSON-style mapping."""
+    """``SweepConfig(**obj)`` of a mapping whose keys all name fields: files, flags and calls share it."""
     _check_mapping(obj, "config")
-    _known(obj, [f.name for f in dataclass_fields(SweepConfig)], "")
-    initials = obj.get("initials")
-    if initials is not None and not isinstance(initials, (list, tuple)):
-        raise ConfigError(f"initials: expected a list, got {initials!r}")
-    family = _read(obj, "family", str, "", _DEFAULTS.family)
-    mode = _read(obj, "mode", str, "", _DEFAULTS.mode)
-    return SweepConfig(
-        family=family,
-        mode=_MODE_ALIASES.get(mode, mode),
-        initial=initial_spec_from(obj.get("initial", _DEFAULTS.initial)),
-        p_grid=p_grid_from(obj["p_grid"]) if "p_grid" in obj else _DEFAULTS.p_grid,
-        pipeline=pipeline_from(obj.get("pipeline", _DEFAULTS.pipeline)),
-        noisy_qubit=_read(obj, "noisy_qubit", int, "", _DEFAULTS.noisy_qubit),
-        p_scale=None if obj.get("p_scale") is None else _field(obj["p_scale"], float, "p_scale"),
-        initials=tuple(initial_spec_from(x, f"initials[{i}]") for i, x in enumerate(initials))
-        if initials else None,
-    )
+    _known(obj, SweepConfig.__dataclass_fields__, "")
+    return SweepConfig(**obj)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ import math
 import numpy as np
 
 from .channels import CP_TOL, PauliChannel, UnitalChannel, _trusted, _violated
-from .states import _check_at_least, _field, _frozen
+from .states import _check_at_least, _checked, _frozen
 
 
 def random_pure_ket(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     """A random unit ket of ``dim`` entries, read by the config reader's int rule."""
-    dim = _field(dim, int, "dim")
-    _check_at_least(dim, 1, "dim")
+    dim = _checked(dim, int, "dim", _check_at_least, 1)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return _frozen(v / np.linalg.norm(v))
 

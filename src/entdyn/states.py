@@ -14,8 +14,8 @@ Every module checks its arguments with the checks defined here: the array
 checks, each built on the one before: :func:`_shaped`, :func:`_finite` and
 :func:`_hermitian`, and the scalar rules ``_check_*`` (the count bound sits
 by ``MAX_COUNT`` in tomography). Every file and flag value is read by
-:func:`_field` (and :func:`_read` and :func:`_known` for mappings), and
-every CSV table by :func:`_csv_rows`.
+:func:`_field` (then checked by a rule in :func:`_checked`; :func:`_read`
+and :func:`_known` read mappings), and every CSV table by :func:`_csv_rows`.
 Validating constructors check shape and finiteness, operations only the
 shape; a failure is a :class:`ConfigError` ``<argument>: <rule>``, e.g.
 ``rho: expected shape (4, 4), got (2, 2)`` or ``p: value 1.5 outside [0, 1]``.
@@ -73,7 +73,9 @@ def _field(value, kind, path: str):
     float but no fraction; bools, None, lists and mappings are never numbers."""
     if kind is list:
         if isinstance(value, (list, tuple, np.ndarray)):
-            return [_field(x, float, f"{path}[{i}]") for i, x in enumerate(value)]
+            return [x if type(x) is float else _field(x, float, f"{path}[{i}]") for i, x in enumerate(value)]
+    elif type(value) is kind:  # already a str, int or float: itself, without the numbers.Real check
+        return value
     elif isinstance(value, str if kind is str else (str, numbers.Real)) and not isinstance(value, bool):
         try:
             out = kind(value)
@@ -82,6 +84,13 @@ def _field(value, kind, path: str):
         if out is not None and (kind is not int or isinstance(value, str) or out == value):
             return out
     raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+
+
+def _checked(value, kind, path: str, check, *args):
+    """``value`` read as a ``kind`` by :func:`_field`, then checked by ``check(value, *args, path)``."""
+    value = _field(value, kind, path)
+    check(value, *args, path)
+    return value
 
 
 def _read(obj: dict, name: str, kind, prefix: str, default=_REQUIRED):

@@ -50,8 +50,8 @@ import numpy as np
 from .channels import bloch_affine_map, pauli_transfer_matrix
 from .dynamics import wootters
 from .states import (
-    BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _csv_rows,
-    _field, _finite, _frozen, _hermitian, _known, _read, dm,
+    BASIS_KETS, PAULIS, ConfigError, _check_at_least, _check_choice, _check_positive, _checked,
+    _csv_rows, _field, _finite, _frozen, _hermitian, _known, _read, dm,
 )
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
@@ -69,9 +69,7 @@ MAX_COUNT = 10**18
 
 
 def _check_count(n, path: str, low: int = 1, scale: int = 1) -> None:
-    """``n``, not a bool, from ``low`` to ``scale`` * MAX_COUNT: a mean count, or a record's."""
-    if isinstance(n, (bool, np.bool_)):
-        raise ConfigError(f"{path}: expected int, got {n!r}")
+    """Int ``n`` (read by ``_field``) from ``low`` to ``scale`` * MAX_COUNT: a mean count, or a record's."""
     if not low <= n <= scale * MAX_COUNT:
         _check_at_least(n, low, path)
         raise ConfigError(f"{path}: must be <= {scale}e18, got {n!r}")
@@ -135,8 +133,7 @@ class CountRecord:
     exposure: float
 
     def __post_init__(self):
-        if type(self.count) is not int:
-            object.__setattr__(self, "count", _field(self.count, int, "count"))
+        object.__setattr__(self, "count", _field(self.count, int, "count"))
         _check_count(self.count, "count", low=0, scale=2)
         _check_positive(self.exposure, "exposure")
 
@@ -190,7 +187,7 @@ def simulate_counts(rho, settings, n_per_setting: int, seed) -> list[CountRecord
     sequence of settings is drawn, informationally complete or not. ``seed``
     is an int >= 0 or a sequence of them (:func:`_seed`).
     """
-    _check_count(n_per_setting, "n_per_setting")
+    n_per_setting = _checked(n_per_setting, int, "n_per_setting", _check_count)
     rho = _finite("rho", rho, (4, 4))
     seed = _seed(seed)
     settings = list(settings)
@@ -204,9 +201,7 @@ def _seed(seed, path: str = "seed"):
     ``seed[i]``, of such ints read from a list, tuple or array."""
     if isinstance(seed, (list, tuple, np.ndarray)):
         return [_seed(s, f"{path}[{i}]") for i, s in enumerate(seed)]
-    seed = _field(seed, int, path)
-    _check_at_least(seed, 0, path)
-    return seed
+    return _checked(seed, int, path, _check_at_least, 0)
 
 
 def _draw(rho, n_per_setting: int, seed, operators=_OPERATOR_STACK) -> np.ndarray:
@@ -261,6 +256,8 @@ def _arrays(records) -> tuple[_Design, np.ndarray, np.ndarray]:
     """The cached :class:`_Design` of the records' settings and their counts
     and exposures as float arrays: the one converter from records."""
     records = list(records)
+    if not records:
+        raise ConfigError("records: must not be empty")
     design = _design(tuple((r.setting.proj_a, r.setting.proj_b) for r in records))
     counts = np.array([float(r.count) for r in records])
     exposures = np.array([float(r.exposure) for r in records])
@@ -553,8 +550,7 @@ def monte_carlo_errors(records, trials: int, seed, base: ReconstructionResult,
     resampled by :func:`_bootstrap`, the core that ``tomo-sim`` and every
     shot-noise sweep row run on their count arrays.
     """
-    trials = _field(trials, int, "trials")
-    _check_at_least(trials, 2, "trials")
+    trials = _checked(trials, int, "trials", _check_at_least, 2)
     seed = _seed(seed)
     design, observed, exposures = _arrays(records)
     base_rho = _hermitian("base.rho_hat", base.rho_hat, (4, 4), tol=1e-10)
@@ -663,15 +659,15 @@ def probe_outputs(ptm, n_per_projector=None, seeds=None):
 
     With ``n_per_projector`` unset the outputs are exact: each PTM maps the
     Pauli components of the probe inputs, a constant computed at import.
-    Otherwise ``seeds`` holds one seed per channel, and channel i draws by
-    one ``np.random.default_rng(seeds[i]).poisson`` call a Poisson count on
-    each of the six polarization projectors (H, V, D, A, R, L) of each
-    probe, probes in label order; the Bloch components are the normalized
-    count differences, and a vector longer than 1 is scaled back into the
-    ball.
+    Otherwise it is read by the config reader's int rule, ``seeds`` holds
+    one seed per channel, and channel i draws by one
+    ``np.random.default_rng(seeds[i]).poisson`` call a Poisson count on each
+    of the six polarization projectors (H, V, D, A, R, L) of each probe,
+    probes in label order; the Bloch components are the normalized count
+    differences, and a vector longer than 1 is scaled back into the ball.
     """
     if n_per_projector is not None:
-        _check_count(n_per_projector, "n_per_projector")
+        n_per_projector = _checked(n_per_projector, int, "n_per_projector", _check_count)
     mapped = np.einsum("nij,kj->nki", np.asarray(ptm), _PROBE_COMPONENTS)
     rho_out = np.einsum("nki,iab->nkab", 0.5 * mapped, _PAULI_STACK)
     if n_per_projector is None:

@@ -635,6 +635,43 @@ class TestConfigParsing:
         config = sweep_config_from_dict({"pipeline": "exact"})
         assert config.pipeline.kind == "exact_simulation"
 
+    # every shape a config file can give a field, and the value it reads as
+    FILE_SHAPES = {
+        "bell_string": ({"initial": "bell:psi-"}, {"initial": InitialStateSpec(kind="bell", bell="psi_minus")}),
+        "pes_string": ({"initial": "pes:0.13:0.5"},
+                       {"initial": InitialStateSpec(kind="pure_pes", delta=0.13, phi=0.5)}),
+        "mixed_mapping_text": ({"initial": {"kind": "mixed_pes", "delta": "0.2", "dephasing": "0.1"}},
+                               {"initial": InitialStateSpec(kind="mixed_pes", delta=0.2, dephasing=0.1)}),
+        "initials": ({"initials": ["pes:0.1", {"kind": "bell"}]},
+                     {"initials": (InitialStateSpec(kind="pure_pes", delta=0.1), BELL)}),
+        "initials_empty": ({"initials": []}, {"initials": None}),
+        "pipeline_kind": ({"pipeline": "shot_noise"}, {"pipeline": Pipeline(kind="shot_noise")}),
+        "pipeline_shorthand": ({"pipeline": "shot-noise"}, {"pipeline": Pipeline(kind="shot_noise")}),
+        "pipeline_mapping": ({"pipeline": {"kind": "exact", "n_per_setting": "500", "trials": 3.0, "seed": "4",
+                                           "likelihood": "poisson"}},
+                             {"pipeline": Pipeline(kind="exact_simulation", n_per_setting=500, trials=3, seed=4,
+                                                   likelihood="poisson")}),
+        "mode_shorthand": ({"mode": "two-sided"}, {"mode": "two_sided"}),
+        "range": ({"p_grid": {"start": "0", "stop": 1, "points": 5.0}}, {"p_grid": (0.0, 0.25, 0.5, 0.75, 1.0)}),
+        "grid_list": ({"p_grid": [0, "0.5", 1]}, {"p_grid": (0.0, 0.5, 1.0)}),
+        "grid_tuple": ({"p_grid": (0.25, np.float64(0.5))}, {"p_grid": (0.25, 0.5)}),
+        "grid_array": ({"p_grid": np.array([0.0, 0.5])}, {"p_grid": (0.0, 0.5)}),
+        "numeric_strings": ({"noisy_qubit": "0", "p_scale": "1.25"}, {"noisy_qubit": 0, "p_scale": 1.25}),
+        "integral_float": ({"noisy_qubit": 0.0}, {"noisy_qubit": 0}),
+        "null_scale": ({"p_scale": None}, {"p_scale": None}),
+    }
+
+    @pytest.mark.parametrize("obj, values", FILE_SHAPES.values(), ids=FILE_SHAPES)
+    def test_library_call_reads_every_file_shape(self, obj, values):
+        # the constructor and the file reader build one config, of the read values' types
+        config = SweepConfig(**obj)
+        assert config == sweep_config_from_dict(obj) == replace(SweepConfig(), **values)
+        assert replace(config) == config
+        assert type(config.p_grid) is tuple and {type(p) for p in config.p_grid} == {float}
+        assert isinstance(config.initial, InitialStateSpec) and isinstance(config.pipeline, Pipeline)
+        assert type(config.noisy_qubit) is int and type(config.pipeline.trials) is int
+        assert config.p_scale is None or type(config.p_scale) is float
+
 
 def test_selftest_passes():
     results = run_selftest(fast=True)

@@ -2,6 +2,7 @@
 count bound of entdyn.tomography): a bad one fails at the boundary with a
 ConfigError, a ValueError that starts with its name, ``<argument>: <rule>``."""
 
+import json
 import re
 
 import numpy as np
@@ -33,10 +34,13 @@ from entdyn.dynamics import (
 )
 from entdyn.harness import (
     ConfigError,
+    Pipeline,
+    SweepConfig,
     SweepRow,
     read_rows,
     render,
     render_mesh,
+    run_channel_characterization,
     sweep_config_from_dict,
 )
 from entdyn.sampling import random_pure_ket
@@ -46,6 +50,7 @@ from entdyn.tomography import (
     MeasurementSetting,
     ReconstructionResult,
     ellipsoid_mesh,
+    linear_inversion_state,
     monte_carlo_errors,
     probe_outputs,
     process_tomography_single_qubit,
@@ -204,6 +209,16 @@ SCALAR_CASES = {
     "simulate_probe_outputs": (
         lambda: simulate_probe_outputs(_CHANNEL, n_per_projector=-1, seed=0),
         "n_per_projector: must be >= 1, got -1"),
+    # a count is read by the config reader's int rule before its range
+    "probe_outputs.fraction": (lambda: probe_outputs(np.eye(4)[None], n_per_projector=10.5, seeds=[0]),
+                               "n_per_projector: expected int, got 10.5"),
+    "run_channel_characterization.n_per_probe": (
+        lambda: run_channel_characterization("isotropic", [0.1], n_per_probe=10.5),
+        "n_per_projector: expected int, got 10.5"),
+    "simulate_counts.fraction": (lambda: simulate_counts(_RHO, [_HH], 10.5, seed=0),
+                                 "n_per_setting: expected int, got 10.5"),
+    "simulate_counts.bool": (lambda: simulate_counts(_RHO, [_HH], True, seed=0),
+                             "n_per_setting: expected int, got True"),
     "CountRecord.count.low": (lambda: CountRecord(_HH, -1, 1.0), "count: must be >= 0, got -1"),
     "CountRecord.count.high": (lambda: CountRecord(_HH, 2 * 10**18 + 1, 1.0),
                                f"count: must be <= 2e18, got {2 * 10**18 + 1}"),
@@ -250,6 +265,24 @@ SCALAR_CASES = {
                       "pipeline.trials: must be >= 2, got 1"),
     "config.seed": (lambda: sweep_config_from_dict({"pipeline": {"seed": -1}}),
                     "pipeline.seed: must be >= 0, got -1"),
+    # a library-built config reads each field by the config file's rule when built
+    "Pipeline.trials_fraction": (lambda: Pipeline(kind="shot_noise", trials=2.5),
+                                 "pipeline.trials: expected int, got 2.5"),
+    "Pipeline.seed_bool": (lambda: Pipeline(seed=True), "pipeline.seed: expected int, got True"),
+    "Pipeline.n_per_setting_fraction": (lambda: Pipeline(n_per_setting=10.5),
+                                        "pipeline.n_per_setting: expected int, got 10.5"),
+    "SweepConfig.noisy_qubit_bool": (lambda: SweepConfig(noisy_qubit=True),
+                                     "noisy_qubit: expected int, got True"),
+    "SweepConfig.pipeline_trials": (lambda: SweepConfig(pipeline={"kind": "shot-noise", "trials": 2.5}),
+                                    "pipeline.trials: expected int, got 2.5"),
+    "SweepConfig.p_grid_entry": (lambda: SweepConfig(p_grid=[0.0, "x"]), "p_grid[1]: expected float, got 'x'"),
+    "SweepConfig.initial_kind": (lambda: SweepConfig(initial="x:1"),
+                                 "initial.kind: expected 'bell', 'pure_pes' or 'mixed_pes', got 'x'"),
+    "run_channel_characterization.seed_bool": (
+        lambda: run_channel_characterization("isotropic", [0.1], n_per_probe=10, seed=True),
+        "seed: expected int, got True"),
+    "run_channel_characterization.seed_text": (
+        lambda: run_channel_characterization("isotropic", [0.1], seed="x3"), "seed: expected int, got 'x3'"),
     # a mesh numpy refuses to size (2**62 points) before it allocates anything
     "ellipsoid_mesh.too_big": (lambda: ellipsoid_mesh(_CHANNEL, n_theta=2, n_phi=2**62),
                                f"n_theta, n_phi: cannot make 2 x {2**62} points (array is too big"),
@@ -283,6 +316,12 @@ SCALAR_CASES = {
     "make_initial.mixed_delta": (
         lambda: make_initial(InitialStateSpec(kind="mixed_pes", delta=float("inf"), dephasing=0.1)),
         "delta: must be finite, got inf"),
+    "make_initial.dephasing": (
+        lambda: make_initial(InitialStateSpec(kind="mixed_pes", delta=0.1, dephasing=2.0)),
+        "dephasing: value 2.0 outside [0, 1]"),
+    "make_initial.dephasing_none": (
+        lambda: make_initial(InitialStateSpec(kind="mixed_pes", delta=0.1, dephasing=None)),
+        "dephasing: expected float, got None"),
     "predict_x_state.delta": (lambda: predict_x_state((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), float("nan")),
                               "delta: must be finite, got nan"),
     # one of a vocabulary
@@ -332,6 +371,11 @@ SCALAR_CASES = {
     # an integer
     "random_pure_ket.dim_fraction": (lambda: random_pure_ket(np.random.default_rng(0), 2.5),
                                      "dim: expected int, got 2.5"),
+    # a fit needs at least one record; refused by name, as an empty count file is
+    "reconstruct_state_mle.records": (lambda: reconstruct_state_mle([]), "records: must not be empty"),
+    "linear_inversion_state.records": (lambda: linear_inversion_state([]), "records: must not be empty"),
+    "monte_carlo_errors.records": (lambda: monte_carlo_errors([], 3, 0, _base(_RHO)),
+                                   "records: must not be empty"),
     # the value rules of the validating constructors
     "PauliChannel.negative": (lambda: PauliChannel([1.1, -0.1, 0.0, 0.0]),
                               "chi_diag: must be non-negative, got chi_1 = -0.1"),
@@ -389,3 +433,26 @@ def test_seeds_and_trials_read_as_their_numbers_draw_the_same_streams():
     counts = [r.count for r in simulate_counts(_RHO, standard_settings(), 100, seed=7)]
     for seed in ("7", 7.0, np.int64(7)):
         assert [r.count for r in simulate_counts(_RHO, standard_settings(), 100, seed)] == counts
+
+
+# Library values that a config file writes as JSON: each builds the config the
+# file reader builds from the JSON, or fails naming the field (above).
+LIBRARY_CONFIGS = {
+    "p_grid_array": ({"p_grid": np.linspace(0, 1, 3)}, '{"p_grid": [0.0, 0.5, 1.0]}'),
+    "p_grid_text": ({"p_grid": [0.0, "0.5"]}, '{"p_grid": [0, 0.5]}'),
+    "pipeline_shorthand": ({"pipeline": "exact"}, '{"pipeline": {"kind": "exact_simulation"}}'),
+    "initial_string": ({"initial": "bell:phi+"}, '{"initial": {"kind": "bell", "bell": "phi_plus"}}'),
+}
+
+
+@pytest.mark.parametrize("kwargs, text", LIBRARY_CONFIGS.values(), ids=LIBRARY_CONFIGS)
+def test_library_config_is_the_file_readers_config(kwargs, text):
+    assert SweepConfig(**kwargs) == sweep_config_from_dict(json.loads(text))
+
+
+def test_characterization_seeds_and_counts_read_as_their_numbers_draw_the_same_streams():
+    want = run_channel_characterization("isotropic", [0.1, 0.4], n_per_probe=10_000, seed=3)
+    for seed in ("3", 3.0, np.int64(3)):
+        assert run_channel_characterization("isotropic", [0.1, 0.4], n_per_probe=10_000, seed=seed) == want
+    for n in ("10000", 1e4, np.int64(10_000)):
+        assert run_channel_characterization("isotropic", [0.1, 0.4], n_per_probe=n, seed=3) == want
