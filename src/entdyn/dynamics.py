@@ -264,6 +264,9 @@ class InitialStateSpec:
     kind = "pure_pes"   -> cos(2 delta)|hh> + sin(2 delta) e^{i phi}|vv>
     kind = "mixed_pes"  -> the pure state above (phi = 0) with one-sided
                            dephasing of strength ``dephasing``
+
+    Each field is read and checked when built, by the config file's rule for it
+    (``delta: must be finite, got nan``); ``bell="psi-"`` is stored as ``psi_minus``.
     """
 
     kind: str
@@ -274,6 +277,11 @@ class InitialStateSpec:
 
     def __post_init__(self):
         _check_choice(self.kind, ("bell", "pure_pes", "mixed_pes"), "kind")
+        vars(self).update(
+            bell=bell_key(self.bell),
+            delta=_checked(self.delta, float, "delta", _check_finite),
+            phi=_checked(self.phi, float, "phi", _check_finite),
+            dephasing=_checked(self.dephasing, float, "dephasing", _check_probability))
 
     def label(self) -> str:
         if self.kind == "bell":
@@ -294,7 +302,8 @@ def pure_pes_ket(delta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def make_initial(spec: InitialStateSpec, noisy_qubit: int = 1) -> np.ndarray:
-    """Density matrix for an initial-state recipe.
+    """Density matrix for an initial-state recipe, whose fields the spec
+    checked when it was built.
 
     ``noisy_qubit`` selects which qubit the mixed-PES preparation dephasing
     acts on; sweeps send their channel to the same qubit.
@@ -304,5 +313,4 @@ def make_initial(spec: InitialStateSpec, noisy_qubit: int = 1) -> np.ndarray:
     if spec.kind == "pure_pes":
         return dm(pure_pes_ket(spec.delta, spec.phi))
     pure = dm(pure_pes_ket(spec.delta, 0.0))
-    dephasing = _checked(spec.dephasing, float, "dephasing", _check_probability)
-    return apply_one_sided(channel_for("dephasing", dephasing), pure, target=noisy_qubit)
+    return apply_one_sided(channel_for("dephasing", spec.dephasing), pure, target=noisy_qubit)

@@ -53,8 +53,8 @@ from .dynamics import (
     wootters,
 )
 from .states import (
-    _REQUIRED, ConfigError, _check_at_least, _check_choice, _check_finite, _check_mapping,
-    _check_positive, _check_probability, _checked, _csv_rows, _field, _known, _read, bell_key,
+    ConfigError, _check_at_least, _check_choice, _check_finite, _check_mapping, _check_positive,
+    _check_probability, _checked, _csv_rows, _field, _known, _read,
 )
 from .tomography import (
     LIKELIHOODS,
@@ -476,13 +476,10 @@ def read_rows(path, format: str = "json") -> list[SweepRow]:
 # Configuration: one path for config files, flags and library calls
 
 
-#: Fields of each initial-state kind in compact-string order, with their
-#: defaults (``_REQUIRED`` marks a field that has none).
-_INITIAL_FIELDS = {
-    "bell": {"bell": "phi_plus"},
-    "pure_pes": {"delta": _REQUIRED, "phi": 0.0},
-    "mixed_pes": {"delta": _REQUIRED, "dephasing": _REQUIRED},
-}
+#: Fields of each initial-state kind in compact-string order; a config must
+#: give those of ``_INITIAL_REQUIRED``, the others take the class's defaults.
+_INITIAL_FIELDS = {"bell": ("bell",), "pure_pes": ("delta", "phi"), "mixed_pes": ("delta", "dephasing")}
+_INITIAL_REQUIRED = ("delta", "dephasing")
 _INITIAL_ALIASES = {"pes": "pure_pes", "mixed": "mixed_pes"}
 _PIPELINE_ALIASES = {"exact": "exact_simulation", "shot-noise": "shot_noise"}
 _MODE_ALIASES = {"one-sided": "one_sided", "two-sided": "two_sided"}
@@ -544,9 +541,12 @@ class SweepConfig:
 
 
 def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
-    """A given :class:`InitialStateSpec`, or one built from a mapping of its fields or a compact
-    string read as that mapping (``bell:phi+``, ``pes:<delta>[:<phi>]``, ``mixed:<delta>:<p>``),
-    checked either way: a Bell name, finite angles, a dephasing in [0, 1]. Errors name ``path``."""
+    """A given :class:`InitialStateSpec` as it is (it checked its fields when built), or one
+    built from a mapping of its fields or a compact string read as that mapping (``bell:phi+``,
+    ``pes:<delta>[:<phi>]``, ``mixed:<delta>:<p>``), which must give its kind's required
+    fields and no others. Errors name ``path`` (``initials[1].dephasing: missing``)."""
+    if isinstance(obj, InitialStateSpec):
+        return obj
     prefix = f"{path}."
     if isinstance(obj, str):
         kind, *values = obj.split(":")
@@ -554,24 +554,18 @@ def initial_spec_from(obj, path: str = "initial") -> InitialStateSpec:
         if kind in _INITIAL_FIELDS and len(values) > len(_INITIAL_FIELDS[kind]):
             raise ConfigError(f"{path}: too many fields in {obj!r}")
         obj = {"kind": kind, **dict(zip(_INITIAL_FIELDS.get(kind, ()), values))}
-    if isinstance(obj, dict):
-        kind = obj.get("kind")
-        _check_choice(kind, tuple(_INITIAL_FIELDS), prefix + "kind")
-        _known(obj, ("kind", *_INITIAL_FIELDS[kind]), prefix)
-        if kind == "bell":
-            obj = InitialStateSpec(kind="bell", bell=bell_key(obj.get("bell", "phi_plus"), prefix + "bell"))
-        else:
-            obj = InitialStateSpec(kind=kind, **{name: _read(obj, name, float, prefix, default)
-                                                 for name, default in _INITIAL_FIELDS[kind].items()})
-    elif not isinstance(obj, InitialStateSpec):
+    if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a mapping or string, got {type(obj).__name__}")
-    elif obj.kind == "bell":  # a built spec's name is a key already
-        bell_key(obj.bell, prefix + "bell")
-    _check_finite(obj.delta, prefix + "delta")
-    _check_finite(obj.phi, prefix + "phi")
-    if obj.kind == "mixed_pes":
-        _check_probability(obj.dephasing, prefix + "dephasing")
-    return obj
+    kind = obj.get("kind")
+    _check_choice(kind, tuple(_INITIAL_FIELDS), prefix + "kind")
+    _known(obj, ("kind", *_INITIAL_FIELDS[kind]), prefix)
+    for name in _INITIAL_FIELDS[kind]:
+        if name in _INITIAL_REQUIRED and name not in obj:
+            raise ConfigError(f"{prefix}{name}: missing")
+    try:
+        return InitialStateSpec(**obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def p_grid_from(obj) -> tuple:

@@ -63,16 +63,13 @@ def _check_choice(value, choices: tuple, path: str) -> None:
         raise ConfigError(f"{path}: expected {', '.join(rest)} or {last}, got {value!r}")
 
 
-_REQUIRED = object()  # the default of _read for a field that has none
-
-
 def _field(value, kind, path: str):
-    """``value`` as a ``kind`` (str, int, float, or ``list``: of floats, entry i
-    named ``path[i]``), or a ConfigError naming ``path``. A number may be text
-    (a compact string's field, a flag, a CSV cell); an int takes an integral
+    """``value`` as a ``kind`` (str, int, float, or ``list``: a list, tuple or 1-d array
+    of floats, entry i named ``path[i]``), or a ConfigError naming ``path``. A number
+    may be text (a compact string's field, a flag, a CSV cell); an int takes an integral
     float but no fraction; bools, None, lists and mappings are never numbers."""
     if kind is list:
-        if isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1:
             return [x if type(x) is float else _field(x, float, f"{path}[{i}]") for i, x in enumerate(value)]
     elif type(value) is kind:  # already a str, int or float: itself, without the numbers.Real check
         return value
@@ -93,12 +90,10 @@ def _checked(value, kind, path: str, check, *args):
     return value
 
 
-def _read(obj: dict, name: str, kind, prefix: str, default=_REQUIRED):
-    """``obj[name]`` by :func:`_field`, named ``prefix + name``; if absent, ``default`` or missing."""
+def _read(obj: dict, name: str, kind, prefix: str):
+    """``obj[name]`` by :func:`_field`, named ``prefix + name``; if absent, missing."""
     if name not in obj:
-        if default is _REQUIRED:
-            raise ConfigError(f"{prefix}{name}: missing")
-        return default
+        raise ConfigError(f"{prefix}{name}: missing")
     return _field(obj[name], kind, prefix + name)
 
 
@@ -213,15 +208,15 @@ def dm(psi) -> np.ndarray:
     return _frozen(np.outer(v, v.conj()))
 
 
-def bell_key(name, path: str = "bell") -> str:
+def bell_key(name) -> str:
     """The :data:`BELL_KETS` key of a Bell-state name: a key or a short form
     ``phi+``, ``phi-``, ``psi+``, ``psi-``, in any case. Anything else, a
-    non-string included, fails as a choice named ``path``."""
+    non-string included, fails as a choice named ``bell``."""
     if isinstance(name, str):
         key = name.strip().lower().replace("+", "_plus").replace("-", "_minus")
         if key in BELL_KETS:
             return key
-    _check_choice(name, tuple(BELL_KETS), path)  # raises: no key has this form
+    _check_choice(name, tuple(BELL_KETS), "bell")  # raises: no key has this form
 
 
 def bell_state(name: str) -> np.ndarray:

@@ -125,8 +125,8 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """One tomography data point: setting, coincidence count (read by the config
-    reader's int rule, so stored as an int), pairs per setting."""
+    """One tomography data point: setting, coincidence count and pairs per setting,
+    read by the config reader's int and float rules, so stored as an int and a float."""
 
     setting: MeasurementSetting
     count: int
@@ -135,7 +135,7 @@ class CountRecord:
     def __post_init__(self):
         object.__setattr__(self, "count", _field(self.count, int, "count"))
         _check_count(self.count, "count", low=0, scale=2)
-        _check_positive(self.exposure, "exposure")
+        object.__setattr__(self, "exposure", _checked(self.exposure, float, "exposure", _check_positive))
 
 
 @dataclass(frozen=True)
@@ -701,8 +701,8 @@ def ellipsoid_mesh(channel, n_theta: int = 25, n_phi: int = 50) -> np.ndarray:
     Returns an (n_theta * n_phi, 3) array of Cartesian points, in the ball for a
     completely positive unital channel; a size numpy cannot make is a ConfigError.
     """
-    _check_at_least(n_theta, 2, "n_theta")
-    _check_at_least(n_phi, 1, "n_phi")
+    n_theta = _checked(n_theta, int, "n_theta", _check_at_least, 2)
+    n_phi = _checked(n_phi, int, "n_phi", _check_at_least, 1)
     m = bloch_affine_map(channel)
     try:
         theta = np.linspace(0.0, np.pi, n_theta)

@@ -504,8 +504,8 @@ class TestConfigValidation:
             run_sweep(analytic_config(pipeline=Pipeline(kind="shot_noise", trials=1)))
 
     def test_bad_dephasing(self):
-        spec = InitialStateSpec(kind="mixed_pes", delta=0.2, dephasing=1.5)
         with pytest.raises(ConfigError, match="dephasing"):
+            spec = InitialStateSpec(kind="mixed_pes", delta=0.2, dephasing=1.5)
             run_sweep(analytic_config(initial=spec))
 
     @pytest.mark.parametrize("p_scale", [math.nan, math.inf, 0.0])

@@ -39,8 +39,10 @@ from entdyn.harness import (
     SweepRow,
     read_rows,
     render,
+    initial_spec_from,
     render_mesh,
     run_channel_characterization,
+    run_pes_sweep,
     sweep_config_from_dict,
 )
 from entdyn.sampling import random_pure_ket
@@ -257,6 +259,10 @@ SCALAR_CASES = {
                                "n_theta: must be >= 2, got 1"),
     "ellipsoid_mesh.n_phi": (lambda: ellipsoid_mesh(_CHANNEL, n_phi=0),
                              "n_phi: must be >= 1, got 0"),
+    # mesh sizes read by the config reader's int rule before their range
+    "ellipsoid_mesh.n_theta_fraction": (lambda: ellipsoid_mesh(_CHANNEL, n_theta=2.5),
+                                        "n_theta: expected int, got 2.5"),
+    "ellipsoid_mesh.n_phi_bool": (lambda: ellipsoid_mesh(_CHANNEL, n_phi=True), "n_phi: expected int, got True"),
     "random_pure_ket.dim": (lambda: random_pure_ket(np.random.default_rng(0), 0),
                             "dim: must be >= 1, got 0"),
     "random_pure_ket.dim_negative": (lambda: random_pure_ket(np.random.default_rng(0), -1),
@@ -276,6 +282,7 @@ SCALAR_CASES = {
     "SweepConfig.pipeline_trials": (lambda: SweepConfig(pipeline={"kind": "shot-noise", "trials": 2.5}),
                                     "pipeline.trials: expected int, got 2.5"),
     "SweepConfig.p_grid_entry": (lambda: SweepConfig(p_grid=[0.0, "x"]), "p_grid[1]: expected float, got 'x'"),
+    "SweepConfig.p_grid_0d": (lambda: SweepConfig(p_grid=np.array(0.5)), "p_grid: expected list, got array(0.5)"),
     "SweepConfig.initial_kind": (lambda: SweepConfig(initial="x:1"),
                                  "initial.kind: expected 'bell', 'pure_pes' or 'mixed_pes', got 'x'"),
     "run_channel_characterization.seed_bool": (
@@ -296,6 +303,11 @@ SCALAR_CASES = {
     # positive and finite
     "CountRecord.exposure": (lambda: CountRecord(_HH, 5, float("nan")),
                              "exposure: must be positive and finite, got nan"),
+    # an exposure read by the config reader's float rule before its range
+    "CountRecord.exposure_bool": (lambda: CountRecord(_HH, 5, True), "exposure: expected float, got True"),
+    "CountRecord.exposure_none": (lambda: CountRecord(_HH, 5, None), "exposure: expected float, got None"),
+    "CountRecord.exposure_text": (lambda: CountRecord(_HH, 5, "-10"),
+                                  "exposure: must be positive and finite, got -10.0"),
     "config.p_scale": (lambda: sweep_config_from_dict({"p_scale": "inf"}),
                        "p_scale: must be positive and finite, got inf"),
     "flag.p_scale": (_flag("sweep", "--p-scale", "-1"), "p_scale: must be positive and finite, got -1.0"),
@@ -322,6 +334,21 @@ SCALAR_CASES = {
     "make_initial.dephasing_none": (
         lambda: make_initial(InitialStateSpec(kind="mixed_pes", delta=0.1, dephasing=None)),
         "dephasing: expected float, got None"),
+    # a spec reads its own fields when built, whether or not a config holds it
+    "InitialStateSpec.delta_bool": (lambda: InitialStateSpec(kind="pure_pes", delta=True),
+                                    "delta: expected float, got True"),
+    "InitialStateSpec.delta_text": (lambda: InitialStateSpec(kind="pure_pes", delta="x"),
+                                    "delta: expected float, got 'x'"),
+    "InitialStateSpec.phi_none": (lambda: InitialStateSpec(kind="pure_pes", delta=0.1, phi=None),
+                                  "phi: expected float, got None"),
+    "InitialStateSpec.dephasing_none": (lambda: InitialStateSpec(kind="mixed_pes", delta=0.1, dephasing=None),
+                                        "dephasing: expected float, got None"),
+    "InitialStateSpec.dephasing_text": (lambda: InitialStateSpec(kind="mixed_pes", delta=0.1, dephasing="2"),
+                                        "dephasing: value 2.0 outside [0, 1]"),
+    "InitialStateSpec.bell": (lambda: InitialStateSpec(kind="bell", bell=5), f"bell: {_BELLS}, got 5"),
+    "SweepConfig.initial_given": (
+        lambda: SweepConfig(initial=InitialStateSpec(kind="pure_pes", delta="0.1", phi="nan")),
+        "phi: must be finite, got nan"),
     "predict_x_state.delta": (lambda: predict_x_state((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), float("nan")),
                               "delta: must be finite, got nan"),
     # one of a vocabulary
@@ -442,6 +469,12 @@ LIBRARY_CONFIGS = {
     "p_grid_text": ({"p_grid": [0.0, "0.5"]}, '{"p_grid": [0, 0.5]}'),
     "pipeline_shorthand": ({"pipeline": "exact"}, '{"pipeline": {"kind": "exact_simulation"}}'),
     "initial_string": ({"initial": "bell:phi+"}, '{"initial": {"kind": "bell", "bell": "phi_plus"}}'),
+    "initial_spec_text": ({"initial": InitialStateSpec(kind="pure_pes", delta="0.1")},
+                          '{"initial": {"kind": "pure_pes", "delta": 0.1}}'),
+    "initial_spec_short_bell": ({"initial": InitialStateSpec(kind="bell", bell="psi-")}, '{"initial": "bell:psi-"}'),
+    "initials_spec_numbers": (
+        {"initials": [InitialStateSpec(kind="mixed_pes", delta=np.float64(0.2), dephasing="0.1")]},
+        '{"initials": ["mixed:0.2:0.1"]}'),
 }
 
 
@@ -456,3 +489,25 @@ def test_characterization_seeds_and_counts_read_as_their_numbers_draw_the_same_s
         assert run_channel_characterization("isotropic", [0.1, 0.4], n_per_probe=10_000, seed=seed) == want
     for n in ("10000", 1e4, np.int64(10_000)):
         assert run_channel_characterization("isotropic", [0.1, 0.4], n_per_probe=n, seed=3) == want
+
+
+def test_given_spec_is_the_readers_spec_and_keys_the_same_tables():
+    # a short Bell name and numeric text read as the file reader reads them,
+    # so a PES sweep keys its tables by the same labels
+    given = (InitialStateSpec(kind="bell", bell="PSI-"),
+             InitialStateSpec(kind="pure_pes", delta="0.13", phi=np.float64(0.5)),
+             InitialStateSpec(kind="mixed_pes", delta="0.2", dephasing="0.1"))
+    read = ("bell:psi-", "pes:0.13:0.5", "mixed:0.2:0.1")
+    assert given == tuple(initial_spec_from(x) for x in read)
+    assert {type(getattr(s, name)) for s in given for name in ("delta", "phi", "dephasing")} == {float}
+    tables = run_pes_sweep(SweepConfig(initials=given, p_grid=[0.0, 0.5]))
+    assert tables == run_pes_sweep(sweep_config_from_dict({"initials": list(read), "p_grid": [0.0, 0.5]}))
+    assert sorted(tables) == ["bell_psi_minus", "mixed_pes_delta0.2_p0.1", "pure_pes_delta0.13_phi0.5"]
+
+
+def test_mesh_sizes_and_exposures_read_as_their_numbers():
+    assert np.array_equal(ellipsoid_mesh(_CHANNEL, n_theta="5", n_phi=np.int64(4)), ellipsoid_mesh(_CHANNEL, 5, 4))
+    assert np.array_equal(ellipsoid_mesh(_CHANNEL, n_theta=5.0, n_phi="4"), ellipsoid_mesh(_CHANNEL, 5, 4))
+    for exposure in ("10", np.float64(10.0), np.int64(10), 10):
+        record = CountRecord(_HH, 5, exposure)
+        assert record == CountRecord(_HH, 5, 10.0) and type(record.exposure) is float

@@ -977,6 +977,19 @@ class TestCountsCsv:
         write_counts_csv(records, path)
         assert read_counts_csv(path) == records
 
+    @pytest.mark.parametrize("as_exposure", [np.float64, str, np.float32], ids=["float64", "text", "float32"])
+    def test_numpy_and_text_exposures_round_trip(self, tmp_path, as_exposure):
+        """An exposure is stored as a Python float, so the file is the one of
+        the simulated records, byte for byte, and reads back."""
+        records = simulate_counts(bell_state("phi+"), standard_settings(), 1000, seed=5)
+        built = [CountRecord(r.setting, r.count, as_exposure(r.exposure)) for r in records]
+        assert built == records and all(type(r.exposure) is float for r in built)
+        want, path = tmp_path / "want.csv", tmp_path / "counts.csv"
+        write_counts_csv(records, want)
+        write_counts_csv(built, path)
+        assert path.read_bytes() == want.read_bytes()
+        assert read_counts_csv(path) == records
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("proj_a,proj_b,count,exposure\n")
